@@ -29,6 +29,7 @@ gaps between slices are legal (empty stream regions get no slice).
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..aggregations.base import AggregateFunction
@@ -43,6 +44,17 @@ __all__ = [
     "EagerAggregateStore",
     "SharedQueryPlan",
 ]
+
+
+#: Bisect key over the slice list (sorted by start); shared with the slice manager.
+slice_start = attrgetter("start")
+_OPEN_END = float("inf")
+
+
+def _slice_end(slice_: Slice) -> float:
+    """Bisect key over slice ends; the open head (``end is None``) sorts last."""
+    end = slice_.end
+    return _OPEN_END if end is None else end
 
 
 class AggregateStore:
@@ -87,7 +99,7 @@ class AggregateStore:
 
     def find_index(self, ts: int) -> Optional[int]:
         """Index of the slice covering ``ts``, or ``None`` (gap / before)."""
-        position = bisect.bisect_right(self.slices, ts, key=lambda s: s.start) - 1
+        position = bisect.bisect_right(self.slices, ts, key=slice_start) - 1
         if position < 0:
             return None
         candidate = self.slices[position]
@@ -101,14 +113,14 @@ class AggregateStore:
     def neighbors(self, ts: int) -> tuple[Optional[int], Optional[int]]:
         """Indices of the last slice ending at/before ``ts`` and the first
         slice starting after ``ts`` (for gap insertion)."""
-        position = bisect.bisect_right(self.slices, ts, key=lambda s: s.start)
+        position = bisect.bisect_right(self.slices, ts, key=slice_start)
         before = position - 1 if position > 0 else None
         after = position if position < len(self.slices) else None
         return before, after
 
     def index_of(self, slice_: Slice) -> int:
         """Index of a slice known to be in the store."""
-        position = bisect.bisect_left(self.slices, slice_.start, key=lambda s: s.start)
+        position = bisect.bisect_left(self.slices, slice_.start, key=slice_start)
         while position < len(self.slices):
             if self.slices[position] is slice_:
                 return position
@@ -167,13 +179,11 @@ class AggregateStore:
 
     def range_indices(self, start: int, end: int) -> tuple[int, int]:
         """Slice index range fully contained in time interval ``[start, end)``."""
-        lo = bisect.bisect_left(self.slices, start, key=lambda s: s.start)
-        hi = lo
-        while hi < len(self.slices):
-            slice_end = self.slices[hi].end
-            if slice_end is None or slice_end > end:
-                break
-            hi += 1
+        slices = self.slices
+        lo = bisect.bisect_left(slices, start, key=slice_start)
+        # Slice ends are monotone, so the first slice from ``lo`` that
+        # ends after ``end`` (or is still open) bounds the range.
+        hi = bisect.bisect_right(slices, end, lo=lo, key=_slice_end)
         return lo, hi
 
     def query_time(self, start: int, end: int, fn_index: int) -> Any:
@@ -229,14 +239,27 @@ class EagerAggregateStore(AggregateStore):
     function: a FlatFAT tree in the general case (O(log s) everything),
     or a two-stacks / subtract-on-evict kernel (amortised O(1)) when the
     workload characteristics permit (:func:`~repro.core.characteristics.
-    select_kernel`).  Structural changes (insert/remove/split/merge)
-    propagate to every kernel; in-place aggregate updates repair one
-    entry per kernel.  The kernels are small -- one leaf per *slice*,
+    select_kernel`).  The kernels are small -- one leaf per *slice*,
     not per record -- which is why eager slicing rarely suffers from
     out-of-order input (Section 6.2.2).
+
+    Invariant: kernel leaf ``i`` equals ``slices[i].aggs`` for every
+    slice but the last.  The last slice (the open head) absorbs every
+    in-order record, yet nobody reads its leaf until a window closes, so
+    its leaf may lag: the per-record paths only set :attr:`head_dirty`,
+    and the store writes the head's partials into the kernels (one
+    ``update`` per function) right before the leaf can be observed or
+    its index can move -- ahead of every structural change and of a
+    query that reaches the last slice.  Updates to any other slice are
+    written through immediately.
     """
 
     shared_suffix_folding = False
+
+    #: Whether the last slice's partials are newer than its kernel
+    #: leaves.  The class-level default lets store pickles written
+    #: before the mark existed (always in sync) restore unchanged.
+    head_dirty = False
 
     def __init__(
         self,
@@ -256,11 +279,7 @@ class EagerAggregateStore(AggregateStore):
         self.kernels = [
             make_kernel(kind, fn) for kind, fn in zip(kinds, self.functions)
         ]
-
-    @property
-    def trees(self) -> list:
-        """Backwards-compatible alias from the FlatFAT-only era."""
-        return self.kernels
+        self.head_dirty = False
 
     @AggregateStore.tracer.setter
     def tracer(self, value: Optional[Tracer]) -> None:
@@ -268,7 +287,20 @@ class EagerAggregateStore(AggregateStore):
         for kernel in self.kernels:
             kernel.tracer = value
 
+    def sync_head(self) -> None:
+        """Write the last slice's partials into the kernels if they lag."""
+        if not self.head_dirty:
+            return
+        self.head_dirty = False
+        index = len(self.slices) - 1
+        aggs = self.slices[index].aggs
+        for fn_index, kernel in enumerate(self.kernels):
+            kernel.update(index, aggs[fn_index])
+        if self._tracer is not None:
+            self._tracer.count("kernel.head_syncs")
+
     def append_slice(self, slice_: Slice) -> None:
+        self.sync_head()
         super().append_slice(slice_)
         for fn_index, kernel in enumerate(self.kernels):
             kernel.append(slice_.aggs[fn_index])
@@ -276,22 +308,28 @@ class EagerAggregateStore(AggregateStore):
             self._tracer.count("kernel.appends")
 
     def insert_slice(self, index: int, slice_: Slice) -> None:
+        self.sync_head()
         super().insert_slice(index, slice_)
         for fn_index, kernel in enumerate(self.kernels):
             kernel.insert(index, slice_.aggs[fn_index])
 
     def remove_slice(self, index: int) -> Slice:
+        self.sync_head()
         removed = super().remove_slice(index)
         for kernel in self.kernels:
             kernel.remove(index)
         return removed
 
     def slice_updated(self, index: int) -> None:
-        slice_ = self.slices[index]
+        if index == len(self.slices) - 1:
+            self.head_dirty = True
+            return
+        aggs = self.slices[index].aggs
         for fn_index, kernel in enumerate(self.kernels):
-            kernel.update(index, slice_.aggs[fn_index])
+            kernel.update(index, aggs[fn_index])
 
     def evict_before(self, ts: int) -> int:
+        self.sync_head()
         evicted = super().evict_before(ts)
         if evicted:
             for kernel in self.kernels:
@@ -304,9 +342,34 @@ class EagerAggregateStore(AggregateStore):
         """Combine slices ``[lo, hi)`` via the function's kernel."""
         if lo >= hi:
             return None
+        if hi == len(self.slices):
+            self.sync_head()
         if self._tracer is not None:
             self._tracer.count("store.range_queries")
         return self.kernels[fn_index].query(lo, hi)
+
+    def check_invariants(self) -> None:
+        """Assert the store/kernel agreement (test and fuzz hook).
+
+        Every kernel holds one leaf per slice, and -- once the head is
+        refreshed -- its leaves equal the slices' partials of its
+        function.  Refreshing is observably a no-op (any read of the
+        head's leaf would have done it).
+        """
+        self.sync_head()
+        for fn_index, kernel in enumerate(self.kernels):
+            if len(kernel) != len(self.slices):
+                raise AssertionError(
+                    f"kernel {fn_index} holds {len(kernel)} leaves for "
+                    f"{len(self.slices)} slices"
+                )
+            leaves = kernel.leaves()
+            expected = [slice_.aggs[fn_index] for slice_ in self.slices]
+            if leaves != expected:
+                raise AssertionError(
+                    f"kernel {fn_index} leaves {leaves!r} differ from "
+                    f"the slice partials {expected!r}"
+                )
 
 
 class SharedQueryPlan:

@@ -97,8 +97,8 @@ class TwoStacksKernel:
     leaves ``m .. m+j``.  Evicting with an empty front *flips* the back
     stack -- every element but the newest moves to the front with suffix
     aggregates -- so each element is moved at most once (amortised O(1))
-    and the newest element stays in the back, keeping the per-record
-    ``update(size-1)`` of the eager hot path O(1) as well.
+    and the newest element stays in the back, keeping the eager store's
+    head write (``update(size-1)``, once per slice) O(1) as well.
 
     Range queries are O(1) whenever the range touches or spans the
     front/back boundary (every emission query on a sliding window does);
@@ -186,7 +186,7 @@ class TwoStacksKernel:
         m = len(self._front)
         if index >= m:
             # Back region: repair prefix aggregates from the changed
-            # element on.  The hot path updates the newest leaf -- O(1).
+            # element on.  The head write updates the newest leaf -- O(1).
             back = self._back
             j = index - m
             agg = back[j - 1][1] if j > 0 else None
@@ -387,7 +387,7 @@ class SubtractOnEvictKernel:
             raise IndexError(f"leaf index {index} out of range (size {len(self)})")
         physical = self._start + index
         self._leaves[physical] = partial
-        # O(1) for the hot-path update of the newest leaf; O(suffix)
+        # O(1) for the head write (the newest leaf); O(suffix)
         # otherwise (only forced out-of-order usage reaches the middle).
         self._recompute_from(physical)
 

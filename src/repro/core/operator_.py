@@ -218,19 +218,44 @@ class _Chain:
     # ------------------------------------------------------------------
 
     def max_window_extent(self) -> int:
-        """Upper bound on how far back a window can reach (for eviction)."""
+        """Upper bound on how far back a window can reach, in this chain's
+        measure (time units on a time chain, records on a count chain)."""
         extent = 0
         for window in self._windows:
-            length = getattr(window, "length", None)
-            if length is not None:
-                extent = max(extent, length)
-            gap = getattr(window, "gap", None)
-            if gap is not None:
-                extent = max(extent, gap)
-            count = getattr(window, "count", None)
-            if count is not None:
-                extent = max(extent, count)
+            for attribute in ("length", "gap", "count"):
+                reach = getattr(window, attribute, None)
+                if reach is not None:
+                    extent = max(extent, reach)
         return extent
+
+    def eviction_horizon(self, settled_ts: int) -> int:
+        """Timestamp at or before which a slice may end and be dropped.
+
+        ``settled_ts`` is the watermark minus the allowed lateness: the
+        stream before it can no longer change.  A time chain needs the
+        window extent before that point.  A count chain's extent is a
+        number of *records*, so its horizon is found in the count
+        domain -- slices whose counts end at or before
+        ``completed_count(settled_ts) - extent`` -- and translated back
+        to the time a slice must end before, because records can be
+        arbitrarily sparse or dense in time.
+        """
+        extent = self.max_window_extent()
+        if self.measure_kind is MeasureKind.TIME:
+            return settled_ts - extent
+        count_horizon = self.window_manager.completed_count(settled_ts) - extent
+        slices = self.store.slices
+        if not slices:
+            return settled_ts
+        horizon = slices[0].start  # drops nothing unless a slice qualifies
+        for slice_ in slices:
+            if slice_.count_end is None or slice_.count_end > count_horizon:
+                break
+            horizon = slice_.end
+        # Count-cut slices can share an end timestamp with their
+        # successors; stopping one short keeps every slice past the
+        # count horizon.
+        return horizon - 1
 
 
 class GeneralSlicingOperator(WindowOperator):
@@ -403,7 +428,9 @@ class GeneralSlicingOperator(WindowOperator):
                 # distinct function (the per-record hot path).
                 head.add_inorder(record, chain.functions)
                 if chain.eager_store:
-                    chain.store.slice_updated(len(chain.store.slices) - 1)
+                    # The kernels read the head's partials once, when the
+                    # slice closes or a window reaches it.
+                    chain.store.head_dirty = True
                 if chain.session_windows:
                     for session in chain.session_windows:
                         session.observe(record.ts)
@@ -515,7 +542,7 @@ class GeneralSlicingOperator(WindowOperator):
                 store = chain.store
                 store.head.add_run(chunk, chain.functions)
                 if chain.eager_store:
-                    store.slice_updated(len(store.slices) - 1)
+                    store.head_dirty = True
             self._arrived += len(chunk)
             self._max_ts = chunk[-1].ts
             if self._tracer is not None:
@@ -577,7 +604,7 @@ class GeneralSlicingOperator(WindowOperator):
 
     def _evict(self, wm: int) -> None:
         for chain in self._chains.values():
-            horizon = wm - self.allowed_lateness - chain.max_window_extent()
+            horizon = chain.eviction_horizon(wm - self.allowed_lateness)
             for first_ts, last_ts, lo, hi in self._open_sessions(chain, wm):
                 horizon = min(horizon, first_ts - 1)
             evicted = chain.store.evict_before(horizon)

@@ -26,7 +26,7 @@ import bisect
 from typing import Callable, List, Optional, Sequence
 
 from ..aggregations.base import AggregateFunction
-from .aggregate_store import AggregateStore
+from .aggregate_store import AggregateStore, slice_start
 from .slice_ import Slice
 from .tracing import Tracer
 from .types import Record
@@ -368,7 +368,7 @@ class SliceManager:
     def merge_boundary(self, ts: int) -> bool:
         """Merge the two slices meeting at boundary ``ts`` (if allowed)."""
         slices = self._store.slices
-        position = bisect.bisect_left(slices, ts, key=lambda s: s.start)
+        position = bisect.bisect_left(slices, ts, key=slice_start)
         if position <= 0 or position >= len(slices):
             return False
         left, right = slices[position - 1], slices[position]

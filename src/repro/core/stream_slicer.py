@@ -152,7 +152,13 @@ class StreamSlicer:
             # have already been cut; resume the search from there.
             base = head.start if head.last_ts is None else max(head.start, head.last_ts)
             self._refresh_time_cache(base)
-            self._refresh_count_cache(count_position)
+            # Likewise in the count measure: the last record sits at
+            # ``count_position - 1``, so an edge *at* the incoming
+            # record's position is still uncut unless the head opened there.
+            count_base = count_position - 1
+            if head.count_start is not None and head.count_start > count_base:
+                count_base = head.count_start
+            self._refresh_count_cache(count_base)
             self._cache_valid = True
 
         # --- time-measure cuts ------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for operator checkpointing (snapshot / restore / wrapper)."""
 
+import base64
 import pickle
+import zlib
 
 import pytest
 
 from conftest import final_values, run_operator, shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
-from repro.aggregations import Median, Sum
+from repro.aggregations import Max, Median, Sum
 from repro.baselines import AggregateTreeOperator, TupleBufferOperator
 from repro.runtime.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -17,7 +19,7 @@ from repro.runtime.checkpoint import (
     restore,
     snapshot,
 )
-from repro.windows import CountTumblingWindow, SessionWindow, TumblingWindow
+from repro.windows import CountTumblingWindow, SessionWindow, SlidingWindow, TumblingWindow
 
 
 def build_operator():
@@ -182,6 +184,90 @@ class TestCheckpointFormat:
     def test_non_bytes_rejected(self):
         with pytest.raises(CheckpointFormatError):
             restore("not bytes at all")
+
+
+#: ``snapshot()`` of the operator built by ``_legacy_operator`` after
+#: records ts 0..24, written by the commit before the eager store learned
+#: to defer its head write (zlib + base85).  Its store pickle has no
+#: ``head_dirty`` entry and its kernels are in sync with every slice.
+_PRE_DEFERRED_HEAD_FRAME = (
+    "c-oCt&2Jk;6nC2XqmCWNiBr<5R4quzh$;w9oT^k+)x)-"
+    "~S|jyBJB)Y7eyi+<*_pKyM4%iRrP4?}bU1M3pFlmp-@_dVuDqGq-K@7gkVCxl-"
+    "kUe?{od!3@q@dywHNhY-fq;)pByA?p2YiZoUr|P&Jrr(geZCWK8x@Wj04~GquHa3qu!`be^w"
+    "`IC^t#Ojs*EGWyvw|J>^`GO?~hgSI>}twWQYtnow6DlMCPFO4c9iYgXAvYilh1$cvXs?%Hei"
+    "$oF~Rd-%MP-Ld_8YUK(u8Uc%D0+ch9buG-4)0T~RI^|3#rzSfgqdZL*ImC-"
+    "f?v$*`IB3qsL;LAynKw#a6n@CmOZ7yh6S+ZWvxLp4@Z(6yJ*%KZ<NFiJeOJl#aT;2~Wa}K3n"
+    "!FfM)F%5Y9(>MGI6YMpXlEEe7q+ZZu;UD2;Iv`asljEqmQLV9xGvWp(j%)MK62LJ<Eq9G*;*"
+    "r$n{h+}Di}!^dg`f>>=G}D=X2&6y0)rG1jd9V$n0^EFd7m+A}EcdGg)VJW<IuP5X8&uUc@-"
+    "pciSxV1!3V_9IIDyi(_~h$ss{N&t%uqvM?f{ambR01;!MOE*CVMlX!}RCc*shBaW`aHK@r3x"
+    "vS4bj5P$%z?^~&_=L$z(=>7o@H)@nCfq_AnMP>7$BxW}8!ypH_zeHArE<IA;d3@$^+l)VtTE"
+    "Xq?=ikt%~xp251z)!VGvXAZiQD^Sy%{Pp2-"
+    "f!Vqrw2^8i)8lAVY#j}tx*e4)>Mpq#jI8VQo6p%&6aju;!~3ZY2oLZeG+gnAedB!*!sF#Q$`"
+    "?cGjT7%yl*FplWLOqbw^_7LsvJ+Zv8W$Bue?I;#Ev_Z@>Nsh_%O^TV`u`x2Gf>p6ysujyYV%"
+    "srad8PDuI?;I~2&Noc_^vP-"
+    ";ak}j%NPx!?jbj%Q>=Oeidtz61@I(e?%dOvcPA&04YdIIP7(43R=b<^ntn;4A!7rp>(0eWEe"
+    "2nwiRlUJ42{P&(VF@R7ettxZU!{_z9cWARYvpugRg9xynnD~KbUOVqT-mj9s6kmsWoocklL3"
+    "<@{&F3=SH%HKeh|ORa5vpFZ>0T`qCM|5&j-"
+    "KJMg`E`QSz6W%ywPCn)mc2!0yDi+8mQU^zl115~n?DH+z@tE9fFguxdhcm^&^F-"
+    "pxm)*9;Pa(A3X_)&CE$JfTcge%rwR*(vAVlfAdE?5=4!kJ+KBbg^`>K|#rQAzSaF8TPNkTfv"
+    "zylR~b&N{}Q6!C22oy-98T=u?R#$%It?-<+Cr8Ds(OtjV{^#h^%j%>~t7L(A^4Q|P1E^>-"
+    "#i|<SmEJ1u+*2x5wTF>?>z@DoAOJne>F_h`qV%lt$`e$fe-Y_-xeHb$A&9)zuII<bi$h7Bt8"
+    "kG{iV0BFXKg^Ej^D=u30_@SIN9E~^{YT??n4|qlZsc#z=o}Mxi%f$Umjm6t3G-"
+    "&C<Tto2dsV7|tw&tu2UXe43NaJa-+KCB$(uAXq7|YM-"
+    "6VeAHqVuIS7}DDqx(@9d;ZkNCTGM3nWq`qwF6yC>wrvfsNrpn+=Xtlw!Ks#wsSIPb;jmAw#T"
+    "AJy+v$$b~~!NUm=>u|IjS>)0n+wua&$Rq0iMgbxAc)WX1MAaj6S9v(I00uHzics4Ln#mP&9$"
+    ";I@K;+f4<*Wp5fMAtHymE#Ew#&MZ`$HW|;8?MexxDz9tTlWHa!m|BGx{I0zyuN9l5x<j-"
+    "`X~BfQWXJ0CD$68pM>Slg`q<w~jj2^^2u{uPiNDXq*HC;2|G+Ky7dHm8LbY^zT99R^oB<xRW"
+    "diXqWA!yo%-1TF?F>plsS}-?nN$YWiQXPBBbbq1(pJ(=dyq~zx@=Y-"
+    "65ukS;Py+bZA9eAjG;Z$zr+ccgfuzS^MlYN!GVvX>q<J={}08@g7*"
+)
+
+
+def _legacy_operator():
+    operator = GeneralSlicingOperator(stream_in_order=True, eager=True)
+    operator.add_query(SlidingWindow(40, 10), Sum())
+    operator.add_query(SlidingWindow(40, 10), Max())
+    return operator
+
+
+def _legacy_record(ts):
+    return Record(ts, float(ts % 7))
+
+
+class TestFramesAcrossTheDeferredHeadWrite:
+    def test_frame_written_before_the_mark_restores_and_continues(self):
+        blob = zlib.decompress(base64.b85decode(_PRE_DEFERRED_HEAD_FRAME))
+        assert blob.startswith(CHECKPOINT_MAGIC)
+        clone = restore(blob)
+        (store,) = clone.state_objects()
+        # Genuinely an old pickle: the class-level default supplies the mark.
+        assert "head_dirty" not in vars(store)
+        assert store.head_dirty is False
+        store.check_invariants()
+
+        uninterrupted = _legacy_operator()
+        run_operator(uninterrupted, [_legacy_record(ts) for ts in range(25)])
+        tail = [_legacy_record(ts) for ts in range(25, 200)] + [Watermark(1_000)]
+        expected = run_operator(uninterrupted, tail)
+        assert run_operator(clone, tail) == expected
+        assert len(expected) == 40
+        store.check_invariants()
+
+    def test_mid_slice_snapshot_keeps_the_mark(self):
+        """A frame written now, between a record and the next cut, holds
+        a head whose kernel leaves lag; the mark must come back with it
+        or the next window would read the stale leaf."""
+        original = _legacy_operator()
+        run_operator(original, [_legacy_record(ts) for ts in range(25)])
+        (store,) = original.state_objects()
+        assert store.head_dirty
+        assert store.kernels[0].leaf(2) != store.slices[2].aggs[0]
+        clone = restore(snapshot(original))
+        (restored,) = clone.state_objects()
+        assert restored.head_dirty
+        assert restored.kernels[0].leaf(2) == store.kernels[0].leaf(2)
+        tail = [_legacy_record(ts) for ts in range(25, 60)] + [Watermark(1_000)]
+        assert run_operator(clone, tail) == run_operator(original, tail)
 
 
 class LambdaSum(Sum):

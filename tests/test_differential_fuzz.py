@@ -64,6 +64,10 @@ OOO_CASES = 8 * FUZZ_SCALE
 KEYED_CASES = 6 * FUZZ_SCALE
 HOLISTIC_CASES = 6 * FUZZ_SCALE
 
+#: Every this many stream elements the operator's state objects that can
+#: check their own structure (``EagerAggregateStore``) do so.
+INVARIANT_EVERY = 5
+
 # A query draw is a (window factory, aggregation factory) pair: window
 # and aggregation objects hold per-operator state, so every operator
 # gets fresh instances.
@@ -226,9 +230,15 @@ def _final_results(make_operator, draws: List[QueryDraw], arrival: List[Record])
     for make_window, make_agg, _ in draws:
         operator.add_query(make_window(), make_agg())
     final = {}
-    for element in list(arrival) + [Watermark(_horizon(arrival))]:
+    for position, element in enumerate(list(arrival) + [Watermark(_horizon(arrival))]):
         for result in operator.process(element):
             final[(result.query_id, result.start, result.end)] = result.value
+        if position % INVARIANT_EVERY == 0:
+            # Eager stores: kernels and slices must agree mid-stream; a
+            # violation raises and is shrunk like any other crash.
+            for state in operator.state_objects():
+                if hasattr(state, "check_invariants"):
+                    state.check_invariants()
     return final
 
 

@@ -158,6 +158,28 @@ class TestCountWindows:
         expected = reference_results([(CountSlidingWindow(4, 2), Sum())], stream)
         assert final == expected
 
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize(
+        "window", [CountTumblingWindow(10), CountSlidingWindow(100, 10)], ids=repr
+    )
+    def test_watermark_on_a_count_edge_does_not_lose_the_cut(self, eager, window):
+        """A watermark that evicts resets the slicer's edge cache; when
+        the next record sits exactly on a count edge, the refreshed
+        cache must still cut there.  It used to look past that edge, so
+        the head swallowed the following windows' records, and without
+        stored records 49 of these 100 tumbling windows came out wrong.
+        """
+        stream = [Record(t, float(t % 7)) for t in range(1_000)]
+        elements = []
+        for record in stream:
+            elements.append(record)
+            if record.ts % 10 == 9:
+                elements.append(Watermark(record.ts))
+        op = make_operator(eager)
+        op.add_query(window, Sum())
+        assert not op.stores_records
+        assert final_values(op, elements) == reference_results([(window, Sum())], stream)
+
     def test_time_and_count_queries_together(self):
         op = make_operator()
         op.add_query(TumblingWindow(4), Sum())

@@ -7,6 +7,7 @@ pytestmark = pytest.mark.ooo
 from conftest import final_values, run_operator, shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import M4, CollectList, Median, Min, Sum, SumWithoutInvert
+from repro.core.measures import MeasureKind
 from repro.core.types import Punctuation
 from repro.reference import reference_results
 from repro.windows import (
@@ -204,6 +205,51 @@ class TestCountWindowsOutOfOrder:
         op = make_operator()
         op.add_query(CountTumblingWindow(3), Sum())
         assert op.stores_records
+
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("spacing", [100, 1])
+    def test_eviction_horizon_is_in_the_count_domain(self, eager, spacing):
+        """A count window reaches back 100 *records*, however sparse.
+
+        With one record per 100 time units the old horizon (window
+        length subtracted from the watermark as if it were a duration)
+        dropped slices the next window still needed: 191 of 191 windows
+        were wrong.  Eviction must also still happen: the store keeps
+        the window's 10 slices plus the open head, not the stream.
+        """
+        window = SlidingWindow(100, 10, measure_kind=MeasureKind.COUNT)
+        stream = [Record(spacing * i, float(i % 7)) for i in range(2_000)]
+        elements = []
+        for position, record in enumerate(stream):
+            elements.append(record)
+            if position % 10 == 9:
+                elements.append(Watermark(record.ts))
+        op = make_operator(eager, lateness=0)
+        op.add_query(window, Sum())
+        final = final_values(op, elements)
+        assert len(final) == 191
+        assert final == reference_results([(window, Sum())], stream)
+        assert op.total_slices() == 11
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_count_eviction_keeps_late_update_reach(self, eager):
+        """Late records within the lateness still find every slice their
+        windows cover after watermarks have evicted behind them."""
+        window = SlidingWindow(20, 5, measure_kind=MeasureKind.COUNT)
+        base = [Record(50 * i, float(i % 11)) for i in range(400)]
+        disordered = shuffled_with_disorder(base, 0.3, 400, seed=5)
+        elements = []
+        high = 0
+        for position, record in enumerate(disordered):
+            elements.append(record)
+            high = max(high, record.ts)
+            if position % 7 == 6:
+                elements.append(Watermark(high - 500))
+        elements.append(Watermark(10**6))
+        op = make_operator(eager, lateness=500)
+        op.add_query(window, Sum())
+        assert final_values(op, elements) == reference_results([(window, Sum())], base)
+        assert op.total_slices() < 40
 
 
 class TestNonCommutativeOutOfOrder:

@@ -122,10 +122,21 @@ class TestHandComputedCounters:
 
         (Forced because auto-selection gives the invertible in-order Sum
         a subtract-on-evict kernel; see the kernel counter tests below.)
-        The tree doubles capacity as slices 1..3 arrive (3 rebuilds) and
-        answers one query per emitted window.  Node updates cover both
-        rebuild sweeps and per-record leaf-to-root paths; the exact
-        total (30 here) is pinned so accidental extra tree work shows up.
+        The head slice's leaf is written once per slice, not once per
+        record, so the tree work is (capacity c, leaf i: a root path
+        repairs ``bit_length((c + i) // 2)`` nodes, a rebuild c - 1):
+
+        * ts 0: leaf 0 appended at c=1 -- no inner node yet: 0.
+        * ts 10: head [0,10) synced (path of leaf 0 at c=1: 0); append
+          grows to c=2 (rebuild: 1) and repairs leaf 1's path (1).  The
+          emit of [0,10) stops short of the new head: no sync.  Sum 2.
+        * ts 20: head [10,20) synced (leaf 1 at c=2: 1); append grows to
+          c=4 (rebuild: 3) and repairs leaf 2's path (2).  Sum 8.
+        * Watermark(100): the query of [20,30) reaches the dirty head,
+          which is synced first (leaf 2 at c=4: 2); evicting the two
+          closed slices rebuilds (3).  Sum 13.
+
+        3 rebuilds (two growths, one eviction), one query per window.
         """
         operator = GeneralSlicingOperator(
             stream_in_order=True, eager=True, kernel="flatfat"
@@ -136,7 +147,49 @@ class TestHandComputedCounters:
         assert final == {(0, 0, 10): 10.0, (0, 10, 20): 10.0, (0, 20, 30): 5.0}
         assert tracer.value("flatfat.rebuilds") == 3
         assert tracer.value("flatfat.queries") == 3
-        assert tracer.value("flatfat.node_updates") == 30
+        assert tracer.value("flatfat.node_updates") == 13
+        assert tracer.value("kernel.head_syncs") == 3
+
+    def test_inorder_eager_writes_kernels_once_per_slice(self, monkeypatch):
+        """An in-order eager run calls ``kernel.update`` at most
+        (slices + emitting calls) x functions times.
+
+        SlidingWindow(40, 10) x {Sum, Max} over ts 0..199, one record
+        per tick: 20 slices [0,10) .. [190,200).  Each of the 19 cuts
+        syncs the closing head once (one ``update`` per function: 38);
+        the 16 in-stream emits query slices strictly before the fresh
+        head, so they sync nothing; the closing watermark's first window
+        reaches the still-dirty last head (2 more).  Per-record writes
+        would have been 200 x 2.
+        """
+        from repro.aggregations import Max
+        from repro.core.kernels import SubtractOnEvictKernel, TwoStacksKernel
+        from repro.windows import SlidingWindow
+
+        updates = []
+        for kernel_class in (SubtractOnEvictKernel, TwoStacksKernel):
+            original = kernel_class.update
+
+            def counting(self, index, partial, _original=original):
+                updates.append(type(self).__name__)
+                return _original(self, index, partial)
+
+            monkeypatch.setattr(kernel_class, "update", counting)
+
+        operator = GeneralSlicingOperator(stream_in_order=True, eager=True)
+        operator.add_query(SlidingWindow(40, 10), Sum())
+        operator.add_query(SlidingWindow(40, 10), Max())
+        tracer = operator.enable_tracing()
+        emitting_calls = 0
+        for element in [Record(ts, 1.0) for ts in range(200)] + [Watermark(1_000)]:
+            if operator.process(element):
+                emitting_calls += 1
+        slices, functions = tracer.value("slicer.slices_created"), 2
+        assert (slices, emitting_calls) == (20, 17)
+        assert len(updates) == 40
+        assert sorted(set(updates)) == ["SubtractOnEvictKernel", "TwoStacksKernel"]
+        assert len(updates) <= (slices + emitting_calls) * functions
+        assert tracer.value("kernel.head_syncs") == 20
 
     def test_eager_kernel_counters(self):
         """Eager store: slice traffic reaches the kernels, whatever they
