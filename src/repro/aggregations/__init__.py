@@ -5,7 +5,7 @@ of the paper for the design.  :func:`default_registry` maps the names
 used by the benchmark harness (Figure 13) to instances.
 """
 
-from .base import AggregateFunction, AggregationClass, fold, fold_records
+from .base import AggregateFunction, AggregationClass
 from .basic import Average, Count, Max, Min, Sum, SumWithoutInvert
 from .extended import (
     M4,
@@ -25,8 +25,6 @@ from .sketches import CountDistinct, Product, TopK
 __all__ = [
     "AggregateFunction",
     "AggregationClass",
-    "fold",
-    "fold_records",
     "Sum",
     "SumWithoutInvert",
     "Count",

@@ -31,13 +31,14 @@ can inspect registered queries:
 from __future__ import annotations
 
 import enum
-from typing import Any, Generic, Iterable, Optional, Sequence, TypeVar
+from functools import reduce
+from typing import Any, Generic, Optional, Sequence, TypeVar
 
 V = TypeVar("V")  # input value
 P = TypeVar("P")  # partial aggregate
 R = TypeVar("R")  # final result
 
-__all__ = ["AggregationClass", "AggregateFunction", "fold", "fold_records"]
+__all__ = ["AggregationClass", "AggregateFunction"]
 
 
 class AggregationClass(enum.Enum):
@@ -109,7 +110,8 @@ class AggregateFunction(Generic[V, P, R]):
         """Return the neutral element of :meth:`combine`, or ``None``.
 
         Aggregations without a natural identity return ``None``; callers
-        must then special-case empty sequences (see :func:`fold`).
+        must then special-case empty sequences (:meth:`fold_values` and
+        :meth:`combine_all` return ``None`` for them).
         """
         return None
 
@@ -140,9 +142,11 @@ class AggregateFunction(Generic[V, P, R]):
         a run of in-order records is folded with one call instead of one
         ``lift``/``combine`` round-trip per record.  The default is the
         exact left fold that repeated :meth:`lift` + :meth:`combine`
-        would produce, so results are identical on both paths; simple
-        distributive aggregations override it with builtin reductions
-        (``sum``/``min``/``max``/``len``) for real bulk speedups.
+        would produce, so results are identical on both paths; an
+        override must equal that fold bit for bit.  Simple distributive
+        aggregations override it with C-level reductions (``min`` /
+        ``max`` / ``len``, ``reduce(add, ...)`` -- not the builtin
+        ``sum``, which compensates float rounding since Python 3.12).
         """
         lift = self.lift
         combine = self.combine
@@ -151,30 +155,22 @@ class AggregateFunction(Generic[V, P, R]):
             partial = lifted if partial is None else combine(partial, lifted)
         return partial
 
+    def combine_all(self, partials: Sequence[P]) -> Optional[P]:
+        """Combine a run of partials, given in stream order, into one.
+
+        This is the bulk primitive behind every slice-range fold: the
+        lazy store answers a window with one call over the partials of
+        the slices it covers.  ``partials`` holds no ``None``; an empty
+        run yields ``None``.  The default is the exact left fold that
+        repeated :meth:`combine` performs, ``((p0 ⊕ p1) ⊕ p2) ⊕ ...``.
+        An override must return that fold's value bit for bit, so only
+        functions whose partials are exact in any grouping (multisets,
+        integer counts) have a faster one -- see
+        :class:`~repro.aggregations.holistic.Percentile`.
+        """
+        if not partials:
+            return None
+        return reduce(self.combine, partials)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
-
-
-def fold(
-    function: AggregateFunction[V, P, R], values: Iterable[V]
-) -> Optional[P]:
-    """Fold raw values into one partial aggregate in the given order.
-
-    Returns ``None`` for an empty iterable (windows with no records).
-    This is the recomputation primitive used by slice splits and by
-    non-commutative out-of-order updates.
-    """
-    partial: Optional[P] = None
-    for value in values:
-        lifted = function.lift(value)
-        partial = lifted if partial is None else function.combine(partial, lifted)
-    return partial
-
-
-def fold_records(function: AggregateFunction, records: Iterable[Any]) -> Optional[Any]:
-    """Fold :class:`~repro.core.types.Record` objects by their ``value``."""
-    partial = None
-    for record in records:
-        lifted = function.lift(record.value)
-        partial = lifted if partial is None else function.combine(partial, lifted)
-    return partial

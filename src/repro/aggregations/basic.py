@@ -8,6 +8,8 @@ paper to show the cost of losing invertibility on count-based windows.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Any, Optional, Tuple
 
 from .base import AggregateFunction, AggregationClass
@@ -46,14 +48,13 @@ class Sum(AggregateFunction[float, float, float]):
         return 0
 
     def fold_values(self, partial, values):
-        # ``sum(values, start)`` is the same left-to-right addition chain
-        # as repeated ``combine``; seeding from the first value avoids a
-        # spurious ``0 + v`` step so results stay bit-identical.
+        # ``reduce(add, ...)`` is the same left-to-right addition chain
+        # as repeated ``combine``.  The builtin ``sum`` is not: since
+        # Python 3.12 it compensates float rounding.  Seeding from the
+        # first value avoids a spurious ``0 + v`` step.
         if partial is None:
-            if not values:
-                return None
-            return sum(values[1:], values[0])
-        return sum(values, partial)
+            return reduce(add, values) if values else None
+        return reduce(add, values, partial)
 
 
 class SumWithoutInvert(Sum):
@@ -134,8 +135,8 @@ class Average(AggregateFunction[float, Tuple[float, int], float]):
         if not values:
             return partial
         if partial is None:
-            return (sum(values[1:], values[0]), len(values))
-        return (sum(values, partial[0]), partial[1] + len(values))
+            return (reduce(add, values), len(values))
+        return (reduce(add, values, partial[0]), partial[1] + len(values))
 
 
 class Min(AggregateFunction[float, float, float]):

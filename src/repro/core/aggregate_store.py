@@ -164,18 +164,17 @@ class AggregateStore:
     # ------------------------------------------------------------------
     # aggregate queries
 
-    def _combine_range(self, lo: int, hi: int, fn_index: int) -> Any:
-        function = self.functions[fn_index]
+    def _range_partials(self, lo: int, hi: int, fn_index: int) -> List[Any]:
+        """The non-empty partials of slices ``[lo, hi)``, in stream order
+        (counted as one range query)."""
         if self._tracer is not None and hi > lo:
             self._tracer.count("store.range_queries")
             self._tracer.count("store.slices_combined", hi - lo)
-        partial = None
-        for slice_ in self.slices[lo:hi]:
-            agg = slice_.aggs[fn_index]
-            if agg is None:
-                continue
-            partial = agg if partial is None else function.combine(partial, agg)
-        return partial
+        return [
+            agg
+            for slice_ in self.slices[lo:hi]
+            if (agg := slice_.aggs[fn_index]) is not None
+        ]
 
     def range_indices(self, start: int, end: int) -> tuple[int, int]:
         """Slice index range fully contained in time interval ``[start, end)``."""
@@ -196,8 +195,9 @@ class AggregateStore:
         return self.query_slices(lo, hi, fn_index)
 
     def query_slices(self, lo: int, hi: int, fn_index: int) -> Any:
-        """Combine slices ``[lo, hi)`` by index -- lazy: O(hi - lo)."""
-        return self._combine_range(lo, hi, fn_index)
+        """Combine slices ``[lo, hi)`` by index -- lazy: one bulk combine
+        over the range's partials, O(hi - lo)."""
+        return self.functions[fn_index].combine_all(self._range_partials(lo, hi, fn_index))
 
     def count_range_indices(self, count_start: int, count_end: int) -> tuple[int, int]:
         """Slice index range fully contained in a count interval."""
@@ -379,9 +379,10 @@ class SharedQueryPlan:
     watermark advance as ``(lo, hi, fn_index)`` requests, then calls
     :meth:`execute` once.  Requests over the same function ending at the
     same slice index share their suffix: the shortest range is folded
-    first, and each wider range only folds its extra leftward slices and
-    combines them *in front of* the cached suffix, preserving stream
-    order for non-commutative functions.  On stores whose point queries
+    first, and each wider range is one bulk combine
+    (:meth:`~repro.aggregations.base.AggregateFunction.combine_all`) over
+    its extra leftward slices followed by the cached suffix, preserving
+    stream order for non-commutative functions.  On stores whose point queries
     are already cheap (eager kernels), only exact duplicates are shared.
 
     Counters: ``share.requests`` (batched queries), ``share.hits``
@@ -428,17 +429,17 @@ class SharedQueryPlan:
         for token, (lo, hi, fn_index) in enumerate(requests):
             groups.setdefault((fn_index, hi), {}).setdefault(lo, []).append(token)
         for (fn_index, hi), by_lo in groups.items():
-            combine = store.functions[fn_index].combine
+            combine_all = store.functions[fn_index].combine_all
             partial: Any = None
             prev_lo = hi
             first = True
             for lo in sorted(by_lo, reverse=True):
-                extension = store._combine_range(lo, prev_lo, fn_index)
-                if partial is None:
-                    partial = extension
-                elif extension is not None:
-                    # The extension covers strictly earlier slices.
-                    partial = combine(extension, partial)
+                # One bulk combine over the extension's slices (strictly
+                # earlier than the cached suffix) and the suffix itself.
+                parts = store._range_partials(lo, prev_lo, fn_index)
+                if partial is not None:
+                    parts.append(partial)
+                partial = combine_all(parts)
                 if tracer is not None and not first:
                     tracer.count("share.hits", len(by_lo[lo]))
                 elif tracer is not None and len(by_lo[lo]) > 1:

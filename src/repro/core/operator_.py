@@ -217,33 +217,29 @@ class _Chain:
 
     # ------------------------------------------------------------------
 
-    def max_window_extent(self) -> int:
-        """Upper bound on how far back a window can reach, in this chain's
-        measure (time units on a time chain, records on a count chain)."""
-        extent = 0
-        for window in self._windows:
-            for attribute in ("length", "gap", "count"):
-                reach = getattr(window, attribute, None)
-                if reach is not None:
-                    extent = max(extent, reach)
-        return extent
+    def retention_start(self, settled: int) -> int:
+        """The earliest position, in this chain's measure (a timestamp on
+        a time chain, a record count on a count chain), that a window not
+        yet final at ``settled`` can still cover."""
+        return min(window.retention_start(settled) for window in self._windows)
 
     def eviction_horizon(self, settled_ts: int) -> int:
         """Timestamp at or before which a slice may end and be dropped.
 
         ``settled_ts`` is the watermark minus the allowed lateness: the
-        stream before it can no longer change.  A time chain needs the
-        window extent before that point.  A count chain's extent is a
-        number of *records*, so its horizon is found in the count
-        domain -- slices whose counts end at or before
-        ``completed_count(settled_ts) - extent`` -- and translated back
-        to the time a slice must end before, because records can be
+        stream before it can no longer change.  A time chain keeps what
+        its windows can still reach back to from that point
+        (:meth:`~repro.windows.base.WindowType.retention_start`).  A
+        count chain's windows reach back a number of *records*, so its
+        horizon is found in the count domain -- slices whose counts end
+        at or before the retention start of
+        ``completed_count(settled_ts)`` -- and translated back to the
+        time a slice must end before, because records can be
         arbitrarily sparse or dense in time.
         """
-        extent = self.max_window_extent()
         if self.measure_kind is MeasureKind.TIME:
-            return settled_ts - extent
-        count_horizon = self.window_manager.completed_count(settled_ts) - extent
+            return self.retention_start(settled_ts)
+        count_horizon = self.retention_start(self.window_manager.completed_count(settled_ts))
         slices = self.store.slices
         if not slices:
             return settled_ts

@@ -121,9 +121,7 @@ class Slice:
         Equivalent to calling :meth:`add_inorder` once per record, but
         with one partial-aggregate update per function for the whole run
         (via :meth:`~repro.aggregations.base.AggregateFunction.fold_values`).
-        Record-storing slices extend their record list in one step; the
-        per-function fold degrades gracefully to the per-record loop for
-        holistic aggregations, whose partials grow with every value.
+        Record-storing slices extend their record list in one step.
         """
         if not records:
             return
@@ -172,11 +170,7 @@ class Slice:
     def _fold_records(self, function: AggregateFunction) -> Any:
         if self.records is None:
             raise ValueError("cannot fold: records not retained")
-        partial = None
-        for record in self.records:
-            lifted = function.lift(record.value)
-            partial = lifted if partial is None else function.combine(partial, lifted)
-        return partial
+        return function.fold_values(None, [record.value for record in self.records])
 
     def remove_last_record(self, functions: Sequence[AggregateFunction]) -> Record:
         """Remove and return the record with the largest event-time.

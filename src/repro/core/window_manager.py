@@ -318,7 +318,7 @@ class WindowManager:
         starts) contributes a fold over its stored records.
         """
         function = self._store.functions[fn_index]
-        partial = None
+        pieces = []
         slices = self._store.slices
         # Slices are ordered by cumulative count; skip straight to the
         # first slice that can intersect the queried range.
@@ -344,14 +344,12 @@ class WindowManager:
                 else:
                     lo_off = max(0, count_start - base)
                     hi_off = min(slice_.record_count, count_end - base)
-                    piece = None
-                    for record in slice_.records[lo_off:hi_off]:
-                        lifted = function.lift(record.value)
-                        piece = lifted if piece is None else function.combine(piece, lifted)
-            if piece is None:
-                continue
-            partial = piece if partial is None else function.combine(partial, piece)
-        return partial
+                    piece = function.fold_values(
+                        None, [record.value for record in slice_.records[lo_off:hi_off]]
+                    )
+            if piece is not None:
+                pieces.append(piece)
+        return function.combine_all(pieces)
 
     # ------------------------------------------------------------------
     # multi-measure (FCA) windows

@@ -130,6 +130,21 @@ class WindowType:
         """
         return None
 
+    def retention_start(self, settled: int) -> int:
+        """How far back a window that can still change reaches.
+
+        ``settled`` is a position in this window's measure before which
+        the stream is final (the watermark minus the allowed lateness,
+        or the record count completed by then).  Windows ending at or
+        before it are final too; the return value is the smallest start
+        of any other window, so state before it may be evicted.  The
+        default suits windows delimited by consecutive edges: back to
+        the start of the window open at ``settled``.  Overlapping
+        windows and windows that reach a fixed extent back override it.
+        """
+        floor = self.get_floor_edge(settled)
+        return settled if floor is None else floor
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
 

@@ -78,6 +78,11 @@ class LastNEveryWindow(ContextAwareWindow):
             return None
         return (max(0, cumulative - self.count), cumulative)
 
+    def retention_start(self, settled: int) -> int:
+        """``count`` records back; ``settled`` is a record count here,
+        although this window's edges are timestamps."""
+        return settled - self.count
+
     def is_edge(self, ts: int) -> bool:
         """Whether ``ts`` is a trigger (time) edge."""
         return (ts - self.offset) % self.every == 0

@@ -77,6 +77,12 @@ class PunctuationWindow(ForwardContextFreeWindow):
         position = bisect.bisect_right(self._edges, ts)
         return self._edges[position - 1] if position > 0 else None
 
+    def retention_start(self, settled: int) -> int:
+        """The punctuation (or the origin) that opened the window open at
+        ``settled``."""
+        floor = self.get_floor_edge(settled)
+        return min(self.origin, settled) if floor is None else floor
+
     def known_edges(self) -> List[int]:
         """All punctuation edges registered so far (sorted copy)."""
         return list(self._edges)

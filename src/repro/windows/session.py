@@ -63,6 +63,12 @@ class SessionWindow(ContextAwareWindow):
             edges.remove_edge(previous + self.gap)
         edges.add_edge(record.ts + self.gap)
 
+    def retention_start(self, settled: int) -> int:
+        """One gap back: a record at ``settled`` can still join a session
+        whose last record is less than ``gap`` before it.  (The operator
+        additionally pins eviction at the start of every open session.)"""
+        return settled - self.gap
+
     def trigger_windows(self, prev_wm: int, curr_wm: int) -> Iterator[Tuple[int, int]]:
         """Sessions are derived from slice state; nothing is known a priori."""
         return iter(())

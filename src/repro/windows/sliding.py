@@ -93,6 +93,11 @@ class SlidingWindow(ContextFreeWindow):
         floor_end = self.offset + self.length + (relative_end // self.slide) * self.slide
         return max(floor_start, floor_end)
 
+    def retention_start(self, settled: int) -> int:
+        """One window length back: every window that is not final at
+        ``settled`` starts after it."""
+        return settled - self.length
+
     def concurrent_windows(self) -> int:
         """Number of windows open at any instant (steady state)."""
         return -(-self.length // self.slide)  # ceil division

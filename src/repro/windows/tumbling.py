@@ -62,6 +62,11 @@ class TumblingWindow(ContextFreeWindow):
         relative = ts - self.offset
         return self.offset + (relative // self.length) * self.length
 
+    def retention_start(self, settled: int) -> int:
+        """One window length back: every window that is not final at
+        ``settled`` starts after it."""
+        return settled - self.length
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TumblingWindow(length={self.length}, offset={self.offset}, "

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.aggregations import M4, Sum
-from repro.core.aggregate_store import EagerAggregateStore, LazyAggregateStore
+from repro.aggregations import M4, CollectList, Median, Sum
+from repro.core.aggregate_store import (
+    EagerAggregateStore,
+    LazyAggregateStore,
+    SharedQueryPlan,
+)
 from repro.core.slice_ import Slice
 from repro.core.types import Record
 
@@ -115,6 +119,76 @@ class TestQueries:
         store.slices[1].add_inorder(Record(19, 100.0), [fn])
         store.slice_updated(1)
         assert store.query_time(0, 40, 0) == 0 + 1 + 2 + 3 + 100.0
+
+
+class CountingMedian(Median):
+    """Counts how the store asks for combines."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairwise = 0
+        self.bulk = []  # number of partials handed to each combine_all
+
+    def combine(self, left, right):
+        self.pairwise += 1
+        return super().combine(left, right)
+
+    def combine_all(self, partials):
+        self.bulk.append(len(partials))
+        return super().combine_all(partials)
+
+
+class TestBulkCombine:
+    """A range fold is one ``combine_all``, not a chain of ``combine``s."""
+
+    def test_one_hundred_slice_window_is_one_bulk_combine(self):
+        store, fn = filled_store(LazyAggregateStore, 100, fn=CountingMedian())
+        assert (fn.pairwise, fn.bulk) == (0, [])  # one record per slice: lifts only
+        partial = store.query_time(0, 1000, 0)
+        assert (fn.pairwise, fn.bulk) == (0, [100])
+        assert partial.total == 100 and fn.lower(partial) == 50.0
+
+    def test_five_nested_windows_cost_five_bulk_combines(self):
+        """2, 4, 6, 8 and 10 slices ending at the same slice: the plan
+        folds the shortest, then per wider window its two extra slices
+        plus the cached suffix -- five calls, never a pairwise merge."""
+        store, fn = filled_store(LazyAggregateStore, 10, fn=CountingMedian())
+        plan = SharedQueryPlan(store)
+        tokens = [plan.request(10 - width, 10, 0) for width in (10, 2, 6, 4, 8)]
+        plan.execute()
+        assert fn.pairwise == 0
+        assert fn.bulk == [2, 3, 3, 3, 3]
+        for token, width in zip(tokens, (10, 2, 6, 4, 8)):
+            assert plan.result(token) == store.query_slices(10 - width, 10, 0)
+            assert plan.result(token).total == width
+
+    def test_empty_slices_are_skipped_and_empty_ranges_are_none(self):
+        fn = CountingMedian()
+        store = LazyAggregateStore([fn])
+        for index in range(4):
+            slice_ = Slice(index * 10, (index + 1) * 10, 1, store_records=False)
+            if index % 2:
+                slice_.add_inorder(Record(index * 10, float(index)), [fn])
+            store.append_slice(slice_)
+        assert store.query_slices(0, 1, 0) is None
+        assert store.query_slices(0, 4, 0).runs == [(1.0, 1), (3.0, 1)]
+        assert fn.bulk == [0, 2]
+        plan = SharedQueryPlan(store)
+        outer, inner = plan.request(0, 4, 0), plan.request(2, 4, 0)
+        plan.execute()
+        assert plan.result(inner).runs == [(3.0, 1)]
+        assert plan.result(outer).runs == [(1.0, 1), (3.0, 1)]
+
+    def test_plan_keeps_stream_order_for_noncommutative_functions(self):
+        store, fn = filled_store(LazyAggregateStore, 8, fn=CollectList())
+        plan = SharedQueryPlan(store)
+        tokens = [plan.request(lo, 8, 0) for lo in (5, 0, 3)]
+        plan.execute()
+        assert [fn.lower(plan.result(t)) for t in tokens] == [
+            [5.0, 6.0, 7.0],
+            [float(i) for i in range(8)],
+            [3.0, 4.0, 5.0, 6.0, 7.0],
+        ]
 
 
 class TestCountQueries:

@@ -20,7 +20,6 @@ from repro.aggregations import (
     Sum,
     SumWithoutInvert,
     default_registry,
-    fold,
 )
 from repro.aggregations.base import AggregationClass
 from repro.aggregations.extended import M4Partial
@@ -49,7 +48,7 @@ class TestSum:
 
 class TestSumWithoutInvert:
     def test_same_results_as_sum(self):
-        assert fold(SumWithoutInvert(), [1.0, 2.0, 3.0]) == 6.0
+        assert SumWithoutInvert().fold_values(None, [1.0, 2.0, 3.0]) == 6.0
 
     def test_invert_disabled(self):
         assert not SumWithoutInvert().invertible
@@ -59,7 +58,7 @@ class TestSumWithoutInvert:
 
 class TestCount:
     def test_counts_values(self):
-        assert fold(Count(), ["a", "b", "c"]) == 3
+        assert Count().fold_values(None, ["a", "b", "c"]) == 3
 
     def test_empty_result_is_zero(self):
         assert Count().empty_result() == 0
@@ -71,7 +70,7 @@ class TestCount:
 class TestAverage:
     def test_average(self):
         fn = Average()
-        partial = fold(fn, [2.0, 4.0, 6.0])
+        partial = fn.fold_values(None, [2.0, 4.0, 6.0])
         assert fn.lower(partial) == 4.0
 
     def test_empty_partial_lowers_to_none(self):
@@ -79,7 +78,7 @@ class TestAverage:
 
     def test_invert(self):
         fn = Average()
-        partial = fold(fn, [2.0, 4.0, 6.0])
+        partial = fn.fold_values(None, [2.0, 4.0, 6.0])
         reduced = fn.invert(partial, fn.lift(6.0))
         assert fn.lower(reduced) == 3.0
 
@@ -89,10 +88,10 @@ class TestAverage:
 
 class TestMinMax:
     def test_min(self):
-        assert fold(Min(), [5.0, 1.0, 3.0]) == 1.0
+        assert Min().fold_values(None, [5.0, 1.0, 3.0]) == 1.0
 
     def test_max(self):
-        assert fold(Max(), [5.0, 9.0, 3.0]) == 9.0
+        assert Max().fold_values(None, [5.0, 9.0, 3.0]) == 9.0
 
     def test_not_invertible(self):
         assert not Min().invertible and not Max().invertible
@@ -111,11 +110,11 @@ class TestMinMax:
 class TestMinCountMaxCount:
     def test_mincount_tracks_multiplicity(self):
         fn = MinCount()
-        assert fold(fn, [3.0, 1.0, 1.0, 2.0]) == (1.0, 2)
+        assert fn.fold_values(None, [3.0, 1.0, 1.0, 2.0]) == (1.0, 2)
 
     def test_maxcount_tracks_multiplicity(self):
         fn = MaxCount()
-        assert fold(fn, [3.0, 3.0, 1.0]) == (3.0, 2)
+        assert fn.fold_values(None, [3.0, 3.0, 1.0]) == (3.0, 2)
 
     def test_mincount_unaffected(self):
         fn = MinCount()
@@ -131,24 +130,24 @@ class TestMinCountMaxCount:
 class TestArgMinArgMax:
     def test_argmin(self):
         fn = ArgMin()
-        partial = fold(fn, [(3.0, "c"), (1.0, "a"), (2.0, "b")])
+        partial = fn.fold_values(None, [(3.0, "c"), (1.0, "a"), (2.0, "b")])
         assert fn.lower(partial) == "a"
 
     def test_argmax(self):
         fn = ArgMax()
-        partial = fold(fn, [(3.0, "c"), (9.0, "z"), (2.0, "b")])
+        partial = fn.fold_values(None, [(3.0, "c"), (9.0, "z"), (2.0, "b")])
         assert fn.lower(partial) == "z"
 
     def test_argmin_tie_prefers_first(self):
         fn = ArgMin()
-        partial = fold(fn, [(1.0, "first"), (1.0, "second")])
+        partial = fn.fold_values(None, [(1.0, "first"), (1.0, "second")])
         assert fn.lower(partial) == "first"
 
 
 class TestGeometricMean:
     def test_value(self):
         fn = GeometricMean()
-        partial = fold(fn, [2.0, 8.0])
+        partial = fn.fold_values(None, [2.0, 8.0])
         assert fn.lower(partial) == pytest.approx(4.0)
 
     def test_rejects_non_positive(self):
@@ -157,7 +156,7 @@ class TestGeometricMean:
 
     def test_invert(self):
         fn = GeometricMean()
-        partial = fold(fn, [2.0, 8.0, 4.0])
+        partial = fn.fold_values(None, [2.0, 8.0, 4.0])
         reduced = fn.invert(partial, fn.lift(4.0))
         assert fn.lower(reduced) == pytest.approx(4.0)
 
@@ -165,12 +164,12 @@ class TestGeometricMean:
 class TestStdDev:
     def test_population_stddev(self):
         fn = PopulationStdDev()
-        partial = fold(fn, [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
+        partial = fn.fold_values(None, [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         assert fn.lower(partial) == pytest.approx(2.0)
 
     def test_sample_stddev(self):
         fn = SampleStdDev()
-        partial = fold(fn, [2.0, 4.0, 6.0])
+        partial = fn.fold_values(None, [2.0, 4.0, 6.0])
         assert fn.lower(partial) == pytest.approx(2.0)
 
     def test_sample_stddev_needs_two_values(self):
@@ -179,16 +178,16 @@ class TestStdDev:
 
     def test_invert(self):
         fn = PopulationStdDev()
-        partial = fold(fn, [1.0, 2.0, 3.0])
+        partial = fn.fold_values(None, [1.0, 2.0, 3.0])
         reduced = fn.invert(partial, fn.lift(2.0))
-        expected = fold(fn, [1.0, 3.0])
+        expected = fn.fold_values(None, [1.0, 3.0])
         assert fn.lower(reduced) == pytest.approx(fn.lower(expected))
 
 
 class TestM4:
     def test_m4_aggregate(self):
         fn = M4()
-        partial = fold(fn, [3.0, 1.0, 4.0, 1.5])
+        partial = fn.fold_values(None, [3.0, 1.0, 4.0, 1.5])
         assert fn.lower(partial) == (1.0, 4.0, 3.0, 1.5)
 
     def test_m4_not_commutative(self):
@@ -204,19 +203,19 @@ class TestM4:
 
 class TestOrderedAggregations:
     def test_first_and_last(self):
-        assert fold(First(), [5, 6, 7]) == 5
-        assert fold(Last(), [5, 6, 7]) == 7
+        assert First().fold_values(None, [5, 6, 7]) == 5
+        assert Last().fold_values(None, [5, 6, 7]) == 7
 
     def test_collect_preserves_order(self):
         fn = CollectList()
-        assert fn.lower(fold(fn, [3, 1, 2])) == [3, 1, 2]
+        assert fn.lower(fn.fold_values(None, [3, 1, 2])) == [3, 1, 2]
 
     def test_collect_empty_result(self):
         assert CollectList().empty_result() == []
 
     def test_concat(self):
         fn = ConcatString("-")
-        assert fn.lower(fold(fn, ["a", "b", "c"])) == "a-b-c"
+        assert fn.lower(fn.fold_values(None, ["a", "b", "c"])) == "a-b-c"
 
     def test_non_commutative_flags(self):
         for fn in (First(), Last(), CollectList(), ConcatString()):
@@ -225,10 +224,10 @@ class TestOrderedAggregations:
 
 class TestFold:
     def test_fold_empty_returns_none(self):
-        assert fold(Sum(), []) is None
+        assert Sum().fold_values(None, []) is None
 
     def test_fold_single(self):
-        assert fold(Sum(), [4.0]) == 4.0
+        assert Sum().fold_values(None, [4.0]) == 4.0
 
     def test_lower_or_default_none(self):
         assert Sum().lower_or_default(None) is None

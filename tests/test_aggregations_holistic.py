@@ -1,8 +1,11 @@
 """Tests for holistic aggregations and the RLE-encoded sorted runs."""
 
+import random
+from functools import reduce
+
 import pytest
 
-from repro.aggregations import Median, Percentile, PlainMedian, RleRuns, SortedValues, fold
+from repro.aggregations import Median, Percentile, PlainMedian, RleRuns, SortedValues
 
 
 class TestRleRuns:
@@ -78,6 +81,64 @@ class TestRleRuns:
         assert len(many) == 1000
 
 
+def _typed(runs):
+    """Runs with the type and sign of each representative made visible
+    (``1 == 1.0 == True`` and ``0.0 == -0.0`` compare equal)."""
+    return [(type(value).__name__, repr(value), count) for value, count in runs.runs]
+
+
+class TestMergeAll:
+    """``merge_all`` is the left fold of ``merge``, in one pass."""
+
+    def test_counts_add_up_across_parts(self):
+        parts = [RleRuns.from_values(v) for v in ([3.0, 1.0], [1.0, 1.0, 2.0], [3.0])]
+        merged = RleRuns.merge_all(parts)
+        assert merged.runs == [(1.0, 3), (2.0, 1), (3.0, 2)]
+        assert merged.total == 6
+
+    def test_nothing_and_empty_parts(self):
+        assert RleRuns.merge_all([]).runs == []
+        assert RleRuns.merge_all([]).total == 0
+        merged = RleRuns.merge_all([RleRuns(), RleRuns.of(2.0), RleRuns()])
+        assert merged.runs == [(2.0, 1)] and merged.total == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 1.0, True], [1.0, True, 1], [True, 1, 1.0], [0.0, -0.0], [-0.0, 0.0, 0]],
+        ids=repr,
+    )
+    def test_first_seen_represents_equal_values(self, values):
+        parts = [RleRuns.of(value) for value in values]
+        for merged in (RleRuns.merge_all(parts), reduce(RleRuns.merge, parts)):
+            assert _typed(merged) == [(type(values[0]).__name__, repr(values[0]), len(values))]
+        # ... and inside one part built from raw values, too.
+        assert _typed(RleRuns.from_values(values)) == _typed(RleRuns.merge_all(parts))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_pairwise_fold_on_random_multisets(self, seed):
+        rng = random.Random(f"merge_all:{seed}")
+        pool = [0.1, 0.25, -1.5, 2.0, 1e-3, 1, 1.0, True, 0.0, -0.0, 7, -3]
+        parts = [
+            RleRuns.from_values([rng.choice(pool) for _ in range(rng.randint(0, 6))])
+            for _ in range(rng.randint(1, 40))
+        ]
+        before = [list(part.runs) for part in parts]
+        merged = RleRuns.merge_all(parts)
+        expected = reduce(RleRuns.merge, parts)
+        assert _typed(merged) == _typed(expected)
+        assert merged.total == expected.total == sum(count for _, count in merged.runs)
+        assert [part.runs for part in parts] == before, "parts must not be mutated"
+        for part in parts:
+            assert part.total == sum(count for _, count in part.runs)
+
+    def test_carried_total_everywhere(self):
+        runs = RleRuns.from_values([2.0, 1.0, 2.0])
+        assert runs.total == 3
+        assert runs.merge(RleRuns.of(5.0)).total == 4
+        assert runs.subtract(RleRuns.of(2.0)).total == 2
+        assert RleRuns([(1.0, 2), (4.0, 3)]).total == 5  # summed when not given
+
+
 class TestSortedValues:
     def test_merge(self):
         left = SortedValues([1.0, 3.0])
@@ -100,12 +161,12 @@ class TestSortedValues:
 class TestMedian:
     def test_median_odd(self):
         fn = Median()
-        partial = fold(fn, [5.0, 1.0, 3.0])
+        partial = fn.fold_values(None, [5.0, 1.0, 3.0])
         assert fn.lower(partial) == 3.0
 
     def test_median_even_uses_nearest_rank(self):
         fn = Median()
-        partial = fold(fn, [1.0, 2.0, 3.0, 4.0])
+        partial = fn.fold_values(None, [1.0, 2.0, 3.0, 4.0])
         assert fn.lower(partial) == 3.0  # rank int(0.5*4)=2 -> value 3.0
 
     def test_empty_lowers_to_none(self):
@@ -114,7 +175,7 @@ class TestMedian:
 
     def test_invert_multiset(self):
         fn = Median()
-        partial = fold(fn, [1.0, 2.0, 3.0, 9.0])
+        partial = fn.fold_values(None, [1.0, 2.0, 3.0, 9.0])
         reduced = fn.invert(partial, fn.lift(9.0))
         assert fn.lower(reduced) == 2.0
 
@@ -124,10 +185,29 @@ class TestMedian:
         assert Median().kind is AggregationClass.HOLISTIC
 
 
+class TestBulkHooks:
+    def test_fold_values_sorts_once_and_merges_into_the_partial(self):
+        fn = Median()
+        start = fn.fold_values(None, [5.0, 1.0])
+        assert start.runs == [(1.0, 1), (5.0, 1)]
+        grown = fn.fold_values(start, [3.0, 5.0, 3.0])
+        assert grown.runs == [(1.0, 1), (3.0, 2), (5.0, 2)] and grown.total == 5
+        assert start.runs == [(1.0, 1), (5.0, 1)], "partials are immutable"
+        assert fn.fold_values(start, []) is start
+        assert fn.fold_values(None, []) is None
+
+    def test_combine_all_edge_cases(self):
+        fn = Percentile(0.9)
+        one = RleRuns.of(4.0)
+        assert fn.combine_all([]) is None
+        assert fn.combine_all([one]) is one
+        assert fn.combine_all([one, RleRuns.of(4.0)]).runs == [(4.0, 2)]
+
+
 class TestPercentile:
     def test_90th(self):
         fn = Percentile(0.9)
-        partial = fold(fn, [float(i) for i in range(100)])
+        partial = fn.fold_values(None, [float(i) for i in range(100)])
         assert fn.lower(partial) == 90.0
 
     def test_invalid_quantile(self):
@@ -143,7 +223,7 @@ class TestPlainMedian:
         values = [float(i % 13) for i in range(77)]
         rle = Median()
         plain = PlainMedian()
-        assert rle.lower(fold(rle, values)) == plain.lower(fold(plain, values))
+        assert rle.lower(rle.fold_values(None, values)) == plain.lower(plain.fold_values(None, values))
 
     def test_empty(self):
         assert PlainMedian().lower(SortedValues()) is None

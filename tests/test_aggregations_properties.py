@@ -7,7 +7,9 @@ each declared property against the implementation.
 """
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from repro.aggregations import (
     Percentile,
     PopulationStdDev,
     Sum,
-    fold,
+    default_registry,
 )
 from repro.aggregations.ordered import CollectList, ConcatString, First, Last
 
@@ -73,10 +75,10 @@ def test_invert_roundtrip(batch, removed_index):
     remaining = batch[:removed_index] + batch[removed_index + 1 :]
     for fn in (Sum(), Count(), Average(), PopulationStdDev(), Median()):
         assert fn.invertible, fn.name
-        full = fold(fn, batch)
+        full = fn.fold_values(None, batch)
         reduced = fn.invert(full, fn.lift(removed))
         if remaining:
-            expected = fold(fn, remaining)
+            expected = fn.fold_values(None, remaining)
             assert _approx_equal(fn.lower(reduced), fn.lower(expected)), fn.name
 
 
@@ -84,7 +86,7 @@ def test_invert_roundtrip(batch, removed_index):
 @settings(max_examples=40)
 def test_geomean_matches_direct_computation(batch):
     fn = GeometricMean()
-    partial = fold(fn, batch)
+    partial = fn.fold_values(None, batch)
     direct = math.exp(sum(math.log(v) for v in batch) / len(batch))
     assert math.isclose(fn.lower(partial), direct, rel_tol=1e-9)
 
@@ -93,7 +95,7 @@ def test_geomean_matches_direct_computation(batch):
 @settings(max_examples=60)
 def test_median_matches_sorted_reference(batch):
     fn = Median()
-    partial = fold(fn, batch)
+    partial = fn.fold_values(None, batch)
     expected = sorted(batch)[min(len(batch) - 1, int(0.5 * len(batch)))]
     assert fn.lower(partial) == expected
 
@@ -102,7 +104,7 @@ def test_median_matches_sorted_reference(batch):
 @settings(max_examples=60)
 def test_percentile_matches_nearest_rank(batch, q):
     fn = Percentile(q)
-    partial = fold(fn, batch)
+    partial = fn.fold_values(None, batch)
     expected = sorted(batch)[min(len(batch) - 1, max(0, int(q * len(batch))))]
     assert fn.lower(partial) == expected
 
@@ -123,7 +125,7 @@ def test_rle_merge_equals_multiset_union(left, right):
 @settings(max_examples=60)
 def test_m4_fold_matches_direct(batch):
     fn = M4()
-    result = fn.lower(fold(fn, batch))
+    result = fn.lower(fn.fold_values(None, batch))
     assert result == (min(batch), max(batch), batch[0], batch[-1])
 
 
@@ -131,4 +133,90 @@ def test_m4_fold_matches_direct(batch):
 @settings(max_examples=40)
 def test_concat_order_sensitive(batch):
     fn = ConcatString("|")
-    assert fn.lower(fold(fn, batch)) == "|".join(batch)
+    assert fn.lower(fn.fold_values(None, batch)) == "|".join(batch)
+
+
+# ----------------------------------------------------------------------
+# bulk hooks: an override must equal the sequential fold bit for bit
+
+
+def _left_fold_values(fn, partial, values):
+    """The reference: one ``lift`` + ``combine`` per value, in order."""
+    for value in values:
+        lifted = fn.lift(value)
+        partial = lifted if partial is None else fn.combine(partial, lifted)
+    return partial
+
+
+def _left_fold_partials(fn, partials):
+    """The reference: ``((p0 ⊕ p1) ⊕ p2) ⊕ ...``; ``None`` when empty."""
+    result = None
+    for partial in partials:
+        result = partial if result is None else fn.combine(result, partial)
+    return result
+
+
+def _bulk_functions():
+    """Every registry aggregation plus the order-sensitive ones."""
+    functions = dict(default_registry())
+    functions.update(
+        first=First(), last=Last(), collect=CollectList(), concat=ConcatString("|")
+    )
+    return functions
+
+
+def _draw_value(name, rng):
+    """A non-integer float (sums round, so grouping shows in the last
+    bits), shaped for the function: pairs for argmin/argmax, positive
+    for the log-domain mean, short strings for concatenation."""
+    value = rng.choice([0.1, 0.2, 0.3, 0.7]) + rng.randint(-3, 3) + rng.random() * 1e-3
+    if name in ("argmin", "argmax"):
+        return (value, rng.randrange(5))
+    if name == "geomean":
+        return abs(value) + 0.5
+    if name == "concat":
+        return rng.choice("abc") * rng.randint(0, 2)
+    if name in ("median", "90-percentile"):
+        # Few distinct values, so that runs repeat across partials.
+        return rng.choice([0.1, 0.25, -1.5, 2.0, 1e-3])
+    return value
+
+
+BULK_SEEDS = range(25)
+
+
+@pytest.mark.parametrize("name", sorted(_bulk_functions()))
+def test_combine_all_equals_left_fold_of_combine(name):
+    fn = _bulk_functions()[name]
+    assert fn.combine_all([]) is None
+    for seed in BULK_SEEDS:
+        rng = random.Random(f"combine_all:{name}:{seed}")
+        # Sizes 0, 1 and 2 first, then anything up to 40.
+        size = seed if seed < 3 else rng.randint(0, 40)
+        partials = [
+            _left_fold_values(fn, None, [_draw_value(name, rng) for _ in range(rng.randint(1, 4))])
+            for _ in range(size)
+        ]
+        before = repr(partials)
+        expected = _left_fold_partials(fn, partials)
+        got = fn.combine_all(partials)
+        assert got == expected, (name, seed)
+        assert repr(got) == repr(expected), (name, seed)  # 0.0 / -0.0, 1 / 1.0
+        assert repr(partials) == before, "combine_all must not mutate its input"
+        if size == 1:
+            assert got is partials[0]
+
+
+@pytest.mark.parametrize("name", sorted(_bulk_functions()))
+def test_fold_values_equals_left_fold_of_lift_and_combine(name):
+    fn = _bulk_functions()[name]
+    assert fn.fold_values(None, []) is None
+    for seed in BULK_SEEDS:
+        rng = random.Random(f"fold_values:{name}:{seed}")
+        head = [_draw_value(name, rng) for _ in range(rng.randint(0, 3))]
+        values = [_draw_value(name, rng) for _ in range(rng.randint(0, 40))]
+        start = _left_fold_values(fn, None, head)
+        expected = _left_fold_values(fn, start, values)
+        got = fn.fold_values(start, values)
+        assert got == expected, (name, seed)
+        assert repr(got) == repr(expected), (name, seed)

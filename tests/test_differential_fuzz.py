@@ -23,7 +23,7 @@ from typing import Callable, List, Sequence, Tuple
 import pytest
 
 from repro import GeneralSlicingOperator, Record, Watermark
-from repro.aggregations import Average, Max, Median, Min, Sum
+from repro.aggregations import Average, Max, Median, Min, Percentile, Sum
 from repro.baselines import (
     AggregateBucketsOperator,
     AggregateTreeOperator,
@@ -82,8 +82,14 @@ def _child_seed(kind: str, index: int) -> int:
 # random draws
 
 
-def _draw_stream(rng: random.Random, *, key_cardinality: int = 0) -> List[Record]:
-    """A stream with random rate, ties, and occasional idle gaps."""
+def _draw_stream(
+    rng: random.Random, *, key_cardinality: int = 0, fractional: bool = False
+) -> List[Record]:
+    """A stream with random rate, ties, and occasional idle gaps.
+
+    Values are integer-valued floats, or with ``fractional`` tenths
+    (non-integer, still repeating often enough to share RLE runs).
+    """
     length = rng.randint(20, 220)
     max_step = rng.choice([1, 2, 4, 8])  # 0-step draws create ts ties
     gap_chance = rng.random() * 0.08
@@ -95,7 +101,8 @@ def _draw_stream(rng: random.Random, *, key_cardinality: int = 0) -> List[Record
         else:
             ts += rng.randint(0, max_step)
         key = f"k{rng.randrange(key_cardinality)}" if key_cardinality else None
-        stream.append(Record(ts, float(rng.randint(-20, 20)), key=key))
+        value = rng.randint(-200, 200) / 10 if fractional else float(rng.randint(-20, 20))
+        stream.append(Record(ts, value, key=key))
     return stream
 
 
@@ -344,6 +351,38 @@ def test_fuzz_holistic_median_record_keeping_techniques(case):
     ]
     for name, make_operator in operators:
         _check_technique(name, make_operator, draws, arrival, seed)
+
+
+@pytest.mark.ooo
+@pytest.mark.parametrize("case", range(HOLISTIC_CASES))
+def test_fuzz_holistic_fractional_values_shared_and_unshared(case):
+    """Nested sliding percentiles over non-integer floats.  A multiset is
+    exact in any grouping, so the bulk combine -- direct, or extending a
+    shared suffix through the plan -- must match the reference exactly."""
+    seed = _child_seed("holistic-fractional", case)
+    rng = random.Random(seed)
+    slide = rng.randint(2, 6)
+    q = rng.choice([0.1, 0.25, 0.5, 0.9])
+    draws: List[QueryDraw] = []
+    for factor in rng.sample(range(2, 16), rng.randint(2, 4)):
+        make_agg = Median if q == 0.5 else (lambda q=q: Percentile(q))
+        draws.append(
+            (
+                lambda l=factor * slide, s=slide: SlidingWindow(l, s),
+                make_agg,
+                f"Sliding({factor * slide},{slide}) Percentile({q})",
+            )
+        )
+    stream = _draw_stream(rng, fractional=True)
+    for in_order, arrival in ((True, stream), (False, _draw_disorder(rng, stream))):
+        for share in (True, False):
+            make_operator = lambda: GeneralSlicingOperator(
+                stream_in_order=in_order,
+                allowed_lateness=0 if in_order else LATENESS,
+                share_windows=share,
+            )
+            name = f"lazy-{'inorder' if in_order else 'ooo'}-{'shared' if share else 'unshared'}"
+            _check_technique(name, make_operator, draws, arrival, seed)
 
 
 @pytest.mark.parametrize("case", range(KEYED_CASES))

@@ -12,6 +12,7 @@ from repro.core.types import Punctuation
 from repro.reference import reference_results
 from repro.windows import (
     CountTumblingWindow,
+    ExplicitEdgesWindow,
     LastNEveryWindow,
     PunctuationWindow,
     SessionWindow,
@@ -290,6 +291,49 @@ class TestPunctuationsOutOfOrder:
         final = final_values(op, elements)
         assert final[(0, 0, 5)] == 2.0
         assert final[(0, 5, 10)] == 1.0
+
+
+class TestEvictionKeepsLongEdgeDelimitedWindows:
+    """Windows given by an edge list or by punctuations have no
+    ``length``: how far back they reach is the start of the window that
+    is still open, which a finer window on the same chain must not make
+    the watermark evict."""
+
+    @staticmethod
+    def _stream(marks=()):
+        elements = []
+        for ts in range(2_000):
+            if ts in marks:
+                elements.append(Punctuation(ts))
+            elements.append(Record(ts, 1.0))
+            if ts % 100 == 99:
+                elements.append(Watermark(ts))
+        return elements
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    def test_explicit_edges_next_to_fine_tumbling(self, eager):
+        queries = [(ExplicitEdgesWindow([0, 1000, 2000]), Sum()), (TumblingWindow(100), Sum())]
+        elements = self._stream() + [Watermark(2_100)]
+        op = make_operator(eager, lateness=0)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        final = final_values(op, elements)
+        assert final[(0, 0, 1000)] == final[(0, 1000, 2000)] == 1000.0
+        assert final == reference_results(queries, elements, horizon=2_100)
+        # Eviction still happens: nothing before the last edge is kept.
+        assert op.total_slices() <= 2
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    def test_punctuation_windows_next_to_fine_tumbling(self, eager):
+        queries = [(PunctuationWindow(), Sum()), (TumblingWindow(100), Sum())]
+        elements = self._stream(marks=(1000,)) + [Punctuation(2_000), Watermark(2_100)]
+        op = make_operator(eager, lateness=0)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        final = final_values(op, elements)
+        assert final[(0, 0, 1000)] == final[(0, 1000, 2000)] == 1000.0
+        assert final == reference_results(queries, elements, horizon=2_100)
+        assert op.total_slices() <= 2
 
 
 class TestMultiMeasureOutOfOrder:

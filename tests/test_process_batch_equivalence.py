@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro import GeneralSlicingOperator
-from repro.aggregations import Max, Median, Sum
+from repro.aggregations import Average, Max, Median, Sum
 from repro.baselines import (
     AggregateTreeOperator,
     BucketsOperator,
@@ -83,6 +83,16 @@ def out_of_order_stream(n=200, seed=4):
     return out
 
 
+def fractional(stream, seed=12):
+    """The same stream with non-integer float values, so that sums
+    round and the order of additions shows in the last bits."""
+    rng = random.Random(seed)
+    return [
+        Record(e.ts, rng.uniform(-50.0, 50.0)) if isinstance(e, Record) else e
+        for e in stream
+    ]
+
+
 ALL_WINDOWS = [
     TumblingWindow(10),
     SlidingWindow(20, 5),
@@ -125,6 +135,49 @@ class TestGeneralSlicingEquivalence:
         expected = run_tuple_at_a_time(build(), stream)
         assert expected
         assert run_batched(build(), stream, batch_size) == expected
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("function", [Sum, Average, Median], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("ordered", [True, False], ids=["in-order", "out-of-order"])
+    def test_fractional_values_long_runs(self, ordered, function, batch_size):
+        """Bit-identity must not lean on integer-valued floats: a bulk
+        fold has to be the sequential chain of additions.  Coarse
+        windows and no sessions, so that runs of a dozen and more
+        records really are folded in one call."""
+        stream = fractional(in_order_stream() if ordered else out_of_order_stream())
+
+        def build():
+            op = GeneralSlicingOperator(
+                stream_in_order=ordered, allowed_lateness=0 if ordered else 50
+            )
+            op.add_query(TumblingWindow(40), function())
+            op.add_query(SlidingWindow(60, 20), function())
+            return op
+
+        expected = run_tuple_at_a_time(build(), stream)
+        assert expected
+        assert run_batched(build(), stream, batch_size) == expected
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("function", [Sum, Average], ids=lambda f: f.__name__)
+    def test_ten_tenths_sum_like_the_per_record_path(self, function, eager):
+        """Since Python 3.12 the builtin ``sum`` compensates float
+        rounding: ten 0.1s give 1.0 there and 0.9999999999999999 by
+        repeated addition, which is what ``combine`` does per record."""
+        stream = [Record(i, 0.1) for i in range(21)]
+
+        def build():
+            op = GeneralSlicingOperator(stream_in_order=True, eager=eager)
+            op.add_query(TumblingWindow(10), function())
+            return op
+
+        expected = run_tuple_at_a_time(build(), stream)
+        chain = 0.1
+        for _ in range(9):
+            chain += 0.1
+        value = chain if function is Sum else chain / 10
+        assert expected == [(0, 0, 10, value, False), (0, 10, 20, value, False)]
+        assert run_batched(build(), stream, None) == expected
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_mixed_functions_shared_slices(self, batch_size):

@@ -4,25 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregations import CountDistinct, Product, TopK, fold
+from repro.aggregations import CountDistinct, Product, TopK
 
 
 class TestTopK:
     def test_basic(self):
         fn = TopK(3)
-        assert fn.lower(fold(fn, [5.0, 1.0, 9.0, 7.0, 3.0])) == [9.0, 7.0, 5.0]
+        assert fn.lower(fn.fold_values(None, [5.0, 1.0, 9.0, 7.0, 3.0])) == [9.0, 7.0, 5.0]
 
     def test_fewer_values_than_k(self):
         fn = TopK(5)
-        assert fn.lower(fold(fn, [2.0, 1.0])) == [2.0, 1.0]
+        assert fn.lower(fn.fold_values(None, [2.0, 1.0])) == [2.0, 1.0]
 
     def test_duplicates_kept(self):
         fn = TopK(3)
-        assert fn.lower(fold(fn, [4.0, 4.0, 4.0, 1.0])) == [4.0, 4.0, 4.0]
+        assert fn.lower(fn.fold_values(None, [4.0, 4.0, 4.0, 1.0])) == [4.0, 4.0, 4.0]
 
     def test_partial_size_bounded(self):
         fn = TopK(2)
-        partial = fold(fn, [float(i) for i in range(100)])
+        partial = fn.fold_values(None, [float(i) for i in range(100)])
         assert len(partial) == 2
 
     def test_invalid_k(self):
@@ -40,13 +40,13 @@ class TestTopK:
     @settings(max_examples=40)
     def test_matches_sorted_reference(self, values):
         fn = TopK(4)
-        assert fn.lower(fold(fn, values)) == sorted(values, reverse=True)[:4]
+        assert fn.lower(fn.fold_values(None, values)) == sorted(values, reverse=True)[:4]
 
 
 class TestCountDistinct:
     def test_basic(self):
         fn = CountDistinct()
-        assert fn.lower(fold(fn, ["a", "b", "a", "c", "b"])) == 3
+        assert fn.lower(fn.fold_values(None, ["a", "b", "a", "c", "b"])) == 3
 
     def test_empty_result(self):
         assert CountDistinct().empty_result() == 0
@@ -55,7 +55,7 @@ class TestCountDistinct:
     @settings(max_examples=40)
     def test_matches_set_reference(self, values):
         fn = CountDistinct()
-        assert fn.lower(fold(fn, values)) == len(set(values))
+        assert fn.lower(fn.fold_values(None, values)) == len(set(values))
 
     @given(
         left=st.lists(st.integers(0, 5), max_size=20),
@@ -64,29 +64,29 @@ class TestCountDistinct:
     @settings(max_examples=40)
     def test_combine_is_union(self, left, right):
         fn = CountDistinct()
-        lp = fold(fn, left) if left else fn.identity()
-        rp = fold(fn, right) if right else fn.identity()
+        lp = fn.fold_values(None, left) if left else fn.identity()
+        rp = fn.fold_values(None, right) if right else fn.identity()
         assert fn.lower(fn.combine(lp, rp)) == len(set(left) | set(right))
 
 
 class TestProduct:
     def test_basic(self):
         fn = Product()
-        assert fn.lower(fold(fn, [2.0, 3.0, 4.0])) == 24.0
+        assert fn.lower(fn.fold_values(None, [2.0, 3.0, 4.0])) == 24.0
 
     def test_zero_makes_product_zero(self):
         fn = Product()
-        assert fn.lower(fold(fn, [2.0, 0.0, 4.0])) == 0.0
+        assert fn.lower(fn.fold_values(None, [2.0, 0.0, 4.0])) == 0.0
 
     def test_invert_regular_value(self):
         fn = Product()
-        partial = fold(fn, [2.0, 3.0, 4.0])
+        partial = fn.fold_values(None, [2.0, 3.0, 4.0])
         reduced = fn.invert(partial, fn.lift(4.0))
         assert fn.lower(reduced) == 6.0
 
     def test_invert_a_zero_recovers_product(self):
         fn = Product()
-        partial = fold(fn, [2.0, 0.0, 4.0])
+        partial = fn.fold_values(None, [2.0, 0.0, 4.0])
         reduced = fn.invert(partial, fn.lift(0.0))
         assert fn.lower(reduced) == 8.0
 
@@ -101,7 +101,7 @@ class TestProduct:
         expected = 1.0
         for value in values:
             expected *= value
-        assert fn.lower(fold(fn, values)) == pytest.approx(expected)
+        assert fn.lower(fn.fold_values(None, values)) == pytest.approx(expected)
 
 
 class TestInsideOperator:
