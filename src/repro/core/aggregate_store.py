@@ -224,6 +224,29 @@ class AggregateStore:
         """Total number of records across all slices."""
         return sum(slice_.record_count for slice_ in self.slices)
 
+    def check_invariants(self) -> None:
+        """Assert the slice chain's shape (test and fuzz hook).
+
+        Slices are sorted by start and never overlap, only the last one
+        may be open, and a slice that retains records holds as many as
+        it counts.  Raises ``AssertionError`` naming the first violation.
+        """
+        slices = self.slices
+        for index, slice_ in enumerate(slices):
+            where = f"slice {index} {slice_!r}"
+            if slice_.records is not None and len(slice_.records) != slice_.record_count:
+                raise AssertionError(
+                    f"{where} retains {len(slice_.records)} records but counts "
+                    f"{slice_.record_count}"
+                )
+            if index + 1 == len(slices):
+                break
+            following = slices[index + 1]
+            if slice_.end is None:
+                raise AssertionError(f"{where} is open but not the last slice")
+            if slice_.start > following.start or slice_.end > following.start:
+                raise AssertionError(f"{where} overlaps or follows {following!r}")
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(slices={len(self.slices)})"
 
@@ -351,11 +374,12 @@ class EagerAggregateStore(AggregateStore):
     def check_invariants(self) -> None:
         """Assert the store/kernel agreement (test and fuzz hook).
 
-        Every kernel holds one leaf per slice, and -- once the head is
-        refreshed -- its leaves equal the slices' partials of its
-        function.  Refreshing is observably a no-op (any read of the
-        head's leaf would have done it).
+        Beyond the chain's shape: every kernel holds one leaf per slice,
+        and -- once the head is refreshed -- its leaves equal the
+        slices' partials of its function.  Refreshing is observably a
+        no-op (any read of the head's leaf would have done it).
         """
+        super().check_invariants()
         self.sync_head()
         for fn_index, kernel in enumerate(self.kernels):
             if len(kernel) != len(self.slices):

@@ -253,6 +253,12 @@ class _Chain:
         # count horizon.
         return horizon - 1
 
+    def check_invariants(self) -> None:
+        """Assert the slice chain's shape (and, eagerly, its kernels) and
+        the slicer's guard; raises ``AssertionError`` naming the violation."""
+        self.store.check_invariants()
+        self.slicer.check_invariants()
+
 
 class GeneralSlicingOperator(WindowOperator):
     """General stream slicing window operator (lazy or eager).
@@ -320,7 +326,9 @@ class GeneralSlicingOperator(WindowOperator):
         #: Optional arbitrary-advancing-measure extractor (Section 4.3):
         #: when set, records are re-timestamped with this measure before
         #: slicing, so windows are defined on kilometres, transaction
-        #: counters, invoice numbers, ... instead of event-time.
+        #: counters, invoice numbers, ... instead of event-time.  Must be
+        #: a pure function of the record: the batched path evaluates it
+        #: again for a record that crosses a slice edge.
         self._timestamp_of = timestamp_of
         self._chains: Dict[MeasureKind, _Chain] = {}
         self._chain_list: tuple = ()
@@ -389,62 +397,76 @@ class GeneralSlicingOperator(WindowOperator):
     # record processing
 
     def process_record(self, record: Record) -> List[WindowResult]:
+        """Ingest one record; the in-order body of every ingest path.
+
+        Step 1's one comparison lives here: while the record sits below
+        a chain's ``slicer.open_until`` / ``open_until_count`` it goes
+        straight into the chain's open last slice, and the slicer is
+        entered only by a record that opens or cuts a slice.
+        """
         if self._timestamp_of is not None:
             record = Record(self._timestamp_of(record), record.value, record.key)
-        return self._process_record_inner(record)
+        ts = record.ts
+        max_ts = self._max_ts
+        if max_ts is not None and ts < max_ts:
+            return self._process_out_of_order(record)
+        count_position = self._arrived
+        self._arrived = count_position + 1
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.count("operator.records")
 
-    def _process_record_inner(self, record: Record) -> List[WindowResult]:
-        """Per-record processing after measure extraction has been applied."""
-        results: List[WindowResult] = []
-        in_order = self._max_ts is None or record.ts >= self._max_ts
-        if not in_order and self.stream_in_order:
+        cut = False
+        for chain in self._chain_list:
+            slicer = chain.slicer
+            if ts < slicer.open_until and count_position < slicer.open_until_count:
+                head = chain.store.slices[-1]
+            else:
+                head = slicer.ensure_open_slice(ts, count_position)
+                if slicer.cut_performed:
+                    cut = True
+            # Inlined slice-manager update: one incremental ⊕ per
+            # distinct function (the per-record hot path).
+            head.add_inorder(record, chain.functions)
+            if chain.eager_store:
+                # The kernels read the head's partials once, when the
+                # slice closes or a window reaches it.
+                chain.store.head_dirty = True
+            if chain.edges_move:
+                for session in chain.session_windows:
+                    session.observe(ts)
+                slicer.after_record(ts)
+
+        self._max_ts = ts
+        if cut and self.stream_in_order:
+            # Every record acts as a watermark on in-order streams.
+            return self._advance_all(ts)
+        return []
+
+    def _process_out_of_order(self, record: Record) -> List[WindowResult]:
+        """A (measure-extracted) record behind the newest one."""
+        if self.stream_in_order:
             raise StreamOrderViolation(
                 f"record at ts={record.ts} arrived after ts={self._max_ts} "
                 "on an operator declared in-order"
             )
-        if not in_order and self._watermark is not None:
-            if record.ts < self._watermark - self.allowed_lateness:
-                self._drop_late(record)
-                return results  # beyond the allowed lateness: dropped
-
-        count_position = self._arrived
+        if self._watermark is not None and record.ts < self._watermark - self.allowed_lateness:
+            self._drop_late(record)
+            return []  # beyond the allowed lateness: dropped
         self._arrived += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.count("operator.records")
-            if not in_order:
-                tracer.count("operator.ooo_records")
-
-        emitted_progress = False
+        if self._tracer is not None:
+            self._tracer.count("operator.records")
+            self._tracer.count("operator.ooo_records")
+        results: List[WindowResult] = []
         for chain in self._chain_list:
-            if in_order:
-                slicer = chain.slicer
-                head = slicer.ensure_open_slice(record.ts, count_position)
-                # Inlined slice-manager update: one incremental ⊕ per
-                # distinct function (the per-record hot path).
-                head.add_inorder(record, chain.functions)
-                if chain.eager_store:
-                    # The kernels read the head's partials once, when the
-                    # slice closes or a window reaches it.
-                    chain.store.head_dirty = True
-                if chain.session_windows:
-                    for session in chain.session_windows:
-                        session.observe(record.ts)
-                    slicer.after_record(record.ts)
-                elif chain.edges_move:
-                    slicer.after_record(record.ts)
-                if slicer.cut_performed:
-                    emitted_progress = True
-            else:
-                chain.manager.add_out_of_order(record)
-                for modification in chain.drain_modifications():
-                    results.extend(chain.window_manager.on_modification(modification))
-
-        if in_order:
-            self._max_ts = record.ts
-            if self.stream_in_order and emitted_progress:
-                # Every record acts as a watermark on in-order streams.
-                results.extend(self._advance_all(record.ts))
+            if chain.measure_kind is not MeasureKind.TIME:
+                # A late record shifts counts up to the head.  On a time
+                # chain it can neither close nor replace the open head
+                # nor move a fixed edge, so the guard stays armed there.
+                chain.slicer.disarm()
+            chain.manager.add_out_of_order(record)
+            for modification in chain.drain_modifications():
+                results.extend(chain.window_manager.on_modification(modification))
         return results
 
     # ------------------------------------------------------------------
@@ -462,6 +484,11 @@ class GeneralSlicingOperator(WindowOperator):
         punctuations all take the exact per-record path, keeping window
         results and emission order bit-identical to :meth:`process`.
         """
+        chains = self._chain_list
+        if not chains or any(chain.edges_move for chain in chains):
+            # Moving (session / punctuation) edges shift with every
+            # record, so no cached edge bounds a sub-run.
+            return super().process_batch(elements)
         results: List[WindowResult] = []
         n = len(elements)
         ts_of = self._timestamp_of
@@ -486,34 +513,33 @@ class GeneralSlicingOperator(WindowOperator):
                     prev = mapped.ts
                     j += 1
                 if run:
-                    self._process_inorder_run(run, results)
+                    self._process_inorder_run(elements, i, run, results)
                     i = j
                     continue
             results.extend(self.process(element))
             i += 1
         return results
 
-    def _process_inorder_run(self, run: List[Record], results: List[WindowResult]) -> None:
-        """Ingest a run of in-order (measure-extracted) records."""
+    def _process_inorder_run(
+        self,
+        elements: Sequence[StreamElement],
+        offset: int,
+        run: List[Record],
+        results: List[WindowResult],
+    ) -> None:
+        """Ingest ``run``: the in-order records ``elements[offset:]`` starts
+        with, after measure extraction (fixed-edge chains only)."""
         chains = self._chain_list
-        inner = self._process_record_inner
-        fast = bool(chains)
-        for chain in chains:
-            # Moving (session / punctuation) edges shift with every
-            # record, so the cached edge cannot bound a whole sub-run.
-            if chain.session_windows or chain.edges_move:
-                fast = False
-                break
-        if not fast:
-            for record in run:
-                results.extend(inner(record))
-            return
+        process_record = self.process_record
         n = len(run)
         i = 0
         while i < n:
             # Edge-crossing records take the exact per-record path
-            # (slice cuts, eager-tree maintenance, emission) ...
-            results.extend(inner(run[i]))
+            # (slice cuts, eager-tree maintenance, emission), which
+            # extracts the measure itself ...
+            out = process_record(elements[offset + i])
+            if out:
+                results.extend(out)
             i += 1
             if i >= n:
                 break
@@ -577,6 +603,7 @@ class GeneralSlicingOperator(WindowOperator):
                 "leading punctuations"
             )
         for chain in self._chains.values():
+            chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
             for window in chain._windows:
                 if not isinstance(window, PunctuationWindow):
                     continue
@@ -600,6 +627,7 @@ class GeneralSlicingOperator(WindowOperator):
 
     def _evict(self, wm: int) -> None:
         for chain in self._chains.values():
+            chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
             horizon = chain.eviction_horizon(wm - self.allowed_lateness)
             for first_ts, last_ts, lo, hi in self._open_sessions(chain, wm):
                 horizon = min(horizon, first_ts - 1)
@@ -624,6 +652,11 @@ class GeneralSlicingOperator(WindowOperator):
 
     def state_objects(self) -> list:
         return [chain.store for chain in self._chains.values()]
+
+    def check_invariants(self) -> None:
+        """Assert every chain's structural invariants (test and fuzz hook)."""
+        for chain in self._chain_list:
+            chain.check_invariants()
 
     def total_slices(self) -> int:
         """Total slices currently held across all chains."""

@@ -169,24 +169,21 @@ class WindowOperator:
         Streams often end between watermarks, leaving the trailing
         windows buffered: nothing ever advances event time past them, so
         their results are never emitted.  Flushing advances event time
-        past the last record by the largest window extent any query can
-        reach (plus the allowed lateness), exactly as a final upstream
-        watermark would -- results and ordering are identical to a
-        stream that carried that watermark itself.  Count-based windows
-        are unaffected: an incomplete count window has no result by
-        definition.  Idempotent: a second flush emits nothing new.
+        past the end of every window that holds the last record
+        (:meth:`~repro.windows.base.WindowType.flush_horizon`, plus the
+        allowed lateness), exactly as a final upstream watermark would
+        -- results and ordering are identical to a stream that carried
+        that watermark itself.  Count-based windows are unaffected: an
+        incomplete count window has no result by definition.
+        Idempotent: a second flush emits nothing new.
         """
         max_ts = getattr(self, "_max_ts", None)
         if max_ts is None:
             return []
-        margin = 1
+        horizon = max_ts
         for query in self.queries:
-            window = query.window
-            for attr in ("length", "gap", "every"):
-                value = getattr(window, attr, None)
-                if isinstance(value, int) and value > margin:
-                    margin = value
-        horizon = max_ts + margin + getattr(self, "allowed_lateness", 0) + 1
+            horizon = max(horizon, query.window.flush_horizon(max_ts))
+        horizon += getattr(self, "allowed_lateness", 0) + 1
         return self.process_watermark(Watermark(horizon))
 
     def run(

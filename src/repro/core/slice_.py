@@ -104,16 +104,21 @@ class Slice:
 
     def add_inorder(self, record: Record, functions: Sequence[AggregateFunction]) -> None:
         """Append a record arriving in event-time order (one ⊕ per function)."""
-        for index, function in enumerate(functions):
-            lifted = function.lift(record.value)
-            current = self.aggs[index]
-            self.aggs[index] = lifted if current is None else function.combine(current, lifted)
+        aggs = self.aggs
+        value = record.value
+        ts = record.ts
+        index = 0
+        for function in functions:
+            lifted = function.lift(value)
+            current = aggs[index]
+            aggs[index] = lifted if current is None else function.combine(current, lifted)
+            index += 1
         if self.records is not None:
             self.records.append(record)
         self.record_count += 1
         if self.first_ts is None:
-            self.first_ts = record.ts
-        self.last_ts = record.ts
+            self.first_ts = ts
+        self.last_ts = ts
 
     def add_run(self, records: Sequence[Record], functions: Sequence[AggregateFunction]) -> None:
         """Append a run of records arriving in event-time order (bulk path).

@@ -6,6 +6,12 @@ case is a single comparison per record ("the majority of tuples do not
 end a slice").  When a record passes the cached edge, the open slice is
 closed at the edge and a new slice begins.
 
+That comparison is published as a guard, :attr:`StreamSlicer.open_until`
+/ :attr:`StreamSlicer.open_until_count`: while a record sits below both,
+the store's last slice is open and receives it, and the operator never
+enters the slicer.  Only a record that opens or cuts a slice reaches
+:meth:`StreamSlicer.ensure_open_slice`.
+
 For out-of-order streams, slices start at window *starts and ends* so
 late records can be attributed exactly; for in-order streams, starts
 suffice -- both fall out naturally here because ``next_edge`` callbacks
@@ -28,6 +34,13 @@ from .slice_ import Slice
 from .tracing import Tracer
 
 __all__ = ["StreamSlicer"]
+
+_NEVER = float("-inf")
+
+
+def _guard_bound(edge: Optional[int]) -> float:
+    """A guard bound from a cached edge: no upcoming edge never cuts."""
+    return float("inf") if edge is None else edge
 
 
 class StreamSlicer:
@@ -55,6 +68,18 @@ class StreamSlicer:
         refreshed after every record instead of being reused.
     """
 
+    #: The guard: a record with ``ts < open_until`` at a count position
+    #: ``< open_until_count`` needs no cut and belongs to the store's
+    #: last slice, which is open.  Armed by :meth:`ensure_open_slice`
+    #: from the cached edges (+inf where no edge is upcoming); -inf
+    #: whenever that promise cannot be made.  Anything but an in-order
+    #: record reaching the chain must :meth:`disarm` it.  The class-level
+    #: defaults restore slicers pickled before the guard existed disarmed.
+    open_until: float = _NEVER
+    open_until_count: float = _NEVER
+    #: Backs :attr:`cache_edges` (on unless the ablation turns it off).
+    _cache_edges = True
+
     def __init__(
         self,
         store: AggregateStore,
@@ -78,10 +103,8 @@ class StreamSlicer:
         #: Whether the last ensure_open_slice call closed/opened a slice
         #: (windows can only end at slice cuts, so emission checks key off it).
         self.cut_performed = False
-        #: Ablation switch: disable the cached next-edge so every record
-        #: recomputes the upcoming window edge (the paper's Step 1
-        #: optimization turned off; see benchmarks/test_ablations.py).
-        self.cache_edges = True
+        self.open_until = _NEVER
+        self.open_until_count = _NEVER
         #: Observability sink; ``None`` (the default) is the no-op fast
         #: path -- attached by ``WindowOperator.enable_tracing()``.
         self.tracer: Optional[Tracer] = None
@@ -96,9 +119,26 @@ class StreamSlicer:
     def store_records(self, value: bool) -> None:
         self._store_records = value
 
+    @property
+    def cache_edges(self) -> bool:
+        """Ablation switch: ``False`` disables the cached next-edge, so
+        every record recomputes the upcoming window edge (the paper's
+        Step 1 optimization turned off; see benchmarks/test_ablations.py)."""
+        return self._cache_edges
+
+    @cache_edges.setter
+    def cache_edges(self, value: bool) -> None:
+        self._cache_edges = value
+        self.invalidate_cache()
+
+    def disarm(self) -> None:
+        """Withdraw the guard: the next record enters :meth:`ensure_open_slice`."""
+        self.open_until = self.open_until_count = _NEVER
+
     def invalidate_cache(self) -> None:
         """Force recomputation of the cached edges (workload changed)."""
         self._cache_valid = False
+        self.disarm()
 
     def _num_functions(self) -> int:
         return len(self._store.functions)
@@ -117,9 +157,10 @@ class StreamSlicer:
         return head
 
     def _close_head(self, end_ts: int, count_end: Optional[int], kind: str = Slice.END_TIME) -> None:
-        head = self._store.head
-        if head is None or head.end is not None:
+        slices = self._store.slices
+        if not slices or slices[-1].end is not None:
             return
+        head = slices[-1]
         head.end = end_ts
         head.end_kind = kind
         if self._track_counts:
@@ -133,9 +174,12 @@ class StreamSlicer:
         incoming record belongs to.
         """
         self.cut_performed = False
-        if not self.cache_edges:
+        slices = self._store.slices
+        if ts < self.open_until and count_position < self.open_until_count:
+            return slices[-1]
+        if not self._cache_edges:
             self._cache_valid = False
-        head = self._store.head
+        head = slices[-1] if slices else None
         if head is None or head.end is not None:
             self.cut_performed = True
             floor = self._floor_time_edge(ts)
@@ -180,25 +224,28 @@ class StreamSlicer:
         if self._cached_count_edge is not None and count_position >= self._cached_count_edge:
             # Counts advance by one, so equality holds on the in-order path.
             self.cut_performed = True
-            head = self._store.head
-            if head is not None and head.end is None and head.record_count > 0:
+            if head.record_count > 0:
                 boundary_ts = ts
                 self._close_head(boundary_ts, count_position, kind=Slice.END_COUNT)
                 head = self._open_new_head(boundary_ts, count_position)
-            elif head is not None:
+            else:
                 head.count_start = count_position if self._track_counts else None
             self._refresh_count_cache(count_position)
 
-        head = self._store.head
-        assert head is not None and head.end is None
+        assert head.end is None
         if self.cut_performed and self.tracer is not None:
             self.tracer.count("slicer.cuts")
+        if self._cache_edges and not self._edges_move:
+            # Arm the guard: until one of these edges, the head stays open.
+            self.open_until = _guard_bound(self._cached_time_edge)
+            self.open_until_count = _guard_bound(self._cached_count_edge)
         return head
 
     def after_record(self, ts: int) -> None:
         """Post-record hook: refresh moving (session) edges."""
         if self._edges_move:
             self._refresh_time_cache(ts)
+            self.disarm()
 
     def _refresh_time_cache(self, base: int) -> None:
         self._cached_time_edge = self._next_time_edge(base)
@@ -210,6 +257,33 @@ class StreamSlicer:
             self._cached_count_edge = None
         else:
             self._cached_count_edge = self._next_count_edge(count_position)
+
+    def check_invariants(self) -> None:
+        """Assert what an armed guard promises (test and fuzz hook).
+
+        A disarmed guard promises nothing.  An armed one stands for the
+        comparison :meth:`ensure_open_slice` would make, so everything
+        that comparison relies on must hold: an open last slice, a valid
+        cache whose edges are the guard's, fixed edges, the cache on.
+        """
+        if self.open_until == _NEVER and self.open_until_count == _NEVER:
+            return
+        slices = self._store.slices
+        problems = {
+            "the store holds no slice": not slices,
+            "the last slice is closed": bool(slices) and slices[-1].end is not None,
+            "the edge cache is invalid": not self._cache_valid,
+            "cache_edges is off": not self._cache_edges,
+            "a window of the chain has moving edges": self._edges_move,
+            f"open_until {self.open_until} is not the cached time edge "
+            f"{self._cached_time_edge}": self.open_until != _guard_bound(self._cached_time_edge),
+            f"open_until_count {self.open_until_count} is not the cached count edge "
+            f"{self._cached_count_edge}": self.open_until_count
+            != _guard_bound(self._cached_count_edge),
+        }
+        broken = [name for name, failed in problems.items() if failed]
+        if broken:
+            raise AssertionError("slicer guard is armed but " + "; ".join(broken))
 
     @property
     def cached_time_edge(self) -> Optional[int]:

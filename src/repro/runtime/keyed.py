@@ -89,6 +89,7 @@ class KeyedWindowOperator(WindowOperator):
         identical to the tuple-at-a-time path.
         """
         results: List[WindowResult] = []
+        by_key = self._by_key
         n = len(elements)
         i = 0
         while i < n:
@@ -104,11 +105,15 @@ class KeyedWindowOperator(WindowOperator):
                 if not isinstance(nxt, Record) or nxt.key != key:
                     break
                 j += 1
-            operator = self.operator_for(key)
+            operator = by_key.get(key)
+            if operator is None:
+                operator = self.operator_for(key)
             if j - i == 1:
-                results.extend(self._tag(operator.process_record(element), key))
+                out = operator.process_record(element)
             else:
-                results.extend(self._tag(operator.process_batch(elements[i:j]), key))
+                out = operator.process_batch(elements[i:j])
+            if out:  # most runs are short and emit nothing
+                results.extend(self._tag(out, key))
             i = j
         return results
 

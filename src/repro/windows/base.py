@@ -145,6 +145,23 @@ class WindowType:
         floor = self.get_floor_edge(settled)
         return settled if floor is None else floor
 
+    def flush_horizon(self, last_ts: int) -> int:
+        """The event time by which every window holding a record at or
+        before ``last_ts`` has ended.
+
+        :meth:`~repro.core.operator_base.WindowOperator.flush` advances
+        event time this far past the stream's last record.  The default
+        suits windows delimited by consecutive edges: the next edge
+        closes the window open at ``last_ts`` (no upcoming edge, no
+        window to close).  Windows on another measure end with their
+        last record and need no extra time.  Overlapping windows and
+        windows whose end depends on their records override it.
+        """
+        if self.measure_kind is not MeasureKind.TIME:
+            return last_ts
+        edge = self.get_next_edge(last_ts)
+        return last_ts if edge is None else edge
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
 

@@ -83,6 +83,11 @@ class LastNEveryWindow(ContextAwareWindow):
         although this window's edges are timestamps."""
         return settled - self.count
 
+    def flush_horizon(self, last_ts: int) -> int:
+        """The next trigger: contents are counted, but windows end on
+        time edges."""
+        return self.get_next_edge(last_ts)
+
     def is_edge(self, ts: int) -> bool:
         """Whether ``ts`` is a trigger (time) edge."""
         return (ts - self.offset) % self.every == 0

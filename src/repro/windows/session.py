@@ -69,6 +69,10 @@ class SessionWindow(ContextAwareWindow):
         additionally pins eviction at the start of every open session.)"""
         return settled - self.gap
 
+    def flush_horizon(self, last_ts: int) -> int:
+        """One gap on: the session of the last record times out then."""
+        return last_ts + self.gap
+
     def trigger_windows(self, prev_wm: int, curr_wm: int) -> Iterator[Tuple[int, int]]:
         """Sessions are derived from slice state; nothing is known a priori."""
         return iter(())

@@ -98,6 +98,13 @@ class SlidingWindow(ContextFreeWindow):
         ``settled`` starts after it."""
         return settled - self.length
 
+    def flush_horizon(self, last_ts: int) -> int:
+        """One window length on: the last window that starts at or
+        before ``last_ts`` has ended by then."""
+        if self.measure_kind is not MeasureKind.TIME:
+            return last_ts
+        return last_ts + self.length
+
     def concurrent_windows(self) -> int:
         """Number of windows open at any instant (steady state)."""
         return -(-self.length // self.slide)  # ceil division

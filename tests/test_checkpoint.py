@@ -10,6 +10,7 @@ from conftest import final_values, run_operator, shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Max, Median, Sum
 from repro.baselines import AggregateTreeOperator, TupleBufferOperator
+from repro.reference import reference_results
 from repro.runtime.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CHECKPOINT_MAGIC,
@@ -268,6 +269,118 @@ class TestFramesAcrossTheDeferredHeadWrite:
         assert restored.kernels[0].leaf(2) == store.kernels[0].leaf(2)
         tail = [_legacy_record(ts) for ts in range(25, 60)] + [Watermark(1_000)]
         assert run_operator(clone, tail) == run_operator(original, tail)
+
+
+#: ``snapshot()`` of the operator built by ``_guarded_operator`` after
+#: records ts 0..24, written by the commit before the slicer published
+#: its guard (zlib + base85): its slicer pickles have no ``open_until``
+#: / ``open_until_count`` entry and hold the edge-cache switch under its
+#: old plain name.
+_PRE_GUARD_FRAME = (
+    "c-nPV-HTgA6wli1Ce0?B-"
+    "EG=twb)uLw56mk3O=^1Smm}6n`(Wj<7_g?x$e!q>Ag3*TVbIpT@xK`rMIA<prD|Fpf7%ZA@~7;q"
+    "Aw!ScmE83Gjo&NWY_z0XU?48nKNh3`JFjmJG-"
+    "2kx;lO9;X+D(vgC`7?^WuaFDhO~_&oG{7Rh~Qgo}w&bL_h9wjPaFqMOmN=c3K%sGMW2*a+F>uJE"
+    "rgyAfG;$c&oUB8V<w{mz8lI&q)ZLo5cNT@NBT{g{FoV^w8sX5Drh-"
+    "a7U*Ff$D*VYj{FVE;(YU5JMljpopi8ArISkRmH5XS`-"
+    "J5MgAcWWFtU(Demdg?c3SB)o}N;KuAZGqjY>%}Az0yDg$?(fO#mB4>H4<%<>%ZO@Hl*%(O3g31a"
+    "H?0O`3)w*rtj?9k2k&<bb!<t+icl=}k?e12zLb>?xR2aB7ICb6Yx*?oiR{#GwH|?>~RI*aEm&$V"
+    "5AdKg9fDS^3?y;umu-w0ck)aPl&Ur3#cqo`J5S&I-l?B%Dy-"
+    "r6ov|Jq|!$Mr2@Ud77LSOJUvt0&lh<b8b@D>JrInN!(TaR(B2m*!8iMAaw(e8v-"
+    "luCe15Nr@d+(Azkj4VDo1T(9`cZH)}Q5O<~yxn156M_swD%ozJ18^6m<P2L@f>BiVLOgRRqFF9?"
+    "H@j|K-"
+    "xLy(4ne@0E<A6D4XDz=Yw$0Si$fu{FzF0+E5+pk+riu7WG+)y?!V~ytB%JT%M)uuuZ%}@e^2HER"
+    "FPm|x8uNGU*=sQ8UYJBjvcD`0`Y+9+hlQ`DkUWh5K(=Yp^_V_3gqitD-"
+    "{ub2;1#$i2Pg=aCXrbZEuY`47UdVTdFoUaW?o|Ja3k2W<}Ma%(-"
+    "58NckfgI+X%cLEc=3E~6kiCa1Ok(O7v81H|IR#k2g`E2jt2nidXY@u0bknE=cZbHzf!m==S8rWN"
+    "yu1VvzH?(5p#B~Y#?_iWSlgOG(f(J~H?$Gc@39x2ObPCZ~)j?0Y6?*K`ZH$xL;WoOpJ+t{zl-Da"
+    "vbsmd&VhC^scSMBPcYF#Two>ig_{+F#i<g5KoT{ZhrSfwr&)~d8#rH$>_5_wfXOMsRQ^k^yxogR"
+    "k@y05A@N!MB&=Dy4hs|GP$;HXZMBMGt0w7IJbbU<N=C=ZwNI@ssp>4;k6ov48-"
+    ")p<LJB63o3!m0_Pn$HgQZt)J{HqV-lhfbmjn2AOUS&?1o+D@pdS7urQNgArH=(H?Os%|0qWRcZ{"
+    "?Ifh6bmu07v8oy?QbNWlx;Cm4LajQ-"
+    ">_L5vj26aaS~1UXmbTZhn>NZptCiy8$Ktwa4O)9<z>v74oH7zXX-"
+    "(ac$@9tZ8x|cb<!gFgGt*(Eyn?tFO`DyJ!h}%yK(DDKx~2V@H?YK^syO=O9TwQ+C9*N!7g(Lw35"
+    "-74$+{bi8B52k=Z%zsQ_%iE>-"
+    "BEP@M>s!ej5RVZL_X7h<fzC3e}uR)KMZXC4w}$Rxr(LGD~%svO_g`S)C%;bmrJ(hsm<hONG9dd1"
+    "JCM@hCw9O;Ldsz%y|p0dZk6=pj~0RVIhEjxW~OdONbpn5ex&oLCX<_2{UTvT|Es8LPAv-"
+    "3VkZjv7IIQ>A099>--<y*&0IZf*nJdMweDvuN%WIyG!{72Q~laLuVFIXyINYxIcjVPy5_EL9U-"
+    "=!oh<biPluK3(Y1<9&LfPZxXiB;1{%r$G6{j?vRpPp~yCw?NZL`bvTN(%`QY_-mKpuksjwrD+X|"
+    ">-"
+    "cZbiAnNH1Dypr4Rpq!E8Ea%ptC!nvq0y8&H_Da(D!abXMxV|gw6v!4|E>r;!ez~(0QQecS6s{ls"
+    "`YB{1e;I^FWt&LWA_d_J;NM8}#9A=n~N7ozP{|GRmWtksSk10bJhJGwAs~y?{$R&gmL{FVaiHvi"
+    "X-@?bG!h-Kc8rxNW$DUf1I{^!QCZeoK$v*5h~d_+34IPmfh4(+7R}kUmP7{#a{#GGwNK^-"
+    "tAU7ANURuYK01&wKPmpT4ZpSJnagx<}vi=vzY;^d0?>u>a#Txv5l&e(KZDJ^BSF`*l>dQz+Zx^c"
+    "$U|-{T^sKM<NfRgPbe0{Tl0tfhedR`o{zsKV-"
+    "kHuU3?Ie5J(CcV9dMg?Bk(65RzN_QQv8Nbc_RrN4n-1qU!!b@bSyHfcNg!(-y"
+)
+
+
+def _guarded_operator():
+    operator = GeneralSlicingOperator(stream_in_order=True)
+    operator.add_query(TumblingWindow(10), Sum())
+    operator.add_query(CountTumblingWindow(4), Sum())
+    return operator
+
+
+def _slicers(operator):
+    return [chain.slicer for chain in operator._chain_list]
+
+
+class TestFramesAcrossTheSlicerGuard:
+    def test_frame_written_before_the_guard_restores_disarmed_and_continues(self):
+        blob = zlib.decompress(base64.b85decode(_PRE_GUARD_FRAME))
+        assert blob.startswith(CHECKPOINT_MAGIC)
+        clone = restore(blob)
+        for slicer in _slicers(clone):
+            # Genuinely an old pickle: the class-level defaults disarm it.
+            assert "open_until" not in vars(slicer)
+            assert slicer.open_until == slicer.open_until_count == float("-inf")
+            assert slicer.cache_edges is True
+        clone.check_invariants()
+
+        uninterrupted = _guarded_operator()
+        head = [_legacy_record(ts) for ts in range(25)]
+        run_operator(uninterrupted, head)
+        tail = [_legacy_record(ts) for ts in range(25, 90)]
+        # ts 25 takes the slow path mid-slice and arms the restored guard.
+        assert run_operator(clone, tail[:1]) == run_operator(uninterrupted, tail[:1])
+        assert [(s.open_until, s.open_until_count) for s in _slicers(clone)] == [
+            (s.open_until, s.open_until_count) for s in _slicers(uninterrupted)
+        ] == [(30, float("inf")), (float("inf"), 28)]
+        expected = run_operator(uninterrupted, tail[1:] + [Watermark(1_000)])
+        assert run_operator(clone, tail[1:] + [Watermark(1_000)]) == expected
+        assert len(expected) == 7 + 16  # tumbling ends 30..90, count ends 28..88
+        clone.check_invariants()
+
+    def test_mid_slice_snapshot_keeps_the_guard_armed(self, monkeypatch):
+        original = _guarded_operator()
+        head = [_legacy_record(ts) for ts in range(25)]
+        collected = final_values(original, head)
+        bounds = [(s.open_until, s.open_until_count) for s in _slicers(original)]
+        assert bounds == [(30, float("inf")), (float("inf"), 28)]
+
+        clone = restore(snapshot(original))
+        assert [(s.open_until, s.open_until_count) for s in _slicers(clone)] == bounds
+        clone.check_invariants()
+
+        # Still mid-slice on both chains: the restored guard answers for
+        # ts 25 and 26 without the slicer, and the cuts at count 28 and
+        # ts 30 go through it.
+        entered = []
+        slicer_type = type(_slicers(clone)[0])
+        ensure = slicer_type.ensure_open_slice
+        monkeypatch.setattr(
+            slicer_type,
+            "ensure_open_slice",
+            lambda self, ts, count: entered.append(ts) or ensure(self, ts, count),
+        )
+        tail = [_legacy_record(ts) for ts in range(25, 60)]
+        collected.update(final_values(clone, tail[:2]))
+        assert entered == []
+        collected.update(final_values(clone, tail[2:] + [Watermark(1_000)]))
+        assert entered[:3] == [28, 30, 32]  # each chain enters for its own cuts only
+        queries = [(TumblingWindow(10), Sum()), (CountTumblingWindow(4), Sum())]
+        assert collected == reference_results(queries, head + tail, horizon=1_000)
 
 
 class LambdaSum(Sum):

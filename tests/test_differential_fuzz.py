@@ -17,6 +17,7 @@ pastes straight into a regression test.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 from typing import Callable, List, Sequence, Tuple
 
@@ -64,8 +65,9 @@ OOO_CASES = 8 * FUZZ_SCALE
 KEYED_CASES = 6 * FUZZ_SCALE
 HOLISTIC_CASES = 6 * FUZZ_SCALE
 
-#: Every this many stream elements the operator's state objects that can
-#: check their own structure (``EagerAggregateStore``) do so.
+#: Every this many stream elements the state objects that can check
+#: their own structure (the aggregate stores) and the slicing operator
+#: (the same stores plus the slicer's guard, on a pickled copy) do so.
 INVARIANT_EVERY = 5
 
 # A query draw is a (window factory, aggregation factory) pair: window
@@ -241,11 +243,17 @@ def _final_results(make_operator, draws: List[QueryDraw], arrival: List[Record])
         for result in operator.process(element):
             final[(result.query_id, result.start, result.end)] = result.value
         if position % INVARIANT_EVERY == 0:
-            # Eager stores: kernels and slices must agree mid-stream; a
-            # violation raises and is shrunk like any other crash.
+            # Slice chains keep their shape and eager kernels agree with
+            # the slices mid-stream; a violation raises and is shrunk
+            # like any other crash.
             for state in operator.state_objects():
                 if hasattr(state, "check_invariants"):
                     state.check_invariants()
+            # Slice chains and the slicer's guard, on a pickled copy so
+            # that the check cannot repair what it inspects (and the
+            # guard is shown to ride the pickle).
+            if isinstance(operator, GeneralSlicingOperator):
+                pickle.loads(pickle.dumps(operator)).check_invariants()
     return final
 
 
