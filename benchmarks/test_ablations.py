@@ -49,8 +49,8 @@ def run_rle_ablation():
     return table
 
 
-def test_ablation_rle(benchmark):
-    table = benchmark.pedantic(run_rle_ablation, rounds=1, iterations=1)
+def test_ablation_rle():
+    table = run_rle_ablation()
     save_table(table)
     series = {}
     for row in table.rows:
@@ -91,8 +91,8 @@ def run_tuple_storage_ablation():
     return table
 
 
-def test_ablation_tuple_storage(benchmark):
-    table = benchmark.pedantic(run_tuple_storage_ablation, rounds=1, iterations=1)
+def test_ablation_tuple_storage():
+    table = run_tuple_storage_ablation()
     save_table(table)
     adaptive, forced = table.rows
     # Dropping records per the decision tree saves substantial memory.
@@ -114,8 +114,8 @@ def run_lazy_vs_eager():
     return table
 
 
-def test_ablation_lazy_vs_eager(benchmark):
-    table = benchmark.pedantic(run_lazy_vs_eager, rounds=1, iterations=1)
+def test_ablation_lazy_vs_eager():
+    table = run_lazy_vs_eager()
     save_table(table)
     lazy, eager = (row["throughput"] for row in table.rows)
     # Lazy slicing keeps the throughput edge (Figures 8/9); eager stays
@@ -147,8 +147,8 @@ def run_edge_cache_ablation():
     return table
 
 
-def test_ablation_edge_cache(benchmark):
-    table = benchmark.pedantic(run_edge_cache_ablation, rounds=1, iterations=1)
+def test_ablation_edge_cache():
+    table = run_edge_cache_ablation()
     save_table(table)
     series = {}
     for row in table.rows:
@@ -216,8 +216,8 @@ def run_tracing_overhead_ablation():
     return table
 
 
-def test_ablation_tracing_overhead(benchmark):
-    table = benchmark.pedantic(run_tracing_overhead_ablation, rounds=1, iterations=1)
+def test_ablation_tracing_overhead():
+    table = run_tracing_overhead_ablation()
     save_table(table)
     series = {row["variant"]: row["time_ratio_to_never_traced"] for row in table.rows}
     # The acceptance bar: a disabled tracer changes per-record ingest
@@ -253,8 +253,8 @@ def run_sharing_ablation():
     return table
 
 
-def test_ablation_sharing(benchmark):
-    table = benchmark.pedantic(run_sharing_ablation, rounds=1, iterations=1)
+def test_ablation_sharing():
+    table = run_sharing_ablation()
     save_table(table)
     series = {(row["variant"], row["windows"]): row["throughput"] for row in table.rows}
     gain_small = series[("shared", 8)] / series[("per-query", 8)]

@@ -58,8 +58,8 @@ def run_batched_ingestion_ablation():
     return table
 
 
-def test_ablation_batched_ingestion(benchmark):
-    table = benchmark.pedantic(run_batched_ingestion_ablation, rounds=1, iterations=1)
+def test_ablation_batched_ingestion():
+    table = run_batched_ingestion_ablation()
     save_table(table)
     series = {row["variant"]: row["throughput"] for row in table.rows}
     baseline = series["tuple-at-a-time"]

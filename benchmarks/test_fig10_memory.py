@@ -30,8 +30,8 @@ def _series(table, panel, technique, x_column):
     return [r["bytes"] for r in rows]
 
 
-def test_fig10_memory(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10_memory():
+    table = run()
     save_table(table)
 
     # 10a (time, vary slices): slicing grows with slices...

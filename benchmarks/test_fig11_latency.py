@@ -31,8 +31,8 @@ def _latency(table, aggregation, technique, entries):
     raise KeyError((aggregation, technique, entries))
 
 
-def test_fig11_latency(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig11_latency():
+    table = run()
     save_table(table)
     top = max(ENTRIES)
 

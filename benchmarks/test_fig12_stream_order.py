@@ -29,8 +29,8 @@ def _series(table, panel, technique, x_column):
     return [r["throughput"] for r in rows]
 
 
-def test_fig12_stream_order(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig12_stream_order():
+    table = run()
     save_table(table)
 
     # 12a: slicing tolerates growing ooo fractions far better than the

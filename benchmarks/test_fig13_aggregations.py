@@ -38,8 +38,8 @@ def _value(table, aggregation, measure):
     raise KeyError((aggregation, measure))
 
 
-def test_fig13_aggregations(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig13_aggregations():
+    table = run()
     save_table(table)
 
     # Time-based: algebraic functions cluster; holistic ones lag far behind.

@@ -23,8 +23,8 @@ def _value(table, dataset, technique):
     raise KeyError((dataset, technique))
 
 
-def test_fig14_holistic(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig14_holistic():
+    table = run()
     save_table(table)
 
     for dataset in ("football", "machine"):

@@ -22,8 +22,8 @@ def _series(table, aggregation):
     return [r["time_us"] for r in rows]
 
 
-def test_fig15_split_cost(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig15_split_cost():
+    table = run()
     save_table(table)
 
     for aggregation in ("sum", "median"):

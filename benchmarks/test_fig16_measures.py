@@ -18,8 +18,8 @@ def run():
     return fig16_measures(windows_list=WINDOWS, num_records=4_000)
 
 
-def test_fig16_measures(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig16_measures():
+    table = run()
     save_table(table)
     series = table.series("series", "throughput")
 

@@ -21,8 +21,8 @@ def run():
     return fig17_parallel(parallelism_list=PARALLELISM, num_records=16_000)
 
 
-def test_fig17_parallel(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig17_parallel():
+    table = run()
     save_table(table)
     slicing = {
         row["parallelism"]: row["throughput"]

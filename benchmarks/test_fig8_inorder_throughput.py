@@ -19,8 +19,8 @@ def run():
     return fig8_inorder_throughput(windows_list=WINDOWS, num_records=8_000)
 
 
-def test_fig8_inorder_throughput(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig8_inorder_throughput():
+    table = run()
     save_table(table)
     by_tech = table.series("technique", "throughput")
 

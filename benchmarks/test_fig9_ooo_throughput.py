@@ -22,8 +22,8 @@ def run(dataset):
 
 
 @pytest.mark.parametrize("dataset", ["football", "machine"])
-def test_fig9_ooo_throughput(benchmark, dataset):
-    table = benchmark.pedantic(run, args=(dataset,), rounds=1, iterations=1)
+def test_fig9_ooo_throughput(dataset):
+    table = run(dataset)
     save_table(table)
     at_max = {
         row["technique"]: row["throughput"]

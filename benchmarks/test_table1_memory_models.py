@@ -20,8 +20,8 @@ def _measured(fill, name, slices, tuples):
     return sum(deep_sizeof(obj) for obj in operator.state_objects())
 
 
-def test_table1_memory_models(benchmark):
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table1_memory_models():
+    table = run()
     save_table(table)
     models = {row["technique"]: row["model_bytes"] for row in table.rows}
 

@@ -301,6 +301,36 @@ class BufferTriggerEngine:
 
     # ------------------------------------------------------------------
 
+    def evictable(self, settled_ts: int) -> int:
+        """How many front records no window that can still change reaches.
+
+        ``settled_ts`` is the watermark minus the allowed lateness.  Each
+        window says how far back it reaches from there
+        (:meth:`~repro.windows.base.WindowType.retention_start`): a
+        timestamp on the time measure, a record position on the count
+        measure -- records can be arbitrarily dense in time, so a count
+        window's length is never read as a duration.  A session that a
+        record at ``settled_ts`` could still join is kept whole.
+        """
+        timestamps = self._view.timestamps()
+        size = len(timestamps)
+        cut = size
+        reach = settled_ts  # the earliest timestamp a time window needs
+        for query in self._queries:
+            window = query.window
+            if window.measure_kind is MeasureKind.COUNT:
+                completed = self._completed_count(settled_ts)
+                cut = min(cut, window.retention_start(completed) - self.evicted_count)
+                continue
+            start = window.retention_start(settled_ts)
+            reach = min(reach, start)
+            if isinstance(window, SessionWindow):
+                first = bisect.bisect_left(timestamps, start)
+                while 0 < first < size and timestamps[first] - timestamps[first - 1] < window.gap:
+                    first -= 1
+                cut = min(cut, first)
+        return max(min(cut, bisect.bisect_left(timestamps, reach)), 0)
+
     def note_eviction(self, count: int) -> None:
         """Record that ``count`` front records left the buffer."""
         self.evicted_count += count

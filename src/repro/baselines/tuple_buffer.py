@@ -140,23 +140,14 @@ class TupleBufferOperator(WindowOperator):
 
     # ------------------------------------------------------------------
 
-    def _retention(self) -> int:
-        extent = 0
-        for query in self.queries:
-            for attribute in ("length", "gap", "count"):
-                value = getattr(query.window, attribute, None)
-                if value is not None:
-                    extent = max(extent, value)
-        return extent + self.allowed_lateness
-
     #: Front deletions are O(n); batch them so steady-state eviction
     #: amortizes to O(1) per record.
     EVICT_BATCH = 1024
 
     def _evict(self, wm: int) -> None:
-        horizon = wm - self._retention()
-        cut = bisect.bisect_right(self._ts, horizon)
+        cut = self._engine.evictable(wm - self.allowed_lateness)
         if cut >= self.EVICT_BATCH or (cut and cut == len(self._ts)):
+            horizon = self._ts[cut - 1]
             del self._ts[:cut]
             del self._values[:cut]
             self._engine.note_eviction(cut)

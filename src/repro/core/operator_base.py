@@ -221,3 +221,8 @@ class WindowOperator:
     def state_objects(self) -> list:
         """The operator's retained state (roots for deep size measurement)."""
         return []
+
+    def check_invariants(self) -> None:
+        """Assert the operator's structural invariants (test and fuzz hook);
+        raises ``AssertionError`` naming the violation.  A no-op for
+        techniques that hold none; wrappers forward to what they wrap."""

@@ -22,8 +22,8 @@ Design rules
   counter names form a small stable glossary (see
   ``docs/observability.md``); components never pre-register names, so
   a snapshot contains exactly the events that actually happened.
-* **Spans are for coarse phases** (a checkpoint, a batch, a bench
-  scenario), never for per-record work: a span costs two clock reads.
+* **Spans are for coarse phases** (a checkpoint, a batch, a restore),
+  never for per-record work: a span costs two clock reads.
 
 Example::
 

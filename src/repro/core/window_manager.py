@@ -130,6 +130,14 @@ class WindowManager:
             earliest = self._store.slices[0].start if self._store.slices else wm
             lower_bound = min(earliest, wm) - 1
         share = self._share_windows
+        # Decided once per advance: a watermark ahead of the newest record
+        # (an idle source waking up, a flush) closes only empty windows past
+        # that record's flush horizon.  They have no result and were never
+        # emitted, so they are not walked: the jump costs what it closes.
+        # Worth a ``flush_horizon`` per query only when the empty tail is the
+        # longer part of the walk; else the walk is at most twice too long.
+        newest = wm if self._emit_empty else self._newest_record_ts()
+        clamp = newest is not None and wm - newest > newest - lower_bound
         pending: List[Tuple[int, ManagedQuery, int, int, int, int]] = []
         for managed in self._queries:
             window = managed.window
@@ -139,8 +147,11 @@ class WindowManager:
                 results.extend(self._trigger_multimeasure(managed, lower_bound, wm))
             elif window.measure_kind is MeasureKind.COUNT:
                 results.extend(self._trigger_count(managed, wm))
+            elif newest is None:
+                continue  # no record retained: every time window is empty
             else:
-                self._trigger_time(managed, lower_bound, wm, share, pending, results)
+                upto = min(wm, window.flush_horizon(newest)) if clamp else wm
+                self._trigger_time(managed, lower_bound, upto, share, pending, results)
         if pending:
             # Sharing pays when the trigger batch re-covers slice ranges
             # (nested sliding windows, many queries); for one window, or
@@ -171,6 +182,13 @@ class WindowManager:
             results = [r for r in results if r is not None]
         self._prev_wm = wm
         return results
+
+    def _newest_record_ts(self) -> Optional[int]:
+        """Event time of the newest retained record (``None`` without one)."""
+        for slice_ in reversed(self._store.slices):
+            if slice_.last_ts is not None:
+                return slice_.last_ts
+        return None
 
     def _trigger_time(
         self,

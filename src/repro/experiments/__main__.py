@@ -7,7 +7,7 @@ Usage::
     REPRO_BENCH_SCALE=4 python -m repro.experiments fig9
 
 Each experiment prints its result table; the benchmark suite
-(`pytest benchmarks/ --benchmark-only`) additionally asserts the
+(`pytest benchmarks/`) additionally asserts the
 paper's qualitative shapes.
 """
 

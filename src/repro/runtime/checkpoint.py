@@ -262,6 +262,9 @@ class CheckpointingOperator(WindowOperator):
     def state_objects(self) -> list:
         return self.inner.state_objects()
 
+    def check_invariants(self) -> None:
+        self.inner.check_invariants()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CheckpointingOperator(every={self.every}, "

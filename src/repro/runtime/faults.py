@@ -268,6 +268,9 @@ class FaultInjectingOperator(WindowOperator):
     def state_objects(self) -> list:
         return self.inner.state_objects()
 
+    def check_invariants(self) -> None:
+        self.inner.check_invariants()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultInjectingOperator(crashes={sorted(self._crash_at)}, "

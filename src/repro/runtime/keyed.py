@@ -132,5 +132,9 @@ class KeyedWindowOperator(WindowOperator):
             state.extend(operator.state_objects())
         return state
 
+    def check_invariants(self) -> None:
+        for operator in self._by_key.values():
+            operator.check_invariants()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KeyedWindowOperator(keys={len(self._by_key)})"

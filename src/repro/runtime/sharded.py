@@ -176,7 +176,13 @@ def _shard_worker(config: Dict[str, Any], feed, out) -> None:
             if kind == "batch":
                 _, seq, eid, elements = item
                 if kill_at is not None and records_done + len(elements) >= kill_at:
-                    os._exit(1)  # simulated hard death: no goodbye message
+                    # Simulated hard death: no goodbye message.  What was
+                    # already ``put`` is flushed first, or ``_exit`` races
+                    # the queue's feeder thread and loses a varying tail of
+                    # it: the kill point must not depend on the scheduler.
+                    out.close()
+                    out.join_thread()
+                    os._exit(1)
                 results = operator.process_batch(elements)
                 counters["shard.batches"] += 1
                 counters["shard.records"] += len(elements)
@@ -323,7 +329,8 @@ class ShardedPipeline:
     kill_at:
         Optional ``{shard_index: record_count}`` hard-death points
         (``os._exit`` -- no crash message, exercising liveness-based
-        detection).  Fires only on a shard's first life.
+        detection; messages the shard sent before that point arrive).
+        Fires only on a shard's first life.
     context:
         ``"fork"``/``"spawn"``/``None`` (default: fork when available).
     trace:

@@ -150,7 +150,8 @@ class WindowType:
         before ``last_ts`` has ended.
 
         :meth:`~repro.core.operator_base.WindowOperator.flush` advances
-        event time this far past the stream's last record.  The default
+        event time this far past the stream's last record, and a watermark
+        ahead of the newest record is walked no further.  The default
         suits windows delimited by consecutive edges: the next edge
         closes the window open at ``last_ts`` (no upcoming edge, no
         window to close).  Windows on another measure end with their

@@ -17,6 +17,7 @@ from repro.core.types import Punctuation
 from repro.reference import reference_results
 from repro.windows import (
     CountTumblingWindow,
+    ExplicitEdgesWindow,
     LastNEveryWindow,
     PunctuationWindow,
     SessionWindow,
@@ -270,3 +271,55 @@ class TestEviction:
         for ts in range(0, 2000, 2):
             op.process(Record(ts, 1.0))
         assert op.buffered_records() < 200
+
+
+@pytest.mark.parametrize("cls", [TupleBufferOperator, AggregateTreeOperator])
+class TestEvictionKeepsWhatWindowsStillReach:
+    """The record buffers evict by ``WindowType.retention_start`` in each
+    window's own measure, against ``repro.reference`` -- a baseline that
+    evicts too early is fast and wrong."""
+
+    @staticmethod
+    def _final(cls, queries, elements):
+        op = cls(stream_in_order=False, allowed_lateness=0)
+        op.EVICT_BATCH = 1
+        for window, fn in queries:
+            op.add_query(window, fn)
+        return op, final_values(op, elements)
+
+    def test_explicit_edges_next_to_fine_tumbling(self, cls):
+        # Issue 14's reproducer: the edge list has no ``length`` to probe.
+        queries = [(ExplicitEdgesWindow([0, 1000, 2000]), Sum()), (TumblingWindow(100), Sum())]
+        elements = []
+        for ts in range(2_000):
+            elements.append(Record(ts, 1.0))
+            if ts % 100 == 99:
+                elements.append(Watermark(ts))
+        elements.append(Watermark(2_100))
+        op, final = self._final(cls, queries, elements)
+        assert final[(0, 0, 1000)] == final[(0, 1000, 2000)] == 1000.0
+        assert final == reference_results(queries, elements, horizon=2_100)
+        assert op.buffered_records() == 0  # eviction still happens
+
+    def test_count_window_length_is_not_a_duration(self, cls):
+        # One record per 10 ticks: 50 records span 500 ticks, not 50.
+        queries = [(CountTumblingWindow(50), Sum()), (TumblingWindow(20), Sum())]
+        elements = []
+        for index in range(200):
+            elements.append(Record(index * 10, 1.0))
+            elements.append(Watermark(index * 10))
+        op, final = self._final(cls, queries, elements)
+        assert [final[(0, start, start + 50)] for start in (0, 50, 100, 150)] == [50.0] * 4
+        assert final == reference_results(queries, elements, horizon=1_990)
+        assert op.buffered_records() <= 50
+
+    def test_long_open_session_is_kept_whole(self, cls):
+        queries = [(SessionWindow(10), Sum())]
+        elements = []
+        for ts in range(300):
+            elements.append(Record(ts, 1.0))
+            elements.append(Watermark(ts))
+        elements += [Record(400, 1.0), Watermark(500)]
+        op, final = self._final(cls, queries, elements)
+        assert final == {(0, 0, 309): 300.0, (0, 400, 410): 1.0}
+        assert op.buffered_records() == 0

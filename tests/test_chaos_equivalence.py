@@ -123,6 +123,8 @@ def run_chaos(factory, elements, seed, *, crashes=CRASHES, errors=0, hiccups=0):
         sleep=lambda _seconds: None,
     )
     stats = pipeline.run(source)
+    # The operator that survived the restarts, through its fault wrapper.
+    pipeline.operator.check_invariants()
     return sink.results, stats, expected
 
 

@@ -6,7 +6,10 @@ from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
 from repro.core.operator_base import WindowOperator
 from repro.core.types import Punctuation
-from repro.windows import SessionWindow, TumblingWindow
+from repro.runtime.checkpoint import CheckpointingOperator
+from repro.runtime.faults import FaultInjectingOperator
+from repro.runtime.keyed import KeyedWindowOperator
+from repro.windows import CountTumblingWindow, SessionWindow, TumblingWindow
 
 
 class TestDispatch:
@@ -135,3 +138,33 @@ class TestInterfaceUniformity:
             operator.add_query(TumblingWindow(10), Sum())
             results = operator.run(stream)
             assert [(r.start, r.end, r.value) for r in results] == expected, operator
+            operator.check_invariants()  # the baselines hold none: a no-op
+
+
+def _record_storing_factory():
+    # Out-of-order + a count measure retains records, which is what lets
+    # the store tell a slice's record_count from what it holds.
+    operator = GeneralSlicingOperator(stream_in_order=False, allowed_lateness=100)
+    operator.add_query(CountTumblingWindow(4), Sum())
+    return operator
+
+
+WRAPPERS = {
+    "checkpointing": lambda: CheckpointingOperator(_record_storing_factory(), every=5),
+    "fault_injecting": lambda: FaultInjectingOperator(_record_storing_factory()),
+    "keyed": lambda: KeyedWindowOperator(_record_storing_factory),
+    "fault_injecting(keyed)": lambda: FaultInjectingOperator(
+        KeyedWindowOperator(_record_storing_factory)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_check_invariants_sees_a_corrupt_slice_through_wrappers(name):
+    wrapped = WRAPPERS[name]()
+    wrapped.run([Record(ts, 1.0, key=ts % 2) for ts in range(10)])
+    wrapped.check_invariants()
+    victim = next(s for s in wrapped.state_objects()[-1].slices if s.record_count)
+    victim.record_count += 1
+    with pytest.raises(AssertionError, match="records but counts"):
+        wrapped.check_invariants()

@@ -78,6 +78,66 @@ class TestAdvance:
         assert [(r.start, r.end) for r in results if r.end == 10] == []
 
 
+class _CountingTumbling(TumblingWindow):
+    """Counts the windows the manager asks it to enumerate."""
+
+    enumerated = 0
+
+    def trigger_windows(self, prev_wm, curr_wm):
+        for pair in super().trigger_windows(prev_wm, curr_wm):
+            self.enumerated += 1
+            yield pair
+
+
+class TestWatermarkAheadOfTheData:
+    """A watermark jump costs what it closes, not its length: windows
+    past the newest record's flush horizon are empty and not walked."""
+
+    def test_far_ahead_watermark_enumerates_only_windows_that_can_hold_records(self):
+        window = _CountingTumbling(10)
+        store, _, wm, fn = build(window)
+        add_slice(store, fn, 0, 10, [(1, 1.0)])
+        add_slice(store, fn, 30, 40, [(35, 2.0)])
+        add_slice(store, fn, 40, None, [])  # an empty open head
+        results = wm.advance(10**6)
+        assert [(r.start, r.end, r.value) for r in results] == [(0, 10, 1.0), (30, 40, 2.0)]
+        assert window.enumerated == 4  # (0, 10) .. (30, 40), not 100 000
+        assert wm.watermark == 10**6
+        assert wm.advance(10**7) == []
+        assert window.enumerated == 4
+
+    def test_no_record_no_window(self):
+        window = _CountingTumbling(10)
+        _, _, wm, _ = build(window)
+        assert wm.advance(10**6) == []
+        assert window.enumerated == 0
+
+    def test_emit_empty_still_walks_every_window(self):
+        window = _CountingTumbling(10)
+        store, _, wm, fn = build(window, emit_empty=True)
+        add_slice(store, fn, 0, 10, [(1, 1.0)])
+        assert len(wm.advance(100)) == 10
+        assert window.enumerated == 10
+
+    def test_late_record_in_a_skipped_window_yields_the_same_update(self):
+        store, _, wm, fn = build(TumblingWindow(10))
+        add_slice(store, fn, 0, 10, [(1, 1.0)])
+        wm.advance(10**6)
+        # Inside the allowed lateness, in a window the jump never walked:
+        # the walk would have found it empty and left no trace of it.
+        late = add_slice(store, fn, 5_000, 5_010, [(5_003, 2.0)])
+        results = wm.on_modification(Modification(5_003))
+        assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
+            (5_000, 5_010, 2.0, True)
+        ]
+        late.add_out_of_order(Record(5_004, 3.0), [fn])
+        results = wm.on_modification(Modification(5_004))
+        assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
+            (5_000, 5_010, 5.0, True)
+        ]
+        assert wm.advance(10**7) == []
+
+
 class TestSessions:
     def test_current_sessions_groups_by_gap(self):
         store, _, wm, fn = build(SessionWindow(5))
