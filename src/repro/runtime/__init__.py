@@ -1,4 +1,4 @@
-"""Runtime substrate: pipeline, sources, disorder, metrics, memory,
+"""Runtime substrate: sources, sinks, disorder, metrics, memory,
 key-partitioned parallelism, and fault tolerance.
 
 This package replaces the paper's Apache Flink runtime with a pure
@@ -15,7 +15,6 @@ from .checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     CheckpointFormatError,
-    CheckpointingOperator,
     SnapshotError,
     restore,
     snapshot,
@@ -56,14 +55,8 @@ from .metrics import (
     measure_throughput,
 )
 from .keyed import KeyedWindowOperator
-from .partition import (
-    ParallelResult,
-    PartitionedExecutor,
-    hash_partition,
-    run_parallel,
-    stable_hash,
-)
-from .pipeline import CollectSink, CountingSink, FilterOperator, MapOperator, Pipeline
+from .partition import stable_hash
+from .pipeline import CollectSink, CountingSink
 from .recovery import (
     Checkpoint,
     MemoryGuard,
@@ -74,13 +67,7 @@ from .recovery import (
     SupervisedPipeline,
 )
 from .sharded import ShardedPipeline, alignment_key, run_keyed_reference
-from .sources import (
-    GeneratorSource,
-    ListSource,
-    ReplayableSource,
-    batched,
-    paced_replay,
-)
+from .sources import ReplayableSource
 
 __all__ = [
     "inject_disorder",
@@ -96,18 +83,13 @@ __all__ = [
     "LatencyHarness",
     "LatencyStats",
     "RecoveryStats",
-    "hash_partition",
     "stable_hash",
-    "PartitionedExecutor",
-    "run_parallel",
-    "ParallelResult",
     "KeyedWindowOperator",
     "ShardedPipeline",
     "alignment_key",
     "run_keyed_reference",
     "snapshot",
     "restore",
-    "CheckpointingOperator",
     "CheckpointError",
     "CheckpointFormatError",
     "SnapshotError",
@@ -140,14 +122,7 @@ __all__ = [
     "Checkpoint",
     "PipelineFailed",
     "RecoveryError",
-    "Pipeline",
-    "MapOperator",
-    "FilterOperator",
     "CollectSink",
     "CountingSink",
-    "ListSource",
-    "GeneratorSource",
     "ReplayableSource",
-    "batched",
-    "paced_replay",
 ]

@@ -20,18 +20,20 @@ tests in ``tests/test_chaos_equivalence.py``).
 
 This pairs with the source's replay position: restore the operator from
 the snapshot and re-feed the elements after the snapshot point --
-standard checkpoint-and-replay semantics.  The supervised driver built
-on top lives in :mod:`repro.runtime.recovery`.
+standard checkpoint-and-replay semantics.  The checkpoint cadence
+belongs to the driver that owns the cursor being checkpointed:
+:class:`~repro.runtime.recovery.SupervisedPipeline` in one process, each
+shard worker of :class:`~repro.runtime.sharded.ShardedPipeline` across
+several.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional
 
 from ..core.operator_base import WindowOperator
 from ..core.tracing import Tracer
-from ..core.types import Record, StreamElement
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -41,7 +43,6 @@ __all__ = [
     "SnapshotError",
     "snapshot",
     "restore",
-    "CheckpointingOperator",
 ]
 
 #: Leading bytes of every checkpoint blob ("Repro SLiCing").
@@ -148,125 +149,3 @@ def restore(blob: bytes, *, tracer: Optional[Tracer] = None) -> WindowOperator:
         tracer.count("checkpoint.restores")
         tracer.count("checkpoint.bytes_restored", len(blob))
     return operator
-
-
-class CheckpointingOperator(WindowOperator):
-    """Wrapper that snapshots the inner operator every N records.
-
-    The latest snapshot and the number of records processed since it are
-    exposed so a driver can implement replay-from-checkpoint recovery::
-
-        guarded = CheckpointingOperator(operator, every=10_000)
-        ...
-        recovered = restore(guarded.last_snapshot)
-        # re-feed the guarded.records_since_snapshot most recent records
-
-    Batched ingestion counts toward the same cadence: a batch's records
-    are added to ``records_since_snapshot`` and the threshold is checked
-    at the batch boundary, so a snapshot never captures mid-batch state.
-    ``on_checkpoint`` (optional) is invoked with each new snapshot blob.
-    """
-
-    def __init__(
-        self,
-        inner: WindowOperator,
-        every: int = 10_000,
-        *,
-        on_checkpoint: Optional[Callable[[bytes], None]] = None,
-    ) -> None:
-        super().__init__()
-        if every <= 0:
-            raise ValueError(f"checkpoint interval must be positive, got {every}")
-        self.inner = inner
-        self.every = every
-        self.on_checkpoint = on_checkpoint
-        self.last_snapshot: bytes = snapshot(inner)
-        self.records_since_snapshot = 0
-        self.snapshots_taken = 0
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state["on_checkpoint"] = None
-        return state
-
-    def add_query(self, window, aggregation):
-        query = self.inner.add_query(window, aggregation)
-        self.last_snapshot = snapshot(self.inner)
-        self.records_since_snapshot = 0
-        return query
-
-    def remove_query(self, query_id: int) -> None:
-        self.inner.remove_query(query_id)
-        self.last_snapshot = snapshot(self.inner)
-        self.records_since_snapshot = 0
-
-    @property
-    def queries(self):  # type: ignore[override]
-        return self.inner.queries
-
-    @queries.setter
-    def queries(self, value: Any) -> None:
-        # WindowOperator.__init__ assigns an empty list; route nothing.
-        pass
-
-    def process_record(self, record):
-        results = self.inner.process_record(record)
-        self.records_since_snapshot += 1
-        if self.records_since_snapshot >= self.every:
-            self.checkpoint()
-        return results
-
-    def process_watermark(self, watermark):
-        return self.inner.process_watermark(watermark)
-
-    def process_punctuation(self, punctuation):
-        return self.inner.process_punctuation(punctuation)
-
-    def process_batch(self, elements: Sequence[StreamElement]):
-        """Batch entry point on the inner operator's fast path.
-
-        The checkpoint cadence is only evaluated after the whole batch
-        has been absorbed: snapshots are taken at batch boundaries, never
-        of half-applied batches.
-        """
-        results = self.inner.process_batch(elements)
-        self.records_since_snapshot += sum(
-            1 for element in elements if isinstance(element, Record)
-        )
-        if self.records_since_snapshot >= self.every:
-            self.checkpoint()
-        return results
-
-    def flush(self):
-        # The wrapper holds no stream position of its own; flushing is
-        # the inner operator's business (and takes no snapshot: flush
-        # emits results, it does not ingest records).
-        return self.inner.flush()
-
-    def _on_tracing_changed(self) -> None:
-        # The wrapper and the wrapped operator share one counter sink.
-        if self._tracer is None:
-            self.inner.disable_tracing()
-        else:
-            self.inner.enable_tracing(self._tracer)
-
-    def checkpoint(self) -> bytes:
-        """Take a snapshot now; returns the serialized state."""
-        self.last_snapshot = snapshot(self.inner, tracer=self._tracer)
-        self.records_since_snapshot = 0
-        self.snapshots_taken += 1
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(self.last_snapshot)
-        return self.last_snapshot
-
-    def state_objects(self) -> list:
-        return self.inner.state_objects()
-
-    def check_invariants(self) -> None:
-        self.inner.check_invariants()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CheckpointingOperator(every={self.every}, "
-            f"snapshots={self.snapshots_taken}, inner={self.inner!r})"
-        )

@@ -191,6 +191,32 @@ class FaultInjectingOperator(WindowOperator):
         pass
 
     # ------------------------------------------------------------------
+    # late-record side channel and tracing (delegated)
+
+    @property
+    def on_late_record(self):  # type: ignore[override]
+        return self.inner.on_late_record
+
+    @on_late_record.setter
+    def on_late_record(self, hook) -> None:
+        # WindowOperator.__init__ assigns None before ``inner`` is set;
+        # route nothing then (a hook already on ``inner`` stays).
+        inner = getattr(self, "inner", None)
+        if inner is not None:
+            inner.on_late_record = hook
+
+    @property
+    def dropped_late_records(self) -> int:
+        return self.inner.dropped_late_records
+
+    def _on_tracing_changed(self) -> None:
+        # The wrapper and the wrapped operator share one counter sink.
+        if self._tracer is None:
+            self.inner.disable_tracing()
+        else:
+            self.inner.enable_tracing(self._tracer)
+
+    # ------------------------------------------------------------------
     # fault schedule
 
     def _maybe_crash(self) -> None:

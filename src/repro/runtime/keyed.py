@@ -7,13 +7,14 @@ per-key operator built by a factory, watermarks and punctuations are
 broadcast to every key, and emitted results are tagged with their key.
 
 The wrapper is itself a :class:`~repro.core.operator_base.WindowOperator`,
-so keyed aggregation composes with the pipeline, metrics, and the
-process-parallel executor unchanged.
+so keyed aggregation runs unchanged under plain ``process`` calls, under
+:class:`~repro.runtime.recovery.SupervisedPipeline`, and inside every
+shard worker of :class:`~repro.runtime.sharded.ShardedPipeline`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.operator_base import WindowOperator
 from ..core.types import Punctuation, Record, StreamElement, Watermark, WindowResult
@@ -25,9 +26,11 @@ class KeyedWindowOperator(WindowOperator):
     """Route records to per-key operator instances (lazy creation)."""
 
     def __init__(self, operator_factory: Callable[[], WindowOperator]) -> None:
-        super().__init__()
         self._factory = operator_factory
+        # Before super().__init__(): it assigns ``on_late_record``, whose
+        # setter below walks the per-key operators.
         self._by_key: Dict[Any, WindowOperator] = {}
+        super().__init__()
 
     # ------------------------------------------------------------------
 
@@ -38,8 +41,29 @@ class KeyedWindowOperator(WindowOperator):
             operator = self._factory()
             if self._tracer is not None:
                 operator.enable_tracing(self._tracer)
+            operator.on_late_record = self.on_late_record
             self._by_key[key] = operator
         return operator
+
+    # Records are dropped by the per-key operators, so the late-record
+    # side channel and its count live there.  The hook is kept under its
+    # own name in ``__dict__``: the base ``__getstate__`` already leaves
+    # it out of snapshots (of this operator and of every per-key one), so
+    # whoever restores one assigns the hook again, which re-wires all keys.
+
+    @property
+    def on_late_record(self) -> Optional[Callable[[Record], None]]:
+        return self.__dict__["on_late_record"]
+
+    @on_late_record.setter
+    def on_late_record(self, hook: Optional[Callable[[Record], None]]) -> None:
+        self.__dict__["on_late_record"] = hook
+        for operator in self._by_key.values():
+            operator.on_late_record = hook
+
+    @property
+    def dropped_late_records(self) -> int:
+        return sum(operator.dropped_late_records for operator in self._by_key.values())
 
     def _on_tracing_changed(self) -> None:
         # All per-key operators share the wrapper's counter sink.

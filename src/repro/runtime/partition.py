@@ -1,36 +1,20 @@
-"""Key-partitioned parallel window aggregation (Section 5.3 / 6.4).
+"""Process-independent key hashing for key-partitioned execution
+(Section 5.3 / 6.4).
 
 The paper parallelizes by key partitioning, "the common approach used
-in stream processing systems".  This module provides both execution
-backends:
-
-* :class:`PartitionedExecutor` -- deterministic in-process partitioning
-  (one operator instance per key partition), used by unit tests and the
-  correctness suite;
-* :func:`run_parallel` -- a ``multiprocessing`` backend for the
-  Figure 17 scalability experiment: each worker process owns one
-  partition's operator instance and its share of the (pre-partitioned)
-  stream; throughput is total records divided by wall-clock time.
+in stream processing systems".  The executor lives in
+:mod:`repro.runtime.sharded`; this module owns the one decision every
+process of a deployment has to agree on: which integer a key hashes to.
+:class:`~repro.runtime.sharded.ShardedPipeline` routes a record to shard
+``stable_hash(record.key) % parallelism``.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import time
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any
 
-from ..core.operator_base import WindowOperator
-from ..core.types import Record, StreamElement, WindowResult
-
-__all__ = [
-    "stable_hash",
-    "hash_partition",
-    "PartitionedExecutor",
-    "run_parallel",
-    "ParallelResult",
-]
+__all__ = ["stable_hash"]
 
 
 def _canonical_bytes(key: Any) -> bytes:
@@ -85,139 +69,3 @@ def stable_hash(key: Any) -> int:
     unsalted, cheap, and well-mixed for modulo partitioning.
     """
     return zlib.crc32(_canonical_bytes(key))
-
-
-def hash_partition(elements: Iterable[StreamElement], parallelism: int) -> List[List[StreamElement]]:
-    """Split a stream into per-partition streams by record key.
-
-    Records route by ``stable_hash(key) % parallelism`` (round-robin for
-    keyless records); watermarks and punctuations are broadcast to all
-    partitions, as in Flink.  The assignment is reproducible across
-    processes and ``PYTHONHASHSEED`` values, so a restored checkpoint
-    sees the same routing as the run that wrote it.
-    """
-    if parallelism <= 0:
-        raise ValueError(f"parallelism must be positive, got {parallelism}")
-    partitions: List[List[StreamElement]] = [[] for _ in range(parallelism)]
-    round_robin = 0
-    for element in elements:
-        if isinstance(element, Record):
-            if element.key is None:
-                index = round_robin % parallelism
-                round_robin += 1
-            else:
-                index = stable_hash(element.key) % parallelism
-            partitions[index].append(element)
-        else:
-            for partition in partitions:
-                partition.append(element)
-    return partitions
-
-
-class PartitionedExecutor:
-    """In-process key-partitioned execution (deterministic, for tests)."""
-
-    def __init__(self, operator_factory: Callable[[], WindowOperator], parallelism: int) -> None:
-        if parallelism <= 0:
-            raise ValueError(f"parallelism must be positive, got {parallelism}")
-        self.parallelism = parallelism
-        self.operators: List[WindowOperator] = [operator_factory() for _ in range(parallelism)]
-
-    def run(self, elements: Iterable[StreamElement]) -> Dict[int, List[WindowResult]]:
-        """Process a stream; returns results per partition index."""
-        partitions = hash_partition(elements, self.parallelism)
-        output: Dict[int, List[WindowResult]] = {}
-        for index, (operator, stream) in enumerate(zip(self.operators, partitions)):
-            output[index] = operator.run(stream)
-        return output
-
-
-class ParallelResult:
-    """Outcome of a multiprocessing run."""
-
-    __slots__ = ("records", "wall_seconds", "cpu_seconds", "results_emitted", "parallelism")
-
-    def __init__(
-        self,
-        records: int,
-        wall_seconds: float,
-        cpu_seconds: float,
-        results_emitted: int,
-        parallelism: int,
-    ) -> None:
-        self.records = records
-        self.wall_seconds = wall_seconds
-        self.cpu_seconds = cpu_seconds
-        self.results_emitted = results_emitted
-        self.parallelism = parallelism
-
-    @property
-    def records_per_second(self) -> float:
-        # Degenerate runs report 0.0, matching ThroughputResult's guard;
-        # float("inf") used to leak into comparisons and JSON output.
-        if self.records <= 0 or self.wall_seconds <= 0:
-            return 0.0
-        return self.records / self.wall_seconds
-
-    @property
-    def cpu_utilization(self) -> float:
-        """CPU load in "percent of one core" units (Figure 17b style)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return 100.0 * self.cpu_seconds / self.wall_seconds
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ParallelResult(p={self.parallelism}, "
-            f"{self.records_per_second:,.0f} records/s, cpu={self.cpu_utilization:.0f}%)"
-        )
-
-
-def _worker(payload: Tuple[bytes, List[StreamElement]]) -> Tuple[int, float]:
-    """Run one partition in a worker process; returns (#results, cpu_s)."""
-    import pickle
-
-    factory_bytes, stream = payload
-    factory = pickle.loads(factory_bytes)
-    operator = factory()
-    cpu_before = time.process_time()
-    emitted = 0
-    for element in stream:
-        emitted += len(operator.process(element))
-    # Drain windows still buffered at end-of-stream: without the flush,
-    # tail windows never reached results_emitted and the count under-
-    # reported relative to the single-process run.
-    emitted += len(operator.flush())
-    return emitted, time.process_time() - cpu_before
-
-
-def run_parallel(
-    operator_factory: Callable[[], WindowOperator],
-    elements: Sequence[StreamElement],
-    parallelism: int,
-) -> ParallelResult:
-    """Figure 17 backend: partitioned execution on worker processes.
-
-    The operator factory must be picklable (a module-level function or
-    :func:`functools.partial` of one).  Partitioning happens before the
-    clock starts; measured time covers pure windowed aggregation.
-    """
-    import pickle
-
-    partitions = hash_partition(elements, parallelism)
-    records = sum(1 for e in elements if isinstance(e, Record))
-    factory_bytes = pickle.dumps(operator_factory)
-    payloads = [(factory_bytes, partition) for partition in partitions]
-    if parallelism == 1:
-        start = time.perf_counter()
-        emitted, cpu = _worker(payloads[0])
-        wall = time.perf_counter() - start
-        return ParallelResult(records, wall, cpu, emitted, parallelism)
-    context = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-    with context.Pool(processes=parallelism) as pool:
-        start = time.perf_counter()
-        outcomes = pool.map(_worker, payloads)
-        wall = time.perf_counter() - start
-    emitted = sum(count for count, _ in outcomes)
-    cpu = sum(cpu_seconds for _, cpu_seconds in outcomes)
-    return ParallelResult(records, wall, cpu, emitted, parallelism)

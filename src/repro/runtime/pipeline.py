@@ -1,44 +1,18 @@
-"""A minimal tuple-at-a-time dataflow pipeline.
+"""Result sinks: where a driver delivers window results.
 
-The paper's techniques are implemented on Apache Flink; this module is
-the substrate substitute: a source feeds stream elements one at a time
-through a chain of operators into sinks.  It is intentionally small --
-the experiments measure the window operator, and the pipeline only has
-to route elements and results the way a Flink task chain would.
+A sink is anything with an ``emit(result)`` method.
+:class:`~repro.runtime.recovery.SupervisedPipeline` delivers every
+window result to its sink exactly once; the two sinks here cover the
+common cases (keep everything, or only count).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import List
 
-from ..core.operator_base import WindowOperator
-from ..core.types import Record, StreamElement, WindowResult
+from ..core.types import WindowResult
 
-__all__ = ["MapOperator", "FilterOperator", "Pipeline", "CollectSink", "CountingSink"]
-
-
-class MapOperator:
-    """Stateless per-record transformation (pass-through for non-records)."""
-
-    def __init__(self, fn: Callable[[Record], Record]) -> None:
-        self._fn = fn
-
-    def apply(self, element: StreamElement) -> StreamElement:
-        if isinstance(element, Record):
-            return self._fn(element)
-        return element
-
-
-class FilterOperator:
-    """Drop records failing a predicate (non-records always pass)."""
-
-    def __init__(self, predicate: Callable[[Record], bool]) -> None:
-        self._predicate = predicate
-
-    def apply(self, element: StreamElement) -> Optional[StreamElement]:
-        if isinstance(element, Record) and not self._predicate(element):
-            return None
-        return element
+__all__ = ["CollectSink", "CountingSink"]
 
 
 class CollectSink:
@@ -62,82 +36,3 @@ class CountingSink:
 
     def emit(self, result: WindowResult) -> None:
         self.count += 1
-
-
-class Pipeline:
-    """source → [map/filter]* → window operator → sink.
-
-    ``batch_size`` controls ingestion into the window operator: with the
-    default of 1 every element is processed tuple-at-a-time (the
-    original semantics); larger values buffer records and hand them to
-    :meth:`WindowOperator.process_batch` in one call.  Watermarks and
-    punctuations flush the buffer immediately, so emission timing and
-    window results are identical on both paths.
-
-    Example::
-
-        pipeline = Pipeline(window_operator, sink, batch_size=64)
-        pipeline.add_stage(MapOperator(lambda r: Record(r.ts, r.value * 2)))
-        pipeline.run(source_elements)
-    """
-
-    def __init__(
-        self, window_operator: WindowOperator, sink, *, batch_size: int = 1
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.window_operator = window_operator
-        self.sink = sink
-        self.batch_size = batch_size
-        self._stages: List = []
-        self._batch: List[StreamElement] = []
-
-    def add_stage(self, stage) -> "Pipeline":
-        """Insert a map/filter stage upstream of the window operator."""
-        self._stages.append(stage)
-        return self
-
-    def push(self, element: StreamElement) -> None:
-        """Route one element through the chain."""
-        current: Optional[StreamElement] = element
-        for stage in self._stages:
-            current = stage.apply(current)
-            if current is None:
-                return
-        if self.batch_size <= 1:
-            for result in self.window_operator.process(current):
-                self.sink.emit(result)
-            return
-        self._batch.append(current)
-        # Non-records (watermarks, punctuations) flush so emission
-        # happens exactly when the tuple-at-a-time path would emit.
-        if len(self._batch) >= self.batch_size or not isinstance(current, Record):
-            self.flush()
-
-    def flush(self) -> None:
-        """Drain the ingestion buffer into the window operator.
-
-        The buffer is cleared only after ``process_batch`` returns: if
-        the operator raises mid-batch, the buffered elements survive so
-        a supervisor can restore the operator and retry without losing
-        the in-flight batch.
-        """
-        if not self._batch:
-            return
-        results = self.window_operator.process_batch(self._batch)
-        self._batch = []
-        for result in results:
-            self.sink.emit(result)
-
-    def run(self, elements: Iterable[StreamElement]) -> None:
-        """Drain a whole stream through the pipeline."""
-        push = self.push
-        for element in elements:
-            push(element)
-        self.flush()
-
-    def results(self) -> List[WindowResult]:
-        """The sink's collected results (CollectSink only)."""
-        if isinstance(self.sink, CollectSink):
-            return self.sink.results
-        raise TypeError("results() requires a CollectSink")

@@ -68,7 +68,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from ..core.operator_base import WindowOperator
 from ..core.tracing import Tracer
@@ -84,6 +84,8 @@ from .faults import SourceHiccup
 from .memory import deep_sizeof
 from .metrics import RecoveryStats
 from .sources import ReplayableSource
+
+T = TypeVar("T")
 
 __all__ = [
     "RestartPolicy",
@@ -258,6 +260,39 @@ def _count_records(elements: Sequence[StreamElement]) -> int:
     return sum(1 for element in elements if isinstance(element, Record))
 
 
+def _retry_store_io(
+    operation: Callable[[], T],
+    *,
+    policy: RestartPolicy,
+    failures: List[BaseException],
+    tracer: Optional[Tracer],
+    counter: str,
+    gave_up: str,
+    sleep: Callable[[float], None],
+    token: int = 0,
+) -> T:
+    """Call a checkpoint-store operation, retrying transient I/O errors
+    under the restart policy.
+
+    Every :class:`OSError` is appended to ``failures`` and counted as
+    ``counter``; past ``policy.max_restarts`` retries the run gives up
+    with :class:`PipelineFailed` (``gave_up`` formatted with the number
+    of attempts).  ``token`` is the backoff-jitter token (a shard index).
+    """
+    attempt = 0
+    while True:
+        try:
+            return operation()
+        except OSError as exc:
+            failures.append(exc)
+            if tracer is not None:
+                tracer.count(counter)
+            if attempt >= policy.max_restarts:
+                raise PipelineFailed(gave_up.format(attempt + 1), failures) from exc
+            sleep(policy.delay(attempt, token=token))
+            attempt += 1
+
+
 class SupervisedPipeline:
     """Crash-surviving driver: source cursor + checkpoints + replay.
 
@@ -417,25 +452,17 @@ class SupervisedPipeline:
         under the restart policy (the previous generation stands until a
         save succeeds)."""
         blob = snapshot(self._snapshot_target(), tracer=self.tracer)
-        attempt = 0
-        while True:
-            try:
-                generation = self.store.save(
-                    blob, cursor=cursor, records_processed=records_processed
-                )
-                break
-            except OSError as exc:
-                self._failures.append(exc)
-                if self.tracer is not None:
-                    self.tracer.count("durability.save_retries")
-                if attempt >= self.policy.max_restarts:
-                    raise PipelineFailed(
-                        f"checkpoint save failed {attempt + 1} times "
-                        f"at cursor {cursor}",
-                        self._failures,
-                    ) from exc
-                self._sleep(self.policy.delay(attempt))
-                attempt += 1
+        generation = _retry_store_io(
+            lambda: self.store.save(
+                blob, cursor=cursor, records_processed=records_processed
+            ),
+            policy=self.policy,
+            failures=self._failures,
+            tracer=self.tracer,
+            counter="durability.save_retries",
+            gave_up=f"checkpoint save failed {{}} times at cursor {cursor}",
+            sleep=self._sleep,
+        )
         if self._min_generation is None:
             self._min_generation = generation
         self.checkpoint = Checkpoint(blob, cursor, records_processed)
@@ -457,22 +484,15 @@ class SupervisedPipeline:
         """Load the newest loadable generation (transient I/O retried,
         corrupt generations skipped by the store) and reseat the
         operator from it."""
-        attempt = 0
-        while True:
-            try:
-                loaded = self.store.load_latest(min_generation=self._min_generation)
-                break
-            except OSError as exc:
-                self._failures.append(exc)
-                if self.tracer is not None:
-                    self.tracer.count("durability.load_retries")
-                if attempt >= self.policy.max_restarts:
-                    raise PipelineFailed(
-                        f"checkpoint load failed {attempt + 1} times",
-                        self._failures,
-                    ) from exc
-                self._sleep(self.policy.delay(attempt))
-                attempt += 1
+        loaded = _retry_store_io(
+            lambda: self.store.load_latest(min_generation=self._min_generation),
+            policy=self.policy,
+            failures=self._failures,
+            tracer=self.tracer,
+            counter="durability.load_retries",
+            gave_up="checkpoint load failed {} times",
+            sleep=self._sleep,
+        )
         if loaded is None:
             raise PipelineFailed(
                 "no loadable checkpoint generation remains "

@@ -1,12 +1,10 @@
-"""Long-lived sharded streaming execution (Section 5.3 at runtime).
+"""Key-sharded streaming execution across worker processes
+(Section 5.3 at runtime; the executor behind Figure 17).
 
-:func:`~repro.runtime.partition.run_parallel` is a one-shot benchmark
-backend: it pre-partitions a finite list, forks workers, and collects
-counts.  This module is the *streaming* counterpart the ROADMAP's
-"millions of users" north star needs: a :class:`ShardedPipeline` keeps N
-worker processes alive for the whole stream, feeds them record batches
-through bounded queues, and merges their emissions back into one
-deterministic output stream.
+A :class:`ShardedPipeline` keeps N worker processes alive for the whole
+stream, feeds them record batches through bounded queues, and merges
+their emissions back into one deterministic output stream -- the same
+per-key windows at every degree of parallelism.
 
 Execution model
 ---------------
@@ -14,9 +12,8 @@ Execution model
   ``stable_hash(record.key) % parallelism`` -- the same canonical hash
   the checkpoint/restore path uses, so a shard always owns the same keys
   across runs, restarts, and ``PYTHONHASHSEED`` values.  (``None`` is
-  hashed like any other key: streaming shards need sticky routing, so
-  the round-robin spread :func:`hash_partition` applies to keyless
-  records does not apply here.)  Each worker wraps the per-key operator
+  hashed like any other key: shards need sticky routing, so keyless
+  records all land on one shard.)  Each worker wraps the per-key operator
   factory in its own :class:`~repro.runtime.keyed.KeyedWindowOperator`.
 * **Batched handoff.**  Records accumulate into per-shard batches
   (``batch_size``) that ride the queue as one message and enter the
@@ -26,7 +23,9 @@ Execution model
   batches).  When a shard falls behind, the coordinator *blocks* on that
   shard's queue (counting ``shard.queue_full_waits``) while continuing
   to drain worker output, so a slow shard throttles ingestion instead of
-  growing an unbounded buffer.
+  growing an unbounded buffer.  Otherwise worker output is drained once
+  per shipped batch -- not per record: the poll costs more than routing
+  a record does.
 * **Watermark alignment.**  Watermarks and punctuations are broadcast
   to every shard and delimit *epochs*.  The coordinator releases an
   epoch's results only once every shard has acknowledged the epoch's
@@ -85,7 +84,7 @@ from .durability import CheckpointStore, InMemoryStore, StoredCheckpoint
 from .faults import FaultInjectingOperator, FaultPlan
 from .keyed import KeyedWindowOperator
 from .partition import _canonical_bytes, stable_hash
-from .recovery import PipelineFailed, RecoveryError, RestartPolicy
+from .recovery import PipelineFailed, RecoveryError, RestartPolicy, _retry_store_io
 
 __all__ = ["ShardedPipeline", "run_keyed_reference", "alignment_key"]
 
@@ -428,21 +427,16 @@ class ShardedPipeline:
         generations skipped by the store's CRC check)."""
         if state.first_generation is None:
             return None  # nothing saved this run: restart from scratch
-        attempt = 0
-        while True:
-            try:
-                return state.store.load_latest(min_generation=state.first_generation)
-            except OSError as exc:
-                self._failures.append(exc)
-                if attempt >= self.policy.max_restarts:
-                    self._terminate_all()
-                    raise PipelineFailed(
-                        f"shard {state.index} checkpoint load failed "
-                        f"{attempt + 1} times",
-                        self._failures,
-                    ) from exc
-                time.sleep(self.policy.delay(attempt, token=state.index))
-                attempt += 1
+        return _retry_store_io(
+            lambda: state.store.load_latest(min_generation=state.first_generation),
+            policy=self.policy,
+            failures=self._failures,
+            tracer=self.tracer,
+            counter="durability.load_retries",
+            gave_up=f"shard {state.index} checkpoint load failed {{}} times",
+            sleep=time.sleep,
+            token=state.index,
+        )
 
     def _restart(self, state: _ShardState, cause: BaseException) -> None:
         """Respawn one crashed shard from the newest loadable checkpoint
@@ -726,7 +720,7 @@ class ShardedPipeline:
                     shard.buffer.append(element)
                     if len(shard.buffer) >= self.batch_size:
                         self._flush_buffer(shard, eid)
-                    self._service(block=False)
+                        self._service(block=False)
                 elif isinstance(element, (Watermark, Punctuation)):
                     self._broadcast_mark(element, eid)
                     eid += 1

@@ -1,49 +1,29 @@
-"""Replayable stream sources.
+"""The replayable source a supervisor reads by cursor.
 
-Sources turn record collections into streams the pipeline can consume,
-with optional rate-limited replay for end-to-end demonstrations (the
-benchmarks replay at full speed; examples use paced replay).
+Checkpoint-and-replay needs a stream that can be re-read from any
+position: :class:`ReplayableSource` materializes the elements once and
+serves pure, cursor-addressed reads.
+:class:`~repro.runtime.faults.FaultySource` subclasses it to inject
+transient read failures.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
-from ..core.types import Record, StreamElement
+from ..core.types import StreamElement
 
-__all__ = [
-    "ListSource",
-    "GeneratorSource",
-    "ReplayableSource",
-    "batched",
-    "paced_replay",
-]
+__all__ = ["ReplayableSource"]
 
 
-def batched(
-    elements: Iterable[StreamElement], size: int
-) -> Iterator[List[StreamElement]]:
-    """Chunk a stream into lists of at most ``size`` elements.
+class ReplayableSource:
+    """Cursor-addressable stream view for checkpoint-and-replay.
 
-    Feeds :meth:`WindowOperator.process_batch`; the final chunk may be
-    shorter.  Chunking never reorders elements, so batched ingestion
-    sees the exact same element sequence as tuple-at-a-time ingestion.
+    A supervisor reads the stream in cursor order via :meth:`read`; after
+    a failure it rewinds the cursor to the last checkpoint's position and
+    re-reads the tail.  Reads are pure (no consumption state lives in the
+    source), so the same source can be replayed any number of times.
     """
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
-    chunk: List[StreamElement] = []
-    for element in elements:
-        chunk.append(element)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
-class ListSource:
-    """A pre-materialized, repeatable stream (the benchmark default)."""
 
     def __init__(self, elements: Sequence[StreamElement]) -> None:
         self._elements = list(elements)
@@ -53,19 +33,6 @@ class ListSource:
 
     def __len__(self) -> int:
         return len(self._elements)
-
-    def records(self) -> List[Record]:
-        return [e for e in self._elements if isinstance(e, Record)]
-
-
-class ReplayableSource(ListSource):
-    """Cursor-addressable stream view for checkpoint-and-replay.
-
-    A supervisor reads the stream in cursor order via :meth:`read`; after
-    a failure it rewinds the cursor to the last checkpoint's position and
-    re-reads the tail.  Reads are pure (no consumption state lives in the
-    source), so the same source can be replayed any number of times.
-    """
 
     def read(self, cursor: int, count: int) -> List[StreamElement]:
         """Return up to ``count`` elements starting at ``cursor``.
@@ -78,51 +45,3 @@ class ReplayableSource(ListSource):
         if count < 1:
             raise ValueError(f"read count must be >= 1, got {count}")
         return self._elements[cursor : cursor + count]
-
-
-class GeneratorSource:
-    """A restartable generator-backed source.
-
-    ``factory`` is called on every iteration, so the same source object
-    can feed several operators identical streams.
-    """
-
-    def __init__(self, factory: Callable[[], Iterable[StreamElement]]) -> None:
-        self._factory = factory
-
-    def __iter__(self) -> Iterator[StreamElement]:
-        return iter(self._factory())
-
-
-def paced_replay(
-    elements: Iterable[StreamElement],
-    *,
-    speedup: float = 1.0,
-    timestamp_unit_seconds: float = 0.001,
-    clock: Optional[Callable[[], float]] = None,
-    sleep: Optional[Callable[[float], None]] = None,
-) -> Iterator[StreamElement]:
-    """Replay a stream honouring event-time spacing (for live demos).
-
-    ``speedup`` scales replay speed (2.0 = twice real time);
-    ``timestamp_unit_seconds`` maps timestamp units to seconds (default:
-    milliseconds).  Injectable clock/sleep keep this testable.
-    """
-    if speedup <= 0:
-        raise ValueError(f"speedup must be positive, got {speedup}")
-    now = clock if clock is not None else time.monotonic
-    pause = sleep if sleep is not None else time.sleep
-    origin_wall: Optional[float] = None
-    origin_ts: Optional[int] = None
-    for element in elements:
-        ts = getattr(element, "ts", None)
-        if ts is not None:
-            if origin_ts is None:
-                origin_ts = ts
-                origin_wall = now()
-            else:
-                target = origin_wall + (ts - origin_ts) * timestamp_unit_seconds / speedup
-                delay = target - now()
-                if delay > 0:
-                    pause(delay)
-        yield element

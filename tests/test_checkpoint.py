@@ -1,4 +1,4 @@
-"""Tests for operator checkpointing (snapshot / restore / wrapper)."""
+"""Tests for operator checkpointing (snapshot / restore)."""
 
 import base64
 import pickle
@@ -15,7 +15,6 @@ from repro.runtime.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CHECKPOINT_MAGIC,
     CheckpointFormatError,
-    CheckpointingOperator,
     SnapshotError,
     restore,
     snapshot,
@@ -97,53 +96,6 @@ class TestSnapshotRestore:
         clone = restore(snapshot(operator))
         tail = stream[30:] + [Watermark(10_000)]
         assert final_values(operator, tail) == final_values(clone, tail)
-
-
-class TestCheckpointingOperator:
-    def test_periodic_snapshots(self):
-        guarded = CheckpointingOperator(build_operator(), every=10)
-        run_operator(guarded, [Record(t, 1.0) for t in range(35)])
-        assert guarded.snapshots_taken == 3
-        assert guarded.records_since_snapshot == 5
-
-    def test_results_pass_through(self):
-        plain = build_operator()
-        guarded = CheckpointingOperator(build_operator(), every=7)
-        stream = [Record(t, 1.0) for t in range(40)] + [Watermark(1000)]
-        assert final_values(plain, stream) == final_values(guarded, stream)
-
-    def test_recovery_replay(self):
-        guarded = CheckpointingOperator(build_operator(), every=10)
-        stream = [Record(t, 1.0) for t in range(37)]
-        emitted = run_operator(guarded, stream)
-        # Simulate a crash: recover from the last snapshot and replay the
-        # records processed since it.
-        recovered = restore(guarded.last_snapshot)
-        replay = stream[len(stream) - guarded.records_since_snapshot :]
-        run_operator(recovered, replay)
-        flush_original = final_values(guarded, [Watermark(10_000)])
-        flush_recovered = final_values(recovered, [Watermark(10_000)])
-        assert flush_original == flush_recovered
-
-    def test_add_query_resets_checkpoint(self):
-        guarded = CheckpointingOperator(
-            GeneralSlicingOperator(stream_in_order=True), every=100
-        )
-        guarded.add_query(TumblingWindow(10), Sum())
-        assert guarded.records_since_snapshot == 0
-        results = run_operator(guarded, [Record(t, 1.0) for t in range(25)])
-        assert [(r.start, r.end) for r in results] == [(0, 10), (10, 20)]
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            CheckpointingOperator(build_operator(), every=0)
-
-    def test_manual_checkpoint(self):
-        guarded = CheckpointingOperator(build_operator(), every=10**9)
-        run_operator(guarded, [Record(t, 1.0) for t in range(5)])
-        blob = guarded.checkpoint()
-        assert guarded.records_since_snapshot == 0
-        assert restore(blob) is not None
 
 
 class TestCheckpointFormat:
@@ -402,64 +354,6 @@ class TestSnapshotErrors:
         message = str(excinfo.value)
         assert f"query {bad_query.query_id}" in message
         assert "LambdaSum" in message
-
-    def test_checkpointing_operator_surfaces_snapshot_error(self):
-        inner = GeneralSlicingOperator(stream_in_order=True)
-        inner.add_query(TumblingWindow(10), LambdaSum())
-        with pytest.raises(SnapshotError):
-            CheckpointingOperator(inner, every=10)
-
-
-class TestCheckpointingBatches:
-    """Satellite fix: the wrapper must intercept process_batch too."""
-
-    def test_batched_ingestion_triggers_snapshots(self):
-        guarded = CheckpointingOperator(build_operator(), every=10)
-        stream = [Record(t, 1.0) for t in range(35)]
-        for start in range(0, 35, 7):
-            guarded.process_batch(stream[start : start + 7])
-        # Same cadence the tuple-at-a-time path guarantees: snapshots at
-        # the first batch boundary where >= 10 records accumulated.
-        assert guarded.snapshots_taken == 2
-        assert guarded.records_since_snapshot == 7
-
-    def test_batch_and_record_paths_equivalent_results(self):
-        plain = build_operator()
-        guarded = CheckpointingOperator(build_operator(), every=7)
-        stream = [Record(t, 1.0) for t in range(40)] + [Watermark(1000)]
-        expected = run_operator(plain, stream)
-        batched = []
-        for start in range(0, len(stream), 6):
-            batched.extend(guarded.process_batch(stream[start : start + 6]))
-        assert batched == expected
-
-    def test_watermarks_not_counted_as_records(self):
-        guarded = CheckpointingOperator(build_operator(), every=10)
-        batch = [Record(t, 1.0) for t in range(5)] + [Watermark(3)] * 5
-        guarded.process_batch(batch)
-        assert guarded.records_since_snapshot == 5
-        assert guarded.snapshots_taken == 0
-
-    def test_on_checkpoint_hook_receives_restorable_blob(self):
-        blobs = []
-        guarded = CheckpointingOperator(
-            build_operator(), every=10, on_checkpoint=blobs.append
-        )
-        guarded.process_batch([Record(t, 1.0) for t in range(25)])
-        assert len(blobs) == 1
-        assert isinstance(restore(blobs[0]), GeneralSlicingOperator)
-
-    def test_recovery_replay_from_batch_path(self):
-        guarded = CheckpointingOperator(build_operator(), every=10)
-        stream = [Record(t, 1.0) for t in range(37)]
-        for start in range(0, 37, 4):
-            guarded.process_batch(stream[start : start + 4])
-        recovered = restore(guarded.last_snapshot)
-        replay = stream[len(stream) - guarded.records_since_snapshot :]
-        recovered.process_batch(replay)
-        assert final_values(guarded, [Watermark(10_000)]) == final_values(
-            recovered, [Watermark(10_000)]
-        )
 
 
 @pytest.mark.fuzz

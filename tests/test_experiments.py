@@ -10,12 +10,16 @@ from repro.experiments import (
     make_operator,
     scaled,
 )
+from repro.data.football import football_keyed_stream
 from repro.experiments.figures import (
+    _parallel_slicing_factory,
     fig11_latency,
     fig13_aggregations,
     fig15_split_cost,
+    fig17_parallel,
     table1_memory_models,
 )
+from repro.runtime import ShardedPipeline
 
 
 class TestHarness:
@@ -57,29 +61,6 @@ class TestHarness:
     def test_bench_scale_invalid_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "not-a-number")
         assert bench_scale() == 1.0
-
-
-class TestRateConsistency:
-    """Both harness result types must agree on the degenerate cases:
-    a zero wall-clock (or empty) run reports a rate of 0.0, never inf.
-    ``ParallelResult`` used to divide unguarded and leak inf into JSON
-    reports and comparisons."""
-
-    def test_zero_wall_time_rate_matches_throughput_harness(self):
-        from repro.runtime.metrics import ThroughputResult
-        from repro.runtime.partition import ParallelResult
-
-        throughput = ThroughputResult(records=100, seconds=0.0, results_emitted=0)
-        parallel = ParallelResult(100, 0.0, 0.0, 0, 1)
-        assert throughput.records_per_second == 0.0
-        assert parallel.records_per_second == throughput.records_per_second
-
-    def test_empty_run_rate_is_zero_in_both(self):
-        from repro.runtime.metrics import ThroughputResult
-        from repro.runtime.partition import ParallelResult
-
-        assert ThroughputResult(records=0, seconds=1.0, results_emitted=0).records_per_second == 0.0
-        assert ParallelResult(0, 1.0, 0.0, 0, 1).records_per_second == 0.0
 
 
 class TestResultTable:
@@ -144,3 +125,32 @@ class TestSmallFigureRuns:
         table = fig15_split_cost(sizes=(100, 2000), aggregations=("sum",), repetitions=3)
         times = table.column("time_us")
         assert times[1] > times[0]
+
+    @pytest.mark.shard
+    def test_fig17_small(self):
+        table = fig17_parallel(parallelism_list=(1, 2), num_records=600, num_keys=4)
+        assert [(row["technique"], row["parallelism"]) for row in table.rows] == [
+            ("Lazy Slicing", 1),
+            ("Lazy Slicing", 2),
+            ("Buckets", 1),
+            ("Buckets", 2),
+        ]
+        assert all(row["throughput"] > 0 for row in table.rows)
+        assert all(row["cpu_percent"] > 0 for row in table.rows)
+        # Every row computes the same per-key windows.
+        assert len(set(table.column("results"))) == 1
+        assert table.rows[0]["results"] > 0
+
+    @pytest.mark.shard
+    def test_fig17_results_do_not_depend_on_parallelism(self):
+        """The scale-out claim is about one computation on more cores:
+        the figure's slicing factory yields the same merged result list
+        on one worker and on two."""
+        stream = football_keyed_stream(600, 4)
+
+        def run(parallelism):
+            results = ShardedPipeline(_parallel_slicing_factory, parallelism).run(stream)
+            # WindowResult equality leaves the key tag out.
+            return [(result, result.key) for result in results]
+
+        assert run(1) == run(2) != []

@@ -13,7 +13,6 @@ from conftest import run_operator, shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
 from repro.baselines import AggregateBucketsOperator, TupleBufferOperator
-from repro.runtime.checkpoint import CheckpointingOperator
 from repro.runtime.faults import FaultInjectingOperator
 from repro.runtime.keyed import KeyedWindowOperator
 from repro.reference import reference_results
@@ -103,12 +102,6 @@ def _with_query(operator):
 
 
 def test_wrappers_delegate_flush_to_inner():
-    checkpointing = CheckpointingOperator(
-        _with_query(GeneralSlicingOperator(stream_in_order=True)), every=1000
-    )
-    run_operator(checkpointing, [Record(ts, 1.0) for ts in range(12)])
-    assert [r.end for r in checkpointing.flush()] == [20]
-
     faulty = FaultInjectingOperator(
         _with_query(GeneralSlicingOperator(stream_in_order=True))
     )

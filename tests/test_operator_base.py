@@ -6,7 +6,6 @@ from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
 from repro.core.operator_base import WindowOperator
 from repro.core.types import Punctuation
-from repro.runtime.checkpoint import CheckpointingOperator
 from repro.runtime.faults import FaultInjectingOperator
 from repro.runtime.keyed import KeyedWindowOperator
 from repro.windows import CountTumblingWindow, SessionWindow, TumblingWindow
@@ -150,7 +149,6 @@ def _record_storing_factory():
 
 
 WRAPPERS = {
-    "checkpointing": lambda: CheckpointingOperator(_record_storing_factory(), every=5),
     "fault_injecting": lambda: FaultInjectingOperator(_record_storing_factory()),
     "keyed": lambda: KeyedWindowOperator(_record_storing_factory),
     "fault_injecting(keyed)": lambda: FaultInjectingOperator(

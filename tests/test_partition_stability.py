@@ -11,19 +11,8 @@ behaviour, including across ``PYTHONHASHSEED`` values in subprocesses.
 import subprocess
 import sys
 
-import pytest
-
 from conftest import subprocess_env
-from repro.aggregations import Sum
-from repro.core.operator_ import GeneralSlicingOperator
-from repro.core.types import Record, Watermark
-from repro.runtime.partition import (
-    ParallelResult,
-    hash_partition,
-    run_parallel,
-    stable_hash,
-)
-from repro.windows import TumblingWindow
+from repro.runtime.partition import stable_hash
 
 
 class TestStableHash:
@@ -85,14 +74,22 @@ class TestStableHash:
             assert 0.7 * expected < count < 1.3 * expected
 
 
-def _partition_digest(seed: str) -> str:
-    """Run the partitioner under a specific PYTHONHASHSEED; digest routing."""
+#: ``keys = ...`` source lines for the subprocesses.
+_STRING_KEYS = "keys = [f'key-{i % 97}' for i in range(500)]\n"
+_SET_AND_DICT_KEYS = (
+    "keys = [{f'tag-{i % 11}', f'tag-{(i * 7) % 13}', i % 5} for i in range(300)]\n"
+    "keys += [{'region': f'r{i % 7}', 'tier': i % 3} for i in range(200)]\n"
+)
+
+
+def _routing_in_subprocess(keys_source: str, seed: str) -> str:
+    """The shard every key lands on under the routing rule that ships
+    (``ShardedPipeline.run``: ``stable_hash(key) % parallelism``),
+    computed under a specific PYTHONHASHSEED."""
     code = (
-        "from repro.core.types import Record\n"
-        "from repro.runtime.partition import hash_partition\n"
-        "elements = [Record(i, 1.0, key=f'key-{i % 97}') for i in range(500)]\n"
-        "partitions = hash_partition(elements, 5)\n"
-        "print(';'.join(','.join(str(e.ts) for e in p) for p in partitions))\n"
+        "from repro.runtime.partition import stable_hash\n"
+        + keys_source
+        + "print(','.join(str(stable_hash(key) % 5) for key in keys))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -106,99 +103,25 @@ def _partition_digest(seed: str) -> str:
 
 
 def test_partitioning_identical_across_hash_seeds():
-    digests = {_partition_digest(seed) for seed in ("0", "1", "424242")}
+    digests = {
+        _routing_in_subprocess(_STRING_KEYS, seed) for seed in ("0", "1", "424242")
+    }
     assert len(digests) == 1, "partition routing depends on PYTHONHASHSEED"
 
 
 def test_partitioning_matches_in_process_routing():
     """The parent process routes identically to a fresh subprocess."""
-    elements = [Record(i, 1.0, key=f"key-{i % 97}") for i in range(500)]
-    partitions = hash_partition(elements, 5)
-    local = ";".join(",".join(str(e.ts) for e in p) for p in partitions)
-    assert local == _partition_digest("7")
-
-
-def test_watermarks_still_broadcast():
-    elements = [Record(0, 1.0, key="a"), Watermark(5), Record(6, 1.0, key="b")]
-    for partition in hash_partition(elements, 3):
-        assert any(isinstance(e, Watermark) for e in partition)
-
-
-def _set_key_digest(seed: str) -> str:
-    """Partition routing digest for set/dict keys under one hash seed."""
-    code = (
-        "from repro.core.types import Record\n"
-        "from repro.runtime.partition import hash_partition\n"
-        "elements = ["
-        "Record(i, 1.0, key={f'tag-{i % 11}', f'tag-{(i * 7) % 13}', i % 5})"
-        " for i in range(300)]\n"
-        "elements += ["
-        "Record(300 + i, 1.0, key={'region': f'r{i % 7}', 'tier': i % 3})"
-        " for i in range(200)]\n"
-        "partitions = hash_partition(elements, 5)\n"
-        "print(';'.join(','.join(str(e.ts) for e in p) for p in partitions))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=subprocess_env(PYTHONHASHSEED=seed),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    keys = [f"key-{i % 97}" for i in range(500)]
+    local = ",".join(str(stable_hash(key) % 5) for key in keys)
+    assert len(set(local.split(","))) == 5  # every shard is hit
+    assert local == _routing_in_subprocess(_STRING_KEYS, "7")
 
 
 def test_set_and_dict_key_routing_identical_across_hash_seeds():
     """The satellite bug: set keys routed via the repr fallback, whose
     iteration order is salted -- routing differed between processes."""
-    digests = {_set_key_digest(seed) for seed in ("0", "1", "424242")}
+    digests = {
+        _routing_in_subprocess(_SET_AND_DICT_KEYS, seed)
+        for seed in ("0", "1", "424242")
+    }
     assert len(digests) == 1, "set/dict key routing depends on PYTHONHASHSEED"
-
-
-# ----------------------------------------------------------------------
-# run_parallel result semantics
-
-
-class TestParallelResult:
-    def test_zero_wall_time_reports_zero_rate(self):
-        # Used to return float("inf"), inconsistent with the throughput
-        # harness's 0.0 guard; inf leaked into JSON and comparisons.
-        assert ParallelResult(100, 0.0, 0.0, 0, 1).records_per_second == 0.0
-        assert ParallelResult(0, 0.0, 0.0, 0, 1).records_per_second == 0.0
-        assert ParallelResult(0, 1.0, 0.0, 0, 1).records_per_second == 0.0
-
-    def test_positive_rate_unchanged(self):
-        assert ParallelResult(100, 0.5, 0.0, 0, 1).records_per_second == 200.0
-
-
-def _tail_window_operator():
-    """Module-level factory (run_parallel pickles it into workers)."""
-    operator = GeneralSlicingOperator(stream_in_order=True)
-    operator.add_query(TumblingWindow(10), Sum())
-    return operator
-
-
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_run_parallel_flushes_tail_windows(parallelism):
-    """The last window only materializes on flush: records stop at
-    ts=14, so window [10, 20) closes for no in-stream reason.  Workers
-    used to drop it from results_emitted."""
-    elements = [Record(ts, 1.0, key=f"k{ts % 4}") for ts in range(15)]
-    expected = 0
-    unflushed = 0
-    for partition in hash_partition(elements, parallelism):
-        operator = _tail_window_operator()
-        in_stream = len(operator.run(partition))
-        tail = operator.flush()
-        if any(isinstance(element, Record) for element in partition):
-            assert any(result.end == 20 for result in tail), "tail window missing"
-        else:
-            assert tail == []  # empty partitions flush to nothing
-        unflushed += in_stream
-        expected += in_stream + len(tail)
-    result = run_parallel(_tail_window_operator, elements, parallelism)
-    assert result.results_emitted == expected
-    # The tail windows are genuinely part of the count: a no-flush run
-    # emits strictly fewer results.
-    assert result.results_emitted > unflushed

@@ -14,15 +14,13 @@ from conftest import run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Median, Sum
 from repro.runtime import (
-    restore,
-    snapshot,
     CollectSink,
     FaultInjectingOperator,
     FaultPlan,
     FaultySource,
+    KeyedWindowOperator,
     MemoryGuard,
     MemoryPressure,
-    Pipeline,
     PipelineFailed,
     RecoveryStats,
     ReplayableSource,
@@ -334,6 +332,68 @@ class TestLateRecordChannel:
         assert seen == [2, 3]
 
 
+def _per_key_operator():
+    operator = GeneralSlicingOperator(stream_in_order=False)
+    operator.add_query(TumblingWindow(10), Sum())
+    return operator
+
+
+class TestKeyedLateRecordChannel:
+    """Records are dropped by the per-key operators a keyed operator
+    builds; the supervisor's hook and the drop count must reach through
+    it (and through a fault wrapper around it)."""
+
+    def _late_stream(self):
+        elements = [Record(t, 1.0, key="a") for t in range(100)]
+        elements.append(Watermark(90))
+        elements.append(Record(5, 99.0, key="a"))
+        elements.append(Record(6, 99.0, key="a"))
+        elements.extend(Record(t, 1.0, key="a") for t in range(100, 110))
+        elements.append(Watermark(200))
+        return elements
+
+    def test_late_records_reach_side_channel(self):
+        late = []
+        keyed = KeyedWindowOperator(_per_key_operator)
+        pipeline, _sink = supervised(keyed, batch_size=8, late_record_sink=late)
+        stats = pipeline.run(self._late_stream())
+
+        assert [(r.ts, r.value) for r in late] == [(5, 99.0), (6, 99.0)]
+        assert stats.late_records == 2
+        assert keyed.dropped_late_records == 2
+        assert keyed.operator_for("a").dropped_late_records == 2
+
+    @pytest.mark.parametrize(
+        "crash_at",
+        [80, 108],
+        ids=["before-late-records", "after-late-records"],
+    )
+    def test_exactly_once_under_crash(self, crash_at):
+        """The checkpoint at cursor 64 already holds key "a"'s operator
+        (hooks never ride a snapshot).  A crash before the late records
+        means the restored per-key operator must be wired again to
+        report them at all; a crash after them means the replay drops
+        them a second time and must not report them twice."""
+        elements = self._late_stream()
+        late = []
+        wrapped = FaultInjectingOperator(
+            KeyedWindowOperator(_per_key_operator), crash_at=[crash_at]
+        )
+        pipeline, sink = supervised(
+            wrapped, checkpoint_every=60, batch_size=8, late_record_sink=late
+        )
+        stats = pipeline.run(elements)
+
+        assert stats.restarts == 1
+        assert [(r.ts, r.value) for r in late] == [(5, 99.0), (6, 99.0)]
+        assert stats.late_records == 2
+        # Read through both wrappers.
+        assert pipeline.operator.dropped_late_records == 2
+        assert sink.results == run_operator(
+            KeyedWindowOperator(_per_key_operator), elements
+        )
+
+
 class TestMemoryGuard:
     def test_pressure_sheds_load_with_signal(self):
         operator = GeneralSlicingOperator(stream_in_order=True)
@@ -406,26 +466,15 @@ class TestStatsAndConfig:
         # Initial checkpoint + one per 10 records.
         assert stats.checkpoints_taken == 11
 
-
-class TestPipelineCrashSafety:
-    def test_flush_keeps_batch_until_operator_succeeds(self):
-        """A mid-batch failure must not drop the in-flight buffer."""
-        wrapped = FaultInjectingOperator(build_operator(), crash_at=[3])
-        blob = snapshot(wrapped.inner)
-        sink = CollectSink()
-        pipeline = Pipeline(wrapped, sink, batch_size=16)
-        for t in range(8):
-            pipeline.push(Record(t, 1.0))
-        with pytest.raises(Exception):
-            pipeline.flush()
-        # Buffer survives the failure; nothing reached the sink.
-        assert len(pipeline._batch) == 8
-        assert sink.results == []
-        # A supervisor restores the pre-batch snapshot and retries: the
-        # retained buffer replays cleanly (the injected fault fired once).
-        wrapped.inner = restore(blob)
-        pipeline.flush()
-        assert pipeline._batch == []
-        assert sink.results == run_operator(
-            build_operator(), [Record(t, 1.0) for t in range(8)]
+    def test_checkpoint_cadence_counts_records_not_watermarks(self):
+        stream = []
+        for t in range(100):
+            stream += [Record(t, 1.0), Watermark(t)]
+        pipeline, _sink = supervised(
+            build_operator(in_order=False), checkpoint_every=10, batch_size=5
         )
+        stats = pipeline.run(stream)
+        # A batch of five elements holds two or three records, so ten
+        # accumulate every fourth batch: 40 batches, 10 checkpoints + the
+        # initial one (21 if watermarks counted toward the cadence).
+        assert stats.checkpoints_taken == 11

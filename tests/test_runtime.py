@@ -1,4 +1,4 @@
-"""Tests for the runtime substrate: disorder, metrics, pipeline, partition."""
+"""Tests for the runtime substrate: disorder, metrics, sinks, sources."""
 
 import pytest
 
@@ -6,20 +6,13 @@ from repro.core.types import Record, Watermark
 from repro.runtime import (
     CollectSink,
     CountingSink,
-    FilterOperator,
-    GeneratorSource,
     LatencyHarness,
-    ListSource,
-    MapOperator,
-    PartitionedExecutor,
-    Pipeline,
+    ReplayableSource,
     ThroughputResult,
     deep_sizeof,
     disorder_fraction,
-    hash_partition,
     inject_disorder,
     measure_throughput,
-    paced_replay,
     with_watermarks,
 )
 
@@ -222,176 +215,34 @@ class TestMetrics:
 
 
 class TestPipeline:
-    def _operator(self):
+    """The sinks ``runtime/pipeline.py`` keeps."""
+
+    def _results(self):
         from repro import GeneralSlicingOperator
         from repro.aggregations import Sum
         from repro.windows import TumblingWindow
 
         op = GeneralSlicingOperator(stream_in_order=True)
         op.add_query(TumblingWindow(10), Sum())
-        return op
+        return op.run([Record(ts, 1.0) for ts in range(25)])
 
     def test_collect_sink(self):
-        pipeline = Pipeline(self._operator(), CollectSink())
-        pipeline.run([Record(ts, 1.0) for ts in range(25)])
-        assert [(r.start, r.end) for r in pipeline.results()] == [(0, 10), (10, 20)]
-
-    def test_map_stage(self):
-        pipeline = Pipeline(self._operator(), CollectSink())
-        pipeline.add_stage(MapOperator(lambda r: Record(r.ts, r.value * 2)))
-        pipeline.run([Record(ts, 1.0) for ts in range(12)])
-        assert pipeline.results()[0].value == 20.0
-
-    def test_filter_stage(self):
-        pipeline = Pipeline(self._operator(), CollectSink())
-        pipeline.add_stage(FilterOperator(lambda r: r.ts % 2 == 0))
-        pipeline.run([Record(ts, 1.0) for ts in range(13)])
-        assert pipeline.results()[0].value == 5.0
+        sink = CollectSink()
+        for result in self._results():
+            sink.emit(result)
+        assert [(r.start, r.end) for r in sink.results] == [(0, 10), (10, 20)]
+        assert len(sink) == 2
 
     def test_counting_sink(self):
         sink = CountingSink()
-        pipeline = Pipeline(self._operator(), sink)
-        pipeline.run([Record(ts, 1.0) for ts in range(25)])
+        for result in self._results():
+            sink.emit(result)
         assert sink.count == 2
-
-    def test_results_requires_collect_sink(self):
-        pipeline = Pipeline(self._operator(), CountingSink())
-        with pytest.raises(TypeError):
-            pipeline.results()
-
-    def test_batched_pipeline_matches_tuple_at_a_time(self):
-        stream = [Record(ts, 1.0) for ts in range(25)]
-        reference = Pipeline(self._operator(), CollectSink())
-        reference.run(stream)
-        batched_pipeline = Pipeline(
-            self._operator(), CollectSink(), batch_size=8
-        )
-        batched_pipeline.run(stream)
-        key = lambda r: (r.query_id, r.start, r.end, r.value)
-        assert list(map(key, batched_pipeline.results())) == list(
-            map(key, reference.results())
-        )
-
-    def test_batched_pipeline_flushes_on_watermark(self):
-        from repro import GeneralSlicingOperator
-        from repro.aggregations import Sum
-        from repro.windows import TumblingWindow
-
-        op = GeneralSlicingOperator(stream_in_order=False)
-        op.add_query(TumblingWindow(10), Sum())
-        pipeline = Pipeline(op, CollectSink(), batch_size=100)
-        pipeline.push(Record(1, 1.0))
-        pipeline.push(Record(5, 2.0))
-        # A watermark must flush the buffered records first, then pass
-        # through, even though the batch is not yet full.
-        pipeline.push(Watermark(10))
-        assert [(r.start, r.end, r.value) for r in pipeline.results()] == [
-            (0, 10, 3.0)
-        ]
-
-    def test_pipeline_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            Pipeline(self._operator(), CollectSink(), batch_size=0)
-
-
-class TestPartition:
-    def test_hash_partition_routes_by_key(self):
-        elements = [Record(t, 1.0, key=t % 3) for t in range(30)]
-        partitions = hash_partition(elements, 3)
-        assert sum(len(p) for p in partitions) == 30
-        for partition in partitions:
-            keys = {e.key for e in partition}
-            assert len(keys) <= 2  # hash may collide but stays consistent
-
-    def test_watermarks_broadcast(self):
-        elements = [Record(0, 1.0, key=1), Watermark(5), Record(6, 1.0, key=2)]
-        partitions = hash_partition(elements, 2)
-        for partition in partitions:
-            assert any(isinstance(e, Watermark) for e in partition)
-
-    def test_keyless_round_robin(self):
-        elements = [Record(t, 1.0) for t in range(10)]
-        partitions = hash_partition(elements, 2)
-        assert len(partitions[0]) == len(partitions[1]) == 5
-
-    def test_invalid_parallelism(self):
-        with pytest.raises(ValueError):
-            hash_partition([], 0)
-
-    def test_partitioned_executor_results_complete(self):
-        from repro import GeneralSlicingOperator
-        from repro.aggregations import Sum
-        from repro.windows import TumblingWindow
-
-        def factory():
-            op = GeneralSlicingOperator(stream_in_order=True)
-            op.add_query(TumblingWindow(10), Sum())
-            return op
-
-        elements = [Record(t, 1.0, key=t % 4) for t in range(40)]
-        executor = PartitionedExecutor(factory, 4)
-        output = executor.run(elements)
-        assert set(output) == {0, 1, 2, 3}
-        total = sum(r.value for results in output.values() for r in results)
-        # Windows [0,10), [10,20), [20,30) complete in every partition.
-        assert total == 30.0
 
 
 class TestSources:
     def test_list_source_repeatable(self):
-        source = ListSource([Record(0, 1.0), Watermark(5)])
+        source = ReplayableSource([Record(0, 1.0), Watermark(5)])
         assert len(list(source)) == 2
         assert len(list(source)) == 2
-        assert len(source.records()) == 1
-
-    def test_generator_source_restartable(self):
-        source = GeneratorSource(lambda: (Record(t, 0.0) for t in range(3)))
-        assert len(list(source)) == 3
-        assert len(list(source)) == 3
-
-    def test_paced_replay_sleeps_by_event_gap(self):
-        sleeps = []
-        fake_now = [0.0]
-
-        def clock():
-            return fake_now[0]
-
-        def sleep(duration):
-            sleeps.append(duration)
-            fake_now[0] += duration
-
-        records = [Record(0, 0.0), Record(100, 0.0), Record(150, 0.0)]
-        list(paced_replay(records, speedup=1.0, clock=clock, sleep=sleep))
-        assert sleeps == pytest.approx([0.1, 0.05])
-
-    def test_paced_replay_speedup(self):
-        sleeps = []
-        fake_now = [0.0]
-        records = [Record(0, 0.0), Record(100, 0.0)]
-        list(
-            paced_replay(
-                records,
-                speedup=2.0,
-                clock=lambda: fake_now[0],
-                sleep=lambda d: sleeps.append(d) or fake_now.__setitem__(0, fake_now[0] + d),
-            )
-        )
-        assert sleeps == pytest.approx([0.05])
-
-    def test_paced_replay_invalid_speedup(self):
-        with pytest.raises(ValueError):
-            list(paced_replay([], speedup=0))
-
-    def test_batched_chunks_and_preserves_order(self):
-        from repro.runtime import batched
-
-        elements = [Record(t, float(t)) for t in range(10)]
-        chunks = list(batched(elements, 4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [r.ts for chunk in chunks for r in chunk] == list(range(10))
-
-    def test_batched_invalid_size(self):
-        from repro.runtime import batched
-
-        with pytest.raises(ValueError):
-            list(batched([], 0))
+        assert len(source) == 2

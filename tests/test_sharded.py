@@ -25,6 +25,8 @@ from repro.aggregations import Average, Max, Min, Sum
 from repro.baselines import AggregateBucketsOperator, TupleBufferOperator
 from repro.runtime import (
     FaultPlan,
+    FaultyStore,
+    InMemoryStore,
     PipelineFailed,
     RestartPolicy,
     ShardedPipeline,
@@ -243,6 +245,35 @@ def test_chaos_soft_crash_recovers_with_exactly_once_reemission():
 
 
 @pytest.mark.chaos
+def test_chaos_transient_checkpoint_load_error_is_retried():
+    """The restore after a shard crash hits one transient store I/O
+    error: the load is retried under the restart policy (and counted),
+    not escalated, and the merged output is still exact."""
+    rng = random.Random(f"{SEED}:chaos-load")
+    elements = _keyed_stream(rng, length=600, cardinality=8, watermark_every=50)
+    factory = _factory("lazy", CHAOS_SPECS)
+    expected = run_keyed_reference(factory, elements)
+
+    pipeline = ShardedPipeline(
+        factory,
+        2,
+        batch_size=16,
+        queue_capacity=4,
+        checkpoint_every=50,
+        crash_at={0: (150,)},
+        store_factory=lambda index: FaultyStore(
+            InMemoryStore(keep=1), io_error_loads=(0,)
+        ),
+        context=CONTEXT,
+    )
+    merged = pipeline.run(elements)
+
+    assert _comparable(merged) == _comparable(expected)
+    assert pipeline.tracer.value("shard.restarts") == 1
+    assert pipeline.tracer.value("durability.load_retries") == 1
+
+
+@pytest.mark.chaos
 def test_chaos_seeded_fault_plan_multiple_crashes():
     rng = random.Random(f"{SEED}:chaos-plan")
     elements = _keyed_stream(rng, length=500, cardinality=6, watermark_every=40)
@@ -319,6 +350,30 @@ def test_backpressure_blocks_and_counts_queue_full_waits():
     expected = run_keyed_reference(_slow_factory, elements)
     assert _comparable(merged) == _comparable(expected)
     assert pipeline.tracer.value("shard.queue_full_waits") > 0
+
+
+def test_out_queue_is_polled_per_shipped_batch_not_per_record(monkeypatch):
+    """With feed queues deep enough that nothing waits, the coordinator
+    polls worker output only when it ships a full batch."""
+    polls = []
+    service = ShardedPipeline._service
+
+    def spy(self, block, timeout=0.05):
+        polls.append(block)
+        return service(self, block, timeout)
+
+    monkeypatch.setattr(ShardedPipeline, "_service", spy)
+    rng = random.Random(f"{SEED}:drain")
+    elements = _keyed_stream(rng, length=2000, cardinality=8, watermark_every=500)
+    factory = _factory("lazy", CHAOS_SPECS)
+    pipeline = ShardedPipeline(
+        factory, 2, batch_size=100, queue_capacity=64, context=CONTEXT
+    )
+    merged = pipeline.run(elements)
+
+    assert _comparable(merged) == _comparable(run_keyed_reference(factory, elements))
+    assert pipeline.tracer.value("shard.queue_full_waits") == 0
+    assert 0 < polls.count(False) <= pipeline.tracer.value("shard.batches")
 
 
 # ----------------------------------------------------------------------

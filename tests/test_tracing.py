@@ -18,7 +18,8 @@ from conftest import final_values
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
 from repro.core.tracing import SpanStats, Tracer
-from repro.runtime.checkpoint import CheckpointingOperator, restore, snapshot
+from repro.runtime.checkpoint import restore, snapshot
+from repro.runtime.faults import FaultInjectingOperator
 from repro.runtime.keyed import KeyedWindowOperator
 from repro.windows import SessionWindow, TumblingWindow
 
@@ -314,17 +315,22 @@ class TestHandComputedCounters:
         assert tracer.value("checkpoint.restores") == 1
         assert tracer.value("checkpoint.bytes_restored") == len(blob)
 
-    def test_checkpointing_operator_traces_through_wrapper(self):
-        inner = GeneralSlicingOperator(stream_in_order=True)
-        operator = CheckpointingOperator(inner, every=10)
-        operator.add_query(TumblingWindow(10), Sum())
+    @pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
+    def test_fault_wrapper_forwards_tracing(self, keyed):
+        """100 records through the wrapper are 100 ``operator.records`` on
+        the wrapper's tracer: what it wraps (and, keyed, every per-key
+        operator under that) shares the one counter sink."""
+        inner = KeyedWindowOperator(_keyed_factory) if keyed else _keyed_factory()
+        operator = FaultInjectingOperator(inner)
         tracer = operator.enable_tracing()
-        for element in _tumbling_stream():
-            operator.process(element)
-        assert operator.snapshots_taken >= 2
-        assert tracer.value("checkpoint.snapshots") == operator.snapshots_taken
-        assert tracer.value("checkpoint.bytes_written") > 0
-        assert tracer.value("operator.records") == 25  # inner operator shares it
+        assert inner.tracer is tracer
+        for ts in range(100):
+            operator.process(Record(ts, 1.0, key=ts % 3))
+        assert tracer.value("operator.records") == 100
+        operator.disable_tracing()
+        assert inner.tracer is None
+        operator.process(Record(100, 1.0, key=0))
+        assert tracer.value("operator.records") == 100
 
 
 class TestDisabledTracing:
