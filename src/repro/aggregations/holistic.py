@@ -5,7 +5,10 @@ Following Section 5.4.1 of the paper, we keep the values of a slice
 *sorted* and apply *run-length encoding* so that
 
 * merging two slices is a linear merge of sorted runs instead of a
-  re-sort,
+  re-sort, and merging (or subtracting) a few runs into many is one
+  bisect per run plus block copies -- what a record added to a
+  high-cardinality slice, or the one slice a sliding window gains or
+  loses, costs,
 * merging a whole window's slices is one pass that adds up the counts
   per value and sorts the distinct values once
   (:meth:`RleRuns.merge_all`), and
@@ -26,6 +29,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .base import AggregateFunction, AggregationClass
 
 __all__ = ["RleRuns", "SortedValues", "Median", "Percentile", "PlainMedian"]
+
+#: ``merge`` / ``subtract`` bisect the smaller operand's k runs into the
+#: larger one's d (O(k log d) plus block copies) instead of walking both
+#: lists when ``k * _BISECT_IN_RATIO <= d``.  Measured on this host
+#: (median of 5 random operand pairs, d = 36 and 1 024, time relative to
+#: the walk): merge 0.14-0.45 at k = d/8, 0.7-0.8 at d/4, 0.95-1.3 at
+#: d/2, 1.3-2.3 at k = d; subtract 0.5-0.65 at d/8, 0.9-1.15 at d/4,
+#: 2.0-3.4 at k = d.  Results are identical either way.
+_BISECT_IN_RATIO = 4
 
 
 class RleRuns:
@@ -82,44 +94,98 @@ class RleRuns:
         return cls(sorted(counts.items()), total)
 
     def merge(self, other: "RleRuns") -> "RleRuns":
-        """Linear merge of two sorted run lists, coalescing equal values."""
-        merged: List[Tuple[float, int]] = []
+        """Merge of two sorted run lists, coalescing equal values (of
+        which the left one represents the run)."""
         left, right = self.runs, other.runs
-        i = j = 0
-        while i < len(left) and j < len(right):
-            lv, lc = left[i]
-            rv, rc = right[j]
-            if lv < rv:
-                value, count = lv, lc
-                i += 1
-            elif rv < lv:
-                value, count = rv, rc
-                j += 1
+        left_size, right_size = len(left), len(right)
+        merged: List[Tuple[float, int]] = []
+        if right_size * _BISECT_IN_RATIO <= left_size:
+            large, small, small_is_left = left, right, False
+        elif left_size * _BISECT_IN_RATIO <= right_size:
+            large, small, small_is_left = right, left, True
+        else:
+            i = j = 0
+            while i < left_size and j < right_size:
+                lv, lc = left[i]
+                rv, rc = right[j]
+                if lv < rv:
+                    value, count = lv, lc
+                    i += 1
+                elif rv < lv:
+                    value, count = rv, rc
+                    j += 1
+                else:
+                    value, count = lv, lc + rc
+                    i += 1
+                    j += 1
+                if merged and merged[-1][0] == value:
+                    merged[-1] = (value, merged[-1][1] + count)
+                else:
+                    merged.append((value, count))
+            merged.extend(left[i:])
+            merged.extend(right[j:])
+            return RleRuns(merged, self.total + other.total)
+        # One bisect per run of the small side; the runs of the large
+        # side between two hits are copied as a block.  ``(value,)``
+        # sorts right before ``(value, count)``, so the run list is
+        # bisected as it is.
+        size = len(large)
+        position = 0
+        for run in small:
+            value = run[0]
+            at = bisect.bisect_left(large, (value,), position)
+            merged.extend(large[position:at])
+            if at < size and large[at][0] == value:
+                present_value, present = large[at]
+                merged.append((value if small_is_left else present_value, run[1] + present))
+                position = at + 1
             else:
-                value, count = lv, lc + rc
-                i += 1
-                j += 1
-            if merged and merged[-1][0] == value:
-                merged[-1] = (value, merged[-1][1] + count)
-            else:
-                merged.append((value, count))
-        merged.extend(left[i:])
-        merged.extend(right[j:])
+                merged.append(run)
+                position = at
+        merged.extend(large[position:])
         return RleRuns(merged, self.total + other.total)
 
     def subtract(self, other: "RleRuns") -> "RleRuns":
         """Multiset difference ``self - other`` (``other`` must be contained)."""
+        runs = self.runs
         result: List[Tuple[float, int]] = []
-        removal = {value: count for value, count in other.runs}
-        for value, count in self.runs:
-            remaining = count - removal.pop(value, 0)
-            if remaining < 0:
-                raise ValueError(f"cannot remove {count - remaining}x {value}: only {count} present")
-            if remaining:
-                result.append((value, remaining))
-        if removal:
-            missing = next(iter(removal))
-            raise ValueError(f"cannot remove value {missing}: not present")
+        if len(other.runs) * _BISECT_IN_RATIO > len(runs):
+            removal = {value: count for value, count in other.runs}
+            for value, count in runs:
+                remaining = count - removal.pop(value, 0)
+                if remaining < 0:
+                    raise ValueError(
+                        f"cannot remove {count - remaining}x {value}: only {count} present"
+                    )
+                if remaining:
+                    result.append((value, remaining))
+            if removal:
+                missing = next(iter(removal))
+                raise ValueError(f"cannot remove value {missing}: not present")
+            return RleRuns(result, self.total - other.total)
+        # As in :meth:`merge`, with the errors of the walk above: an
+        # overdrawn run is reported before a missing value, each the
+        # first of its kind.
+        size = len(runs)
+        position = 0
+        absent: List[float] = []
+        for value, count in other.runs:
+            at = bisect.bisect_left(runs, (value,), position)
+            if at < size and runs[at][0] == value:
+                present_value, present = runs[at]
+                if count > present:
+                    raise ValueError(
+                        f"cannot remove {count}x {present_value}: only {present} present"
+                    )
+                result.extend(runs[position:at])
+                if present > count:
+                    result.append((present_value, present - count))
+                position = at + 1
+            else:
+                absent.append(value)
+        if absent:
+            raise ValueError(f"cannot remove value {absent[0]}: not present")
+        result.extend(runs[position:])
         return RleRuns(result, self.total - other.total)
 
     def select(self, index: int) -> float:
@@ -205,13 +271,16 @@ class SortedValues:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SortedValues) and self.values == other.values
+
 
 class Percentile(AggregateFunction[float, RleRuns, float]):
     """Nearest-rank percentile over RLE-encoded sorted runs.
 
     Invertible in the multiset sense (runs can be subtracted), which the
-    count-shift path exploits; holistic size still forces record
-    retention via the decision tree.
+    count-shift path and the window manager's sliding emit exploit;
+    holistic size still forces record retention via the decision tree.
 
     A multiset is exact in any grouping, so the bulk hooks are real
     shortcuts here: :meth:`fold_values` sorts a run of values once and
@@ -219,6 +288,15 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
     to the sequential fold.  NaN is outside the contract on every path:
     it is unordered, so the pairwise merge treats it as equal to any
     value and the bulk merge as equal to none.
+
+    Values that compare equal (``1`` / ``1.0`` / ``True``, ``0.0`` /
+    ``-0.0``) are one run, represented by the first of them the
+    multiset saw.  A window folded from its slices has seen its own
+    records only; a window slid from the previous one has seen
+    everything since its carry was seeded, so an equal value that has
+    left the window can still represent the run.  The two results
+    always compare equal and can differ in type or sign; compare
+    results with ``==``, not by ``repr``.
     """
 
     name = "percentile"
@@ -239,9 +317,11 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
         return left.merge(right)
 
     def lower(self, partial: RleRuns) -> Optional[float]:
-        if partial.total == 0:
+        total = partial.total
+        if total == 0:
             return None
-        return partial.quantile(self.q)
+        # The nearest rank of RleRuns.quantile; ``q`` was checked at construction.
+        return partial.select(min(total - 1, int(self.q * total)))
 
     def invert(self, partial: RleRuns, removed: RleRuns) -> RleRuns:
         return partial.subtract(removed)

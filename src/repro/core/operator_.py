@@ -254,10 +254,12 @@ class _Chain:
         return horizon - 1
 
     def check_invariants(self) -> None:
-        """Assert the slice chain's shape (and, eagerly, its kernels) and
-        the slicer's guard; raises ``AssertionError`` naming the violation."""
+        """Assert the slice chain's shape (and, eagerly, its kernels), the
+        slicer's guard and the window manager's carries; raises
+        ``AssertionError`` naming the violation."""
         self.store.check_invariants()
         self.slicer.check_invariants()
+        self.window_manager.check_invariants()
 
 
 class GeneralSlicingOperator(WindowOperator):
@@ -444,7 +446,8 @@ class GeneralSlicingOperator(WindowOperator):
         return []
 
     def _process_out_of_order(self, record: Record) -> List[WindowResult]:
-        """A (measure-extracted) record behind the newest one."""
+        """A (measure-extracted) record behind ``_max_ts``: behind the
+        newest record, or behind a watermark that overtook the stream."""
         if self.stream_in_order:
             raise StreamOrderViolation(
                 f"record at ts={record.ts} arrived after ts={self._max_ts} "
@@ -453,19 +456,44 @@ class GeneralSlicingOperator(WindowOperator):
         if self._watermark is not None and record.ts < self._watermark - self.allowed_lateness:
             self._drop_late(record)
             return []  # beyond the allowed lateness: dropped
-        self._arrived += 1
+        count_position = self._arrived
+        self._arrived = count_position + 1
         if self._tracer is not None:
             self._tracer.count("operator.records")
             self._tracer.count("operator.ooo_records")
+        ts = record.ts
         results: List[WindowResult] = []
         for chain in self._chain_list:
-            if chain.measure_kind is not MeasureKind.TIME:
+            counted = chain.measure_kind is not MeasureKind.TIME
+            if counted:
                 # A late record shifts counts up to the head.  On a time
                 # chain it can neither close nor replace the open head
                 # nor move a fixed edge, so the guard stays armed there.
                 chain.slicer.disarm()
-            chain.manager.add_out_of_order(record)
-            for modification in chain.drain_modifications():
+            slices = chain.store.slices
+            head = slices[-1] if slices else None
+            if (
+                head is not None
+                and head.end is None
+                and ts >= head.start
+                and (head.last_ts is None or ts >= head.last_ts)
+            ):
+                # Behind a watermark that overtook the stream, but behind
+                # no record: sliced like any in-order record (the slice
+                # manager would add it to the open head whatever edge it
+                # has passed) and reported like a late one, since its
+                # windows may have been emitted.
+                head = chain.slicer.ensure_open_slice(ts, count_position)
+                chain.manager.add_inorder(record, head)
+                if chain.edges_move:
+                    for session in chain.session_windows:
+                        session.observe(ts)
+                    chain.slicer.after_record(ts)
+                modifications = [Modification(ts, count_position if counted else None)]
+            else:
+                chain.manager.add_out_of_order(record)
+                modifications = chain.drain_modifications()
+            for modification in modifications:
                 results.extend(chain.window_manager.on_modification(modification))
         return results
 
@@ -582,6 +610,12 @@ class GeneralSlicingOperator(WindowOperator):
         self._watermark = watermark.ts
         results = self._advance_all(watermark.ts)
         self._evict(watermark.ts)
+        if not self.stream_in_order and (self._max_ts is None or self._max_ts < watermark.ts):
+            # The watermark overtook the stream: what arrives behind it
+            # from now on is late, even if it is behind no record.
+            # ``process_record`` sends everything below ``_max_ts`` to
+            # :meth:`_process_out_of_order`, so the mark moves up with it.
+            self._max_ts = watermark.ts
         return results
 
     def _advance_all(self, wm: int) -> List[WindowResult]:
@@ -649,6 +683,12 @@ class GeneralSlicingOperator(WindowOperator):
 
     # ------------------------------------------------------------------
     # introspection
+
+    def _newest_ts(self) -> Optional[int]:
+        # ``_max_ts`` may stand at a watermark that overtook the stream;
+        # the records themselves are in the slices.
+        stamps = (chain.window_manager.newest_record_ts() for chain in self._chain_list)
+        return max((ts for ts in stamps if ts is not None), default=None)
 
     def state_objects(self) -> list:
         return [chain.store for chain in self._chains.values()]

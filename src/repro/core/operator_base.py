@@ -177,7 +177,7 @@ class WindowOperator:
         incomplete count window has no result by definition.
         Idempotent: a second flush emits nothing new.
         """
-        max_ts = getattr(self, "_max_ts", None)
+        max_ts = self._newest_ts()
         if max_ts is None:
             return []
         horizon = max_ts
@@ -185,6 +185,10 @@ class WindowOperator:
             horizon = max(horizon, query.window.flush_horizon(max_ts))
         horizon += getattr(self, "allowed_lateness", 0) + 1
         return self.process_watermark(Watermark(horizon))
+
+    def _newest_ts(self) -> Optional[int]:
+        """Event time of the newest record held (``None`` without one)."""
+        return getattr(self, "_max_ts", None)
 
     def run(
         self,

@@ -17,19 +17,24 @@ Responsibilities:
   maintained on slices, splitting slices on demand for multi-measure
   (FCA) window starts;
 * re-emit updated aggregates when the slice manager reports a
-  modification inside the already-emitted region.
+  modification inside the already-emitted region;
+* slide, rather than refold, the windows of a query whose partials can
+  be subtracted exactly (the removal strategy of Section 5.4 / Figure 6
+  on the emit path): the previous window's partial ⊖ the slices that
+  left ⊕ the slices that entered.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import sys
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..aggregations.base import AggregateFunction
+from ..aggregations.base import AggregateFunction, AggregationClass
 from ..windows.base import ContextClass
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.session import SessionWindow
-from .aggregate_store import AggregateStore, SharedQueryPlan
+from .aggregate_store import AggregateStore, SharedQueryPlan, slice_start
 from .measures import MeasureKind
 from .slice_manager import Modification, SliceManager
 from .types import WindowResult
@@ -82,6 +87,25 @@ class WindowManager:
         self._count_hwm: Dict[int, int] = {}
         #: Emitted trigger edges per multi-measure query.
         self._emitted_edges: Dict[int, Set[int]] = {}
+        #: Per query whose windows slide (see :meth:`_slide`): the carry,
+        #: ``(start, end, lo, hi, partial, non-empty slices)`` of its last
+        #: emitted window, or ``None`` while there is nothing to slide
+        #: from.  A cache over the slices, not state: it is rebuilt by one
+        #: fold and never enters a pickle.
+        self._carries: Dict[int, Optional[tuple]] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_carries"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned, as the default unpickling does: a restored operator
+        # then pickles to the same bytes as one that never was.
+        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        self._carries = {}
+        for managed in self._queries:
+            self._register_carry(managed)
 
     # ------------------------------------------------------------------
     # registration
@@ -91,12 +115,37 @@ class WindowManager:
         self._emitted.setdefault(managed.query_id, set())
         if isinstance(managed.window, LastNEveryWindow):
             self._emitted_edges.setdefault(managed.query_id, set())
+        self._register_carry(managed)
+
+    def _register_carry(self, managed: ManagedQuery) -> None:
+        """Decide, once per query, whether its windows slide.
+
+        Holistic partials only: they cost O(distinct values) to fold per
+        slice and a multiset subtracts exactly.  Distributive and
+        algebraic partials fold in O(1) per slice, and over floats
+        ``(x ⊕ y) ⊖ y`` is not ``x`` bit for bit, so they stay a left
+        fold.  Only the shared time-window path of :meth:`advance`
+        consults the carry.
+        """
+        function = managed.function
+        window = managed.window
+        if (
+            self._share_windows
+            and window.measure_kind is MeasureKind.TIME
+            and not isinstance(window, SessionWindow)
+            and function.kind is AggregationClass.HOLISTIC
+            and function.commutative
+            and function.invertible
+            and function.exact_invert
+        ):
+            self._carries[managed.query_id] = None
 
     def remove_query(self, query_id: int) -> None:
         self._queries = [q for q in self._queries if q.query_id != query_id]
         self._emitted.pop(query_id, None)
         self._count_hwm.pop(query_id, None)
         self._emitted_edges.pop(query_id, None)
+        self._carries.pop(query_id, None)
 
     @property
     def queries(self) -> Sequence[ManagedQuery]:
@@ -136,7 +185,7 @@ class WindowManager:
         # emitted, so they are not walked: the jump costs what it closes.
         # Worth a ``flush_horizon`` per query only when the empty tail is the
         # longer part of the walk; else the walk is at most twice too long.
-        newest = wm if self._emit_empty else self._newest_record_ts()
+        newest = wm if self._emit_empty else self.newest_record_ts()
         clamp = newest is not None and wm - newest > newest - lower_bound
         pending: List[Tuple[int, ManagedQuery, int, int, int, int]] = []
         for managed in self._queries:
@@ -173,7 +222,12 @@ class WindowManager:
                     self._store.query_slices(lo, hi, managed.fn_index)
                     for _, managed, _, _, lo, hi in pending
                 ]
-            for (slot, managed, start, end, _, _), partial in zip(pending, partials):
+            carries = self._carries
+            for (slot, managed, start, end, lo, hi), partial in zip(pending, partials):
+                if carries and managed.query_id in carries:
+                    carries[managed.query_id] = self._seed_carry(
+                        managed.fn_index, start, end, lo, hi, partial
+                    )
                 if partial is None and not self._emit_empty:
                     continue
                 value = managed.function.lower_or_default(partial)
@@ -183,7 +237,7 @@ class WindowManager:
         self._prev_wm = wm
         return results
 
-    def _newest_record_ts(self) -> Optional[int]:
+    def newest_record_ts(self) -> Optional[int]:
         """Event time of the newest retained record (``None`` without one)."""
         for slice_ in reversed(self._store.slices):
             if slice_.last_ts is not None:
@@ -200,6 +254,7 @@ class WindowManager:
         results: List[WindowResult],
     ) -> None:
         emitted = self._emitted[managed.query_id]
+        slides = managed.query_id in self._carries
         for start, end in managed.window.trigger_windows(prev, wm):
             if (start, end) in emitted:
                 continue
@@ -208,6 +263,10 @@ class WindowManager:
                 if result is not None:
                     emitted.add((start, end))
                     results.append(result)
+            elif slides and (partial := self._slide(managed, start, end)) is not None:
+                emitted.add((start, end))
+                value = managed.function.lower(partial)
+                results.append(WindowResult(managed.query_id, start, end, value))
             else:
                 lo, hi = self._query_range(start, end)
                 # Reserve the emission slot now; resolved after the
@@ -223,16 +282,89 @@ class WindowManager:
         included whenever its records provably precede the window end.
         """
         lo, hi = self._store.range_indices(start, end)
-        slices = self._store.slices
-        if hi < len(slices):
-            head = slices[hi]
-            if (
-                head.end is None
-                and head.start >= start
-                and (head.last_ts is None or head.last_ts < end)
-            ):
-                hi += 1
+        if self._open_head_at(hi, start, end):
+            hi += 1
         return lo, hi
+
+    def _open_head_at(self, hi: int, start: int, end: int) -> bool:
+        """Whether slice ``hi`` is the open head and belongs to ``[start, end)``."""
+        slices = self._store.slices
+        if hi >= len(slices):
+            return False
+        head = slices[hi]
+        return (
+            head.end is None
+            and head.start >= start
+            and (head.last_ts is None or head.last_ts < end)
+        )
+
+    # ------------------------------------------------------------------
+    # sliding a window's result (Section 5.4 / Figure 6 on the emit path)
+
+    def _slide(self, managed: ManagedQuery, start: int, end: int) -> Any:
+        """The partial of window ``[start, end)`` from the query's carry.
+
+        The previous window's partial ⊖ the slices that left ⊕ the
+        slices that entered, both found by walking on from the carried
+        ``lo`` / ``hi``: O(slices that changed) instead of O(slices in
+        the window).  Returns ``None``, and carries nothing, when the
+        window has to be folded instead -- no carry, no overlap with
+        it, the open head in range (it can still grow), or no record
+        left in range (the fold's ``None``); the fold then reseeds the
+        carry (:meth:`_seed_carry`).
+
+        A carry is valid while slices ``[lo, hi)`` are the closed slices
+        it was computed from, at those indices.  Appends never disturb
+        that; whatever else changes a slice reaches the window manager
+        first, which drops the carries it may touch:
+        :meth:`on_modification` for a change behind the watermark (one
+        at or after it lands at an index >= every carried ``hi``),
+        :meth:`prune_emitted` on eviction.
+        """
+        store = self._store
+        tracer = store.tracer
+        carries = self._carries
+        query_id = managed.query_id
+        carry = carries[query_id]
+        if carry is not None:
+            carried_start, carried_end, carried_lo, carried_hi, partial, nonempty = carry
+            if carried_start <= start < carried_end <= end:
+                slices = store.slices
+                size = len(slices)
+                lo, hi = carried_lo, carried_hi
+                while lo < size and slices[lo].start < start:
+                    lo += 1
+                while hi < size and (closed := slices[hi].end) is not None and closed <= end:
+                    hi += 1
+                if not self._open_head_at(hi, start, end):
+                    function = managed.function
+                    fn_index = managed.fn_index
+                    left = store._range_partials(carried_lo, lo, fn_index)
+                    entered = store._range_partials(carried_hi, hi, fn_index)
+                    nonempty += len(entered) - len(left)
+                    if nonempty:
+                        for removed in left:
+                            partial = function.invert(partial, removed)
+                        for added in entered:
+                            partial = function.combine(partial, added)
+                        carries[query_id] = (start, end, lo, hi, partial, nonempty)
+                        if tracer is not None:
+                            tracer.count("window.slides")
+                        return partial
+            carries[query_id] = None
+        if tracer is not None:
+            tracer.count("window.refolds")
+        return None
+
+    def _seed_carry(
+        self, fn_index: int, start: int, end: int, lo: int, hi: int, partial: Any
+    ) -> Optional[tuple]:
+        """The carry for a window just folded over slices ``[lo, hi)``."""
+        slices = self._store.slices
+        if partial is None or slices[hi - 1].end is None:
+            return None
+        nonempty = sum(1 for slice_ in slices[lo:hi] if slice_.aggs[fn_index] is not None)
+        return (start, end, lo, hi, partial, nonempty)
 
     def _time_window_result(
         self, managed: ManagedQuery, start: int, end: int, is_update: bool
@@ -426,6 +558,10 @@ class WindowManager:
             # cannot touch any of them (this also covers count positions:
             # emitted count windows contain only records with ts <= wm).
             return []
+        # Behind the watermark a slice changed, appeared or was split:
+        # carried partials and indices may be stale.
+        if self._carries:
+            self._carries = dict.fromkeys(self._carries)
         results: List[WindowResult] = []
         ts = modification.ts
         for managed in self._queries:
@@ -546,8 +682,58 @@ class WindowManager:
     # housekeeping
 
     def prune_emitted(self, horizon: int) -> None:
-        """Forget emitted windows entirely before the eviction horizon."""
+        """Forget emitted windows entirely before the eviction horizon.
+
+        Called after slices were dropped from the front of the store: a
+        carry whose first slice may be among them goes too, the others
+        move down to their slices' new indices.
+        """
         for query_id, pairs in self._emitted.items():
             self._emitted[query_id] = {pair for pair in pairs if pair[1] > horizon}
         for query_id, edges in self._emitted_edges.items():
             self._emitted_edges[query_id] = {edge for edge in edges if edge > horizon}
+        slices = self._store.slices
+        for query_id, carry in self._carries.items():
+            if carry is None:
+                continue
+            start, end, lo, hi, partial, nonempty = carry
+            if not slices or slices[0].start > start:
+                self._carries[query_id] = None
+            else:
+                # What is left is a suffix of the chain, so every slice
+                # from ``start`` on is still there, ``shift`` places down.
+                shift = lo - bisect.bisect_left(slices, start, key=slice_start)
+                self._carries[query_id] = (start, end, lo - shift, hi - shift, partial, nonempty)
+
+    def check_invariants(self) -> None:
+        """Assert what :meth:`_slide` relies on (test and fuzz hook).
+
+        Every carry covers exactly the slices of its window, all of them
+        closed, and its partial equals the fold over them.  Raises
+        ``AssertionError`` naming the first violation.
+        """
+        slices = self._store.slices
+        queries = {managed.query_id: managed for managed in self._queries}
+        for query_id, carry in self._carries.items():
+            if carry is None:
+                continue
+            start, end, lo, hi, partial, nonempty = carry
+            where = f"carry of query {query_id} for window [{start}, {end})"
+            if not 0 <= lo < hi <= len(slices):
+                raise AssertionError(f"{where} covers slices [{lo}, {hi}) of {len(slices)}")
+            if slices[hi - 1].end is None:
+                raise AssertionError(f"{where} ends in the open head")
+            if (lo, hi) != self._query_range(start, end):
+                raise AssertionError(
+                    f"{where} covers slices [{lo}, {hi}), the window "
+                    f"{self._query_range(start, end)}"
+                )
+            managed = queries[query_id]
+            parts = [
+                agg for slice_ in slices[lo:hi] if (agg := slice_.aggs[managed.fn_index]) is not None
+            ]
+            if len(parts) != nonempty:
+                raise AssertionError(f"{where} counts {nonempty} non-empty slices of {len(parts)}")
+            folded = managed.function.combine_all(parts)
+            if partial != folded:
+                raise AssertionError(f"{where} holds {partial!r}, the slices fold to {folded!r}")

@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 
 from repro.aggregations import Median, Percentile, PlainMedian, RleRuns, SortedValues
+from repro.aggregations import holistic
 
 
 class TestRleRuns:
@@ -137,6 +138,131 @@ class TestMergeAll:
         assert runs.merge(RleRuns.of(5.0)).total == 4
         assert runs.subtract(RleRuns.of(2.0)).total == 2
         assert RleRuns([(1.0, 2), (4.0, 3)]).total == 5  # summed when not given
+
+
+#: Always the walk over both run lists (an empty operand aside), the
+#: module's own crossover, always one bisect per run of the right operand.
+WALK, DEFAULT, BISECT = 10**9, holistic._BISECT_IN_RATIO, 0
+
+#: Distinct values in several representations of the same number.
+POOL = [value for n in range(-4, 12) for value in (n, float(n), n + 0.5)] + [True, False, -0.0]
+
+
+def _random_runs(rng, distinct):
+    """A multiset with ``distinct`` runs; equal values keep a random representative."""
+    chosen = {}
+    for value in rng.sample(POOL, len(POOL)):
+        chosen.setdefault(value, value)
+        if len(chosen) == distinct:
+            break
+    return RleRuns([(value, rng.randint(1, 4)) for value in sorted(chosen.values())])
+
+
+def _under(monkeypatch, ratio, operation):
+    """``operation()`` with the crossover set to ``ratio``: its typed
+    runs and total, or the error it raised."""
+    monkeypatch.setattr(holistic, "_BISECT_IN_RATIO", ratio)
+    try:
+        result = operation()
+    except ValueError as error:
+        return str(error)
+    assert result.total == sum(count for _, count in result.runs)
+    return _typed(result), result.total
+
+
+class TestBisectedMergeAndSubtract:
+    """A small operand is bisected into a large one instead of walking
+    both run lists: same runs, same representatives, same errors."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_merge_equals_the_walk_for_every_size_ratio(self, seed, monkeypatch):
+        rng = random.Random(f"bisect-merge:{seed}")
+        distinct = rng.randint(0, 30)
+        large = _random_runs(rng, distinct)
+        for k in range(distinct + 1):
+            small = _random_runs(rng, k)
+            before = list(large.runs), list(small.runs)
+            for operation in (lambda: large.merge(small), lambda: small.merge(large)):
+                walked = _under(monkeypatch, WALK, operation)
+                assert _under(monkeypatch, DEFAULT, operation) == walked
+                assert _under(monkeypatch, BISECT, operation) == walked
+            assert (large.runs, small.runs) == before, "operands must not be mutated"
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_subtract_equals_the_walk_for_every_size_ratio(self, seed, monkeypatch):
+        rng = random.Random(f"bisect-subtract:{seed}")
+        distinct = rng.randint(1, 30)
+        large = _random_runs(rng, distinct)
+        for k in range(distinct + 1):
+            # A sub-multiset under other representatives of its values.
+            removed = RleRuns(
+                [
+                    (rng.choice([v for v in POOL if v == value]), rng.randint(1, count))
+                    for value, count in sorted(rng.sample(large.runs, k))
+                ]
+            )
+            before = list(large.runs), list(removed.runs)
+            operation = lambda: large.subtract(removed)  # noqa: E731
+            walked = _under(monkeypatch, WALK, operation)
+            assert not isinstance(walked, str) and walked[1] == large.total - removed.total
+            assert _under(monkeypatch, DEFAULT, operation) == walked
+            assert _under(monkeypatch, BISECT, operation) == walked
+            assert (large.runs, removed.runs) == before, "operands must not be mutated"
+
+    @pytest.mark.parametrize(
+        "removed, message",
+        [
+            ([(2.0, 1), (5.0, 9)], "cannot remove 9x 5: only 2 present"),
+            ([(2.5, 1)], "cannot remove value 2.5: not present"),
+            ([(0.5, 1), (2.5, 1), (9.0, 1)], "cannot remove value 0.5: not present"),
+            # An overdrawn run is reported before a missing value, wherever each sits.
+            ([(0.5, 1), (5.0, 3)], "cannot remove 3x 5: only 2 present"),
+            ([(3.0, 7), (8.5, 1)], "cannot remove 7x 3.0: only 1 present"),
+            ([(3.0, 7), (5.0, 7)], "cannot remove 7x 3.0: only 1 present"),
+        ],
+    )
+    def test_subtract_raises_the_same_errors(self, removed, message, monkeypatch):
+        runs = RleRuns([(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1), (5, 2), (6.0, 1), (7.0, 1), (8.0, 3)])
+        operation = lambda: runs.subtract(RleRuns(removed))  # noqa: E731
+        for ratio in (WALK, DEFAULT, BISECT):
+            assert _under(monkeypatch, ratio, operation) == message
+
+    @pytest.mark.parametrize("values", [[1, 1.0, True], [1.0, True, 1], [0.0, -0.0], [-0.0, 0]], ids=repr)
+    def test_the_left_operand_represents_equal_values_whichever_side_is_small(self, values, monkeypatch):
+        first, second = values[0], values[1]
+        padding = [(float(v), 1) for v in range(10, 30)]
+        for ratio in (WALK, DEFAULT, BISECT):
+            monkeypatch.setattr(holistic, "_BISECT_IN_RATIO", ratio)
+            small_right = RleRuns([(first, 2)] + padding).merge(RleRuns.of(second))
+            small_left = RleRuns.of(first).merge(RleRuns([(second, 2)] + padding))
+            for merged in (small_right, small_left):
+                assert _typed(merged)[0] == (type(first).__name__, repr(first), 3)
+            kept = RleRuns([(first, 2)] + padding).subtract(RleRuns.of(second))
+            assert _typed(kept)[0] == (type(first).__name__, repr(first), 1)
+
+    def test_one_value_into_many_runs_does_not_walk_them(self):
+        """The per-record ⊕ of a high-cardinality slice: comparisons grow
+        with the logarithm of the run count, not with the count."""
+
+        class Counted(float):
+            comparisons = 0
+
+            def __lt__(self, other):
+                Counted.comparisons += 1
+                return float.__lt__(self, other)
+
+            def __eq__(self, other):
+                Counted.comparisons += 1
+                return float.__eq__(self, other)
+
+            __hash__ = float.__hash__
+
+        large = RleRuns([(float(v), 1) for v in range(4_096)])
+        for operation in (large.merge, large.subtract):
+            Counted.comparisons = 0
+            result = operation(RleRuns.of(Counted(1_000.0)))
+            assert result.total == large.total + (1 if operation == large.merge else -1)
+            assert Counted.comparisons <= 4 * 12  # log2(4096) = 12 probes, a few comparisons each
 
 
 class TestSortedValues:

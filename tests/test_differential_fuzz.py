@@ -67,7 +67,8 @@ HOLISTIC_CASES = 6 * FUZZ_SCALE
 
 #: Every this many stream elements the state objects that can check
 #: their own structure (the aggregate stores) and the slicing operator
-#: (the same stores plus the slicer's guard, on a pickled copy) do so.
+#: (the same stores plus the slicer's guard, on a pickled copy, and the
+#: window managers' carries, on the live one) do so.
 INVARIANT_EVERY = 5
 
 # A query draw is a (window factory, aggregation factory) pair: window
@@ -251,9 +252,11 @@ def _final_results(make_operator, draws: List[QueryDraw], arrival: List[Record])
                     state.check_invariants()
             # Slice chains and the slicer's guard, on a pickled copy so
             # that the check cannot repair what it inspects (and the
-            # guard is shown to ride the pickle).
+            # guard is shown to ride the pickle); then on the live
+            # operator, whose window managers alone hold carries.
             if isinstance(operator, GeneralSlicingOperator):
                 pickle.loads(pickle.dumps(operator)).check_invariants()
+                operator.check_invariants()
     return final
 
 

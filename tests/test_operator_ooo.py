@@ -97,6 +97,84 @@ class TestLateUpdates:
         assert updates[0].value == 5.0
 
 
+class TestRecordsBehindAWatermarkThatOvertookTheStream:
+    """A watermark ahead of the newest record makes everything that
+    arrives behind it late -- also a record behind no other record,
+    which used to take the in-order path: its windows were never
+    emitted and, beyond the lateness, its loss never reported."""
+
+    STREAM = [Record(ts, 1.0) for ts in range(0, 5_000, 10)]
+    QUERIES = staticmethod(lambda: [(TumblingWindow(100), Sum())])
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_within_lateness_its_window_is_emitted(self, eager):
+        op = make_operator(eager, lateness=10**9)
+        op.add_query(*self.QUERIES()[0])
+        final = final_values(op, self.STREAM + [Watermark(10**6)])
+        late = Record(5_003, 7.0)
+        updates = op.process(late)
+        assert [(r.start, r.end, r.value, r.is_update) for r in updates] == [(5_000, 5_100, 7.0, True)]
+        final.update({(r.query_id, r.start, r.end): r.value for r in updates})
+        final.update(final_values(op, [Watermark(2 * 10**6)]))
+        assert final[(0, 5_000, 5_100)] == 7.0
+        assert final == reference_results(self.QUERIES(), self.STREAM + [late], horizon=2 * 10**6)
+        assert op.dropped_late_records == 0
+        op.check_invariants()
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_beyond_lateness_it_is_dropped_and_reported(self, eager):
+        op = make_operator(eager, lateness=0)
+        op.add_query(*self.QUERIES()[0])
+        reported = []
+        op.on_late_record = reported.append
+        final = final_values(op, self.STREAM + [Watermark(10**6)])
+        late = Record(5_003, 7.0)
+        final.update(final_values(op, [late, Watermark(2 * 10**6)]))
+        assert reported == [late] and op.dropped_late_records == 1
+        assert final == reference_results(self.QUERIES(), self.STREAM, horizon=2 * 10**6)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_it_is_sliced_at_the_edges_it_passed_in_time_and_in_count(self, eager):
+        """The open head must not swallow it: [4900, ...) is cut at 5000,
+        and the count chain cuts where its in-order position says."""
+        queries = lambda: [  # noqa: E731
+            (TumblingWindow(100), Sum()),
+            (SlidingWindow(300, 100), Median()),
+            (CountTumblingWindow(7), Sum()),
+            (SessionWindow(40), Sum()),
+        ]
+        op = make_operator(eager, lateness=10**9)
+        for window, fn in queries():
+            op.add_query(window, fn)
+        behind = [Record(4_995, 2.0), Record(5_003, 7.0), Record(5_003, 1.0), Record(5_250, 3.0)]
+        tail = [Record(10**6 + 5, 4.0), Record(5_120, 5.0)]
+        elements = self.STREAM + [Watermark(10**6)] + behind + tail + [Watermark(2 * 10**6)]
+        final = {}
+        for element in elements:
+            for r in op.process(element):
+                final[(r.query_id, r.start, r.end)] = r.value
+            op.check_invariants()
+        expected = reference_results(queries(), elements, horizon=2 * 10**6)
+        # A session extended behind the watermark replaces the one emitted.
+        assert {key: value for key, value in final.items() if key in expected} == expected
+        assert final[(0, 5_000, 5_100)] == 8.0 and final[(0, 5_200, 5_300)] == 3.0
+
+    def test_a_first_record_behind_the_watermark_is_late_too(self):
+        op = make_operator(lateness=0)
+        op.add_query(TumblingWindow(10), Sum())
+        assert op.process(Watermark(100)) == []
+        assert op.process(Record(50, 1.0)) == [] and op.dropped_late_records == 1
+        assert final_values(op, [Record(105, 2.0), Watermark(200)]) == {(0, 100, 110): 2.0}
+
+    def test_flush_still_closes_the_windows_of_the_newest_record_only(self):
+        op = make_operator(lateness=5)
+        op.add_query(SlidingWindow(20, 10), Sum())
+        run_operator(op, [Record(3, 1.0), Watermark(7)])  # overtakes the stream
+        flushed = op.flush()
+        assert [(r.start, r.end, r.value) for r in flushed] == [(0, 20, 1.0)]
+        assert op.flush() == []  # idempotent: nothing newer than ts 3 is held
+
+
 class TestSessionsOutOfOrder:
     def test_bridge_produces_merged_session(self):
         op = make_operator()
