@@ -148,7 +148,8 @@ class AggregateStore:
         """Notification that the slice at ``index`` changed its aggregates."""
 
     def evict_before(self, ts: int) -> int:
-        """Drop all slices that end at or before ``ts``; return the count."""
+        """Drop the leading slices that end at or before ``ts`` -- closed
+        ones only, so an open head stays; return the count.  O(dropped)."""
         keep = 0
         while keep < len(self.slices):
             end = self.slices[keep].end
@@ -272,9 +273,12 @@ class EagerAggregateStore(AggregateStore):
     its leaf may lag: the per-record paths only set :attr:`head_dirty`,
     and the store writes the head's partials into the kernels (one
     ``update`` per function) right before the leaf can be observed or
-    its index can move -- ahead of every structural change and of a
-    query that reaches the last slice.  Updates to any other slice are
-    written through immediately.
+    its index can move relative to the others -- ahead of every append,
+    insert and removal and of a query that reaches the last slice.
+    Evicting a prefix moves every index alike and needs no write: it runs
+    behind every in-order record that cuts a slice, which has just
+    dirtied the new head.  Updates to any other slice are written
+    through immediately.
     """
 
     shared_suffix_folding = False
@@ -352,9 +356,12 @@ class EagerAggregateStore(AggregateStore):
             kernel.update(index, aggs[fn_index])
 
     def evict_before(self, ts: int) -> int:
-        self.sync_head()
+        # No head sync: dropping a prefix moves every leaf index alike,
+        # and the deferred write looks the last slice up when it runs.
         evicted = super().evict_before(ts)
         if evicted:
+            if not self.slices:
+                self.head_dirty = False  # the lagging leaf went with its slice
             for kernel in self.kernels:
                 kernel.remove_front(evicted)
             if self._tracer is not None:

@@ -15,10 +15,16 @@ skipped by the combiner, so the structure needs no identity element and
 supports non-commutative functions (range queries accumulate strictly
 left-to-right).
 
+Leaves are evicted from the front by moving an offset: the dead
+positions are cleared and reclaimed, by one O(n) relayout, when an append
+finds no room behind the last leaf and at least half of the tree is dead
+(otherwise the tree doubles, as it does without evictions).
+
 Complexities: point update O(log n); append amortized O(log n) (array
-doubling); range query O(log n); middle insert/remove O(n) (leaf shift
-plus subtree recomputation -- exactly the cost that makes aggregate
-trees collapse under out-of-order input in Figure 9).
+doubling / relayout); range query O(log n); front eviction O(evicted +
+log n); middle insert/remove O(n) (leaf shift plus subtree recomputation
+-- exactly the cost that makes aggregate trees collapse under
+out-of-order input in Figure 9).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ __all__ = ["FlatFAT"]
 class FlatFAT(Generic[P]):
     """Flat binary aggregation tree over an ordered sequence of partials."""
 
-    __slots__ = ("_combine", "_capacity", "_size", "_arr", "tracer")
+    __slots__ = ("_combine", "_capacity", "_size", "_front", "_arr", "tracer")
 
     def __init__(
         self,
@@ -47,11 +53,14 @@ class FlatFAT(Generic[P]):
         #: per-node bookkeeping either.
         self.tracer = None
         initial = list(leaves) if leaves else []
-        self._capacity = self._pow2_at_least(max(1, len(initial)))
-        self._size = len(initial)
-        self._arr: List[Optional[P]] = [None] * (2 * self._capacity)
-        self._arr[self._capacity : self._capacity + self._size] = initial
-        self._rebuild_all()
+        self._relayout(initial, self._pow2_at_least(max(1, len(initial))))
+
+    def __setstate__(self, state) -> None:
+        # Slots pickle as ``(None, {slot: value})``; a tree pickled before
+        # the front offset existed has no dead positions.
+        self._front = 0
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # internal helpers
@@ -70,16 +79,37 @@ class FlatFAT(Generic[P]):
             return left
         return self._combine(left, right)
 
-    def _rebuild_all(self) -> None:
-        arr = self._arr
-        for node in range(self._capacity - 1, 0, -1):
+    def _relayout(self, leaves: List[Optional[P]], capacity: int) -> None:
+        """Lay ``leaves`` out from position 0 of a tree of ``capacity``
+        leaves and recompute every inner node: O(capacity)."""
+        self._capacity = capacity
+        self._front = 0
+        self._size = len(leaves)
+        self._arr = arr = [None] * (2 * capacity)
+        arr[capacity : capacity + len(leaves)] = leaves
+        for node in range(capacity - 1, 0, -1):
             arr[node] = self._merge(arr[2 * node], arr[2 * node + 1])
         if self.tracer is not None:
             self.tracer.count("flatfat.rebuilds")
-            self.tracer.count("flatfat.node_updates", self._capacity - 1)
+            self.tracer.count("flatfat.node_updates", capacity - 1)
 
-    def _update_path(self, leaf_index: int) -> None:
-        node = (self._capacity + leaf_index) // 2
+    def _repair_levels(self, first: int, last: int) -> None:
+        """Recompute the ancestors of positions ``first .. last``, each
+        once, level by level up to the root."""
+        arr = self._arr
+        tracer = self.tracer
+        lo = (self._capacity + first) // 2
+        hi = (self._capacity + last) // 2
+        while lo >= 1:
+            if tracer is not None:
+                tracer.count("flatfat.node_updates", hi - lo + 1)
+            for node in range(lo, hi + 1):
+                arr[node] = self._merge(arr[2 * node], arr[2 * node + 1])
+            lo //= 2
+            hi //= 2
+
+    def _update_path(self, position: int) -> None:
+        node = (self._capacity + position) // 2
         if self.tracer is not None:
             # Path length to the root == bit length of the start node.
             self.tracer.count("flatfat.node_updates", node.bit_length())
@@ -88,13 +118,20 @@ class FlatFAT(Generic[P]):
             arr[node] = self._merge(arr[2 * node], arr[2 * node + 1])
             node //= 2
 
-    def _grow(self, minimum: int) -> None:
-        new_capacity = self._pow2_at_least(minimum)
-        leaves = self._arr[self._capacity : self._capacity + self._size]
-        self._capacity = new_capacity
-        self._arr = [None] * (2 * new_capacity)
-        self._arr[new_capacity : new_capacity + len(leaves)] = leaves
-        self._rebuild_all()
+    def _make_room(self, count: int) -> None:
+        """Ensure ``count`` free positions behind the last leaf.
+
+        Dead positions are reclaimed in place only when they are at least
+        half of the tree; a tree with fewer doubles.  Either way the
+        relayout pays for capacity / 2 appends.
+        """
+        capacity = self._capacity
+        if self._front + self._size + count <= capacity:
+            return
+        needed = self._pow2_at_least(self._size + count)
+        if needed <= capacity:
+            needed = capacity if self._front * 2 >= capacity else 2 * capacity
+        self._relayout(self.leaves(), needed)
 
     # ------------------------------------------------------------------
     # public API
@@ -111,26 +148,28 @@ class FlatFAT(Generic[P]):
         """Return the partial aggregate stored at leaf ``index``."""
         if not 0 <= index < self._size:
             raise IndexError(f"leaf index {index} out of range (size {self._size})")
-        return self._arr[self._capacity + index]
+        return self._arr[self._capacity + self._front + index]
 
     def leaves(self) -> List[Optional[P]]:
         """A copy of all leaf partials in order."""
-        return self._arr[self._capacity : self._capacity + self._size]
+        first = self._capacity + self._front
+        return self._arr[first : first + self._size]
 
     def update(self, index: int, partial: Optional[P]) -> None:
         """Replace leaf ``index`` and repair the path to the root: O(log n)."""
         if not 0 <= index < self._size:
             raise IndexError(f"leaf index {index} out of range (size {self._size})")
-        self._arr[self._capacity + index] = partial
-        self._update_path(index)
+        position = self._front + index
+        self._arr[self._capacity + position] = partial
+        self._update_path(position)
 
     def append(self, partial: Optional[P]) -> None:
         """Append a leaf at the end: amortized O(log n)."""
-        if self._size == self._capacity:
-            self._grow(self._size + 1)
-        self._arr[self._capacity + self._size] = partial
+        self._make_room(1)
+        position = self._front + self._size
+        self._arr[self._capacity + position] = partial
         self._size += 1
-        self._update_path(self._size - 1)
+        self._update_path(position)
 
     def extend(self, partials: Sequence[Optional[P]]) -> None:
         """Append several leaves at once: one growth, one repair pass.
@@ -143,22 +182,11 @@ class FlatFAT(Generic[P]):
         count = len(partials)
         if count == 0:
             return
-        if self._size + count > self._capacity:
-            self._grow(self._size + count)
-        start = self._size
+        self._make_room(count)
+        start = self._front + self._size
         self._arr[self._capacity + start : self._capacity + start + count] = list(partials)
         self._size += count
-        arr = self._arr
-        lo = (self._capacity + start) // 2
-        hi = (self._capacity + self._size - 1) // 2
-        tracer = self.tracer
-        while lo >= 1:
-            if tracer is not None:
-                tracer.count("flatfat.node_updates", hi - lo + 1)
-            for node in range(lo, hi + 1):
-                arr[node] = self._merge(arr[2 * node], arr[2 * node + 1])
-            lo //= 2
-            hi //= 2
+        self._repair_levels(start, start + count - 1)
 
     def insert(self, index: int, partial: Optional[P]) -> None:
         """Insert a leaf in the middle: O(n) (leaf shift + rebuild).
@@ -171,43 +199,35 @@ class FlatFAT(Generic[P]):
         if index == self._size:
             self.append(partial)
             return
-        leaves = self._arr[self._capacity : self._capacity + self._size]
+        leaves = self.leaves()
         leaves.insert(index, partial)
-        if len(leaves) > self._capacity:
-            self._capacity = self._pow2_at_least(len(leaves))
-            self._arr = [None] * (2 * self._capacity)
-        else:
-            for i in range(self._capacity, 2 * self._capacity):
-                self._arr[i] = None
-        self._size = len(leaves)
-        self._arr[self._capacity : self._capacity + self._size] = leaves
-        self._rebuild_all()
+        self._relayout(leaves, max(self._capacity, self._pow2_at_least(len(leaves))))
 
     def remove(self, index: int) -> Optional[P]:
         """Remove the leaf at ``index``: O(n)."""
         if not 0 <= index < self._size:
             raise IndexError(f"leaf index {index} out of range (size {self._size})")
-        leaves = self._arr[self._capacity : self._capacity + self._size]
+        leaves = self.leaves()
         removed = leaves.pop(index)
-        for i in range(self._capacity, 2 * self._capacity):
-            self._arr[i] = None
-        self._size = len(leaves)
-        self._arr[self._capacity : self._capacity + self._size] = leaves
-        self._rebuild_all()
+        self._relayout(leaves, self._capacity)
         return removed
 
     def remove_front(self, count: int) -> None:
-        """Drop the first ``count`` leaves (watermark eviction): O(n)."""
+        """Drop the first ``count`` leaves (eviction): O(count + log n).
+
+        The leaves stay where they are and the offset moves past the
+        dropped ones, whose positions are cleared and whose ancestors are
+        repaired; :meth:`_make_room` reclaims them.
+        """
         if count <= 0:
             return
         if count > self._size:
             raise IndexError(f"cannot remove {count} of {self._size} leaves")
-        leaves = self._arr[self._capacity + count : self._capacity + self._size]
-        for i in range(self._capacity, 2 * self._capacity):
-            self._arr[i] = None
-        self._size = len(leaves)
-        self._arr[self._capacity : self._capacity + self._size] = leaves
-        self._rebuild_all()
+        first = self._front
+        self._arr[self._capacity + first : self._capacity + first + count] = [None] * count
+        self._front += count
+        self._size -= count
+        self._repair_levels(first, first + count - 1)
 
     def query(self, lo: int, hi: int) -> Optional[P]:
         """Combine leaves ``[lo, hi)`` left-to-right: O(log n).
@@ -224,8 +244,9 @@ class FlatFAT(Generic[P]):
         arr = self._arr
         left_acc: Optional[P] = None
         right_acc: Optional[P] = None
-        lo += self._capacity
-        hi += self._capacity
+        first = self._capacity + self._front
+        lo += first
+        hi += first
         while lo < hi:
             if lo & 1:
                 left_acc = self._merge(left_acc, arr[lo])
@@ -244,4 +265,4 @@ class FlatFAT(Generic[P]):
         return self.query(0, self._size)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FlatFAT(size={self._size}, capacity={self._capacity})"
+        return f"FlatFAT(size={self._size}, evicted={self._front}, capacity={self._capacity})"

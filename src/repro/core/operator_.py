@@ -19,10 +19,11 @@ logic:
   DESIGN.md).
 
 The operator understands in-order and out-of-order streams.  On
-in-order streams every record doubles as a watermark and windows are
-emitted immediately; on out-of-order streams, emission follows explicit
-watermarks and late records within the allowed lateness yield update
-results.
+in-order streams every record that cuts a slice doubles as a watermark:
+windows are emitted immediately and the slices no window can reach any
+more are evicted behind it; on out-of-order streams, emission and
+eviction follow explicit watermarks and late records within the allowed
+lateness yield update results.
 """
 
 from __future__ import annotations
@@ -226,7 +227,8 @@ class _Chain:
     def eviction_horizon(self, settled_ts: int) -> int:
         """Timestamp at or before which a slice may end and be dropped.
 
-        ``settled_ts`` is the watermark minus the allowed lateness: the
+        ``settled_ts`` is the watermark minus the allowed lateness, or
+        the timestamp of the in-order record that cut a slice: the
         stream before it can no longer change.  A time chain keeps what
         its windows can still reach back to from that point
         (:meth:`~repro.windows.base.WindowType.retention_start`).  A
@@ -252,6 +254,36 @@ class _Chain:
         # successors; stopping one short keeps every slice past the
         # count horizon.
         return horizon - 1
+
+    def evict(self, settled: int) -> int:
+        """Drop the slices no window can reach any more once the stream
+        is final up to ``settled``; returns how many.
+
+        Runs behind every watermark and behind every in-order record
+        that cut a slice, so it costs one horizon (a ``retention_start``
+        per window) when the first slice stays and O(slices dropped)
+        otherwise.  Only closed slices in front of the open head go:
+        nothing an armed slicer guard vouches for.
+        """
+        slices = self.store.slices
+        if not slices:
+            return 0
+        first_end = slices[0].end
+        if first_end is None:
+            return 0
+        horizon = self.eviction_horizon(settled)
+        if first_end > horizon:
+            return 0
+        # Sessions by the largest gap contain those of every smaller one.
+        # (Looked up here, not kept: a chain from an older frame has no
+        # attribute for it.)
+        largest_gap = max((window.gap for window in self.session_windows), default=None)
+        horizon = self.window_manager.pin_horizon(horizon, largest_gap)
+        if first_end > horizon:
+            return 0
+        evicted = self.store.evict_before(horizon)
+        self.window_manager.prune_emitted(horizon, evicted)
+        return evicted
 
     def check_invariants(self) -> None:
         """Assert the slice chain's shape (and, eagerly, its kernels), the
@@ -441,8 +473,13 @@ class GeneralSlicingOperator(WindowOperator):
 
         self._max_ts = ts
         if cut and self.stream_in_order:
-            # Every record acts as a watermark on in-order streams.
-            return self._advance_all(ts)
+            # Every record acts as a watermark on in-order streams: for
+            # emission and, behind it, for eviction.  The guard stays
+            # armed -- the open head the record went into is not touched.
+            results = self._advance_all(ts)
+            for chain in self._chain_list:
+                chain.evict(ts)
+            return results
         return []
 
     def _process_out_of_order(self, record: Record) -> List[WindowResult]:
@@ -609,7 +646,11 @@ class GeneralSlicingOperator(WindowOperator):
             return []
         self._watermark = watermark.ts
         results = self._advance_all(watermark.ts)
-        self._evict(watermark.ts)
+        settled = watermark.ts - self.allowed_lateness
+        for chain in self._chain_list:
+            chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
+            if chain.evict(settled):
+                chain.slicer.invalidate_cache()
         if not self.stream_in_order and (self._max_ts is None or self._max_ts < watermark.ts):
             # The watermark overtook the stream: what arrives behind it
             # from now on is late, even if it is behind no record.
@@ -655,31 +696,6 @@ class GeneralSlicingOperator(WindowOperator):
         if self.stream_in_order and self._max_ts is not None:
             results.extend(self._advance_all(self._max_ts))
         return results
-
-    # ------------------------------------------------------------------
-    # eviction
-
-    def _evict(self, wm: int) -> None:
-        for chain in self._chains.values():
-            chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
-            horizon = chain.eviction_horizon(wm - self.allowed_lateness)
-            for first_ts, last_ts, lo, hi in self._open_sessions(chain, wm):
-                horizon = min(horizon, first_ts - 1)
-            evicted = chain.store.evict_before(horizon)
-            if evicted:
-                chain.window_manager.prune_emitted(horizon)
-                chain.slicer.invalidate_cache()
-
-    def _open_sessions(self, chain: _Chain, wm: int):
-        gaps = [w.gap for w in chain._windows if isinstance(w, SessionWindow)]
-        if not gaps:
-            return []
-        gap = max(gaps)
-        return [
-            session
-            for session in chain.window_manager.current_sessions(gap)
-            if session[1] + gap > wm
-        ]
 
     # ------------------------------------------------------------------
     # introspection

@@ -34,12 +34,14 @@ from ..aggregations.base import AggregateFunction, AggregationClass
 from ..windows.base import ContextClass
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.session import SessionWindow
-from .aggregate_store import AggregateStore, SharedQueryPlan, slice_start
+from .aggregate_store import AggregateStore, SharedQueryPlan
 from .measures import MeasureKind
 from .slice_manager import Modification, SliceManager
 from .types import WindowResult
 
 __all__ = ["WindowManager", "ManagedQuery"]
+
+_NO_WALK = (0, None, None)
 
 
 class ManagedQuery:
@@ -81,7 +83,10 @@ class WindowManager:
         self._share_windows = share_windows
         self._queries: List[ManagedQuery] = []
         self._prev_wm: Optional[int] = None
-        #: Emitted (start, end) pairs per query, pruned on eviction.
+        #: Emitted (start, end) pairs per query, pruned on eviction.  Kept
+        #: for windows whose extent depends on the records (sessions,
+        #: context-aware time windows); a context-free time window ends in
+        #: ``(_prev_wm, wm]`` exactly once, so its set stays empty.
         self._emitted: Dict[int, Set[Tuple[int, int]]] = {}
         #: Emitted high-water mark in the count domain per count query.
         self._count_hwm: Dict[int, int] = {}
@@ -93,10 +98,16 @@ class WindowManager:
         #: from.  A cache over the slices, not state: it is rebuilt by one
         #: fold and never enters a pickle.
         self._carries: Dict[int, Optional[tuple]] = {}
+        #: How far :meth:`pin_horizon` has grouped the front of the chain
+        #: into sessions: ``(slices walked, first_ts, last_ts)``, the
+        #: last two of the session the walk stands in.  A cache like the
+        #: carries, so that a session that stays open is not walked
+        #: again behind every slice cut.
+        self._session_walk: tuple = _NO_WALK
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_carries"]
+        del state["_carries"], state["_session_walk"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -104,6 +115,7 @@ class WindowManager:
         # then pickles to the same bytes as one that never was.
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
         self._carries = {}
+        self._session_walk = _NO_WALK
         for managed in self._queries:
             self._register_carry(managed)
 
@@ -231,7 +243,8 @@ class WindowManager:
                 if partial is None and not self._emit_empty:
                     continue
                 value = managed.function.lower_or_default(partial)
-                self._emitted[managed.query_id].add((start, end))
+                if managed.window.context is not ContextClass.CONTEXT_FREE:
+                    self._emitted[managed.query_id].add((start, end))
                 results[slot] = WindowResult(managed.query_id, start, end, value)
             results = [r for r in results if r is not None]
         self._prev_wm = wm
@@ -253,18 +266,23 @@ class WindowManager:
         pending: List[Tuple[int, ManagedQuery, int, int, int, int]],
         results: List[WindowResult],
     ) -> None:
-        emitted = self._emitted[managed.query_id]
+        window = managed.window
+        emitted = (
+            None if window.context is ContextClass.CONTEXT_FREE else self._emitted[managed.query_id]
+        )
         slides = managed.query_id in self._carries
-        for start, end in managed.window.trigger_windows(prev, wm):
-            if (start, end) in emitted:
+        for start, end in window.trigger_windows(prev, wm):
+            if emitted is not None and (start, end) in emitted:
                 continue
             if not share:
                 result = self._time_window_result(managed, start, end, is_update=False)
                 if result is not None:
-                    emitted.add((start, end))
+                    if emitted is not None:
+                        emitted.add((start, end))
                     results.append(result)
             elif slides and (partial := self._slide(managed, start, end)) is not None:
-                emitted.add((start, end))
+                if emitted is not None:
+                    emitted.add((start, end))
                 value = managed.function.lower(partial)
                 results.append(WindowResult(managed.query_id, start, end, value))
             else:
@@ -318,8 +336,9 @@ class WindowManager:
         that; whatever else changes a slice reaches the window manager
         first, which drops the carries it may touch:
         :meth:`on_modification` for a change behind the watermark (one
-        at or after it lands at an index >= every carried ``hi``),
-        :meth:`prune_emitted` on eviction.
+        at or after it lands at an index >= every carried ``hi``).
+        Eviction spares the carried slices (:meth:`pin_horizon`) and
+        moves the carry down with them (:meth:`prune_emitted`).
         """
         store = self._store
         tracer = store.tracer
@@ -422,23 +441,32 @@ class WindowManager:
     # ------------------------------------------------------------------
     # count-measure windows
 
+    def _evicted_count(self) -> int:
+        """Records of the slices evicted so far: the count position at
+        which the first retained slice starts."""
+        slices = self._store.slices
+        return (slices[0].count_start or 0) if slices else 0
+
     def completed_count(self, wm: int) -> int:
-        """Largest cumulative count whose records are all at/before ``wm``."""
-        total = 0
-        for slice_ in self._store.slices:
+        """Largest cumulative count whose records are all at/before ``wm``.
+
+        Record timestamps never decrease along the chain, so the count is
+        settled by the last slice holding a record at or before ``wm``,
+        found from the back: O(1) on an in-order stream, where that is
+        the head.
+        """
+        for slice_ in reversed(self._store.slices):
             if slice_.record_count == 0:
                 continue
             assert slice_.last_ts is not None
+            base = slice_.count_start or 0
             if slice_.last_ts <= wm:
-                base = slice_.count_start if slice_.count_start is not None else total
-                total = base + slice_.record_count
-            else:
-                if slice_.records is not None:
-                    base = slice_.count_start if slice_.count_start is not None else total
-                    within = bisect.bisect_right(slice_.records, wm, key=lambda r: r.ts)
-                    total = base + within
-                break
-        return total
+                return base + slice_.record_count
+            if slice_.records is not None:
+                within = bisect.bisect_right(slice_.records, wm, key=lambda r: r.ts)
+                if within:
+                    return base + within
+        return self._evicted_count()
 
     def _trigger_count(self, managed: ManagedQuery, wm: int) -> List[WindowResult]:
         results: List[WindowResult] = []
@@ -506,7 +534,7 @@ class WindowManager:
 
     def _cumulative_count_at(self, edge_ts: int) -> int:
         """Number of records with event-time strictly before ``edge_ts``."""
-        total = 0
+        total = self._evicted_count()
         for slice_ in self._store.slices:
             if slice_.end is not None and slice_.end <= edge_ts:
                 total += slice_.record_count
@@ -551,6 +579,7 @@ class WindowManager:
 
     def on_modification(self, modification: Modification) -> List[WindowResult]:
         """Re-emit windows already triggered that the modification touches."""
+        self._session_walk = _NO_WALK  # a slice was changed, split or merged away
         wm = self._prev_wm
         if wm is None or modification.ts >= wm:
             # Every emitted window ends at or before the watermark and all
@@ -581,33 +610,35 @@ class WindowManager:
 
     def _update_time(self, managed: ManagedQuery, ts: int, wm: int) -> List[WindowResult]:
         results: List[WindowResult] = []
-        emitted = self._emitted[managed.query_id]
         window = managed.window
         if window.context is ContextClass.CONTEXT_FREE:
-            candidates = list(window.assign_windows(ts))
-        else:
-            # A late edge (e.g. punctuation) changes the windows on *both*
-            # sides of the modification point: re-derive them.
-            pairs = set(window.assign_windows(ts))
-            pairs.update(window.assign_windows(ts - 1))
-            candidates = sorted(pairs)
-        context_free = window.context is ContextClass.CONTEXT_FREE
-        for start, end in candidates:
+            # Every window that ends at or before the watermark has been
+            # triggered (or was empty until now): always an update.
+            for start, end in window.assign_windows(ts):
+                if end <= wm:
+                    result = self._time_window_result(managed, start, end, is_update=True)
+                    if result is not None:
+                        results.append(result)
+            return results
+        emitted = self._emitted[managed.query_id]
+        # A late edge (e.g. punctuation) changes the windows on *both*
+        # sides of the modification point: re-derive them.
+        pairs = set(window.assign_windows(ts))
+        pairs.update(window.assign_windows(ts - 1))
+        for start, end in sorted(pairs):
             if end > wm:
                 continue  # not emitted yet; the regular trigger will cover it
-            overlapped: List[Tuple[int, int]] = []
-            if not context_free:
-                # Context-aware windows never overlap each other: emitted
-                # windows overlapping the re-derived one were replaced by
-                # the new edge and must be retracted.
-                overlapped = [
-                    pair
-                    for pair in emitted
-                    if pair != (start, end) and not (pair[1] <= start or pair[0] >= end)
-                ]
-                for pair in overlapped:
-                    emitted.discard(pair)
-            was_known = (start, end) in emitted or bool(overlapped) or context_free
+            # Context-aware windows never overlap each other: emitted
+            # windows overlapping the re-derived one were replaced by
+            # the new edge and must be retracted.
+            overlapped = [
+                pair
+                for pair in emitted
+                if pair != (start, end) and not (pair[1] <= start or pair[0] >= end)
+            ]
+            for pair in overlapped:
+                emitted.discard(pair)
+            was_known = (start, end) in emitted or bool(overlapped)
             result = self._time_window_result(managed, start, end, is_update=was_known)
             if result is not None:
                 emitted.add((start, end))
@@ -681,38 +712,117 @@ class WindowManager:
     # ------------------------------------------------------------------
     # housekeeping
 
-    def prune_emitted(self, horizon: int) -> None:
-        """Forget emitted windows entirely before the eviction horizon.
+    def pin_horizon(self, horizon: int, session_gap: Optional[int]) -> int:
+        """``horizon`` (see :meth:`~repro.core.aggregate_store.AggregateStore.
+        evict_before`), lowered to what eviction must spare although no
+        window reaches back to it.
 
-        Called after slices were dropped from the front of the store: a
-        carry whose first slice may be among them goes too, the others
-        move down to their slices' new indices.
+        * A carry keeps the slices from its window's start on: the next
+          slide has to ⊖ them, and a window's reach runs ahead of the
+          last emitted one by up to a slide when the length is not a
+          multiple of it.
+        * A session is evicted whole or not at all.  Its tail slice can
+          outlive its front ones (another query's edges cut it, or it is
+          the open head); what is left would come back as a session of
+          its own.  So a session, grouped by ``session_gap`` (the
+          chain's largest), that has a record on either side of the
+          horizon -- the carries' included -- pins it at its ``first_ts``:
+          every slice of it ends after that, every slice before it at or
+          before.
+
+        The slices that end at or before the horizon are grouped once:
+        they are closed, the walk (``_session_walk``) resumes where it
+        stopped, and :meth:`prune_emitted` moves it down with them.
         """
-        for query_id, pairs in self._emitted.items():
-            self._emitted[query_id] = {pair for pair in pairs if pair[1] > horizon}
-        for query_id, edges in self._emitted_edges.items():
-            self._emitted_edges[query_id] = {edge for edge in edges if edge > horizon}
+        for carry in self._carries.values():
+            if carry is not None and carry[0] < horizon:
+                horizon = carry[0]
+        if session_gap is None:
+            return horizon
         slices = self._store.slices
+        walked, first_ts, last_ts = self._session_walk
+        if walked and slices[walked - 1].end > horizon:
+            walked, first_ts, last_ts = _NO_WALK  # the horizon fell back: a new carry
+        size = len(slices)
+        while walked < size:
+            slice_ = slices[walked]
+            if slice_.end is None or slice_.end > horizon:
+                break
+            if not slice_.is_empty():
+                if last_ts is None or slice_.first_ts - last_ts >= session_gap:
+                    first_ts = slice_.first_ts
+                last_ts = slice_.last_ts
+            walked += 1
+        self._session_walk = (walked, first_ts, last_ts)
+        if last_ts is not None:
+            # The session the walk stands in stays if its next record does.
+            for index in range(walked, size):
+                slice_ = slices[index]
+                if slice_.start - last_ts >= session_gap:
+                    break
+                if not slice_.is_empty():
+                    if slice_.first_ts - last_ts < session_gap:
+                        horizon = min(horizon, first_ts)
+                    break
+        return horizon
+
+    def prune_emitted(self, horizon: int, evicted: int) -> None:
+        """Forget what the ``evicted`` slices just dropped from the front
+        of the store, all ending at or before ``horizon``, stood for.
+
+        Emitted windows and trigger edges at or before the horizon go,
+        unless their first slice is still there; no session still in the
+        store starts before the horizon (:meth:`pin_horizon`).  A carry moves down by the evicted count,
+        or is dropped with its first slice; so does the session walk.
+        """
+        walked, first_ts, last_ts = self._session_walk
+        self._session_walk = (walked - evicted, first_ts, last_ts) if evicted < walked else _NO_WALK
+        slices = self._store.slices
+        # A session that timed out in the open head is still there, and
+        # would be emitted again: what starts in a retained slice stays.
+        front = slices[0].start if slices else float("inf")
+        for query_id, pairs in self._emitted.items():
+            if pairs:
+                self._emitted[query_id] = {
+                    pair for pair in pairs if pair[1] > horizon or pair[0] >= front
+                }
+        for query_id, edges in self._emitted_edges.items():
+            if edges:
+                self._emitted_edges[query_id] = {edge for edge in edges if edge > horizon}
         for query_id, carry in self._carries.items():
             if carry is None:
                 continue
             start, end, lo, hi, partial, nonempty = carry
-            if not slices or slices[0].start > start:
+            if evicted > lo:
                 self._carries[query_id] = None
             else:
-                # What is left is a suffix of the chain, so every slice
-                # from ``start`` on is still there, ``shift`` places down.
-                shift = lo - bisect.bisect_left(slices, start, key=slice_start)
-                self._carries[query_id] = (start, end, lo - shift, hi - shift, partial, nonempty)
+                self._carries[query_id] = (start, end, lo - evicted, hi - evicted, partial, nonempty)
 
     def check_invariants(self) -> None:
-        """Assert what :meth:`_slide` relies on (test and fuzz hook).
+        """Assert what :meth:`_slide` and :meth:`pin_horizon` rely on
+        (test and fuzz hook).
 
         Every carry covers exactly the slices of its window, all of them
-        closed, and its partial equals the fold over them.  Raises
-        ``AssertionError`` naming the first violation.
+        closed, and its partial equals the fold over them; the session
+        walk stands where grouping the slices it covers anew would.
+        Raises ``AssertionError`` naming the first violation.
         """
         slices = self._store.slices
+        walked, first_ts, last_ts = self._session_walk
+        if walked:
+            if walked > len(slices) or slices[walked - 1].end is None:
+                raise AssertionError(f"session walk covers {walked} closed slices of {len(slices)}")
+            gap = max(q.window.gap for q in self._queries if isinstance(q.window, SessionWindow))
+            regrouped: tuple = (None, None)
+            for slice_ in slices[:walked]:
+                if not slice_.is_empty():
+                    opens = regrouped[1] is None or slice_.first_ts - regrouped[1] >= gap
+                    regrouped = (slice_.first_ts if opens else regrouped[0], slice_.last_ts)
+            if (first_ts, last_ts) != regrouped:
+                raise AssertionError(
+                    f"session walk over {walked} slices stands in {(first_ts, last_ts)}, "
+                    f"the slices group to {regrouped}"
+                )
         queries = {managed.query_id: managed for managed in self._queries}
         for query_id, carry in self._carries.items():
             if carry is None:

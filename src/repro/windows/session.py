@@ -65,8 +65,9 @@ class SessionWindow(ContextAwareWindow):
 
     def retention_start(self, settled: int) -> int:
         """One gap back: a record at ``settled`` can still join a session
-        whose last record is less than ``gap`` before it.  (The operator
-        additionally pins eviction at the start of every open session.)"""
+        whose last record is less than ``gap`` before it.  (Eviction
+        additionally stops at the first session that cannot go whole:
+        :meth:`~repro.core.window_manager.WindowManager.pin_horizon`.)"""
         return settled - self.gap
 
     def flush_horizon(self, last_ts: int) -> int:

@@ -6,6 +6,11 @@ session, time- and count-measure) from a seeded RNG, runs it through
 every technique whose capability set covers the draw, and requires the
 final results to be bit-identical to :mod:`repro.reference`.
 
+One axis runs the slicing operators with eviction on: a drawn allowed
+lateness (none, a few slides, unbounded) and a watermark every few
+records, delays bounded by the lateness so that nothing is dropped and
+the reference still applies.
+
 Reproducibility: the base seed comes from ``REPRO_FUZZ_SEED`` (default
 pinned), and each parametrized case derives its own child seed, so a CI
 failure names the exact case.  On a mismatch the failing stream is
@@ -47,14 +52,14 @@ BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20190326"))
 LATENESS = 10_000_000
 
 
-def _horizon(arrival: Sequence[Record]) -> int:
+def _horizon(arrival: Sequence[object]) -> int:
     """A flushing watermark just past every window the stream can close.
 
     Tight on purpose: the brute-force reference enumerates every trigger
     window up to the horizon, so a fixed huge horizon would turn each
     differential check into millions of empty windows.
     """
-    return max(record.ts for record in arrival) + 1_000
+    return max(element.ts for element in arrival if isinstance(element, Record)) + 1_000
 
 #: Iteration multiplier for long fuzz campaigns (the ``fuzz-long`` CI
 #: job runs with ``REPRO_FUZZ_SCALE=10``); 1 keeps PR runs fast.
@@ -64,6 +69,7 @@ INORDER_CASES = 12 * FUZZ_SCALE
 OOO_CASES = 8 * FUZZ_SCALE
 KEYED_CASES = 6 * FUZZ_SCALE
 HOLISTIC_CASES = 6 * FUZZ_SCALE
+EVICTION_CASES = 12 * FUZZ_SCALE
 
 #: Every this many stream elements the state objects that can check
 #: their own structure (the aggregate stores) and the slicing operator
@@ -201,7 +207,7 @@ def _subtract_legal(draws: List[QueryDraw]) -> bool:
     )
 
 
-def _kernel_override_operators(draws: List[QueryDraw], *, in_order: bool):
+def _kernel_override_operators(draws: List[QueryDraw], *, in_order: bool, lateness=None):
     """Forced-kernel / sharing-ablation axis: every kernel faces the
     same random streams and window sets as the auto-selected operators.
 
@@ -211,7 +217,8 @@ def _kernel_override_operators(draws: List[QueryDraw], *, in_order: bool):
     construction, so that variant joins only when every drawn
     aggregation supports it.
     """
-    lateness = 0 if in_order else LATENESS
+    if lateness is None:
+        lateness = 0 if in_order else LATENESS
 
     def make(**kwargs):
         return lambda: GeneralSlicingOperator(
@@ -239,9 +246,21 @@ def _final_results(make_operator, draws: List[QueryDraw], arrival: List[Record])
     operator = make_operator()
     for make_window, make_agg, _ in draws:
         operator.add_query(make_window(), make_agg())
+    sessions = {
+        index for index, (make_window, _, _) in enumerate(draws) if isinstance(make_window(), SessionWindow)
+    }
     final = {}
     for position, element in enumerate(list(arrival) + [Watermark(_horizon(arrival))]):
         for result in operator.process(element):
+            if result.query_id in sessions:
+                # A late record can extend or bridge sessions that were
+                # emitted already: the update replaces what it overlaps.
+                for key in [
+                    key
+                    for key in final
+                    if key[0] == result.query_id and key[1] < result.end and result.start < key[2]
+                ]:
+                    del final[key]
             final[(result.query_id, result.start, result.end)] = result.value
         if position % INVARIANT_EVERY == 0:
             # Slice chains keep their shape and eager kernels agree with
@@ -298,8 +317,10 @@ def _check_technique(name, make_operator, draws, arrival, seed):
     except Exception as exc:  # pragma: no cover - only on real bugs
         actual = f"<crash: {type(exc).__name__}: {exc}>"
     stream_repr = ", ".join(
-        f"Record({r.ts}, {r.value!r}" + (f", key={r.key!r})" if r.key is not None else ")")
-        for r in minimal
+        f"Watermark({e.ts})"
+        if isinstance(e, Watermark)
+        else f"Record({e.ts}, {e.value!r}" + (f", key={e.key!r})" if e.key is not None else ")")
+        for e in minimal
     )
     pytest.fail(
         f"technique {name!r} disagrees with the reference (seed {seed})\n"
@@ -393,6 +414,107 @@ def test_fuzz_holistic_fractional_values_shared_and_unshared(case):
                 share_windows=share,
             )
             name = f"lazy-{'inorder' if in_order else 'ooo'}-{'shared' if share else 'unshared'}"
+            _check_technique(name, make_operator, draws, arrival, seed)
+
+
+def _draw_watermarked_arrival(rng: random.Random, stream: List[Record], lateness: int) -> list:
+    """``stream`` in arrival order with a watermark every few records.
+
+    A record arrives at event time ``ts + delay`` with a delay of at most
+    ``lateness`` (none: in order), and a watermark carries the arrival
+    time of the record before it.  Whatever arrives later has
+    ``ts >= watermark - lateness``: nothing is ever dropped.
+    """
+    fraction = 0.1 + rng.random() * 0.4
+    max_delay = min(lateness, 120)
+    arrivals = []
+    for position, record in enumerate(stream):
+        delay = rng.randint(1, max_delay) if max_delay and rng.random() < fraction else 0
+        arrivals.append((record.ts + delay, position, record))
+    arrivals.sort()
+    every = rng.randint(1, 8)
+    elements: list = []
+    for index, (arrival, _, record) in enumerate(arrivals):
+        elements.append(record)
+        if index % every == every - 1:
+            elements.append(Watermark(arrival))
+    return elements
+
+
+@pytest.mark.ooo
+@pytest.mark.parametrize("case", range(EVICTION_CASES))
+def test_fuzz_eviction_under_frequent_watermarks(case):
+    """Every other case flushes with one final watermark under a lateness
+    that keeps everything; here slices are evicted as the stream goes,
+    behind watermarks and (in order) behind the records themselves."""
+    seed = _child_seed("eviction", case)
+    rng = random.Random(seed)
+    draws, _, _ = _draw_queries(
+        rng, kinds=("tumbling", "sliding", "session", "count_tumbling", "count_sliding")
+    )
+    if rng.random() < 0.3:
+        length = rng.randint(6, 40)
+        slide = rng.randint(2, length)
+        draws.append(
+            (lambda l=length, s=slide: SlidingWindow(l, s), Median, f"Sliding({length},{slide}) Median")
+        )
+    # None, a few slides (drawn windows are 5 .. 60 wide), or unbounded.
+    lateness = [0, rng.randint(5, 60), LATENESS][case % 3]
+    arrival = _draw_watermarked_arrival(rng, _draw_stream(rng), lateness)
+
+    def make(**kwargs):
+        return lambda: GeneralSlicingOperator(allowed_lateness=lateness, **kwargs)
+
+    operators = [("lazy", make()), ("eager", make(eager=True))]
+    if lateness == 0:
+        operators += [
+            ("lazy-inorder", make(stream_in_order=True)),
+            ("eager-inorder", make(stream_in_order=True, eager=True)),
+        ]
+    holistic = any(make_agg is Median for _, make_agg, _ in draws)
+    for name, make_operator in operators:
+        _check_technique(name, make_operator, draws, arrival, seed)
+    for name, make_operator in _kernel_override_operators(draws, in_order=False, lateness=lateness):
+        if holistic and name == "eager-finger":
+            continue  # the finger tree needs an associative combine it cannot check here
+        _check_technique(name, make_operator, draws, arrival, seed)
+
+
+@pytest.mark.ooo
+@pytest.mark.parametrize("case", range(EVICTION_CASES))
+def test_fuzz_sessions_are_evicted_whole_around_silences_of_about_the_gap(case):
+    """Where eviction can cut a session in two: silences one short of the
+    gap, exactly the gap (the next session starts where the last tail
+    slice ends) and just over it, next to windows that cut the sessions
+    into slices and a carry that lowers the horizon into them.  In order
+    (every cut evicts) and with a watermark every few records."""
+    seed = _child_seed("session-eviction", case)
+    rng = random.Random(seed)
+    gap = rng.randint(2, 6)
+    draws: List[QueryDraw] = [(lambda: SessionWindow(gap), Sum, f"Session({gap}) Sum")]
+    if rng.random() < 0.4:
+        other = rng.randint(2, 9)
+        draws.append((lambda: SessionWindow(other), Sum, f"Session({other}) Sum"))
+    length = rng.randint(3, 25)
+    slide = rng.randint(1, length)
+    agg = rng.choice([Sum, Median])
+    draws.append(
+        (lambda: SlidingWindow(length, slide), agg, f"Sliding({length},{slide}) {agg.__name__}")
+    )
+    ts = 0
+    stream = []
+    for _ in range(rng.randint(20, 120)):
+        ts += rng.choices(
+            [rng.randint(0, 2), gap + rng.randint(-1, 1), rng.randint(gap, 40)], [70, 15, 15]
+        )[0]
+        stream.append(Record(ts, float(rng.randint(0, 5))))
+    marked = _draw_watermarked_arrival(rng, stream, 0)
+    for eager in (False, True):
+        for order, arrival in (("inorder", stream), ("marked", marked)):
+            make_operator = lambda: GeneralSlicingOperator(  # noqa: E731
+                stream_in_order=order == "inorder", eager=eager
+            )
+            name = f"{'eager' if eager else 'lazy'}-{order}"
             _check_technique(name, make_operator, draws, arrival, seed)
 
 

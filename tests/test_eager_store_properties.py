@@ -31,6 +31,7 @@ import pytest
 from repro.aggregations import M4, Count, Max, Sum
 from repro.core.aggregate_store import AggregateStore, EagerAggregateStore
 from repro.core.slice_ import Slice
+from repro.core.tracing import Tracer
 from repro.core.types import Record
 
 pytestmark = pytest.mark.fuzz
@@ -258,3 +259,31 @@ def test_dirty_last_slice_can_be_evicted_removed_or_displaced(kernel):
     assert not store.head_dirty
     store.check_invariants()
     assert store.query_slices(0, 1, 0) is None
+
+
+@pytest.mark.parametrize("kernel", list(FUNCTIONS))
+def test_front_eviction_writes_no_head_and_the_late_write_finds_its_index(kernel):
+    """Dropping a prefix moves every leaf index alike: the dirty head
+    stays dirty, its leaf stays stale, and the deferred write lands on
+    the slice's new index when a query reaches it."""
+    functions = [cls() for cls in FUNCTIONS[kernel]]
+    store = EagerAggregateStore(functions, kernel_kinds=[kernel] * len(functions))
+    for start, end in ((0, 10), (10, 20), (20, None)):
+        store.append_slice(Slice(start, end, len(functions), store_records=True))
+    for index, ts in enumerate((5, 15)):
+        store.slices[index].add_inorder(Record(ts, 2.0), functions)
+        store.slice_updated(index)
+    store.slices[2].add_inorder(Record(25, 3.0), functions)
+    store.head_dirty = True  # the operator's hot path
+    store.tracer = tracer = Tracer()
+
+    assert store.evict_before(10) == 1
+    assert store.head_dirty and tracer.value("kernel.head_syncs") == 0
+    assert [kernel.leaf(1) for kernel in store.kernels] == [None] * len(functions)
+    pickle.loads(pickle.dumps(store)).check_invariants()
+
+    reference = AggregateStore(functions)
+    reference.slices = store.slices
+    assert store.query_slices(0, 2, 0) == reference.query_slices(0, 2, 0) == 5.0
+    assert not store.head_dirty and tracer.value("kernel.head_syncs") == 1
+    store.check_invariants()

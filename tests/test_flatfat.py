@@ -1,12 +1,14 @@
 """Tests for the FlatFAT aggregate tree."""
 
 import operator
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.flatfat import FlatFAT
+from repro.core.tracing import Tracer
 
 
 def naive_range(leaves, lo, hi):
@@ -116,6 +118,110 @@ class TestInsertRemove:
             tree.remove_front(2)
 
 
+def assert_consistent(tree):
+    """Every inner node is the merge of its children, and no position
+    outside the live leaves holds anything."""
+    capacity, arr = tree.capacity, tree._arr
+    live = range(capacity + tree._front, capacity + tree._front + len(tree))
+    for position in range(capacity, 2 * capacity):
+        if position not in live:
+            assert arr[position] is None, f"dead position {position - capacity} holds {arr[position]!r}"
+    for node in range(1, capacity):
+        assert arr[node] == tree._merge(arr[2 * node], arr[2 * node + 1]), f"inner node {node}"
+
+
+#: ``pickle.dumps(FlatFAT(operator.add, [1, 2, 3, 4, 5]), protocol=4)`` at
+#: commit 9fe9a1c, the last one whose tree had no front offset.
+_PRE_OFFSET_PICKLE = (
+    b"\x80\x04\x95\x94\x00\x00\x00\x00\x00\x00\x00\x8c\x12repro.core.flatfat\x94\x8c\x07FlatFAT"
+    b"\x94\x93\x94)\x81\x94N}\x94(\x8c\x08_combine\x94\x8c\t_operator\x94\x8c\x03add\x94\x93\x94"
+    b"\x8c\t_capacity\x94K\x08\x8c\x05_size\x94K\x05\x8c\x04_arr\x94]\x94(NK\x0fK\nK\x05K\x03K\x07"
+    b"K\x05NK\x01K\x02K\x03K\x04K\x05NNNe\x8c\x06tracer\x94Nu\x86\x94b."
+)
+
+
+class TestFrontEviction:
+    """``remove_front`` moves an offset; the dead positions are reclaimed
+    by the append that finds no room behind the last leaf."""
+
+    def test_leaves_stay_in_place_and_indices_follow_the_offset(self):
+        tree = FlatFAT(operator.add, list(range(1, 9)))
+        tree.tracer = tracer = Tracer()
+        tree.remove_front(3)
+        assert tracer.value("flatfat.rebuilds") == 0
+        assert tree._arr[tree.capacity :] == [None, None, None, 4, 5, 6, 7, 8]
+        assert (len(tree), tree.leaf(0), tree.leaves()) == (5, 4, [4, 5, 6, 7, 8])
+        assert tree.root() == 30 and tree.query(1, 3) == 11
+        tree.update(0, 40)
+        assert tree.root() == 66 and tree.query(0, 2) == 45
+        assert_consistent(tree)
+
+    def test_a_sliding_tree_relayouts_once_per_half_capacity_of_appends(self):
+        """Three live leaves, one appended and one evicted per step.
+
+        Filling: c=1 -> 2 -> 4, two relayouts.  Step 1 fills position 3.
+        Step 2 finds the tree full with 1 of 4 positions dead -- fewer
+        than half -- and doubles to c=8 (third relayout).  From then on
+        the live leaves walk right by one position per step; the append
+        of step 7 finds them at positions 5..7, more than half of the
+        tree dead, and reclaims it in place, as do steps 12, 17, 22 and
+        27: one relayout per five evictions, at the same capacity.
+        """
+        tree = FlatFAT(operator.add)
+        tree.tracer = tracer = Tracer()
+        model = []
+        for value in range(3):
+            tree.append(value)
+            model.append(value)
+        assert tracer.value("flatfat.rebuilds") == 2
+        relayouts = []
+        for step in range(1, 28):
+            before = tracer.value("flatfat.rebuilds")
+            tree.append(step + 2)
+            model.append(step + 2)
+            if tracer.value("flatfat.rebuilds") > before:
+                relayouts.append(step)
+            tree.remove_front(1)
+            del model[0]
+            assert tree.leaves() == model and tree.root() == sum(model)
+            assert_consistent(tree)
+        assert relayouts == [2, 7, 12, 17, 22, 27]
+        assert tree.capacity == 8
+
+    def test_middle_insert_and_remove_after_an_eviction(self):
+        tree = FlatFAT(operator.add, [1, 2, 3, 4, 5])
+        tree.remove_front(2)
+        tree.insert(1, 10)
+        assert tree.leaves() == [3, 10, 4, 5] and tree.root() == 22
+        assert tree.remove(2) == 4
+        assert tree.leaves() == [3, 10, 5] and tree.root() == 18
+        tree.extend([6, 7, 8, 9, 10, 11])
+        assert tree.leaves() == [3, 10, 5, 6, 7, 8, 9, 10, 11]
+        assert tree.query(2, 5) == 18
+        assert_consistent(tree)
+
+    def test_evicting_everything_leaves_an_empty_tree_that_fills_again(self):
+        tree = FlatFAT(operator.add, [1, 2, 3])
+        tree.remove_front(3)
+        assert len(tree) == 0 and tree.root() is None and tree.leaves() == []
+        tree.append(7)
+        assert tree.leaves() == [7] and tree.root() == 7
+        assert_consistent(tree)
+
+    def test_pickle_written_before_the_offset_restores_and_keeps_working(self):
+        tree = pickle.loads(_PRE_OFFSET_PICKLE)
+        assert tree._front == 0  # genuinely an old pickle: it has no such entry
+        assert b"_front" not in _PRE_OFFSET_PICKLE
+        assert tree.leaves() == [1, 2, 3, 4, 5] and tree.root() == 15
+        tree.remove_front(2)
+        tree.append(6)
+        assert tree.leaves() == [3, 4, 5, 6] and tree.query(1, 3) == 9
+        assert_consistent(tree)
+        again = pickle.loads(pickle.dumps(tree))
+        assert again.leaves() == [3, 4, 5, 6] and again._front == 2
+        assert_consistent(again)
+
+
 class TestQuery:
     def test_full_range(self):
         tree = FlatFAT(operator.add, list(range(1, 9)))
@@ -151,11 +257,15 @@ class TestQuery:
 @given(
     leaves=st.lists(st.integers(-100, 100), min_size=0, max_size=64),
     operations=st.lists(
-        st.tuples(st.sampled_from(["append", "update", "insert", "remove"]), st.integers(0, 63), st.integers(-100, 100)),
-        max_size=30,
+        st.tuples(
+            st.sampled_from(["append", "append", "update", "insert", "remove", "evict", "evict", "extend"]),
+            st.integers(0, 63),
+            st.integers(-100, 100),
+        ),
+        max_size=40,
     ),
 )
-@settings(max_examples=60)
+@settings(max_examples=120)
 def test_flatfat_matches_naive_model(leaves, operations):
     """Random op sequences keep FlatFAT consistent with a plain list."""
     tree = FlatFAT(operator.add, leaves)
@@ -175,6 +285,15 @@ def test_flatfat_matches_naive_model(leaves, operations):
         elif name == "remove" and model:
             position = index % len(model)
             assert tree.remove(position) == model.pop(position)
+        elif name == "evict":
+            count = index % (len(model) + 1)
+            tree.remove_front(count)
+            del model[:count]
+        elif name == "extend":
+            more = [value + offset for offset in range(index % 5)]
+            tree.extend(more)
+            model.extend(more)
+        assert_consistent(tree)
     assert tree.leaves() == model
     assert tree.root() == (sum(model) if model else None)
     if len(model) >= 2:

@@ -414,6 +414,138 @@ class TestEvictionKeepsLongEdgeDelimitedWindows:
         assert op.total_slices() <= 2
 
 
+def _marked(records, marks):
+    """``records`` in order, each watermark of ``marks`` ahead of the first
+    record at or after it (the rest at the end)."""
+    elements, marks = [], list(marks)
+    for record in records:
+        while marks and marks[0] <= record.ts:
+            elements.append(Watermark(marks.pop(0)))
+        elements.append(record)
+    return elements + [Watermark(mark) for mark in marks]
+
+
+class TestEvictionIsExact:
+    """What eviction may not change, each with the stream that showed it
+    did: run through :func:`run_operator` so a window emitted twice, or
+    one the reference does not have, fails even with the right value."""
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    def test_a_session_is_evicted_whole_or_not_at_all(self, eager):
+        """One session, 100 .. 160, cut into 1-wide slices by the sliding
+        window beside it.  Once it had timed out (176) the watermark at
+        180 evicted up to 164 -- every slice of it but the open head
+        [160, ...).  The next record closed that head, and what was left
+        came back as a session of its own: ``(160, 176) -> 1.0`` beside
+        ``(100, 176) -> 21.0``, no late drop, lazy and eager alike."""
+        queries = [(SessionWindow(16), Sum()), (SlidingWindow(13, 2), Sum())]
+        session = [Record(ts, 1.0) for ts in range(100, 161, 3)]
+        elements = _marked(session, range(105, 201, 5)) + [Record(400, 1.0), Watermark(500)]
+        op = make_operator(eager, lateness=0)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        results = run_operator(op, elements)
+        assert op.dropped_late_records == 0
+        sessions = [(r.start, r.end, r.value) for r in results if r.query_id == 0]
+        assert sessions == [(100, 176, 21.0), (400, 416, 1.0)]
+        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
+        assert len(emitted) == len(results)  # nothing twice, no updates
+        assert emitted == reference_results(queries, elements, horizon=500)
+        op.check_invariants()
+
+    #: name -> (queries, the two sessions' timestamps, slide of the watermarks).
+    HALVED_SESSIONS = {
+        # Sliced [0, 10) [10, 17) [17, 20) ...: the first session's tail
+        # ends at 12 + 5, where the second one's first record is.  Pinned
+        # one *before* that record, the horizon (20 at ts 30) spared
+        # [10, 17) and dropped [0, 10): ``(10, 17) -> 3.0`` beside
+        # ``(0, 17) -> 13.0``.
+        "the next session starts where the tail slice ends": (
+            lambda: [(SessionWindow(5), Sum()), (TumblingWindow(10), Sum())],
+            (range(0, 13), range(17, 46)),
+            10,
+        ),
+        # At ts 60 the horizon is 35 and the session 20 .. 31, whose tail
+        # [30, 34) ends before it, may go whole.  The carry of window
+        # [30, 55) then lowered the horizon to 30: applied after the
+        # sessions were judged, that dropped [20, 25) [25, 30) and kept
+        # the tail, ``(30, 34) -> 2.0`` beside ``(20, 34) -> 12.0``.
+        "a carry lowers the horizon into a session judged gone": (
+            lambda: [(SlidingWindow(25, 10), Median()), (SessionWindow(3), Sum())],
+            (range(20, 32), range(40, 71)),
+            10,
+        ),
+    }
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("in_order", [True, False], ids=["in order", "watermarks"])
+    @pytest.mark.parametrize("case", HALVED_SESSIONS)
+    def test_no_pin_leaves_half_a_session_behind(self, case, in_order, eager):
+        make_queries, (first, second), slide = self.HALVED_SESSIONS[case]
+        queries = make_queries()
+        elements = [Record(ts, 1.0) for ts in (*first, *second)]
+        if not in_order:
+            elements = _marked(elements, range(slide, second[-1], slide))
+        elements.append(Watermark(200))
+        op = GeneralSlicingOperator(stream_in_order=in_order, eager=eager)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        results = []
+        for element in elements:
+            results.extend(op.process(element))
+            op.check_invariants()
+        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
+        assert len(emitted) == len(results)  # nothing twice, no updates
+        assert emitted == reference_results(make_queries(), elements, horizon=200)
+        # The first session did go; the second is in the open head.
+        (store,) = op.state_objects()
+        assert store.slices[0].first_ts == second[0]
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("in_order", [True, False], ids=["in order", "out of order"])
+    def test_a_session_timed_out_in_the_open_head_is_emitted_once(self, in_order, eager):
+        """The watermark at 71 emits ``(34, 40)`` out of the open head,
+        which no eviction takes.  Its horizon, 51, is past the session's
+        end: forgotten as emitted on that account, the session came out
+        again behind the next record."""
+        queries = [(SessionWindow(4), Sum()), (TumblingWindow(20), Sum())]
+        stamps = (1, 2, 34, 36)
+        elements = [Record(ts, 1.0) for ts in stamps]
+        elements += [Watermark(71), Record(71, 1.0), Watermark(200)]
+        op = GeneralSlicingOperator(stream_in_order=in_order, eager=eager)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        results = run_operator(op, elements)
+        sessions = [(r.start, r.end, r.value) for r in results if r.query_id == 0]
+        assert sessions == [(1, 6, 2.0), (34, 40, 2.0), (71, 75, 1.0)]
+        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
+        assert emitted == reference_results(queries, elements, horizon=200)
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("lateness", [0, 100])
+    def test_count_positions_survive_eviction(self, eager, lateness):
+        """"The last 3 every 10" resolves its trigger edges against the
+        records counted before them.  Counted over the retained slices
+        only, every edge after the first eviction came out short by the
+        evicted records: of the six windows four were emitted, one of
+        them, ``(10, 13) -> 66.0``, not the reference's.  With a lateness
+        of 100 nothing is evicted and all six always matched."""
+        queries = [(LastNEveryWindow(3, 10), Sum())]
+        stream = [Record(ts, float(ts)) for ts in range(0, 60, 2)]
+        elements = _marked(stream, [10, 20, 30, 40, 50, 60])
+        op = make_operator(eager, lateness=lateness)
+        for window, fn in queries:
+            op.add_query(window, fn)
+        results = run_operator(op, elements)
+        windows = [(r.start, r.end) for r in results]
+        assert windows == [(2, 5), (7, 10), (12, 15), (17, 20), (22, 25), (27, 30)]
+        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
+        assert emitted == reference_results(queries, elements, horizon=60)
+        if lateness == 0:
+            assert op.total_slices() <= 3
+        op.check_invariants()
+
+
 class TestMultiMeasureOutOfOrder:
     def test_late_record_shifts_window_content(self):
         op = make_operator()

@@ -89,9 +89,16 @@ def test_hand_counted_tracer_and_one_slicer_call_per_slice(length, slices, slice
     assert tracer.value("slicer.cuts") == slices
     assert tracer.value("slicer.edge_lookups") == slices
     assert len(results) == slices - 1  # the last window is still open
-    # The slicer ran for the records that opened a slice and for no other.
+    # The slicer ran for the records that opened a slice and for no other:
+    # the eviction behind each cut leaves the guard armed.
     assert slicer_calls == [k * length for k in range(slices)]
-    assert len(operator.state_objects()[0].slices) == slices
+    # The record that cuts at ts evicts what ends at or before ts - length.
+    # Of ten 10-wide slices the cut at 90 leaves [80, 90) and the open head
+    # [90, ...), and every cut from 20 on dropped one slice: 8 in all.  A
+    # single 100-wide slice is the open head and stays.
+    live = min(slices, 2)
+    assert len(operator.state_objects()[0].slices) == live
+    assert tracer.value("store.slices_evicted") == slices - live
 
 
 def test_guard_bounds_follow_the_cached_edges():
@@ -155,6 +162,28 @@ def test_watermark_eviction_disarms(slicer_calls):
     collected.update(final_values(operator, tail))
     assert slicer_calls == [61]  # slow path once, then armed again
     _check_against_reference(operator, queries, stream + tail, collected)
+
+
+def test_eviction_behind_an_in_order_record_leaves_the_guard_armed(slicer_calls):
+    """The counterpart: it drops closed slices in front of the open head
+    the record went into, nothing an armed guard promises anything about,
+    and no watermark moved.  Cuts at ts 12, 21 and 30; the last two evict
+    [0, 10) and [10, 20)."""
+    queries = lambda: [(TumblingWindow(10), Sum())]  # noqa: E731
+    operator = _operator(queries(), stream_in_order=True)
+    tracer = operator.enable_tracing()
+    stream = [Record(ts, 1.0) for ts in range(0, 36, 3)]
+    collected = final_values(operator, stream[:-1])  # up to the cut at 30
+    slicer = _slicer(operator)
+    store = operator.state_objects()[0]
+    assert tracer.value("store.slices_evicted") == 2
+    assert [(s.start, s.end) for s in store.slices] == [(20, 30), (30, None)]
+    assert _armed(slicer) and slicer.open_until == 40
+    operator.check_invariants()
+
+    collected.update(final_values(operator, stream[-1:]))
+    assert slicer_calls == [0, 12, 21, 30]  # ts 33 went straight into the head
+    _check_against_reference(operator, queries, stream, collected)
 
 
 def test_late_record_on_a_count_chain_disarms(slicer_calls):

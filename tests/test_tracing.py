@@ -99,10 +99,11 @@ class TestHandComputedCounters:
 
         Hand derivation: records fall into three slices [0,10), [10,20),
         [20,30), so 3 slice heads open (one cut + one cached-edge lookup
-        each).  The watermark triggers all three windows; each tumbling
-        window is exactly one slice, so 3 range queries combining 1
-        slice each.  The two slices entirely below the final watermark
-        are evicted; the open head [20,30) is retained.
+        each).  The records at ts 10 and 20 trigger [0,10) and [10,20),
+        the watermark [20,30); each tumbling window is exactly one slice,
+        so 3 range queries combining 1 slice each.  The record at ts 20
+        evicts [0,10) (it ends at 20 - 10), the watermark [10,20); the
+        open head [20,30) is retained.
         """
         operator = GeneralSlicingOperator(stream_in_order=True)
         operator.add_query(TumblingWindow(10), Sum())
@@ -124,20 +125,25 @@ class TestHandComputedCounters:
         (Forced because auto-selection gives the invertible in-order Sum
         a subtract-on-evict kernel; see the kernel counter tests below.)
         The head slice's leaf is written once per slice, not once per
-        record, so the tree work is (capacity c, leaf i: a root path
-        repairs ``bit_length((c + i) // 2)`` nodes, a rebuild c - 1):
+        record, so the tree work is (capacity c, position i: a root path
+        repairs ``bit_length((c + i) // 2)`` nodes, a relayout c - 1):
 
         * ts 0: leaf 0 appended at c=1 -- no inner node yet: 0.
-        * ts 10: head [0,10) synced (path of leaf 0 at c=1: 0); append
-          grows to c=2 (rebuild: 1) and repairs leaf 1's path (1).  The
-          emit of [0,10) stops short of the new head: no sync.  Sum 2.
-        * ts 20: head [10,20) synced (leaf 1 at c=2: 1); append grows to
-          c=4 (rebuild: 3) and repairs leaf 2's path (2).  Sum 8.
+        * ts 10: head [0,10) synced (path of position 0 at c=1: 0);
+          append grows to c=2 (relayout: 1) and repairs position 1's
+          path (1).  The emit of [0,10) stops short of the new head: no
+          sync.  Nothing ends at or before 10 - 10.  Sum 2.
+        * ts 20: head [10,20) synced (position 1 at c=2: 1); append grows
+          to c=4 (relayout: 3) and repairs position 2's path (2).  Behind
+          the emit of [10,20) the record evicts [0,10): position 0 is
+          cleared and its two ancestors repaired (2), the leaves stay
+          where they are and the head is not synced.  Sum 10.
         * Watermark(100): the query of [20,30) reaches the dirty head,
-          which is synced first (leaf 2 at c=4: 2); evicting the two
-          closed slices rebuilds (3).  Sum 13.
+          which is synced first (position 2 at c=4: 2); evicting
+          [10,20) clears position 1 (2).  Sum 14.
 
-        3 rebuilds (two growths, one eviction), one query per window.
+        2 relayouts (the two growths; an eviction moves an offset), one
+        query per window.
         """
         operator = GeneralSlicingOperator(
             stream_in_order=True, eager=True, kernel="flatfat"
@@ -146,10 +152,11 @@ class TestHandComputedCounters:
         tracer = operator.enable_tracing()
         final = final_values(operator, _tumbling_stream() + [Watermark(100)])
         assert final == {(0, 0, 10): 10.0, (0, 10, 20): 10.0, (0, 20, 30): 5.0}
-        assert tracer.value("flatfat.rebuilds") == 3
+        assert tracer.value("flatfat.rebuilds") == 2
         assert tracer.value("flatfat.queries") == 3
-        assert tracer.value("flatfat.node_updates") == 13
+        assert tracer.value("flatfat.node_updates") == 14
         assert tracer.value("kernel.head_syncs") == 3
+        assert tracer.value("kernel.evictions") == 2
 
     def test_inorder_eager_writes_kernels_once_per_slice(self, monkeypatch):
         """An in-order eager run calls ``kernel.update`` at most
@@ -194,9 +201,9 @@ class TestHandComputedCounters:
 
     def test_eager_kernel_counters(self):
         """Eager store: slice traffic reaches the kernels, whatever they
-        are.  3 slices open (3 appends); the final watermark evicts the
-        2 closed slices; the auto-selected subtract-on-evict kernel
-        answers the 3 window queries."""
+        are.  3 slices open (3 appends); the record at ts 20 evicts
+        [0,10) and the final watermark [10,20); the auto-selected
+        subtract-on-evict kernel answers the 3 window queries."""
         operator = GeneralSlicingOperator(stream_in_order=True, eager=True)
         operator.add_query(TumblingWindow(10), Sum())
         tracer = operator.enable_tracing()

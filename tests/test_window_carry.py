@@ -114,8 +114,11 @@ def test_steady_slide_folds_once_and_then_slides(slides):
     # One seed fold over 4 slices, then one slice out and one in per window.
     assert tracer.value("store.slices_combined") == 4 + 2 * 15
     assert tracer.value("share.requests") == 0
+    # The cut at 190 evicted what ends at or before 190 - 40: the carry's
+    # four slices are the first four left, ahead of the open head.
     start, end, lo, hi, partial, nonempty = _carry(operator)
-    assert (start, end, lo, hi, nonempty) == (150, 190, 15, 19, 4)
+    assert (start, end, lo, hi, nonempty) == (150, 190, 0, 4, 4)
+    assert operator.total_slices() == 5
     assert partial.total == 40
     _finish(operator, queries, stream, collected, stream_in_order=True)
 
@@ -124,7 +127,12 @@ def test_length_not_a_multiple_of_the_slide_moves_lo_and_hi_by_different_slices(
     """Starts fall on multiples of 10, ends on 5 + multiples of 10 from
     25 on: the chain is cut at 0, 10, 20, 25, 30, 35, ...  A window gains
     two 5-wide slices and loses one 10-wide slice at first, two 5-wide
-    ones from [30, 55) on."""
+    ones from [30, 55) on.
+
+    A cut between two window ends (ts 90) could evict up to 90 - 25 = 65,
+    but [70, 95) will have to ⊖ [60, 65) and [65, 70): the carry of
+    [60, 85) pins the horizon at 60, or every window from [30, 55) on
+    would fold."""
     queries = lambda: [(SlidingWindow(25, 10), Median())]  # noqa: E731
     operator = _operator(queries(), stream_in_order=True)
     tracer = operator.enable_tracing()
@@ -134,9 +142,10 @@ def test_length_not_a_multiple_of_the_slide_moves_lo_and_hi_by_different_slices(
     assert _folded(slides) == [(0, 0, 25)]
     assert [call[1:3] for call in slides][-1] == (70, 95) and len(slides) == 8
     store = operator.state_objects()[0]
-    assert [s.start for s in store.slices[:6]] == [0, 10, 20, 25, 30, 35]
+    # The cut at 95 emitted [70, 95) and evicted what ends at or before 70.
+    assert [s.start for s in store.slices] == [70, 75, 80, 85, 90, 95]
     start, end, lo, hi, _, nonempty = _carry(operator)
-    assert (start, end, lo, hi, nonempty) == (70, 95, 12, 17, 5)
+    assert (start, end, lo, hi, nonempty) == (70, 95, 0, 5, 5)
     # 3 slices for the seed; 1 out + 2 in for [10, 35) and [20, 45),
     # 2 out + 2 in for the other five slid windows.
     assert tracer.value("store.slices_combined") == 3 + 2 * 3 + 5 * 4
@@ -155,8 +164,10 @@ def test_five_nested_queries_read_two_slices_per_window_after_their_seeds(slides
 
     assert _folded(slides) == [(i, 0, length) for i, length in enumerate(lengths)]
     seeds = sum(length // 10 for length in lengths)
-    slices = len(operator.state_objects()[0].slices)
+    slices = tracer.value("slicer.slices_created")
     assert slices == 30
+    # Behind the cut at 290 the longest window keeps [190, 290) and the head.
+    assert operator.total_slices() == 11
     windows = sum((300 - length) // 10 for length in lengths)  # ends 10 .. 290 per query
     assert tracer.value("window.slides") == windows - len(lengths)
     assert tracer.value("store.slices_combined") == seeds + 2 * (windows - len(lengths))
@@ -387,8 +398,9 @@ def test_late_punctuation_split_in_a_shared_chain_drops_the_carry(slides):
 
 
 def test_eviction_moves_a_kept_carry_to_its_new_indices_and_drops_a_cut_one(slides):
-    """5-wide slices under a 40-wide window sliding by 10, no lateness:
-    a watermark evicts what ends at or before ``watermark - 40``."""
+    """5-wide slices under a 40-wide window sliding by 10, no lateness: a
+    watermark evicts what ends at or before ``watermark - 40``, but never
+    past the start of a carried window."""
     queries = lambda: [  # noqa: E731
         (SlidingWindow(40, 10), Median()),
         (TumblingWindow(5), Sum()),
@@ -396,7 +408,7 @@ def test_eviction_moves_a_kept_carry_to_its_new_indices_and_drops_a_cut_one(slid
     head = _records(range(0, 200)) + [Watermark(100)]
     operator, collected = _ooo_run(queries, head, allowed_lateness=0)
     store = operator.state_objects()[0]
-    # Twelve slices are gone and the carry has moved down with its own.
+    # Twelve slices are gone and the carry has moved down by twelve.
     assert store.slices[0].start == 60
     assert _carry(operator)[:4] == (60, 100, 0, 8)
     operator.check_invariants()
@@ -406,12 +418,20 @@ def test_eviction_moves_a_kept_carry_to_its_new_indices_and_drops_a_cut_one(slid
     assert slides == [(0, 70, 110, True), (0, 80, 120, True)]
     assert _carry(operator)[:4] == (80, 120, 0, 8)
 
-    # A watermark between two slides emits [90, 130), then evicts
-    # [90, 95): the carry has lost its first slice -- one the next window
-    # would have to subtract -- and is dropped.
+    # A watermark between two slides emits [90, 130) and could evict up to
+    # 95.  [90, 95) is the first slice the next window has to subtract:
+    # the carry pins the horizon at 90 and moves down by the two slices
+    # that do go.
     del slides[:]
     collected.update(final_values(operator, [Watermark(135)]))
     assert slides == [(0, 90, 130, True)]
+    assert store.slices[0].start == 90 and _carry(operator)[:4] == (90, 130, 0, 8)
+    operator.check_invariants()
+
+    # An eviction that does take a carried slice -- the operator never
+    # asks for one -- drops the carry: the evicted count exceeds its lo.
+    assert store.evict_before(95) == 1
+    _window_manager(operator).prune_emitted(95, 1)
     assert store.slices[0].start == 95 and _carry(operator) is None
     operator.check_invariants()
 
@@ -627,10 +647,14 @@ def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
     assert manager._carries == {0: None, 1: None}
     clone.check_invariants()
 
+    # It also predates eviction behind in-order records and the emitted
+    # pairs no longer kept for context-free windows: all seven slices and
+    # every window emitted so far are in it.
+    assert clone.total_slices() == 7
+    assert [len(pairs) for pairs in manager._emitted.values()] == [3, 5]
     uninterrupted = _pre_carry_operator()
     run_operator(uninterrupted, [_pre_carry_record(ts) for ts in range(65)])
-    # The frame is what this commit writes for the same state, byte for byte.
-    assert snapshot(uninterrupted) == blob
+    assert uninterrupted.total_slices() == 5  # [20, 30) .. [60, ...): the cut at 60 evicted up to 20
 
     del slides[:]
     tail = [_pre_carry_record(ts) for ts in range(65, 200)] + [Watermark(HORIZON)]
@@ -642,6 +666,9 @@ def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
     assert _folded(slides)[:2] == [(0, 30, 70), (1, 50, 70)]
     assert [call for call in slides if call[2] > 70] == [call for call in unbroken if call[2] > 70]
     clone.check_invariants()
+    # What the frame held beyond today's state has been evicted and pruned
+    # like anything else: the two operators now write the same frame.
+    assert snapshot(clone) == snapshot(uninterrupted)
 
 
 def test_the_carry_is_small_and_outside_the_measured_state():
@@ -665,11 +692,15 @@ def test_the_carry_is_small_and_outside_the_measured_state():
 
 
 def test_check_invariants_names_what_a_carry_must_satisfy():
-    operator = _operator([(SlidingWindow(40, 10), Median())], stream_in_order=True)
+    """The 60-wide tumbling window keeps [30, 40) and [40, 50) in front of
+    the carried slices: seven slices with the open head."""
+    operator = _operator(
+        [(SlidingWindow(40, 10), Median()), (TumblingWindow(60), Sum())], stream_in_order=True
+    )
     run_operator(operator, _records(range(100)))
     manager = _window_manager(operator)
     start, end, lo, hi, partial, nonempty = manager._carries[0]
-    assert (start, end, lo, hi) == (50, 90, 5, 9)
+    assert (start, end, lo, hi) == (50, 90, 2, 6)
     operator.check_invariants()
 
     manager._carries[0] = (start, end, lo, hi, partial.merge(partial), nonempty)
@@ -682,10 +713,10 @@ def test_check_invariants_names_what_a_carry_must_satisfy():
     with pytest.raises(AssertionError, match="ends in the open head"):
         operator.check_invariants()
     manager._carries[0] = (start, end, lo - 1, hi - 1, partial, nonempty)
-    with pytest.raises(AssertionError, match=r"covers slices \[4, 8\), the window \(5, 9\)"):
+    with pytest.raises(AssertionError, match=r"covers slices \[1, 5\), the window \(2, 6\)"):
         operator.check_invariants()
     manager._carries[0] = (start, end, lo, hi + 5, partial, nonempty)
-    with pytest.raises(AssertionError, match=r"covers slices \[5, 14\) of 10"):
+    with pytest.raises(AssertionError, match=r"covers slices \[2, 11\) of 7"):
         operator.check_invariants()
     manager._carries[0] = (start, end, lo, hi, partial, nonempty)
     operator.check_invariants()
