@@ -1,61 +1,32 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one table or figure of the paper via
-:mod:`repro.experiments.figures`, prints the resulting table (captured
-in the pytest output), saves it under ``benchmarks/results/``, and
-asserts the paper's qualitative *shape* (who wins, roughly by how much,
-where crossovers fall).  Absolute numbers are Python-sized, not
+Every benchmark runs one entry of ``repro.experiments.FIGURES`` -- the
+registry owns the sizes -- prints the table, saves it under
+``benchmarks/results/<name>.txt`` and asserts the paper's qualitative
+*shape*.  Rankings (who wins) are asserted at every scale; factors
+(by how much, how flat) only at ``REPRO_BENCH_SCALE`` >= 1, where the
+streams are long enough for every window to close, and only such runs
+write the results files.  Absolute numbers are Python-sized, not
 JVM-sized; see EXPERIMENTS.md.
-
-Workloads honour ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
-import pytest
+from repro.experiments import FIGURES, ResultTable, bench_scale
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+FULL_SCALE = bench_scale() >= 1
 
 
-def save_table(table) -> None:
-    """Persist a rendered result table and echo it to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    head, _, tail = table.title.partition(":")
-    slug_source = head if not head.lower().startswith("ablation") else table.title
-    slug = "".join(
-        ch if ch.isalnum() else "_" for ch in slug_source.strip().lower()
-    ).strip("_")
-    while "__" in slug:
-        slug = slug.replace("__", "_")
-    slug = slug[:60]
+def figure(name: str) -> ResultTable:
+    """Generate a registered table, echo it and (at full scale) save it."""
+    _family, generator = FIGURES[name]
+    table = generator()
     text = table.render()
-    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
     print("\n" + text)
-
-
-def geometric_speedup(table, key_column, value_column, fast, slow, where=None):
-    """Average ratio fast/slow across matching rows (shape assertions)."""
-    rows = table.rows
-    if where is not None:
-        rows = [row for row in rows if where(row)]
-    fast_values = {}
-    slow_values = {}
-    for row in rows:
-        if row[key_column] == fast:
-            fast_values[tuple(row[c] for c in table.columns if c not in (key_column, value_column))] = row[value_column]
-        elif row[key_column] == slow:
-            slow_values[tuple(row[c] for c in table.columns if c not in (key_column, value_column))] = row[value_column]
-    ratios = [
-        fast_values[key] / slow_values[key]
-        for key in fast_values
-        if key in slow_values and slow_values[key]
-    ]
-    if not ratios:
-        raise AssertionError(f"no comparable rows for {fast} vs {slow}")
-    product = 1.0
-    for ratio in ratios:
-        product *= ratio
-    return product ** (1.0 / len(ratios))
+    if FULL_SCALE:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    return table

@@ -6,21 +6,7 @@ tuple buffer and (especially) the aggregate tree decay with the
 fraction, and the tuple buffer additionally decays with the delay.
 """
 
-from conftest import save_table
-
-from repro.experiments.figures import fig12_stream_order
-
-FRACTIONS = (0.0, 0.2, 0.6)
-DELAYS = ((0, 200), (0, 2_000), (2_000, 6_000))
-
-
-def run():
-    return fig12_stream_order(
-        fractions=FRACTIONS,
-        delay_ranges=DELAYS,
-        num_records=5_000,
-        concurrent_windows=10,
-    )
+from conftest import FULL_SCALE, figure
 
 
 def _series(table, panel, technique, x_column):
@@ -30,27 +16,30 @@ def _series(table, panel, technique, x_column):
 
 
 def test_fig12_stream_order():
-    table = run()
-    save_table(table)
-
-    # 12a: slicing tolerates growing ooo fractions far better than the
-    # aggregate tree, whose leaf inserts are O(n).
+    table = figure("fig12")
     lazy = _series(table, "12a", "Lazy Slicing", "fraction")
+    buffer = _series(table, "12a", "Tuple Buffer", "fraction")
     tree = _series(table, "12a", "Aggregate Tree", "fraction")
+
+    # At the highest disorder slicing dominates both buffer and tree,
+    # and the tree decays more than slicing does.
+    assert lazy[-1] > buffer[-1] > tree[-1], (lazy, buffer, tree)
     lazy_decay = lazy[0] / lazy[-1]
     tree_decay = tree[0] / tree[-1]
-    assert tree_decay > 2 * lazy_decay, (lazy, tree)
-    assert lazy_decay < 4, lazy
+    assert tree_decay > lazy_decay, (lazy, tree)
+    if not FULL_SCALE:
+        return
 
-    # At 60% disorder slicing dominates both buffer and tree.
-    at60 = {
-        row["technique"]: row["throughput"]
-        for row in table.rows
-        if row["panel"] == "12a" and row["fraction"] == FRACTIONS[-1]
-    }
-    assert at60["Lazy Slicing"] > 2 * at60["Aggregate Tree"]
-    assert at60["Lazy Slicing"] > at60["Tuple Buffer"]
+    # 12a: slicing tolerates growing ooo fractions; the aggregate tree,
+    # whose leaf inserts are O(n), and the tuple buffer collapse.
+    assert lazy_decay < 2, lazy
+    assert tree_decay > 20 * lazy_decay, (lazy, tree)
+    assert buffer[0] / buffer[-1] > 10, buffer
+    assert lazy[-1] > 10 * buffer[-1], (lazy, buffer)
 
-    # 12b: slicing robust against the delay magnitude.
+    # 12b: slicing robust against the delay magnitude; the tuple buffer
+    # decays with it.
     lazy_delay = _series(table, "12b", "Lazy Slicing", "delay_hi")
-    assert max(lazy_delay) / min(lazy_delay) < 4, lazy_delay
+    assert max(lazy_delay) / min(lazy_delay) < 2, lazy_delay
+    buffer_delay = _series(table, "12b", "Tuple Buffer", "delay_hi")
+    assert buffer_delay[0] > buffer_delay[-1], buffer_delay

@@ -5,32 +5,26 @@ records in the split slice, and holistic aggregates (median) cost far
 more per record than algebraic ones (sum).
 """
 
-from conftest import save_table
-
-from repro.experiments.figures import fig15_split_cost
-
-SIZES = (100, 1_000, 10_000)
-
-
-def run():
-    return fig15_split_cost(sizes=SIZES, repetitions=5)
-
-
-def _series(table, aggregation):
-    rows = [r for r in table.rows if r["aggregation"] == aggregation]
-    rows.sort(key=lambda r: r["tuples"])
-    return [r["time_us"] for r in rows]
+from conftest import FULL_SCALE, figure
 
 
 def test_fig15_split_cost():
-    table = run()
-    save_table(table)
+    table = figure("fig15")
+    series = table.series("aggregation", "time_us")
 
     for aggregation in ("sum", "median"):
-        series = _series(table, aggregation)
-        # Monotone growth, roughly linear: 100x records within ~8-500x time.
-        assert series[0] < series[1] < series[2], series
-        assert 8 < series[2] / series[0] < 2_000, series
+        times = series[aggregation]
+        assert times == sorted(times), times  # grows with the slice
+        if FULL_SCALE:
+            # Roughly linear: 100x records within ~8-500x time.
+            assert 8 < times[-1] / times[0] < 500, times
 
-    # Holistic recomputation costs much more than algebraic recomputation.
-    assert _series(table, "median")[-1] > 5 * _series(table, "sum")[-1]
+    # Holistic recomputation costs more than algebraic -- but no longer
+    # "far more": since issue 14 a median slice is recomputed by ONE
+    # sort of its values (`Percentile.fold_values`, C speed) instead of
+    # one multiset merge per record, so the ratio fell from ~x80 to
+    # x3-4 at 10 000 records.  The old `> 5x` bound asserted the merge
+    # loop, not the paper's claim; what remains of it is the ranking.
+    assert series["median"][-1] > series["sum"][-1], series
+    if FULL_SCALE:
+        assert series["median"][-1] > 2 * series["sum"][-1], series

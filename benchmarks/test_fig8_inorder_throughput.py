@@ -2,42 +2,47 @@
 
 Paper shape: all slicing techniques (lazy, eager, Pairs, Cutty) process
 millions of records/s nearly independent of the number of concurrent
-windows; Buckets, Tuple Buffer, and Aggregate Tree fall off by orders
-of magnitude as windows grow.
+windows, general slicing matching the specialised ones; Buckets, Tuple
+Buffer, and Aggregate Tree fall off by orders of magnitude as windows
+grow.
 """
 
-from conftest import geometric_speedup, save_table
+from conftest import FULL_SCALE, figure
 
-from repro.experiments.figures import fig8_inorder_throughput
-
-WINDOWS = (1, 8, 64)
-SLICING = ("Lazy Slicing", "Eager Slicing", "Pairs", "Cutty")
+GENERAL = ("Lazy Slicing", "Eager Slicing")
+SPECIALISED = ("Pairs", "Cutty")
 NON_SLICING = ("Buckets", "Tuple Buffer", "Aggregate Tree")
 
 
-def run():
-    return fig8_inorder_throughput(windows_list=WINDOWS, num_records=8_000)
-
-
 def test_fig8_inorder_throughput():
-    table = run()
-    save_table(table)
+    table = figure("fig8")
     by_tech = table.series("technique", "throughput")
+    most = max(table.column("windows"))
+    at_max = {
+        row["technique"]: row["throughput"] for row in table.rows if row["windows"] == most
+    }
 
     # Slicing beats every non-slicing technique at high window counts.
-    at_max = {
-        row["technique"]: row["throughput"]
-        for row in table.rows
-        if row["windows"] == max(WINDOWS)
-    }
-    for fast in SLICING:
+    for fast in GENERAL + SPECIALISED:
         for slow in NON_SLICING:
-            assert at_max[fast] > 3 * at_max[slow], (fast, slow, at_max)
+            assert at_max[fast] > at_max[slow], (fast, slow, at_max)
+    if not FULL_SCALE:
+        return
+    for fast in GENERAL + SPECIALISED:
+        for slow in NON_SLICING:
+            assert at_max[fast] > 10 * at_max[slow], (fast, slow, at_max)
 
-    # Slicing stays within a small factor across window counts, while
-    # buckets degrade massively.
-    for name in ("Lazy Slicing", "Eager Slicing"):
+    # The headline: general slicing keeps up with the techniques
+    # specialised to this workload (x1.4-1.9 behind them here; the paper
+    # has them equal on the JVM), at every window count.
+    for general in GENERAL:
+        for special in SPECIALISED:
+            for ours, theirs in zip(by_tech[general], by_tech[special]):
+                assert ours > theirs / 2.5, (general, special, by_tech)
+
+    # Slicing is flat in the window count, while buckets degrade massively.
+    for name in GENERAL:
         series = by_tech[name]
-        assert max(series) / min(series) < 8, (name, series)
+        assert max(series) / min(series) < 2, (name, series)
     buckets = by_tech["Buckets"]
-    assert buckets[0] / buckets[-1] > 5, buckets
+    assert buckets[0] / buckets[-1] > 10, buckets

@@ -8,35 +8,33 @@ performance follows workload, not data, characteristics.
 """
 
 import pytest
-from conftest import save_table
-
-from repro.experiments.figures import fig9_ooo_throughput
-
-WINDOWS = (1, 8, 64)
-
-
-def run(dataset):
-    return fig9_ooo_throughput(
-        windows_list=WINDOWS, num_records=5_000, dataset=dataset
-    )
+from conftest import FULL_SCALE, figure
 
 
 @pytest.mark.parametrize("dataset", ["football", "machine"])
 def test_fig9_ooo_throughput(dataset):
-    table = run(dataset)
-    save_table(table)
+    table = figure(f"fig9_{dataset}")
+    most = max(table.column("windows"))
     at_max = {
-        row["technique"]: row["throughput"]
-        for row in table.rows
-        if row["windows"] == max(WINDOWS)
+        row["technique"]: row["throughput"] for row in table.rows if row["windows"] == most
     }
-    # Lazy slicing leads; eager close behind; both far above the rest.
-    assert at_max["Lazy Slicing"] >= 0.5 * max(at_max.values())
+    # Slicing leads every record- or window-keeping technique.
+    slicing = min(at_max["Lazy Slicing"], at_max["Eager Slicing"])
     for slow in ("Buckets", "Tuple Buffer", "Aggregate Tree"):
-        assert at_max["Lazy Slicing"] > 3 * at_max[slow], (slow, at_max)
-    # The aggregate tree is the worst technique under disorder.
+        assert slicing > at_max[slow], (slow, at_max)
+    if not FULL_SCALE:
+        return
+    # The aggregate tree is the worst technique under disorder (its
+    # buffer has to fill for that: buckets tie it on a short stream).
     assert at_max["Aggregate Tree"] == min(at_max.values()), at_max
+    for slow in ("Buckets", "Tuple Buffer", "Aggregate Tree"):
+        assert slicing > 3 * at_max[slow], (slow, at_max)
+    assert slicing > 10 * at_max["Aggregate Tree"], at_max
 
-    # Slicing throughput stays roughly flat in the window count.
+    # The paper's "near-constant in the window count" does NOT hold here:
+    # lazy slicing loses x4.0-4.4 from 1 to 64 windows, because the one
+    # session window puts every record back on the per-record slicer path
+    # (ROADMAP item 2).  The bound holds only because it is loose; it
+    # keeps the decline from growing until that item removes it.
     lazy = table.series("technique", "throughput")["Lazy Slicing"]
     assert max(lazy) / min(lazy) < 8, lazy

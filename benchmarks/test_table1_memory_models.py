@@ -5,24 +5,20 @@ deep sizes of real operator state: the *growth direction* of every row
 (which symbol each technique's memory follows) must match Table 1.
 """
 
-from conftest import save_table
+from conftest import figure
 
-from repro.experiments.figures import _fill_count_operator, _fill_time_operator, table1_memory_models
+from repro.experiments import FIGURES, scaled
+from repro.experiments.figures import fill_operator
 from repro.runtime.memory import deep_sizeof
 
 
-def run():
-    return table1_memory_models(num_tuples=10_000, num_slices=100, num_windows=100)
-
-
-def _measured(fill, name, slices, tuples):
-    operator = fill(name, slices, tuples, 10_000_000)
+def _measured(measure, name, slices, tuples):
+    operator = fill_operator(name, measure, slices, tuples)
     return sum(deep_sizeof(obj) for obj in operator.state_objects())
 
 
 def test_table1_memory_models():
-    table = run()
-    save_table(table)
+    table = figure("table1")
     models = {row["technique"]: row["model_bytes"] for row in table.rows}
 
     # Analytic ordering for a typical time-based workload.
@@ -34,17 +30,22 @@ def test_table1_memory_models():
 
     # Measured growth directions match the models (time-based windows):
     # row 1: tuple buffer ~ |tuples|.
-    assert _measured(_fill_time_operator, "Tuple Buffer", 50, 4_000) > 2 * _measured(
-        _fill_time_operator, "Tuple Buffer", 50, 1_000
+    # The measured sizes are fractions of the table's own.
+    sizes = FIGURES["table1"][1].keywords
+    many = scaled(sizes["num_tuples"]) // 2
+    few = many // 4
+    slices = sizes["num_slices"] // 2
+    assert _measured("time", "Tuple Buffer", slices, many) > 2 * _measured(
+        "time", "Tuple Buffer", slices, few
     )
     # row 5: lazy slicing ~ |slices| and flat in |tuples|.
-    assert _measured(_fill_time_operator, "Lazy Slicing", 400, 2_000) > 2 * _measured(
-        _fill_time_operator, "Lazy Slicing", 50, 2_000
+    assert _measured("time", "Lazy Slicing", 8 * slices, many) > 2 * _measured(
+        "time", "Lazy Slicing", slices, many
     )
-    flat_small = _measured(_fill_time_operator, "Lazy Slicing", 50, 1_000)
-    flat_large = _measured(_fill_time_operator, "Lazy Slicing", 50, 4_000)
+    flat_small = _measured("time", "Lazy Slicing", slices, few)
+    flat_large = _measured("time", "Lazy Slicing", slices, many)
     assert flat_large < 1.5 * flat_small
     # rows 7/8: slicing on tuples (count measure) grows with |tuples|.
-    assert _measured(_fill_count_operator, "Lazy Slicing", 50, 4_000) > 2 * _measured(
-        _fill_count_operator, "Lazy Slicing", 50, 1_000
+    assert _measured("count", "Lazy Slicing", slices, many) > 2 * _measured(
+        "count", "Lazy Slicing", slices, few
     )

@@ -1,30 +1,31 @@
 """Per-figure experiment definitions (Section 6 of the paper).
 
-Every public ``fig*``/``table1`` function regenerates one table or
-figure of the paper's evaluation as a :class:`ResultTable` whose rows
-are the same series the paper plots.  Absolute numbers differ (pure
-Python substrate vs the authors' Flink/JVM testbed); the *shapes* --
-who wins, by roughly what factor, where crossovers fall -- are asserted
-by the benchmark suite.
+Every ``fig*`` / ``table1`` function regenerates one table or figure of
+the paper's evaluation as a :class:`ResultTable` whose rows are the same
+series the paper plots.  Absolute numbers differ (pure Python substrate
+vs the authors' Flink/JVM testbed); the *shapes* -- who wins, by roughly
+what factor, where crossovers fall -- are asserted by ``benchmarks/``.
 
-All workload sizes honour ``REPRO_BENCH_SCALE`` (see
-:mod:`repro.experiments.harness`).
+No function here has a default size: every size is bound in the
+``FIGURES`` registry of :mod:`repro.experiments` and scales with
+``REPRO_BENCH_SCALE``.  Every timed number comes from
+:func:`repro.experiments.estimate.measure`.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from ..aggregations import (
     AggregateFunction,
+    ArgMax,
+    ArgMin,
     Average,
     Count,
     GeometricMean,
     M4,
-    ArgMax,
-    ArgMin,
     Max,
     MaxCount,
     Median,
@@ -35,42 +36,35 @@ from ..aggregations import (
     Sum,
     SumWithoutInvert,
 )
+from ..core.aggregate_store import EagerAggregateStore, LazyAggregateStore
+from ..core.characteristics import select_kernel
+from ..core.flatfat import FlatFAT
 from ..core.operator_base import WindowOperator
-from ..core.operator_ import GeneralSlicingOperator
 from ..core.slice_ import Slice
 from ..core.types import Record, StreamElement
-from ..data.football import football_keyed_stream, football_stream
-from ..data.machine import machine_stream
-from ..data.workloads import SECOND_MS, constrained_stream, dashboard_windows
-from ..runtime.memory import deep_sizeof, memory_model
-from ..runtime.metrics import LatencyHarness, measure_throughput
+from ..data.workloads import DEFAULT_OOO_FRACTION as OOO_FRACTION
+from ..data.workloads import DEFAULT_OOO_MAX_DELAY_MS as OOO_MAX_DELAY
+from ..data.workloads import constrained_stream, dashboard_windows
+from ..runtime.faults import FaultInjectingOperator, FaultPlan
+from ..runtime.memory import TABLE1_ROWS, deep_sizeof, memory_model
+from ..runtime.pipeline import CountingSink
+from ..runtime.recovery import RestartPolicy, SupervisedPipeline
 from ..runtime.sharded import ShardedPipeline
 from ..windows.count import CountTumblingWindow
 from ..windows.session import SessionWindow
 from ..windows.tumbling import TumblingWindow
+from .estimate import measure, nearest_rank
 from .harness import (
     INORDER_ONLY_TECHNIQUES,
+    TIMED,
     ResultTable,
+    Workload,
     make_operator,
     scaled,
+    stream_header,
 )
 
-__all__ = [
-    "fig8_inorder_throughput",
-    "fig9_ooo_throughput",
-    "fig10_memory",
-    "fig11_latency",
-    "fig12_stream_order",
-    "fig13_aggregations",
-    "fig14_holistic",
-    "fig15_split_cost",
-    "fig16_measures",
-    "fig17_parallel",
-    "table1_memory_models",
-    "recovery_latency",
-]
-
-#: Default technique sets per figure (paper legends).
+#: Technique sets per figure (paper legends).
 FIG8_TECHNIQUES = (
     "Lazy Slicing",
     "Eager Slicing",
@@ -80,118 +74,149 @@ FIG8_TECHNIQUES = (
     "Tuple Buffer",
     "Aggregate Tree",
 )
-FIG9_TECHNIQUES = (
-    "Lazy Slicing",
-    "Eager Slicing",
-    "Buckets",
-    "Tuple Buffer",
-    "Aggregate Tree",
-)
+#: Out-of-order figures leave out what only runs in order (Pairs, Cutty).
+FIG9_TECHNIQUES = tuple(n for n in FIG8_TECHNIQUES if n not in INORDER_ONLY_TECHNIQUES)
+
+#: An estimator case: called outside the timer, returns what is timed.
+Build = Callable[[], Callable[[], object]]
 
 
-def _add_dashboard_queries(
+def dashboard(
     operator: WindowOperator,
-    concurrent_windows: int,
+    windows: int,
     aggregation: AggregateFunction,
-    *,
     session_gap: Optional[int] = None,
-) -> None:
-    for window in dashboard_windows(concurrent_windows):
+) -> WindowOperator:
+    """``operator`` with the dashboard queries (and the one session) added."""
+    for window in dashboard_windows(windows):
         operator.add_query(window, aggregation)
     if session_gap is not None:
         operator.add_query(SessionWindow(session_gap), aggregation)
+    return operator
+
+
+def technique(
+    name: str,
+    windows: int,
+    aggregation: AggregateFunction,
+    *,
+    in_order: bool,
+    lateness: int = 0,
+    session_gap: Optional[int] = None,
+) -> WindowOperator:
+    """The technique ``name`` running the dashboard workload."""
+    operator = make_operator(name, stream_in_order=in_order, allowed_lateness=lateness)
+    return dashboard(operator, windows, aggregation, session_gap)
+
+
+def replay(
+    make: Callable[[], WindowOperator], stream: Sequence[StreamElement], **run_options: object
+) -> Build:
+    """A fresh operator per pass, built outside the timer; the clock goes
+    around its replay of ``stream``, which returns the records replayed."""
+    records = sum(1 for element in stream if isinstance(element, Record))
+
+    def build() -> Callable[[], int]:
+        operator = make()
+
+        def run() -> int:
+            operator.run(stream, **run_options)
+            return records
+
+        return run
+
+    return build
+
+
+def replay_disordered(
+    name: str,
+    windows: int,
+    aggregation: AggregateFunction,
+    stream: Sequence[StreamElement],
+    session_gap: Optional[int] = None,
+    max_delay: int = OOO_MAX_DELAY,
+) -> Build:
+    """``name`` on the dashboard workload over a disordered stream."""
+    options = dict(in_order=False, lateness=2 * max_delay, session_gap=session_gap)
+    return replay(partial(technique, name, windows, aggregation, **options), stream)
+
+
+def throughput_table(
+    title: str, columns: Sequence[str], header: str, cases: Dict[Hashable, Build]
+) -> ResultTable:
+    """Measure :func:`replay` cases (keyed by ``columns``) into a table:
+    one row each, ``records / fastest pass`` as its throughput."""
+    table = ResultTable(title, [*columns, "throughput"], header)
+    for key, cell in measure(cases).items():
+        table.add(**dict(zip(columns, key)), throughput=cell.value / cell.seconds)
+    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 8: in-order throughput over concurrent windows (CF tumbling)
 
 
-def fig8_inorder_throughput(
-    *,
-    windows_list: Sequence[int] = (1, 4, 16, 64, 256),
-    num_records: Optional[int] = None,
-    techniques: Sequence[str] = FIG8_TECHNIQUES,
-) -> ResultTable:
+def fig8_inorder_throughput(*, workload: Workload) -> ResultTable:
     """In-order processing with context-free windows (Figure 8)."""
-    num_records = num_records if num_records is not None else scaled(12_000)
-    stream = football_stream(num_records)
-    table = ResultTable(
+    stream = workload.stream()
+    cases = {
+        (name, concurrent): replay(
+            partial(technique, name, concurrent, Sum(), in_order=True), stream
+        )
+        for concurrent in workload.windows
+        for name in FIG8_TECHNIQUES
+    }
+    return throughput_table(
         "Figure 8: in-order throughput (records/s) vs concurrent windows",
-        ["technique", "windows", "throughput"],
+        ["technique", "windows"],
+        stream_header((workload, stream)),
+        cases,
     )
-    for concurrent in windows_list:
-        for name in techniques:
-            operator = make_operator(name, stream_in_order=True)
-            _add_dashboard_queries(operator, concurrent, Sum())
-            outcome = measure_throughput(operator, stream)
-            table.add(
-                technique=name, windows=concurrent, throughput=outcome.records_per_second
-            )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 9: constrained throughput (20 % out-of-order + session window)
 
 
-def fig9_ooo_throughput(
-    *,
-    windows_list: Sequence[int] = (1, 4, 16, 64, 256),
-    num_records: Optional[int] = None,
-    techniques: Sequence[str] = FIG9_TECHNIQUES,
-    dataset: str = "football",
-    ooo_fraction: float = 0.2,
-    max_delay: int = 2 * SECOND_MS,
-) -> ResultTable:
+def fig9_ooo_throughput(*, workload: Workload) -> ResultTable:
     """Throughput under constraints (Figure 9): ooo records + sessions."""
-    num_records = num_records if num_records is not None else scaled(8_000)
-    if dataset == "football":
-        records = football_stream(num_records)
-    elif dataset == "machine":
-        records = machine_stream(num_records)
-    else:
-        raise ValueError(f"unknown dataset {dataset!r}")
-    stream = constrained_stream(records, fraction=ooo_fraction, max_delay=max_delay)
-    table = ResultTable(
-        f"Figure 9 ({dataset}): throughput with 20% ooo + session windows",
-        ["technique", "windows", "throughput"],
+    records = workload.stream()
+    stream = constrained_stream(records)
+    cases = {
+        (name, concurrent): replay_disordered(
+            name, concurrent, Sum(), stream, workload.session_gap
+        )
+        for concurrent in workload.windows
+        for name in FIG9_TECHNIQUES
+    }
+    return throughput_table(
+        f"Figure 9 ({workload.name}): throughput with 20% ooo + session windows",
+        ["technique", "windows"],
+        stream_header((workload, records)),
+        cases,
     )
-    for concurrent in windows_list:
-        for name in techniques:
-            if name in INORDER_ONLY_TECHNIQUES:
-                continue
-            operator = make_operator(
-                name, stream_in_order=False, allowed_lateness=2 * max_delay
-            )
-            _add_dashboard_queries(
-                operator, concurrent, Sum(), session_gap=SECOND_MS
-            )
-            outcome = measure_throughput(operator, stream)
-            table.add(
-                technique=name, windows=concurrent, throughput=outcome.records_per_second
-            )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 10: memory consumption
 
 
-def _fill_time_operator(name: str, num_slices: int, num_tuples: int, span: int):
-    """Build an operator holding ``num_slices`` slices over ``num_tuples``."""
-    length = max(1, span // num_slices)
-    operator = make_operator(name, stream_in_order=False, allowed_lateness=span)
-    operator.add_query(TumblingWindow(length), Sum())
-    step = max(1, span // num_tuples)
-    for index in range(num_tuples):
-        operator.process(Record(index * step, float(index % 97)))
-    return operator
+#: Event-time span (and allowed lateness) of the memory experiments'
+#: synthetic streams: large enough that nothing is evicted.
+FILL_SPAN = 10_000_000
 
 
-def _fill_count_operator(name: str, num_slices: int, num_tuples: int, span: int):
-    length = max(1, num_tuples // num_slices)
+def fill_operator(
+    name: str, measure_: str, num_slices: int, num_tuples: int, span: int = FILL_SPAN
+) -> WindowOperator:
+    """``name`` holding ``num_tuples`` records spread over ``span`` in
+    ``num_slices`` slices of a ``"time"`` or ``"count"`` tumbling window."""
+    if measure_ == "time":
+        window = TumblingWindow(max(1, span // num_slices))
+    else:
+        window = CountTumblingWindow(max(1, num_tuples // num_slices))
     operator = make_operator(name, stream_in_order=False, allowed_lateness=span)
-    operator.add_query(CountTumblingWindow(length), Sum())
+    operator.add_query(window, Sum())
     step = max(1, span // num_tuples)
     for index in range(num_tuples):
         operator.process(Record(index * step, float(index % 97)))
@@ -200,62 +225,48 @@ def _fill_count_operator(name: str, num_slices: int, num_tuples: int, span: int)
 
 def fig10_memory(
     *,
-    slices_list: Sequence[int] = (50, 100, 500, 1000),
-    tuples_list: Sequence[int] = (1_000, 5_000, 20_000, 50_000),
-    fixed_tuples: Optional[int] = None,
-    fixed_slices: int = 500,
-    techniques: Sequence[str] = ("Lazy Slicing", "Buckets", "Tuple Buffer", "Aggregate Tree"),
+    slices_list: Sequence[int],
+    tuples_list: Sequence[int],
+    fixed_tuples: int,
+    fixed_slices: int,
 ) -> ResultTable:
     """Memory footprints with unordered streams (Figures 10a-10d).
 
     Four sub-experiments: vary slices with tuples fixed (10a time-based,
     10c count-based) and vary tuples with slices fixed (10b, 10d).
     """
-    fixed_tuples = fixed_tuples if fixed_tuples is not None else scaled(20_000)
-    span = 10_000_000  # large allowed lateness: nothing is evicted
+    fixed_tuples = scaled(fixed_tuples)
+    tuples_list = [scaled(tuples) for tuples in tuples_list]
     table = ResultTable(
         "Figure 10: memory (bytes) of aggregation techniques",
         ["panel", "measure", "technique", "slices", "tuples", "bytes"],
+        f"synthetic: up to {max(fixed_tuples, *tuples_list):,} records held over an "
+        f"event-time span of {FILL_SPAN // 1_000:,} s, nothing evicted; sizes are "
+        "deterministic, nothing is timed (0 rounds)",
     )
-    def technique_for(name: str, measure: str) -> str:
-        # Count-based windows on unordered streams force buckets to keep
-        # individual records (Table 1 row 4: tuple buckets).
-        if measure == "count" and name == "Buckets":
-            return "Tuple Buckets"
-        return name
-
-    for panel, measure, fill in (
-        ("10a", "time", _fill_time_operator),
-        ("10c", "count", _fill_count_operator),
-    ):
-        for num_slices in slices_list:
-            for name in techniques:
-                operator = fill(technique_for(name, measure), num_slices, fixed_tuples, span)
-                footprint = sum(deep_sizeof(obj) for obj in operator.state_objects())
-                table.add(
-                    panel=panel,
-                    measure=measure,
-                    technique=name,
-                    slices=num_slices,
-                    tuples=fixed_tuples,
-                    bytes=footprint,
-                )
-    for panel, measure, fill in (
-        ("10b", "time", _fill_time_operator),
-        ("10d", "count", _fill_count_operator),
-    ):
-        for num_tuples in tuples_list:
-            for name in techniques:
-                operator = fill(technique_for(name, measure), fixed_slices, num_tuples, span)
-                footprint = sum(deep_sizeof(obj) for obj in operator.state_objects())
-                table.add(
-                    panel=panel,
-                    measure=measure,
-                    technique=name,
-                    slices=fixed_slices,
-                    tuples=num_tuples,
-                    bytes=footprint,
-                )
+    panels = [
+        (panel, measure_, num_slices, fixed_tuples)
+        for panel, measure_ in (("10a", "time"), ("10c", "count"))
+        for num_slices in slices_list
+    ] + [
+        (panel, measure_, fixed_slices, num_tuples)
+        for panel, measure_ in (("10b", "time"), ("10d", "count"))
+        for num_tuples in tuples_list
+    ]
+    for panel, measure_, num_slices, num_tuples in panels:
+        for name in ("Lazy Slicing", "Buckets", "Tuple Buffer", "Aggregate Tree"):
+            # Count-based windows on unordered streams force buckets to keep
+            # individual records (Table 1 row 4: tuple buckets).
+            held = "Tuple Buckets" if (measure_, name) == ("count", "Buckets") else name
+            operator = fill_operator(held, measure_, num_slices, num_tuples)
+            table.add(
+                panel=panel,
+                measure=measure_,
+                technique=name,
+                slices=num_slices,
+                tuples=num_tuples,
+                bytes=sum(deep_sizeof(obj) for obj in operator.state_objects()),
+            )
     return table
 
 
@@ -263,85 +274,61 @@ def fig10_memory(
 # Figure 11: output latency of aggregate stores
 
 
-def fig11_latency(
-    *,
-    entries_list: Sequence[int] = (100, 1_000, 10_000),
-    aggregations: Sequence[str] = ("sum", "median"),
-    iterations: int = 200,
-) -> ResultTable:
-    """Output latency for final window aggregation (Figures 11a/11c).
+def _store_queries(function: AggregateFunction, entries: int) -> Dict[str, Callable[[], object]]:
+    """One final-aggregation query per technique over ``entries`` stored
+    items: slices for the slicing stores, records for tuple buffer and
+    aggregate tree, one precomputed bucket for buckets."""
+    values = [float(index % 101) for index in range(entries)]
+    lifted = [function.lift(value) for value in values]
+    lazy = LazyAggregateStore([function])
+    # The kernel an in-order eager operator gets for this function.
+    eager = EagerAggregateStore(
+        [function], [select_kernel(function, stream_in_order=True, needs_splits=False)]
+    )
+    for store in (lazy, eager):
+        for index, value in enumerate(values):
+            slice_ = Slice(index * 10, (index + 1) * 10, 1, store_records=False)
+            slice_.aggs[0] = function.lift(value)
+            slice_.record_count = 1
+            slice_.first_ts = slice_.last_ts = index * 10
+            store.append_slice(slice_)
+    record_tree = FlatFAT(function.combine, lifted)
 
-    ``entries`` is the number of stored items a window spans: slices for
-    slicing techniques, records for tuple buffer / aggregate tree, and a
-    single precomputed bucket for buckets.
-    """
-    from ..core.aggregate_store import EagerAggregateStore, LazyAggregateStore
-    from ..core.flatfat import FlatFAT
+    def buffer_query():
+        partial_ = None
+        for piece in lifted:
+            partial_ = piece if partial_ is None else function.combine(partial_, piece)
+        return function.lower(partial_)
 
-    harness = LatencyHarness(warmup=20, iterations=iterations)
+    precomputed = buffer_query()
+    return {
+        "Lazy Slicing": lambda: function.lower(lazy.query_slices(0, entries, 0)),
+        "Eager Slicing": lambda: function.lower(eager.query_slices(0, entries, 0)),
+        "Tuple Buffer": buffer_query,
+        "Aggregate Tree": lambda: function.lower(record_tree.query(0, entries)),
+        "Buckets": lambda: precomputed,
+    }
+
+
+def fig11_latency(*, entries_list: Sequence[int], calls: int) -> ResultTable:
+    """Output latency for final window aggregation (Figures 11a/11c):
+    the median (nearest rank) of ``calls`` per-call floors."""
+    entries_list = [scaled(entries, minimum=10) for entries in entries_list]
     table = ResultTable(
         "Figure 11: output latency (ns) per technique",
         ["aggregation", "technique", "entries", "latency_ns"],
+        f"stores of up to {max(entries_list):,} records or slices, no stream and no "
+        f"event-time span; p50 of {calls} calls, each the {TIMED}",
     )
-    for agg_name in aggregations:
-        for entries in entries_list:
-            function = Sum() if agg_name == "sum" else Median()
-            values = [float(i % 101) for i in range(entries)]
-            lifted = [function.lift(v) for v in values]
-
-            lazy = LazyAggregateStore([function])
-            eager = EagerAggregateStore([function])
-            for index, value in enumerate(values):
-                slice_ = Slice(index * 10, (index + 1) * 10, 1, store_records=False)
-                slice_.aggs[0] = function.lift(value)
-                slice_.record_count = 1
-                slice_.first_ts = slice_.last_ts = index * 10
-                lazy.append_slice(slice_)
-                slice2 = Slice(index * 10, (index + 1) * 10, 1, store_records=False)
-                slice2.aggs[0] = function.lift(value)
-                slice2.record_count = 1
-                slice2.first_ts = slice2.last_ts = index * 10
-                eager.append_slice(slice2)
-
-            record_tree = FlatFAT(function.combine, lifted)
-
-            def lazy_query():
-                partial = lazy.query_slices(0, entries, 0)
-                return function.lower(partial)
-
-            def eager_query():
-                partial = eager.query_slices(0, entries, 0)
-                return function.lower(partial)
-
-            def buffer_query():
-                partial = None
-                for piece in lifted:
-                    partial = piece if partial is None else function.combine(partial, piece)
-                return function.lower(partial)
-
-            def tree_query():
-                return function.lower(record_tree.query(0, entries))
-
-            precomputed = {0: buffer_query()}
-
-            def bucket_query():
-                return precomputed[0]
-
-            cases = {
-                "Lazy Slicing": lazy_query,
-                "Eager Slicing": eager_query,
-                "Tuple Buffer": buffer_query,
-                "Aggregate Tree": tree_query,
-                "Buckets": bucket_query,
-            }
-            for name, operation in cases.items():
-                stats = harness.measure(operation)
-                table.add(
-                    aggregation=agg_name,
-                    technique=name,
-                    entries=entries,
-                    latency_ns=stats.p50,
-                )
+    cases = {
+        (agg_name, name, entries): lambda query=query: query
+        for agg_name, function in (("sum", Sum()), ("median", Median()))
+        for entries in entries_list
+        for name, query in _store_queries(function, entries).items()
+    }
+    for key, cell in measure(cases, calls=calls).items():
+        latency = nearest_rank(sorted(cell.floors), 0.5)
+        table.add(**dict(zip(table.columns, key)), latency_ns=latency)
     return table
 
 
@@ -351,213 +338,149 @@ def fig11_latency(
 
 def fig12_stream_order(
     *,
-    fractions: Sequence[float] = (0.0, 0.2, 0.5, 0.8),
-    delay_ranges: Sequence[Tuple[int, int]] = (
-        (0, 100),
-        (0, 500),
-        (0, 2_000),
-        (1_000, 4_000),
-    ),
-    num_records: Optional[int] = None,
-    techniques: Sequence[str] = FIG9_TECHNIQUES,
-    concurrent_windows: int = 20,
+    workload: Workload,
+    fractions: Sequence[float],
+    delay_ranges: Sequence[Tuple[int, int]],
 ) -> ResultTable:
     """Impact of out-of-order fraction (12a) and delay (12b) on throughput."""
-    num_records = num_records if num_records is not None else scaled(8_000)
-    records = football_stream(num_records)
-    table = ResultTable(
-        "Figure 12: throughput vs stream disorder",
-        ["panel", "technique", "fraction", "delay_lo", "delay_hi", "throughput"],
-    )
-    for fraction in fractions:
-        stream = constrained_stream(records, fraction=fraction, max_delay=2 * SECOND_MS)
-        for name in techniques:
-            if name in INORDER_ONLY_TECHNIQUES:
-                continue
-            operator = make_operator(
-                name, stream_in_order=False, allowed_lateness=4 * SECOND_MS
-            )
-            _add_dashboard_queries(operator, concurrent_windows, Sum(), session_gap=SECOND_MS)
-            outcome = measure_throughput(operator, stream)
-            table.add(
-                panel="12a",
-                technique=name,
-                fraction=fraction,
-                delay_lo=0,
-                delay_hi=2 * SECOND_MS,
-                throughput=outcome.records_per_second,
-            )
-    for delay_lo, delay_hi in delay_ranges:
+    records = workload.stream()
+    panels = [("12a", fraction, 0, OOO_MAX_DELAY) for fraction in fractions] + [
+        ("12b", OOO_FRACTION, delay_lo, delay_hi) for delay_lo, delay_hi in delay_ranges
+    ]
+    cases = {}
+    for panel, fraction, delay_lo, delay_hi in panels:
         stream = constrained_stream(
-            records, fraction=0.2, max_delay=delay_hi, min_delay=delay_lo
+            records, fraction=fraction, max_delay=delay_hi, min_delay=delay_lo
         )
-        for name in techniques:
-            if name in INORDER_ONLY_TECHNIQUES:
-                continue
-            operator = make_operator(
-                name, stream_in_order=False, allowed_lateness=2 * delay_hi
+        for name in FIG9_TECHNIQUES:
+            cases[panel, name, fraction, delay_lo, delay_hi] = replay_disordered(
+                name, workload.windows[0], Sum(), stream, workload.session_gap, delay_hi
             )
-            _add_dashboard_queries(operator, concurrent_windows, Sum(), session_gap=SECOND_MS)
-            outcome = measure_throughput(operator, stream)
-            table.add(
-                panel="12b",
-                technique=name,
-                fraction=0.2,
-                delay_lo=delay_lo,
-                delay_hi=delay_hi,
-                throughput=outcome.records_per_second,
-            )
-    return table
+    return throughput_table(
+        "Figure 12: throughput vs stream disorder",
+        ["panel", "technique", "fraction", "delay_lo", "delay_hi"],
+        stream_header((workload, records)),
+        cases,
+    )
 
 
 # ----------------------------------------------------------------------
 # Figure 13: aggregation functions, time- vs count-based windows
 
-
-def _fig13_aggregations() -> Dict[str, Callable[[], AggregateFunction]]:
-    return {
-        "sum": Sum,
-        "sum w/o invert": SumWithoutInvert,
-        "count": Count,
-        "avg": Average,
-        "min": Min,
-        "max": Max,
-        "mincount": MinCount,
-        "maxcount": MaxCount,
-        "geomean": GeometricMean,
-        "stddev": PopulationStdDev,
-        "argmin": ArgMin,
-        "argmax": ArgMax,
-        "median": Median,
-        "90-percentile": lambda: Percentile(0.9),
-    }
+FIG13_AGGREGATIONS: Dict[str, Callable[[], AggregateFunction]] = {
+    "sum": Sum,
+    "sum w/o invert": SumWithoutInvert,
+    "count": Count,
+    "avg": Average,
+    "min": Min,
+    "max": Max,
+    "mincount": MinCount,
+    "maxcount": MaxCount,
+    "geomean": GeometricMean,
+    "stddev": PopulationStdDev,
+    "argmin": ArgMin,
+    "argmax": ArgMax,
+    "median": Median,
+    "90-percentile": lambda: Percentile(0.9),
+}
 
 
-def fig13_aggregations(
-    *,
-    num_records: Optional[int] = None,
-    concurrent_windows: int = 20,
-    aggregations: Optional[Sequence[str]] = None,
-) -> ResultTable:
+def counting(name: str, windows: int, records: int, function: AggregateFunction) -> WindowOperator:
+    """``name`` with count windows mirroring the time workload's extent:
+    a "1-20 s" window at the stream rate spans thousands of records; four
+    lengths, the longest a third of the stream."""
+    operator = make_operator(name, stream_in_order=False, allowed_lateness=2 * OOO_MAX_DELAY)
+    count_length = max(100, records // 12)
+    for index in range(windows):
+        operator.add_query(CountTumblingWindow(count_length * (1 + index % 4)), function)
+    return operator
+
+
+def fig13_aggregations(*, workload: Workload) -> ResultTable:
     """Throughput per aggregation function (Figure 13).
 
     Runs general (lazy) slicing on time-based and count-based windows
     with the Section 6.2.2 disorder knobs, showing the invertibility
     effect on count windows and the holistic slowdown.
     """
-    num_records = num_records if num_records is not None else scaled(4_000)
-    catalogue = _fig13_aggregations()
-    names = list(aggregations) if aggregations is not None else list(catalogue)
-    records = football_stream(num_records)
     # Positive values required by geomean; shift the value domain.
-    records = [Record(r.ts, r.value + 1.0, r.key) for r in records]
-    stream = constrained_stream(records, fraction=0.2, max_delay=2 * SECOND_MS)
-    table = ResultTable(
+    records = [Record(r.ts, r.value + 1.0, r.key) for r in workload.stream()]
+    stream = constrained_stream(records)
+    # argmin / argmax aggregate (value, position) pairs.
+    paired = constrained_stream([Record(r.ts, (r.value, r.ts), r.key) for r in records])
+    windows = workload.windows[0]
+    cases = {}
+    for name, factory in FIG13_AGGREGATIONS.items():
+        replayed = paired if name.startswith("arg") else stream
+        cases[name, "time"] = replay_disordered("Lazy Slicing", windows, factory(), replayed)
+        cases[name, "count"] = replay(
+            partial(counting, "Lazy Slicing", windows, len(records), factory()), replayed
+        )
+    return throughput_table(
         "Figure 13: throughput per aggregation (time vs count windows)",
-        ["aggregation", "measure", "throughput"],
+        ["aggregation", "measure"],
+        stream_header((workload, records)),
+        cases,
     )
-    # Count-window lengths mirror the time workload's extent: a "1-20 s"
-    # window at the stream rate spans hundreds to thousands of records.
-    count_length = max(100, num_records // 12)
-    for name in names:
-        factory = catalogue[name]
-        for measure in ("time", "count"):
-            function = factory()
-            if name in ("argmin", "argmax"):
-                adapted = [Record(r.ts, (r.value, r.ts), r.key) for r in records]
-                adapted_stream = constrained_stream(
-                    adapted, fraction=0.2, max_delay=2 * SECOND_MS
-                )
-                run_stream: List[StreamElement] = adapted_stream
-            else:
-                run_stream = stream
-            operator = GeneralSlicingOperator(
-                stream_in_order=False, allowed_lateness=4 * SECOND_MS
-            )
-            if measure == "time":
-                for window in dashboard_windows(concurrent_windows):
-                    operator.add_query(window, function)
-            else:
-                for index in range(concurrent_windows):
-                    operator.add_query(
-                        CountTumblingWindow(count_length * (1 + index % 4)), function
-                    )
-            outcome = measure_throughput(operator, run_stream)
-            table.add(
-                aggregation=name, measure=measure, throughput=outcome.records_per_second
-            )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 14: holistic aggregation across datasets/techniques
 
 
-def fig14_holistic(
-    *,
-    num_records: Optional[int] = None,
-    concurrent_windows: int = 20,
-    techniques: Sequence[str] = ("Lazy Slicing", "Tuple Buffer", "Tuple Buckets"),
-) -> ResultTable:
+def fig14_holistic(*, workloads: Sequence[Workload]) -> ResultTable:
     """Holistic (median) throughput: slicing vs alternatives (Figure 14).
 
     The machine dataset (37 distinct values) benefits from run-length
     encoding inside slices; the football dataset (~84k distinct values)
     does not -- the paper's cardinality effect.
     """
-    num_records = num_records if num_records is not None else scaled(4_000)
-    table = ResultTable(
+    streams = [(workload, workload.stream()) for workload in workloads]
+    cases = {}
+    for workload, records in streams:
+        stream = constrained_stream(records)
+        for name in ("Lazy Slicing", "Tuple Buffer", "Tuple Buckets"):
+            cases[workload.name, name] = replay_disordered(
+                name, workload.windows[0], Median(), stream
+            )
+    return throughput_table(
         "Figure 14: holistic aggregation throughput",
-        ["dataset", "technique", "throughput"],
+        ["dataset", "technique"],
+        stream_header(*streams),
+        cases,
     )
-    for dataset, records in (
-        ("football", football_stream(num_records)),
-        ("machine", machine_stream(num_records)),
-    ):
-        stream = constrained_stream(records, fraction=0.2, max_delay=2 * SECOND_MS)
-        for name in techniques:
-            operator = make_operator(
-                name, stream_in_order=False, allowed_lateness=4 * SECOND_MS
-            )
-            _add_dashboard_queries(operator, concurrent_windows, Median())
-            outcome = measure_throughput(operator, stream)
-            table.add(
-                dataset=dataset, technique=name, throughput=outcome.records_per_second
-            )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 15: split recomputation cost
 
 
-def fig15_split_cost(
-    *,
-    sizes: Sequence[int] = (100, 1_000, 5_000, 20_000),
-    aggregations: Sequence[str] = ("sum", "median"),
-    repetitions: int = 20,
-) -> ResultTable:
+def fig15_split_cost(*, sizes: Sequence[int]) -> ResultTable:
     """Processing time for recomputing aggregates after splits (Figure 15)."""
+    sizes = [scaled(size, minimum=10) for size in sizes]
     table = ResultTable(
         "Figure 15: split recomputation time (us) vs tuples per slice",
         ["aggregation", "tuples", "time_us"],
+        f"one slice of up to {max(sizes):,} records (event-time span = its records), "
+        f"split in the middle; {TIMED}",
     )
-    for agg_name in aggregations:
-        for size in sizes:
-            function = Sum() if agg_name == "sum" else Median()
-            total_ns = 0
-            for repetition in range(repetitions):
-                slice_ = Slice(0, size, 1, store_records=True)
-                for index in range(size):
-                    slice_.add_inorder(Record(index, float(index % 53)), [function])
-                begin = time.perf_counter_ns()
-                slice_.split_at(size // 2, [function])
-                total_ns += time.perf_counter_ns() - begin
-            table.add(
-                aggregation=agg_name,
-                tuples=size,
-                time_us=total_ns / repetitions / 1_000,
-            )
+
+    def case(function: AggregateFunction, size: int) -> Build:
+        def build():
+            slice_ = Slice(0, size, 1, store_records=True)
+            for index in range(size):
+                slice_.add_inorder(Record(index, float(index % 53)), [function])
+            return lambda: slice_.split_at(size // 2, [function])
+
+        return build
+
+    cases = {
+        (agg_name, size): case(function, size)
+        for agg_name, function in (("sum", Sum()), ("median", Median()))
+        for size in sizes
+    }
+    for key, cell in measure(cases).items():
+        table.add(**dict(zip(table.columns, key)), time_us=cell.seconds * 1e6)
     return table
 
 
@@ -565,115 +488,66 @@ def fig15_split_cost(
 # Figure 16: windowing measures
 
 
-def fig16_measures(
-    *,
-    windows_list: Sequence[int] = (4, 16, 64, 256),
-    num_records: Optional[int] = None,
-) -> ResultTable:
+def fig16_measures(*, workload: Workload) -> ResultTable:
     """Time- vs count-based measures over concurrent windows (Figure 16)."""
-    num_records = num_records if num_records is not None else scaled(6_000)
-    records = football_stream(num_records)
-    stream = constrained_stream(records, fraction=0.2, max_delay=2 * SECOND_MS)
-    table = ResultTable(
+    records = workload.stream()
+    stream = constrained_stream(records)
+    cases = {}
+    for concurrent in workload.windows:
+        cases["slicing (time)", concurrent] = replay_disordered(
+            "Lazy Slicing", concurrent, Sum(), stream
+        )
+        # Tuple buffer: the fastest alternative on count windows (Sec. 6.3.4).
+        for series, name in (
+            ("slicing (count)", "Lazy Slicing"),
+            ("tuple buffer (count)", "Tuple Buffer"),
+        ):
+            cases[series, concurrent] = replay(
+                partial(counting, name, concurrent, len(records), Sum()), stream
+            )
+    return throughput_table(
         "Figure 16: throughput per windowing measure",
-        ["series", "windows", "throughput"],
+        ["series", "windows"],
+        stream_header((workload, records)),
+        cases,
     )
-    for concurrent in windows_list:
-        # Time-based general slicing.
-        operator = GeneralSlicingOperator(
-            stream_in_order=False, allowed_lateness=4 * SECOND_MS
-        )
-        _add_dashboard_queries(operator, concurrent, Sum())
-        table.add(
-            series="slicing (time)",
-            windows=concurrent,
-            throughput=measure_throughput(operator, stream).records_per_second,
-        )
-        # Count-based general slicing.
-        operator = GeneralSlicingOperator(
-            stream_in_order=False, allowed_lateness=4 * SECOND_MS
-        )
-        count_length = max(100, num_records // 12)
-        for index in range(concurrent):
-            operator.add_query(CountTumblingWindow(count_length * (1 + index % 4)), Sum())
-        table.add(
-            series="slicing (count)",
-            windows=concurrent,
-            throughput=measure_throughput(operator, stream).records_per_second,
-        )
-        # Tuple buffer on count windows (the fastest alternative, Sec 6.3.4).
-        operator = make_operator(
-            "Tuple Buffer", stream_in_order=False, allowed_lateness=4 * SECOND_MS
-        )
-        for index in range(concurrent):
-            operator.add_query(CountTumblingWindow(count_length * (1 + index % 4)), Sum())
-        table.add(
-            series="tuple buffer (count)",
-            windows=concurrent,
-            throughput=measure_throughput(operator, stream).records_per_second,
-        )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Figure 17: parallel stream slicing
 
 
-def _parallel_slicing_factory() -> WindowOperator:
-    operator = GeneralSlicingOperator(stream_in_order=True)
-    aggregation = M4()
-    for window in dashboard_windows(80):
-        operator.add_query(window, aggregation)
-    return operator
-
-
-def _parallel_buckets_factory() -> WindowOperator:
-    from ..baselines import AggregateBucketsOperator
-
-    operator = AggregateBucketsOperator(stream_in_order=True)
-    aggregation = M4()
-    for window in dashboard_windows(80):
-        operator.add_query(window, aggregation)
-    return operator
-
-
-def fig17_parallel(
-    *,
-    parallelism_list: Sequence[int] = (1, 2, 4),
-    num_records: Optional[int] = None,
-    num_keys: int = 64,
-    techniques: Sequence[str] = ("Lazy Slicing", "Buckets"),
-) -> ResultTable:
-    """Key-partitioned scalability, M4 dashboard workload (Figure 17)."""
-    num_records = num_records if num_records is not None else scaled(24_000)
-    stream = football_keyed_stream(num_records, num_keys)
-    factories = {
-        "Lazy Slicing": _parallel_slicing_factory,
-        "Buckets": _parallel_buckets_factory,
-    }
+def fig17_parallel(*, workload: Workload) -> ResultTable:
+    """Key-partitioned scalability, M4 dashboard workload (Figure 17), on
+    as many of 1 / 2 / 4 workers as the host has cores."""
+    stream = workload.stream()
+    cores = os.cpu_count() or 1
     table = ResultTable(
         "Figure 17: parallel throughput and CPU utilization",
         ["technique", "parallelism", "throughput", "cpu_percent", "results"],
+        f"{stream_header((workload, stream))}; {cores} cores",
     )
-    for name in techniques:
-        factory = factories[name]
-        for parallelism in parallelism_list:
-            pipeline = ShardedPipeline(factory, parallelism)
-            # run() spawns its workers and joins them, so the clock covers
-            # the whole deployment and the workers' CPU time has reached
-            # this process's children totals when it returns.
-            cpu_before = sum(os.times()[:4])
-            start = time.perf_counter()
-            results = pipeline.run(stream)
-            wall = time.perf_counter() - start
-            cpu = sum(os.times()[:4]) - cpu_before
-            table.add(
-                technique=name,
-                parallelism=parallelism,
-                throughput=len(stream) / wall,
-                cpu_percent=100.0 * cpu / wall,
-                results=len(results),
-            )
+
+    def case(name: str, parallelism: int) -> Build:
+        # A partial of a module-level function: workers unpickle it.
+        factory = partial(technique, name, workload.windows[0], M4(), in_order=True)
+        # run() spawns its workers and joins them, so the clock covers
+        # the whole deployment and the workers' CPU time has reached
+        # this process's children totals when it returns.
+        return lambda: lambda: len(ShardedPipeline(factory, parallelism).run(stream))
+
+    cases = {
+        (name, parallelism): case(name, parallelism)
+        for name in ("Lazy Slicing", "Buckets")
+        for parallelism in [p for p in (1, 2, 4) if p <= cores] or [1]
+    }
+    for key, cell in measure(cases).items():
+        table.add(
+            **dict(zip(table.columns, key)),
+            throughput=len(stream) / cell.seconds,
+            cpu_percent=100.0 * cell.cpu_seconds / cell.seconds,
+            results=cell.value,
+        )
     return table
 
 
@@ -682,29 +556,18 @@ def fig17_parallel(
 
 
 def table1_memory_models(
-    *,
-    num_tuples: int = 10_000,
-    num_slices: int = 100,
-    num_windows: int = 100,
+    *, num_tuples: int, num_slices: int, num_windows: int
 ) -> ResultTable:
     """Evaluate the Table 1 analytic memory models (sanity-check rows)."""
     table = ResultTable(
         "Table 1: analytic memory-usage models (bytes)",
         ["row", "technique", "model_bytes"],
+        f"formulas at {num_tuples:,} records, {num_slices} slices, {num_windows} "
+        "windows: no stream, no event-time span, nothing timed (0 rounds)",
     )
-    from ..runtime.memory import TABLE1_ROWS
-
-    for row, technique in TABLE1_ROWS.items():
-        table.add(
-            row=row,
-            technique=technique,
-            model_bytes=memory_model(
-                row,
-                num_tuples=num_tuples,
-                num_slices=num_slices,
-                num_windows=num_windows,
-            ),
-        )
+    sizes = dict(num_tuples=num_tuples, num_slices=num_slices, num_windows=num_windows)
+    for row, technique_ in TABLE1_ROWS.items():
+        table.add(row=row, technique=technique_, model_bytes=memory_model(row, **sizes))
     return table
 
 
@@ -715,61 +578,51 @@ def table1_memory_models(
 
 
 def recovery_latency(
-    intervals: Sequence[int] = (100, 500, 2_000, 8_000),
-    *,
-    crashes: int = 3,
-    seed: int = 7,
-    batch_size: int = 64,
+    *, workload: Workload, intervals: Sequence[int], crashes: int, batch_size: int
 ) -> ResultTable:
     """Recovery latency and replay volume vs checkpoint interval.
 
-    A supervised pipeline replays a fixed stream with ``crashes``
-    seeded crash points (identical across rows); the checkpoint
-    interval trades snapshot overhead (checkpoints taken) against
-    recovery cost (records replayed, time to restore).
+    A supervised pipeline replays one stream with ``crashes`` seeded
+    crash points (identical across rows); the checkpoint interval
+    trades snapshot overhead (checkpoints taken) against recovery cost
+    (records replayed, time to restore).
     """
-    from ..runtime.faults import FaultInjectingOperator, FaultPlan
-    from ..runtime.pipeline import CountingSink
-    from ..runtime.recovery import RestartPolicy, SupervisedPipeline
-
-    num_records = scaled(20_000)
-    stream: List[StreamElement] = [
-        Record(ts, float(ts % 11)) for ts in range(num_records)
-    ]
-    plan = FaultPlan(seed, num_records, crashes=crashes)
-
-    def build() -> WindowOperator:
-        operator = GeneralSlicingOperator(stream_in_order=True)
-        operator.add_query(TumblingWindow(100), Sum())
-        operator.add_query(SessionWindow(40), Average())
-        return operator
-
+    stream = workload.stream()
+    plan = FaultPlan(7, len(stream), crashes=crashes)
     table = ResultTable(
-        "Recovery latency vs checkpoint interval "
-        f"({num_records} records, {crashes} injected crashes)",
-        [
-            "interval",
-            "checkpoints",
-            "restarts",
-            "replayed_records",
-            "deduped_results",
-            "mean_recovery_ms",
-            "wall_seconds",
-        ],
+        f"Recovery latency vs checkpoint interval ({crashes} injected crashes)",
+        "interval checkpoints restarts replayed_records deduped_results "
+        "mean_recovery_ms wall_seconds".split(),
+        stream_header((workload, stream)),
     )
-    for interval in intervals:
-        sink = CountingSink()
-        pipeline = SupervisedPipeline(
-            FaultInjectingOperator(build(), plan=plan),
-            sink,
-            checkpoint_every=interval,
-            batch_size=batch_size,
-            restart_policy=RestartPolicy(max_restarts=crashes + 2),
-            sleep=lambda _seconds: None,
-        )
-        begin = time.perf_counter()
-        stats = pipeline.run(stream)
-        wall = time.perf_counter() - begin
+
+    def case(interval: int) -> Build:
+        def build():
+            operator = technique(
+                "Lazy Slicing",
+                workload.windows[0],
+                Average(),
+                in_order=True,
+                session_gap=workload.session_gap,
+            )
+            pipeline = SupervisedPipeline(
+                FaultInjectingOperator(operator, plan=plan),
+                CountingSink(),
+                checkpoint_every=interval,
+                batch_size=batch_size,
+                restart_policy=RestartPolicy(max_restarts=crashes + 2),
+                sleep=lambda _seconds: None,
+            )
+            return lambda: pipeline.run(stream)
+
+        return build
+
+    cases = {
+        interval: case(interval)
+        for interval in (scaled(interval, minimum=batch_size) for interval in intervals)
+    }
+    for interval, cell in measure(cases).items():
+        stats = cell.value
         table.add(
             interval=interval,
             checkpoints=stats.checkpoints_taken,
@@ -777,6 +630,6 @@ def recovery_latency(
             replayed_records=stats.replayed_records,
             deduped_results=stats.deduped_results,
             mean_recovery_ms=stats.mean_recovery_seconds * 1_000.0,
-            wall_seconds=wall,
+            wall_seconds=cell.seconds,
         )
     return table

@@ -1,21 +1,21 @@
-"""Experiment harness: technique registry and result tables.
+"""Experiment harness: techniques, workload sizes and result tables.
 
-The benchmark suite regenerates every table and figure of the paper's
-Section 6.  This module provides the shared plumbing: a registry of the
-compared techniques (operator factories behind the common interface), a
-plain-text result table matching the paper's "rows/series" reporting
-style, and workload-scale configuration.
+The figure generators share three things: the registry of compared
+techniques behind the common operator interface, a :class:`Workload`
+that is the only place a figure's stream size is written down, and a
+plain-text :class:`ResultTable` whose header states what was replayed.
 
-Scale: the paper replays tens of millions of records on a JVM; the
-default scale here is laptop-Python sized.  Set the environment
-variable ``REPRO_BENCH_SCALE`` (float, default 1.0) to grow or shrink
-every workload proportionally.
+Scale: the paper replays tens of millions of records on a JVM; scale 1
+here is the smallest size at which every window of a figure closes
+several times.  ``REPRO_BENCH_SCALE`` (float, default 1.0) grows or
+shrinks every size proportionally.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Sequence
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..baselines import (
     AggregateBucketsOperator,
@@ -27,6 +27,8 @@ from ..baselines import (
 )
 from ..core.operator_base import WindowOperator
 from ..core.operator_ import GeneralSlicingOperator
+from ..core.types import Record
+from .estimate import ROUNDS
 
 __all__ = [
     "bench_scale",
@@ -34,8 +36,14 @@ __all__ = [
     "TECHNIQUES",
     "INORDER_ONLY_TECHNIQUES",
     "make_operator",
+    "Workload",
+    "stream_header",
     "ResultTable",
 ]
+
+
+#: How every timed cell is estimated (``repro.experiments.estimate``).
+TIMED = f"fastest of {ROUNDS} rotated rounds"
 
 
 def bench_scale() -> float:
@@ -51,67 +59,20 @@ def scaled(value: int, minimum: int = 1) -> int:
     return max(minimum, int(value * bench_scale()))
 
 
-def _lazy(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return GeneralSlicingOperator(
-        stream_in_order=stream_in_order, eager=False, allowed_lateness=allowed_lateness
-    )
-
-
-def _eager(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return GeneralSlicingOperator(
-        stream_in_order=stream_in_order, eager=True, allowed_lateness=allowed_lateness
-    )
-
-
-def _tuple_buffer(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return TupleBufferOperator(
-        stream_in_order=stream_in_order, allowed_lateness=allowed_lateness
-    )
-
-
-def _aggregate_tree(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return AggregateTreeOperator(
-        stream_in_order=stream_in_order, allowed_lateness=allowed_lateness
-    )
-
-
-def _aggregate_buckets(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return AggregateBucketsOperator(
-        stream_in_order=stream_in_order, allowed_lateness=allowed_lateness
-    )
-
-
-def _tuple_buckets(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    return TupleBucketsOperator(
-        stream_in_order=stream_in_order, allowed_lateness=allowed_lateness
-    )
-
-
-def _pairs(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    if not stream_in_order:
-        raise ValueError("Pairs is in-order only")
-    return PairsOperator()
-
-
-def _cutty(*, stream_in_order: bool, allowed_lateness: int) -> WindowOperator:
-    if not stream_in_order:
-        raise ValueError("Cutty is in-order only")
-    return CuttyOperator()
-
-
-#: Technique name -> factory, matching the paper's figure legends.
+#: Technique name (the paper's figure legends) -> operator factory.
 TECHNIQUES: Dict[str, Callable[..., WindowOperator]] = {
-    "Lazy Slicing": _lazy,
-    "Eager Slicing": _eager,
-    "Tuple Buffer": _tuple_buffer,
-    "Aggregate Tree": _aggregate_tree,
-    "Buckets": _aggregate_buckets,
-    "Tuple Buckets": _tuple_buckets,
-    "Pairs": _pairs,
-    "Cutty": _cutty,
+    "Lazy Slicing": partial(GeneralSlicingOperator, eager=False),
+    "Eager Slicing": partial(GeneralSlicingOperator, eager=True),
+    "Tuple Buffer": TupleBufferOperator,
+    "Aggregate Tree": AggregateTreeOperator,
+    "Buckets": AggregateBucketsOperator,
+    "Tuple Buckets": TupleBucketsOperator,
+    "Pairs": PairsOperator,
+    "Cutty": CuttyOperator,
 }
 
-#: Techniques restricted to in-order streams (skipped in ooo figures).
+#: Techniques restricted to in-order streams (they take no order or
+#: lateness argument and are skipped in out-of-order figures).
 INORDER_ONLY_TECHNIQUES = frozenset({"Pairs", "Cutty"})
 
 
@@ -125,15 +86,48 @@ def make_operator(
         raise KeyError(
             f"unknown technique {name!r}; available: {sorted(TECHNIQUES)}"
         ) from None
+    if name in INORDER_ONLY_TECHNIQUES:
+        if not stream_in_order:
+            raise ValueError(f"{name} is in-order only")
+        return factory()
     return factory(stream_in_order=stream_in_order, allowed_lateness=allowed_lateness)
+
+
+class Workload(NamedTuple):
+    """The stream and query set a figure replays: its size spec (the
+    rule the registered ones meet is in :mod:`repro.experiments`)."""
+
+    name: str  #: dataset label in titles and headers
+    source: Callable[..., List[Record]]  #: dataset generator
+    records: int  #: stream length at scale 1
+    rate_hz: int  #: event rate handed to ``source``
+    windows: Tuple[int, ...]  #: concurrent dashboard windows (1-20 s), per x value
+    session_gap: Optional[int] = None  #: gap of the one session query, if any
+
+    def stream(self) -> List[Record]:
+        """The in-order records at the current scale."""
+        return self.source(scaled(self.records), rate_hz=self.rate_hz)
+
+
+def stream_header(*replayed: Tuple[Workload, Sequence[Record]]) -> str:
+    """A table's header line: the records, rate and event-time span of
+    every stream it replayed, and how the replays were timed."""
+    streams = [
+        f"{workload.name}: {len(records):,} records at {workload.rate_hz:,} Hz, event-time "
+        f"span {(records[-1].ts - records[0].ts) / 1_000 if records else 0.0:.1f} s"
+        for workload, records in replayed
+    ]
+    return "; ".join([*streams, TIMED])
 
 
 class ResultTable:
     """Column-oriented result accumulation with paper-style printing."""
 
-    def __init__(self, title: str, columns: Sequence[str]) -> None:
+    def __init__(self, title: str, columns: Sequence[str], header: str = "") -> None:
         self.title = title
         self.columns = list(columns)
+        #: One line under the title: records, rate, span, rounds.
+        self.header = header
         self.rows: List[Dict[str, object]] = []
 
     def add(self, **values: object) -> None:
@@ -152,6 +146,11 @@ class ResultTable:
             grouped.setdefault(row[key_column], []).append(row[value_column])
         return grouped
 
+    def value(self, column: str, **where: object) -> object:
+        """``column`` of the one row whose other columns equal ``where``."""
+        (row,) = [r for r in self.rows if all(r[c] == v for c, v in where.items())]
+        return row[column]
+
     @staticmethod
     def _format(value: object) -> str:
         if isinstance(value, float):
@@ -169,9 +168,9 @@ class ResultTable:
             else len(column)
             for column in self.columns
         }
-        header = "  ".join(column.ljust(widths[column]) for column in self.columns)
-        rule = "-" * len(header)
-        lines = [self.title, rule, header, rule]
+        columns = "  ".join(column.ljust(widths[column]) for column in self.columns)
+        rule = "-" * len(columns)
+        lines = [self.title, *([self.header] if self.header else []), rule, columns, rule]
         for row in self.rows:
             lines.append(
                 "  ".join(
@@ -181,6 +180,3 @@ class ResultTable:
             )
         lines.append(rule)
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

@@ -45,20 +45,11 @@ from .faults import (
     stall_watermarks,
 )
 from .memory import TABLE1_ROWS, deep_sizeof, memory_model
-from .metrics import (
-    LatencyHarness,
-    LatencyStats,
-    RecoveryStats,
-    SpanStats,
-    ThroughputResult,
-    Tracer,
-    measure_throughput,
-)
+from .metrics import RecoveryStats, SpanStats, Tracer
 from .keyed import KeyedWindowOperator
 from .partition import stable_hash
 from .pipeline import CollectSink, CountingSink
 from .recovery import (
-    Checkpoint,
     MemoryGuard,
     MemoryPressure,
     PipelineFailed,
@@ -76,12 +67,8 @@ __all__ = [
     "deep_sizeof",
     "memory_model",
     "TABLE1_ROWS",
-    "measure_throughput",
     "Tracer",
     "SpanStats",
-    "ThroughputResult",
-    "LatencyHarness",
-    "LatencyStats",
     "RecoveryStats",
     "stable_hash",
     "KeyedWindowOperator",
@@ -119,7 +106,6 @@ __all__ = [
     "RestartPolicy",
     "MemoryGuard",
     "MemoryPressure",
-    "Checkpoint",
     "PipelineFailed",
     "RecoveryError",
     "CollectSink",

@@ -15,7 +15,7 @@ run.  This module is the durability layer that closes those three gaps:
 * :class:`DiskCheckpointStore` -- crash-durable checkpoints.  Each
   generation is one CRC32-framed, version-headered file written
   atomically (temp file -> flush -> fsync -> rename -> fsync dir), plus
-  a manifest and garbage collection of generations beyond ``keep``.
+  garbage collection of generations beyond ``keep``.
   Torn writes, truncation, and bit flips are detected on load
   (:class:`CheckpointCorruptError`) and skipped generation-by-generation
   until a good one is found.
@@ -329,11 +329,10 @@ class InMemoryStore(CheckpointStore):
 
 class DiskCheckpointStore(CheckpointStore):
     """Crash-durable checkpoint storage: one atomically-written,
-    CRC32-framed file per generation, a manifest, and GC.
+    CRC32-framed file per generation, and GC.
 
-    Layout under ``directory``::
+    Layout under ``directory`` (the files are the only index)::
 
-        MANIFEST                     # {"version": 1, "generations": [...]}
         ckpt-00000000000000000042.rsld
 
     Writes go to ``<name>.tmp`` in the same directory, are flushed and
@@ -369,22 +368,23 @@ class DiskCheckpointStore(CheckpointStore):
         #: generation -> cursor, for retained frames (loaded lazily from
         #: headers; kept current by save()).
         self._cursors: Dict[int, int] = {}
-        retained = self._scan()
-        self._next_generation = (max(retained) + 1) if retained else 0
+        #: Generations on disk as of this store's last listing (open or
+        #: save); what ``oldest_cursor`` answers from without a listing.
+        self._retained = self._scan()
+        self._next_generation = (self._retained[-1] + 1) if self._retained else 0
 
     # -- paths ---------------------------------------------------------
 
     def _path(self, generation: int) -> str:
         return os.path.join(self.directory, f"ckpt-{generation:020d}{self._SUFFIX}")
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, "MANIFEST")
-
-    def _scan(self) -> List[int]:
-        """Generation numbers present on disk (the ground truth the
-        manifest is a cache of), oldest first."""
+    def _scan(self, names: Optional[List[str]] = None) -> List[int]:
+        """Generation numbers present on disk, oldest first.  The frame
+        files are the only record of what is retained: nothing else in
+        the directory (a ``MANIFEST`` an older version wrote, say) is
+        read or required."""
         found = []
-        for name in os.listdir(self.directory):
+        for name in os.listdir(self.directory) if names is None else names:
             if name.startswith("ckpt-") and name.endswith(self._SUFFIX):
                 try:
                     found.append(int(name[len("ckpt-") : -len(self._SUFFIX)]))
@@ -417,12 +417,6 @@ class DiskCheckpointStore(CheckpointStore):
         finally:
             os.close(fd)
 
-    def _write_manifest(self) -> None:
-        manifest = {"version": STORE_FORMAT_VERSION, "generations": self.generations()}
-        self._write_atomically(
-            self._manifest_path(), json.dumps(manifest).encode("utf-8")
-        )
-
     # -- the store interface -------------------------------------------
 
     def save(self, blob, *, cursor, records_processed, meta=None) -> int:
@@ -436,12 +430,14 @@ class DiskCheckpointStore(CheckpointStore):
         self._count("durability.saves")
         self._count("durability.bytes_written", len(frame))
         self._collect_garbage()
-        self._write_manifest()
         return generation
 
     def _collect_garbage(self) -> None:
-        """Drop generations beyond ``keep`` and stray temp files."""
-        retained = self._scan()
+        """Drop generations beyond ``keep`` and stray temp files (one
+        directory listing per save)."""
+        names = os.listdir(self.directory)
+        retained = self._scan(names)
+        self._retained = retained[-self.keep :]
         for generation in retained[: -self.keep]:
             try:
                 os.remove(self._path(generation))
@@ -449,7 +445,7 @@ class DiskCheckpointStore(CheckpointStore):
             except OSError:  # pragma: no cover - already gone
                 pass
             self._cursors.pop(generation, None)
-        for name in os.listdir(self.directory):
+        for name in names:
             if name.endswith(".tmp"):
                 try:
                     os.remove(os.path.join(self.directory, name))
@@ -476,10 +472,9 @@ class DiskCheckpointStore(CheckpointStore):
         return self._scan()
 
     def oldest_cursor(self) -> Optional[int]:
-        retained = self._scan()
-        if not retained:
+        if not self._retained:
             return None
-        oldest = retained[0]
+        oldest = self._retained[0]
         if oldest not in self._cursors:
             # Opened over an existing directory: read the cursor from
             # the frame header (tolerating a corrupt oldest generation

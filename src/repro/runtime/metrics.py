@@ -1,124 +1,24 @@
-"""Throughput and latency measurement harnesses (Section 6.1, Metrics).
+"""Counters of a supervised run (:class:`RecoveryStats`).
 
-* :func:`measure_throughput` follows the Yahoo Streaming Benchmark
-  methodology: replay a pre-materialized stream through the operator
-  and report sustained records/second (windowing is the bottleneck;
-  results are drained into a no-op sink).
-* :class:`LatencyHarness` mirrors the JMH setup: warmup iterations,
-  then repeated steady-state invocations timed with a nanosecond
-  monotonic clock, reporting percentile statistics.
+Timing lives elsewhere: the paper's figures are measured by the one
+estimator in :mod:`repro.experiments.estimate`, the repository benchmark
+by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import gc
-import math
 import statistics
-import time
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.operator_base import WindowOperator
 from ..core.tracing import SpanStats, Tracer
-from ..core.types import StreamElement
 
 __all__ = [
-    "ThroughputResult",
-    "measure_throughput",
-    "LatencyHarness",
-    "LatencyStats",
     "RecoveryStats",
     # Observability (re-exported; defined in repro.core.tracing so the
     # core package stays free of runtime imports).
     "Tracer",
     "SpanStats",
 ]
-
-
-class ThroughputResult:
-    """Outcome of a throughput run."""
-
-    __slots__ = ("records", "seconds", "results_emitted")
-
-    def __init__(self, records: int, seconds: float, results_emitted: int) -> None:
-        self.records = records
-        self.seconds = seconds
-        self.results_emitted = results_emitted
-
-    @property
-    def records_per_second(self) -> float:
-        """Sustained rate; 0.0 for zero-length measurements (no records
-        or no measurable elapsed time) instead of a meaningless ``inf``."""
-        if self.records <= 0 or self.seconds <= 0:
-            return 0.0
-        return self.records / self.seconds
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ThroughputResult({self.records_per_second:,.0f} records/s over "
-            f"{self.records} records, {self.results_emitted} windows)"
-        )
-
-
-def measure_throughput(
-    operator: WindowOperator,
-    elements: Sequence[StreamElement],
-    *,
-    record_count: int | None = None,
-    disable_gc: bool = True,
-    batch_size: int | None = None,
-) -> ThroughputResult:
-    """Replay ``elements`` through ``operator`` and measure records/second.
-
-    ``elements`` must be pre-materialized (a list) so generation cost
-    stays outside the measurement, matching the paper's setup where
-    windowing is the bottleneck.  ``batch_size`` exercises the batched
-    ingestion path: elements are pre-chunked outside the measured region
-    and replayed through :meth:`WindowOperator.process_batch`; ``None``
-    keeps the tuple-at-a-time path.
-    """
-    from ..core.types import Record
-
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if record_count is None:
-        record_count = sum(1 for e in elements if isinstance(e, Record))
-    batches: list | None = None
-    if batch_size is not None:
-        elements = list(elements)
-        batches = [
-            elements[i : i + batch_size] for i in range(0, len(elements), batch_size)
-        ]
-    emitted = 0
-    was_enabled = gc.isenabled()
-    if disable_gc:
-        gc.collect()
-        gc.disable()
-    try:
-        if batches is not None:
-            process_batch = operator.process_batch
-            start = time.perf_counter()
-            for batch in batches:
-                out = process_batch(batch)
-                if out:
-                    emitted += len(out)
-            elapsed = time.perf_counter() - start
-        else:
-            process = operator.process
-            start = time.perf_counter()
-            for element in elements:
-                out = process(element)
-                if out:
-                    emitted += len(out)
-            elapsed = time.perf_counter() - start
-    finally:
-        if disable_gc:
-            if was_enabled:
-                gc.enable()
-            # Collect the garbage accumulated while the collector was
-            # off, so back-to-back measurements don't inherit it (even
-            # when gc was already disabled by the caller).
-            gc.collect()
-    return ThroughputResult(record_count, elapsed, emitted)
 
 
 class RecoveryStats:
@@ -214,85 +114,3 @@ class RecoveryStats:
             f"deduped={self.deduped_results}, "
             f"recovery={self.total_recovery_seconds * 1000:.1f}ms)"
         )
-
-
-class LatencyStats:
-    """Percentile summary of a latency measurement (nanoseconds)."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self, samples: List[int]) -> None:
-        if not samples:
-            raise ValueError("no latency samples collected")
-        self.samples = sorted(samples)
-
-    def percentile(self, q: float) -> int:
-        """Nearest-rank percentile of the samples (q in [0, 1]).
-
-        Nearest-rank: the smallest sample such that at least ``q * n``
-        samples are at or below it, i.e. rank ``ceil(q * n)`` (1-based).
-        The previous ``int(q * n)`` truncation was off by one rank --
-        for q=0.99, n=100 it returned the maximum sample (rank 100)
-        instead of rank 99.
-        """
-        rank = math.ceil(q * len(self.samples))
-        index = min(len(self.samples) - 1, max(0, rank - 1))
-        return self.samples[index]
-
-    @property
-    def p50(self) -> int:
-        return self.percentile(0.50)
-
-    @property
-    def p99(self) -> int:
-        return self.percentile(0.99)
-
-    @property
-    def p100(self) -> int:
-        return self.percentile(1.0)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples)
-
-    @property
-    def minimum(self) -> int:
-        return self.samples[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"LatencyStats(p50={self.p50}ns, p99={self.p99}ns, "
-            f"mean={self.mean:.0f}ns, n={len(self.samples)})"
-        )
-
-
-class LatencyHarness:
-    """JMH-style steady-state latency measurement.
-
-    Example::
-
-        harness = LatencyHarness(warmup=100, iterations=1000)
-        stats = harness.measure(lambda: store.query_time(0, 1000, 0))
-    """
-
-    def __init__(self, warmup: int = 50, iterations: int = 500) -> None:
-        if warmup < 0 or iterations <= 0:
-            raise ValueError("warmup must be >= 0 and iterations > 0")
-        self.warmup = warmup
-        self.iterations = iterations
-
-    def measure(self, operation: Callable[[], Any]) -> LatencyStats:
-        """Warm up, then time ``iterations`` steady-state invocations."""
-        for _ in range(self.warmup):
-            operation()
-        samples: List[int] = []
-        clock = time.perf_counter_ns
-        for _ in range(self.iterations):
-            begin = clock()
-            operation()
-            samples.append(clock() - begin)
-        return LatencyStats(samples)
-
-    def compare(self, operations: Dict[str, Callable[[], Any]]) -> Dict[str, LatencyStats]:
-        """Measure several labelled operations with identical settings."""
-        return {name: self.measure(op) for name, op in operations.items()}

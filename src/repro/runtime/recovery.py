@@ -93,7 +93,6 @@ __all__ = [
     "RecoveryError",
     "MemoryPressure",
     "MemoryGuard",
-    "Checkpoint",
     "SupervisedPipeline",
 ]
 
@@ -234,26 +233,10 @@ class MemoryGuard:
         return sum(deep_sizeof(obj) for obj in operator.state_objects())
 
 
-class Checkpoint:
-    """One recovery point: operator snapshot + source cursor.
-
-    Retained as the supervisor's view of its newest successful save;
-    the authoritative copy (and any older generations) lives in the
-    :class:`~repro.runtime.durability.CheckpointStore`.
-    """
-
-    __slots__ = ("blob", "cursor", "records_processed")
-
-    def __init__(self, blob: bytes, cursor: int, records_processed: int) -> None:
-        self.blob = blob
-        self.cursor = cursor
-        self.records_processed = records_processed
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Checkpoint(cursor={self.cursor}, "
-            f"records={self.records_processed}, {len(self.blob)} bytes)"
-        )
+def _results_match(expected: WindowResult, result: WindowResult) -> bool:
+    # WindowResult.__eq__ ignores the key tag; replay verification
+    # must not.
+    return expected == result and expected.key == result.key
 
 
 def _count_records(elements: Sequence[StreamElement]) -> int:
@@ -381,7 +364,6 @@ class SupervisedPipeline:
         self._sleep = sleep
         self._clock = clock
 
-        self.checkpoint: Optional[Checkpoint] = None
         self._failures: List[BaseException] = []
         # Cursor ranges [start, end) whose records were shed; decisions
         # are replayed from this log, never re-taken, so recovery replay
@@ -465,7 +447,6 @@ class SupervisedPipeline:
         )
         if self._min_generation is None:
             self._min_generation = generation
-        self.checkpoint = Checkpoint(blob, cursor, records_processed)
         self.stats.checkpoints_taken += 1
         self._trim_emitted_log()
 
@@ -593,7 +574,7 @@ class SupervisedPipeline:
         for result in results:
             if pending_replay:
                 expected = pending_replay.popleft()
-                if expected != result:
+                if not _results_match(expected, result):
                     raise RecoveryError(
                         "replay diverged from the pre-crash run: "
                         f"expected {expected!r}, re-emitted {result!r}"
@@ -684,9 +665,6 @@ class SupervisedPipeline:
                 self._reseat(restore(loaded.blob, tracer=self.tracer))
                 cursor = loaded.cursor
                 records_done = loaded.records_processed
-                self.checkpoint = Checkpoint(
-                    loaded.blob, loaded.cursor, loaded.records_processed
-                )
                 self.stats.resumed_from_cursor = loaded.cursor
             else:
                 self._take_checkpoint(0, 0)
@@ -727,8 +705,7 @@ class SupervisedPipeline:
                     if poison is not None:
                         # The culprit left mid-batch state behind; roll
                         # back to the checkpoint and replay without it.
-                        self._rewind(stats)
-                        loaded = self.checkpoint
+                        loaded = self._rewind(stats)
                         cursor = loaded.cursor
                         records_done = loaded.records_processed
                         records_since_checkpoint = 0
@@ -741,6 +718,10 @@ class SupervisedPipeline:
                     results = self._operator.process_batch(to_process)
                     self._flush_late_buffer(replayed_batch)
                     self._deliver(results, pending_replay, cursor)
+            except RecoveryError:
+                # Not a failure a restore can heal: the same state and
+                # input would diverge again.  As on the sharded path.
+                raise
             except Exception as exc:
                 self._late_buffer.clear()
                 self._failures.append(exc)
@@ -791,15 +772,13 @@ class SupervisedPipeline:
             result for batch_cursor, result in self._emitted_log if batch_cursor >= cursor
         )
 
-    def _rewind(self, stats: RecoveryStats) -> None:
+    def _rewind(self, stats: RecoveryStats) -> StoredCheckpoint:
         """Restore the newest loadable generation after a quarantine
         (state is mid-batch; the replay excludes the poison record)."""
         began = self._clock()
         loaded = self._restore_latest()
-        self.checkpoint = Checkpoint(
-            loaded.blob, loaded.cursor, loaded.records_processed
-        )
         stats.record_recovery(self._clock() - began, 0, 0)
+        return loaded
 
     def _note_dlq_failure(self, cursor: int, exc: BaseException) -> bool:
         """Track one batch failure against the DLQ's retry budget.

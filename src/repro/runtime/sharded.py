@@ -84,7 +84,8 @@ from .durability import CheckpointStore, InMemoryStore, StoredCheckpoint
 from .faults import FaultInjectingOperator, FaultPlan
 from .keyed import KeyedWindowOperator
 from .partition import _canonical_bytes, stable_hash
-from .recovery import PipelineFailed, RecoveryError, RestartPolicy, _retry_store_io
+from .recovery import PipelineFailed, RecoveryError, RestartPolicy
+from .recovery import _results_match, _retry_store_io
 
 __all__ = ["ShardedPipeline", "run_keyed_reference", "alignment_key"]
 
@@ -98,12 +99,6 @@ def alignment_key(result: WindowResult) -> Tuple[int, int, int, bytes]:
     window deterministically.
     """
     return (result.end, result.start, result.query_id, _canonical_bytes(result.key))
-
-
-def _results_match(expected: WindowResult, result: WindowResult) -> bool:
-    # WindowResult.__eq__ ignores the key tag; replay verification
-    # must not.
-    return expected == result and expected.key == result.key
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from conftest import run_operator, shuffled_with_disorder
 from repro import Record, Watermark
 from repro.aggregations import Average, Sum
 from repro.core.operator_ import GeneralSlicingOperator
-from repro.experiments.harness import TECHNIQUES
+from repro.experiments.harness import make_operator
 from repro.runtime import (
     CollectSink,
     FaultInjectingOperator,
@@ -133,7 +133,7 @@ def run_chaos(factory, elements, seed, *, crashes=CRASHES, errors=0, hiccups=0):
 )
 def test_inorder_chaos_equivalence(tech, window):
     def factory():
-        operator = TECHNIQUES[tech](stream_in_order=True, allowed_lateness=0)
+        operator = make_operator(tech, stream_in_order=True, allowed_lateness=0)
         operator.add_query(WINDOWS[window](), Sum())
         return operator
 
@@ -150,8 +150,8 @@ def test_inorder_chaos_equivalence(tech, window):
 )
 def test_ooo_chaos_equivalence(tech, window):
     def factory():
-        operator = TECHNIQUES[tech](
-            stream_in_order=False, allowed_lateness=LATENESS
+        operator = make_operator(
+            tech, stream_in_order=False, allowed_lateness=LATENESS
         )
         operator.add_query(WINDOWS[window](), Sum())
         return operator

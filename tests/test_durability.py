@@ -1,7 +1,7 @@
 """Durable checkpoint stores: framing, atomicity, generations, fallback.
 
 Covers the :mod:`repro.runtime.durability` layer in isolation: CRC32
-frame integrity, generation keep/GC, the manifest, atomic-write crash
+frame integrity, generation keep/GC, atomic-write crash
 windows (including a crash *between* the temp write and the rename),
 corruption fallback, cross-process resume, and the store fault injection
 in :mod:`repro.runtime.faults`.  Pipeline-level corruption recovery is
@@ -193,7 +193,7 @@ class TestStoreContract:
 
 
 # ----------------------------------------------------------------------
-# disk-specific: atomicity, manifest, resume
+# disk-specific: atomicity, resume
 
 
 class TestDiskStore:
@@ -242,23 +242,28 @@ class TestDiskStore:
         reopened = DiskCheckpointStore(tmp_path / "d", keep=3)
         assert reopened.load_latest().blob == b"committed"
 
-    def test_manifest_reflects_retained_generations(self, tmp_path):
-        store = DiskCheckpointStore(tmp_path / "d", keep=2)
-        for i in range(4):
-            store.save(b"x", cursor=i, records_processed=i)
-        with open(os.path.join(store.directory, "MANIFEST")) as handle:
-            manifest = json.load(handle)
-        assert manifest["version"] == STORE_FORMAT_VERSION
-        assert manifest["generations"] == store.generations()
-        assert len(manifest["generations"]) == 2
-
     def test_files_are_ground_truth_over_manifest(self, tmp_path):
-        # A deleted or stale MANIFEST must not hide real generations.
+        """The frame files are the only index.  Versions up to issue 20
+        also wrote a ``MANIFEST`` listing them; a directory that still
+        holds one -- stale, or hand-written to hide a generation and
+        invent another -- reopens, restores and resumes numbering as if
+        it were not there, and the store writes none."""
         store = DiskCheckpointStore(tmp_path / "d", keep=3)
-        store.save(b"alpha", cursor=1, records_processed=1)
-        os.remove(os.path.join(store.directory, "MANIFEST"))
+        g0 = store.save(b"alpha", cursor=1, records_processed=1)
+        g1 = store.save(b"beta", cursor=2, records_processed=2)
+        manifest = os.path.join(store.directory, "MANIFEST")
+        assert not os.path.exists(manifest)
+        with open(manifest, "w") as handle:
+            json.dump(
+                {"version": STORE_FORMAT_VERSION, "generations": [g0, g1 + 5]}, handle
+            )
         reopened = DiskCheckpointStore(tmp_path / "d", keep=3)
-        assert reopened.load_latest().blob == b"alpha"
+        assert reopened.generations() == [g0, g1]
+        assert reopened.load_latest().blob == b"beta"
+        assert reopened.oldest_cursor() == 1
+        assert reopened.save(b"gamma", cursor=3, records_processed=3) == g1 + 1
+        with open(manifest) as handle:
+            assert json.load(handle)["generations"] == [g0, g1 + 5]  # untouched
 
     def test_corrupt_oldest_reports_unknown_horizon(self, tmp_path):
         store = DiskCheckpointStore(tmp_path / "d", keep=2)

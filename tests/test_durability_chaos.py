@@ -25,7 +25,7 @@ import pytest
 from conftest import run_operator
 from repro import Record
 from repro.aggregations import Sum
-from repro.experiments.harness import TECHNIQUES
+from repro.experiments.harness import TECHNIQUES, make_operator
 from repro.runtime import (
     CollectSink,
     DiskCheckpointStore,
@@ -79,7 +79,7 @@ def make_store(kind: str, tmp_path, **kwargs):
 
 def technique_factory(tech: str):
     def factory():
-        operator = TECHNIQUES[tech](stream_in_order=True, allowed_lateness=0)
+        operator = make_operator(tech, stream_in_order=True, allowed_lateness=0)
         operator.add_query(TumblingWindow(50), Sum())
         return operator
 

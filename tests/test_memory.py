@@ -107,19 +107,19 @@ class TestMemoryModels:
 class TestMeasuredFootprints:
     def test_slicing_memory_independent_of_tuple_rate(self):
         """Figure 10b shape: slicing memory stays flat as tuples grow."""
-        from repro.experiments.figures import _fill_time_operator
+        from repro.experiments.figures import fill_operator
 
-        small = _fill_time_operator("Lazy Slicing", 50, 1_000, 1_000_000)
-        large = _fill_time_operator("Lazy Slicing", 50, 5_000, 1_000_000)
+        small = fill_operator("Lazy Slicing", "time", 50, 1_000, 1_000_000)
+        large = fill_operator("Lazy Slicing", "time", 50, 5_000, 1_000_000)
         small_bytes = sum(deep_sizeof(o) for o in small.state_objects())
         large_bytes = sum(deep_sizeof(o) for o in large.state_objects())
         assert large_bytes < small_bytes * 1.5
 
     def test_tuple_buffer_memory_grows_with_tuples(self):
-        from repro.experiments.figures import _fill_time_operator
+        from repro.experiments.figures import fill_operator
 
-        small = _fill_time_operator("Tuple Buffer", 50, 1_000, 1_000_000)
-        large = _fill_time_operator("Tuple Buffer", 50, 5_000, 1_000_000)
+        small = fill_operator("Tuple Buffer", "time", 50, 1_000, 1_000_000)
+        large = fill_operator("Tuple Buffer", "time", 50, 5_000, 1_000_000)
         small_bytes = sum(deep_sizeof(o) for o in small.state_objects())
         large_bytes = sum(deep_sizeof(o) for o in large.state_objects())
         assert large_bytes > small_bytes * 3

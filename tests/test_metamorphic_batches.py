@@ -31,7 +31,11 @@ import pytest
 from conftest import shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Average, Sum
-from repro.experiments.harness import INORDER_ONLY_TECHNIQUES, TECHNIQUES
+from repro.experiments.harness import (
+    INORDER_ONLY_TECHNIQUES,
+    TECHNIQUES,
+    make_operator,
+)
 from repro.windows import SessionWindow, SlidingWindow, TumblingWindow
 
 pytestmark = pytest.mark.fuzz
@@ -129,7 +133,7 @@ def test_batch_split_invariance_inorder(tech, seed_index):
     seed = _child_seed(f"in:{tech}", seed_index)
 
     def factory():
-        operator = TECHNIQUES[tech](stream_in_order=True, allowed_lateness=0)
+        operator = make_operator(tech, stream_in_order=True, allowed_lateness=0)
         _add_queries(operator, sessions=tech not in INORDER_ONLY_TECHNIQUES)
         return operator
 
@@ -144,7 +148,7 @@ def test_batch_split_invariance_out_of_order(tech, seed_index):
     seed = _child_seed(f"ooo:{tech}", seed_index)
 
     def factory():
-        operator = TECHNIQUES[tech](stream_in_order=False, allowed_lateness=LATENESS)
+        operator = make_operator(tech, stream_in_order=False, allowed_lateness=LATENESS)
         _add_queries(operator, sessions=True)
         return operator
 
@@ -168,8 +172,8 @@ def test_batch_split_invariance_fractional_values(tech, ordered):
     seed = _child_seed(f"fractional:{tech}:{ordered}", 0)
 
     def factory():
-        operator = TECHNIQUES[tech](
-            stream_in_order=ordered, allowed_lateness=0 if ordered else LATENESS
+        operator = make_operator(
+            tech, stream_in_order=ordered, allowed_lateness=0 if ordered else LATENESS
         )
         _add_queries(operator, sessions=False)
         return operator

@@ -37,6 +37,11 @@ class TestDispatch:
         with pytest.raises(TypeError):
             operator.process("not a stream element")
 
+    def test_run_rejects_a_batch_size_below_one(self):
+        operator = GeneralSlicingOperator(stream_in_order=True)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            operator.run([Record(1, 0)], batch_size=0)
+
     def test_default_punctuation_is_ignored(self):
         class Minimal(WindowOperator):
             def process_record(self, record):

@@ -12,6 +12,8 @@ import pytest
 
 from conftest import run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
+from repro.core.operator_base import WindowOperator
+from repro.core.types import WindowResult
 from repro.aggregations import Median, Sum
 from repro.runtime import (
     CollectSink,
@@ -22,6 +24,7 @@ from repro.runtime import (
     MemoryGuard,
     MemoryPressure,
     PipelineFailed,
+    RecoveryError,
     RecoveryStats,
     ReplayableSource,
     RestartPolicy,
@@ -134,6 +137,35 @@ class TestExactlyOnce:
         pipeline, sink = supervised(wrapped, checkpoint_every=3, batch_size=2)
         pipeline.run(stream)
         assert sink.results == expected
+
+
+class _DriftingKeyOperator(WindowOperator):
+    """One result per record, tagged with a key that is no part of the
+    pickled state: the count lives on the class, so a restore does not
+    rewind it and a replay re-emits the right windows under other keys."""
+
+    emitted = 0
+
+    def process_record(self, record):
+        type(self).emitted += 1
+        return [
+            WindowResult(0, record.ts, record.ts + 1, record.value, key=type(self).emitted)
+        ]
+
+
+class TestReplayVerification:
+    def test_replay_under_another_key_is_divergence(self, monkeypatch):
+        """``WindowResult.__eq__`` leaves the key tag out; the replay
+        check must not, or a keyed replay that diverges in the key only
+        is deduplicated silently instead of raising."""
+        monkeypatch.setattr(_DriftingKeyOperator, "emitted", 0)
+        stream = [Record(t, 1.0) for t in range(30)]
+        wrapped = FaultInjectingOperator(_DriftingKeyOperator(), crash_at=[23])
+        pipeline, sink = supervised(wrapped, checkpoint_every=10, batch_size=4)
+        with pytest.raises(RecoveryError, match="replay diverged"):
+            pipeline.run(stream)
+        # Nothing was delivered twice on the way to the failure.
+        assert [r.start for r in sink.results] == list(range(len(sink.results)))
 
 
 def _session_operator():
