@@ -24,8 +24,9 @@ can inspect registered queries:
   streams (Figure 4).
 * ``invertible`` -- whether an ``invert`` implementation exists.
 * ``kind`` -- distributive / algebraic / holistic (Gray et al.).
-  Holistic aggregations have unbounded partial-aggregate size and force
-  record retention.
+  Holistic aggregations have unbounded partial-aggregate size: the
+  partial holds every value of its slice, so it needs no record store
+  beside it (Figure 4 does not ask about the class).
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ class AggregateFunction(Generic[V, P, R]):
     #: Distributive / algebraic / holistic.
     kind: AggregationClass = AggregationClass.ALGEBRAIC
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # An inherited bulk hook is a shortcut around the *parent's* lift
+        # and combine (``Sum.fold_values`` adds the raw values): a class
+        # with its own gets the exact left fold back, unless it brings
+        # the hook too.
+        if "lift" in cls.__dict__ or "combine" in cls.__dict__:
+            for hook in ("accumulate", "fold_values", "combine_all"):
+                if hook not in cls.__dict__:
+                    setattr(cls, hook, getattr(AggregateFunction, hook))
+
     def lift(self, value: V) -> P:
         """Transform an input value into a partial aggregate."""
         raise NotImplementedError
@@ -134,6 +146,15 @@ class AggregateFunction(Generic[V, P, R]):
         include their parameters.
         """
         return (type(self),)
+
+    def accumulate(self, partial: Optional[P], value: V) -> P:
+        """Fold one raw value into ``partial`` (``None``: an empty slice):
+        what a record entering its slice costs per function.  The default
+        is ``partial ⊕ lift(value)``; an override fuses the two steps and
+        must return that value bit for bit, of the same type.
+        """
+        lifted = self.lift(value)
+        return lifted if partial is None else self.combine(partial, lifted)
 
     def fold_values(self, partial: Optional[P], values: Sequence[V]) -> Optional[P]:
         """Fold a run of raw values into ``partial`` in stream order.

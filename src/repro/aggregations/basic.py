@@ -47,6 +47,9 @@ class Sum(AggregateFunction[float, float, float]):
     def identity(self) -> float:
         return 0
 
+    def accumulate(self, partial, value):
+        return value if partial is None else partial + value
+
     def fold_values(self, partial, values):
         # ``reduce(add, ...)`` is the same left-to-right addition chain
         # as repeated ``combine``.  The builtin ``sum`` is not: since
@@ -99,6 +102,9 @@ class Count(AggregateFunction[Any, int, int]):
     def empty_result(self) -> int:
         return 0
 
+    def accumulate(self, partial, value):
+        return 1 if partial is None else partial + 1
+
     def fold_values(self, partial, values):
         if not values:
             return partial
@@ -130,6 +136,9 @@ class Average(AggregateFunction[float, Tuple[float, int], float]):
 
     def identity(self) -> Tuple[float, int]:
         return (0.0, 0)
+
+    def accumulate(self, partial, value):
+        return (value, 1) if partial is None else (partial[0] + value, partial[1] + 1)
 
     def fold_values(self, partial, values):
         if not values:
@@ -166,6 +175,9 @@ class Min(AggregateFunction[float, float, float]):
         """True when removing ``removed_value`` cannot change ``partial``."""
         return removed_value > partial
 
+    def accumulate(self, partial, value):
+        return partial if partial is not None and partial <= value else value
+
     def fold_values(self, partial, values):
         # Builtin ``min`` keeps the first minimal element, matching the
         # sequential combine's tie-break toward the earlier operand.
@@ -195,6 +207,9 @@ class Max(AggregateFunction[float, float, float]):
     def unaffected_by_removal(self, partial: float, removed_value: float) -> bool:
         """True when removing ``removed_value`` cannot change ``partial``."""
         return removed_value < partial
+
+    def accumulate(self, partial, value):
+        return partial if partial is not None and partial >= value else value
 
     def fold_values(self, partial, values):
         if not values:

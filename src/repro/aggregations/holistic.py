@@ -279,8 +279,10 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
     """Nearest-rank percentile over RLE-encoded sorted runs.
 
     Invertible in the multiset sense (runs can be subtracted), which the
-    count-shift path and the window manager's sliding emit exploit;
-    holistic size still forces record retention via the decision tree.
+    count-shift path and the window manager's sliding emit exploit.  The
+    partial holds every value of its slice, so a holistic query adds no
+    record store of its own (Figure 4 decides that from the window,
+    the measure and the stream order).
 
     A multiset is exact in any grouping, so the bulk hooks are real
     shortcuts here: :meth:`fold_values` sorts a run of values once and
@@ -331,6 +333,20 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
 
     def signature(self) -> tuple:
         return (type(self), self.q)
+
+    def accumulate(self, partial: Optional[RleRuns], value: float) -> RleRuns:
+        # ``partial.merge(RleRuns.of(value))`` without the second
+        # multiset: one bisect into a copy of the run list.
+        if partial is None:
+            return RleRuns.of(value)
+        runs = partial.runs.copy()
+        at = bisect.bisect_left(runs, (value,))
+        if at < len(runs) and runs[at][0] == value:
+            present_value, present = runs[at]
+            runs[at] = (present_value, present + 1)
+        else:
+            runs.insert(at, (value, 1))
+        return RleRuns(runs, partial.total + 1)
 
     def fold_values(self, partial: Optional[RleRuns], values: Sequence[float]) -> Optional[RleRuns]:
         if not values:

@@ -85,14 +85,14 @@ def requires_tuple_storage(
 
     Out-of-order streams: records are needed when (1) any aggregation is
     non-commutative, (2) any window is context aware but not a session
-    window, or (3) any query uses a count-based measure.  Holistic
-    aggregations keep the values inside their partial aggregates either
-    way, but the slicer additionally retains records for them so splits
-    and reorderings stay possible.
+    window, or (3) any query uses a count-based measure.
+
+    The aggregation class is not part of the decision.  A holistic
+    partial already holds every value of its slice (Section 5.4.1), a
+    context-free window never splits a slice, and every window that can
+    split one keeps its records through the branches above.
     """
     for query in queries:
-        if query.aggregation.kind is AggregationClass.HOLISTIC:
-            return True
         if query.window.context is ContextClass.FORWARD_CONTEXT_AWARE and not query.window.is_session:
             return True
     if stream_in_order:

@@ -29,6 +29,7 @@ lateness yield update results.
 from __future__ import annotations
 
 import bisect
+import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..aggregations.base import AggregateFunction
@@ -37,7 +38,7 @@ from ..windows.multimeasure import LastNEveryWindow
 from ..windows.punctuation import PunctuationWindow
 from ..windows.session import SessionWindow
 from .aggregate_store import AggregateStore, EagerAggregateStore, LazyAggregateStore
-from .characteristics import Query, WorkloadCharacteristics
+from .characteristics import Query, WorkloadCharacteristics, requires_tuple_storage
 from .kernels import KernelKind
 from .measures import MeasureKind
 from .operator_base import StreamOrderViolation, WindowOperator
@@ -146,6 +147,16 @@ class _Chain:
                 )
             )
         self._pending_modifications: List[Modification] = []
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned, as the default unpickling does (see WindowManager).
+        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        # Whether slices keep records is derived from the queries, not
+        # read from the frame: one written under an older rule continues
+        # under today's, its record lists leaving with their slices.
+        chars = self.characteristics
+        chars.store_tuples = requires_tuple_storage(chars.queries, chars.stream_in_order)
+        self.manager.store_records = self.slicer.store_records = chars.store_tuples
 
     # ------------------------------------------------------------------
     # edge callbacks (aggregate over all windows of this chain)

@@ -109,9 +109,7 @@ class Slice:
         ts = record.ts
         index = 0
         for function in functions:
-            lifted = function.lift(value)
-            current = aggs[index]
-            aggs[index] = lifted if current is None else function.combine(current, lifted)
+            aggs[index] = function.accumulate(aggs[index], value)
             index += 1
         if self.records is not None:
             self.records.append(record)
@@ -157,11 +155,7 @@ class Slice:
             self.last_ts = record.ts
         for index, function in enumerate(functions):
             if function.commutative:
-                lifted = function.lift(record.value)
-                current = self.aggs[index]
-                self.aggs[index] = (
-                    lifted if current is None else function.combine(current, lifted)
-                )
+                self.aggs[index] = function.accumulate(self.aggs[index], record.value)
             else:
                 self.aggs[index] = self._fold_records(function)
 
@@ -248,7 +242,11 @@ class Slice:
                 self.aggs[index] = left
             else:
                 self.aggs[index] = function.combine(left, right)
-        if self.records is not None and other.records is not None:
+        if other.records is None:
+            # Half a record list would feed a later recompute or split a
+            # wrong fold; none makes them raise.
+            self.records = None
+        elif self.records is not None:
             self.records.extend(other.records)
         self.record_count += other.record_count
         if other.first_ts is not None and self.first_ts is None:

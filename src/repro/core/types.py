@@ -138,8 +138,13 @@ class WindowResult:
     value:
         The final (lowered) aggregate of the window.
     is_update:
-        ``True`` when this result revises a window that was already
-        emitted (a late, in-allowed-lateness record changed the aggregate).
+        ``True`` when the result was emitted by the late path: a record
+        behind the watermark, within the allowed lateness, changed the
+        window.  It *may* replace an earlier result for the same window;
+        it is the first one when the window had been empty until then
+        (empty windows are not emitted).  The operator does not
+        remember what it emitted for a context-free window, so consumers
+        upsert by ``(query_id, start, end)`` either way.
     """
 
     __slots__ = ("query_id", "start", "end", "value", "is_update", "key")

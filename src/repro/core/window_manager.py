@@ -789,6 +789,9 @@ class WindowManager:
         for query_id, edges in self._emitted_edges.items():
             if edges:
                 self._emitted_edges[query_id] = {edge for edge in edges if edge > horizon}
+        for managed in self._queries:
+            if isinstance(managed.window, LastNEveryWindow):
+                managed.window.forget_edges(horizon)
         for query_id, carry in self._carries.items():
             if carry is None:
                 continue

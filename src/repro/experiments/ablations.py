@@ -8,7 +8,7 @@ would re-introduce.  Like the figures, they take every size from the
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from ..aggregations import AggregateFunction, Median, PlainMedian, Sum
 from ..core.operator_ import GeneralSlicingOperator
@@ -16,7 +16,7 @@ from ..core.operator_base import WindowOperator
 from ..runtime.memory import deep_sizeof
 from .estimate import measure
 from ..data.workloads import constrained_stream
-from .figures import OOO_MAX_DELAY, dashboard, replay, throughput_table
+from .figures import OOO_MAX_DELAY, counting, dashboard, replay, throughput_table
 from .harness import ResultTable, Workload, stream_header
 
 
@@ -25,7 +25,7 @@ def slicing(
     aggregation: AggregateFunction,
     *,
     in_order: bool = True,
-    store_records: Optional[bool] = None,
+    always_store_records: bool = False,
     cache_edges: bool = True,
     **options: object,
 ) -> WindowOperator:
@@ -39,10 +39,10 @@ def slicing(
     dashboard(operator, windows, aggregation)
     for chain in operator._chains.values():
         chain.slicer.cache_edges = cache_edges
-        if store_records is not None:  # overrule the Figure 4 decision tree
-            chain.characteristics.store_tuples = store_records
-            chain.slicer.store_records = store_records
-            chain.manager.store_records = store_records
+        if always_store_records:  # overrule the Figure 4 decision tree
+            chain.characteristics.store_tuples = True
+            chain.slicer.store_records = True
+            chain.manager.store_records = True
     return operator
 
 
@@ -68,9 +68,11 @@ def tuple_storage_ablation(*, workload: Workload) -> ResultTable:
     """Figure 4 decision tree vs always storing records: state retained
     at the end of the stream, and throughput.
 
-    The two ``median`` rows document today's double storage (ROADMAP
-    item 1): the tree keeps records for every holistic function although
-    a ``Median`` partial already holds every value.
+    The tree drops the records of a ``median`` as it does those of a
+    ``sum``: the multiset partial already holds every value.  The last
+    row is the case where it cannot -- count windows out of order shift
+    records between slices -- so those slices hold each value twice, in
+    the record list and in the multiset (ROADMAP item 1).
     """
     records = workload.stream()
     stream = constrained_stream(records)
@@ -79,18 +81,21 @@ def tuple_storage_ablation(*, workload: Workload) -> ResultTable:
         ["variant", "bytes", "throughput"],
         stream_header((workload, records)),
     )
+    windows = workload.windows[0]
+    on_time = partial(slicing, windows, in_order=False)
     variants = {
-        "sum: decision tree (drops records)": (Sum(), None),
-        "sum: always store records": (Sum(), True),
-        "median: decision tree (keeps records)": (Median(), None),
-        "median: records dropped by hand": (Median(), False),
+        "sum: decision tree (drops records)": partial(on_time, Sum()),
+        "sum: always store records": partial(on_time, Sum(), always_store_records=True),
+        "median: decision tree (drops records)": partial(on_time, Median()),
+        "median: always store records": partial(on_time, Median(), always_store_records=True),
+        "median, count windows: decision tree (keeps records)": partial(
+            counting, "Lazy Slicing", windows, len(records), Median()
+        ),
     }
 
-    def case(aggregation: AggregateFunction, store_records: Optional[bool]):
+    def case(make: Callable[[], WindowOperator]):
         def build():
-            operator = slicing(
-                workload.windows[0], aggregation, in_order=False, store_records=store_records
-            )
+            operator = make()
 
             def run() -> WindowOperator:
                 operator.run(stream)
@@ -100,7 +105,7 @@ def tuple_storage_ablation(*, workload: Workload) -> ResultTable:
 
         return build
 
-    cells = measure({variant: case(*switches) for variant, switches in variants.items()})
+    cells = measure({variant: case(make) for variant, make in variants.items()})
     for variant, cell in cells.items():
         table.add(
             variant=variant,

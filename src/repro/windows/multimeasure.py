@@ -71,6 +71,13 @@ class LastNEveryWindow(ContextAwareWindow):
         """Cumulative record count at ``edge_ts`` (None if not yet known)."""
         return self._counts_at_edge.get(edge_ts)
 
+    def forget_edges(self, horizon: int) -> None:
+        """Drop the counts of trigger edges at or before ``horizon``:
+        their windows are final and their slices evicted."""
+        self._counts_at_edge = {
+            edge: count for edge, count in self._counts_at_edge.items() if edge > horizon
+        }
+
     def window_for_edge(self, edge_ts: int) -> Optional[Tuple[int, int]]:
         """The count interval emitted at ``edge_ts``: ``[c - n, c)``."""
         cumulative = self._counts_at_edge.get(edge_ts)

@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.core.operator_base import WindowOperator
-from repro.core.types import Record, StreamElement, Watermark
+from repro.core.types import Punctuation, Record, StreamElement, Watermark
 
 #: Repository ``src/`` directory holding the ``repro`` package.
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +76,28 @@ def shuffled_with_disorder(
             out.append(record)
     for entry in sorted(delayed):
         out.append(entry[2])
+    return out
+
+
+def disordered_with_watermarks(
+    base: Sequence[Record], *, every: int = 20, seed: int = 7, punctuate_every: int | None = None
+) -> List[StreamElement]:
+    """20 % of ``base`` up to 15 ticks late, a watermark 5 ticks behind
+    the newest record every ``every`` elements (so late records hit
+    emitted windows; none is later than a lateness of 20 allows),
+    optionally a punctuation leading the first record at or after every
+    ``punctuate_every`` ticks."""
+    out: List[StreamElement] = []
+    newest = -1
+    next_edge = punctuate_every
+    for record in shuffled_with_disorder(base, 0.2, 15, seed=seed):
+        while next_edge is not None and record.ts >= next_edge > newest:
+            out.append(Punctuation(next_edge))
+            next_edge += punctuate_every
+        out.append(record)
+        newest = max(newest, record.ts)
+        if len(out) % every == 0:
+            out.append(Watermark(newest - 5))
     return out
 
 

@@ -220,3 +220,75 @@ def test_fold_values_equals_left_fold_of_lift_and_combine(name):
         got = fn.fold_values(start, values)
         assert got == expected, (name, seed)
         assert repr(got) == repr(expected), (name, seed)
+
+
+# ----------------------------------------------------------------------
+# accumulate: one call per record must be lift-then-combine, bit for bit
+
+
+def _exact(value):
+    """``value`` with its types, signs and run representatives spelled
+    out (``RleRuns.__repr__`` shows sizes only; ``1 == 1.0 == True``)."""
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, [_exact(item) for item in value])
+    if isinstance(value, frozenset):
+        return ("frozenset", sorted(_exact(item) for item in value))
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return (type(value).__name__, [_exact(getattr(value, slot)) for slot in slots])
+    return (type(value).__name__, repr(value))
+
+
+def _exported_functions():
+    """One instance of every aggregation ``repro.aggregations`` exports."""
+    import repro.aggregations as exported
+
+    arguments = {"Percentile": (0.9,), "TopK": (3,), "ConcatString": ("|",)}
+    classes = {name: getattr(exported, name) for name in exported.__all__}
+    return {
+        name: cls(*arguments.get(name, ()))
+        for name, cls in classes.items()
+        if isinstance(cls, type)
+        and issubclass(cls, exported.AggregateFunction)
+        and cls is not exported.AggregateFunction
+    }
+
+
+#: Ints and floats, ties, values that compare equal and differ in type
+#: (``1`` / ``1.0`` / ``True``) or sign (``0.0`` / ``-0.0``).
+_ACCUMULATE_VALUES = [3, 1.0, 1, 0.0, -0.0, 2.5, True, 1, -0.0, 0.0, 7, 2.5, -4, 3.0, 0, -4.5]
+
+
+def _shaped(name, value):
+    if name in ("ArgMin", "ArgMax"):
+        return (value, repr(value))
+    if name == "GeometricMean":
+        return abs(value) + 1
+    if name == "ConcatString":
+        return repr(value)
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(_exported_functions()))
+def test_accumulate_equals_lift_then_combine(name):
+    fn = _exported_functions()[name]
+    forwards = [_shaped(name, value) for value in _ACCUMULATE_VALUES]
+    for values in (forwards, forwards[::-1], forwards[4:] + forwards[:4]):
+        partial = None
+        for value in values:
+            lifted = fn.lift(value)
+            expected = lifted if partial is None else fn.combine(partial, lifted)
+            before = _exact(partial)
+            got = fn.accumulate(partial, value)
+            assert _exact(got) == _exact(expected), (name, value)
+            assert type(got) is type(expected)
+            assert _exact(partial) == before, "accumulate must not mutate its input"
+            partial = expected
+
+
+def test_accumulate_is_fused_where_the_fusion_is_exact():
+    from repro.aggregations import AggregateFunction
+
+    functions = _exported_functions()
+    fused = {name for name, fn in functions.items() if type(fn).accumulate is not AggregateFunction.accumulate}
+    assert fused == {"Sum", "SumWithoutInvert", "Count", "Average", "Min", "Max", "Percentile", "Median"}

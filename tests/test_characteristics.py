@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aggregations import M4, CollectList, Median, Min, Sum
+from repro.aggregations import M4, Average, CollectList, Median, Min, Sum
 from repro.core.characteristics import (
     Query,
     RemovalStrategy,
@@ -64,9 +64,48 @@ class TestFigure4TupleStorage:
     def test_inorder_count_measure_drops_tuples(self):
         assert not requires_tuple_storage([q(CountTumblingWindow(10), Sum())], True)
 
-    def test_holistic_always_requires_tuples(self):
-        assert requires_tuple_storage([q(TumblingWindow(10), Median())], True)
-        assert requires_tuple_storage([q(TumblingWindow(10), Median())], False)
+    def test_figure4_truth_table(self):
+        """Every cell of the paper's Figure 4 / Section 5.1, transcribed
+        from the paper: in order, only forward-context-aware windows that
+        are not sessions keep records; out of order, a non-commutative
+        function, a context-aware window that is not a session, or a
+        count measure does.  The aggregation class (distributive,
+        algebraic, holistic) is no input of the tree."""
+        functions = {
+            "distributive": Sum,
+            "algebraic": Average,
+            "holistic": Median,
+            "non-commutative": M4,
+        }
+        windows = {
+            "context-free / time": lambda: TumblingWindow(10),
+            "context-free / count": lambda: CountTumblingWindow(10),
+            "session / time": lambda: SessionWindow(5),
+            "punctuation (FCF) / time": lambda: PunctuationWindow(),
+            "last-n-every (FCA) / count": lambda: LastNEveryWindow(10, 5),
+        }
+        # One letter per function, in the order above: K keeps, d drops.
+        keeps = {
+            ("in order", "context-free / time"): "dddd",
+            ("in order", "context-free / count"): "dddd",
+            ("in order", "session / time"): "dddd",
+            ("in order", "punctuation (FCF) / time"): "dddd",
+            ("in order", "last-n-every (FCA) / count"): "KKKK",
+            ("out of order", "context-free / time"): "dddK",
+            ("out of order", "context-free / count"): "KKKK",
+            ("out of order", "session / time"): "dddK",
+            ("out of order", "punctuation (FCF) / time"): "KKKK",
+            ("out of order", "last-n-every (FCA) / count"): "KKKK",
+        }
+        assert len(keeps) == 2 * len(windows)
+        wrong = [
+            (order, window, function)
+            for (order, window), row in keeps.items()
+            for (function, make), letter in zip(functions.items(), row)
+            if requires_tuple_storage([q(windows[window](), make())], order == "in order")
+            is not (letter == "K")
+        ]
+        assert wrong == []
 
     def test_any_query_can_force_storage(self):
         queries = [

@@ -335,6 +335,92 @@ class TestFramesAcrossTheSlicerGuard:
         assert collected == reference_results(queries, head + tail, horizon=1_000)
 
 
+#: ``snapshot()`` of the operator built by ``_session_median_operator``
+#: after records ts 0-3, 10-13, 20 and 21, written by commit 8a6ce6b, the
+#: last one whose Figure 4 rule kept records for every holistic query
+#: (zlib + base85): its three slices carry their records.
+_PRE_RECORD_RULE_FRAME = (
+    "c-nPVOK&4Z5O(6&p7kSff)la}LP&7PUV;!32QCEVki%?@un#LCty&#V+dc9;yxl!{tP~!HjR-"
+    "X2K=X$X2PF6fT;Rx&BR8mi%y>M>`r_%T>guYmo}=-"
+    "T<J#I+ji3JL)XYx~7+J9NaFQ}|m@WvzB4tR)y%UnaAsR>FBur+XI*$5LJ^or<s{^@-"
+    "5^^cf^Ng@76b8y)lP!G+30KdQd{k09p_t)`03H|Nge%$jOy9D)hFV$kB20qxLdjiw%^vw7C!B|Aq"
+    "GWGuzn)sT!ixF~FO=VqeH39XP?)4FAPfnv{N3zKcJOS*$P5dk<PEF5MB|4vjf_=FHcv?q;$*3N?Y"
+    "TPn_%8?3MuKAkLa`MB-QLpm8huj^RxErkm%CACSZ<~X*e3{L1ON%tQ1(#3(#3)Vh7KBJ3kd*;Fko"
+    "(R!3d7Q8)V#3x3WR-%zX556r~sLUII_5)4%JoP2x}>5--G+mf-"
+    "+6LAjq0kZ)wq(j2frXwC^sNMvjgVNAHd@dBk&AhZxfEKE3{AYUuRF(#O24AjZasr~dp9RMabv<CH"
+    "3jTEiPCOX#Fmq2#iMKssq^aI*_rf3Jt2h%K>m@q)b(1$=k(*(Q@$R*sP`vv+p01%fu1sBY;i3j)m"
+    "8kXDW9*?)GX-"
+    "7Tz`qPxnqZ9|n6<%(uGmXA`E4v)>ogk4dBBQUH5E5|27f}f5bt|_i=4g^;i9pUjAa*s;Wv#yCgc6"
+    "}^1z&)X+A@eC5aT!#kcH=(w8Kc8p5q8X=)wM(uA*z5Sf1P(S=QKcblJ#ul8U#rJtQ!wbI8Z84X6Q"
+    "`tH-io>|d?K0wCm=J5TV7t50(3*boaWKC)41a_9l3st@FLNtq!-t7zyRK}yvOFJmTjQr8It-"
+    "1nq64H=ZDE=$OCQ>yyAE;qm;6a78e8bxH3CA_3)gJmW+4o+(B=dayBQT|gp9F;jo-"
+    "ts_XL!<&n%HOb6*s|4U9qE@G5myVH)XkBt&gJ{-*5C%9pAl6UA?tH;rG{E7ec@#3wZBHcC`_YY-e"
+    "Io;J2&<oc3rc*6*iGwYqCu<a71=&!dZZa@_{{Sl!wxTKUZS!8|^sP9{3(5{tlh`Z94ONlmg)MoSA"
+    "5R%fOu+^~;Ar`LJKYmkNh0JqHzKU)pzlDYHA8-"
+    "G3#!tJ#BBvU{4nzX}xn*59Dt4XGT`@9#RlL&*?)AAs+>_xQe&TU8I&@Aq(U*N8HE7udDh9UIqIZ6"
+    "x%ap&nAEx4VkGm0r=L!P0FE)4;Zq3b_^I#LNV_f2Sr3R@ao~sXG=8x#=FGpTk@*T`n&TXmffD&27"
+    "f%HrL6YFDC6YN?}FN9UqZk22I2}%fd+LfgxKn0zFOWx9Ep*t15Z}y-IGO2??VTmHq~@n-"
+    "!uH)!%v$LW9yX+=^C+MsyQ}c{^Sz?XA*`U>AWiaT<iv5W1%k8#w<Rd1ChkBi+oWG6brvm2eO;E!("
+    "!mD*kqI=dAA7oX7T9G}d1L_$|9XRZ*xAwGH%F&7!{>d;0cT$*Cc@UJYUoRilVjY~Mx`JfW~fEMM{"
+    ";!GLwt742P1MbHFc*8$y=OdwbXrzwLa2Xwb#ZA=i{2qSg!pKE}!zofeMRq*Ja8qH0c&&y<eSi-"
+    "T&>)Excn#l%9uMnd@Ye&ng&?c(xJsw(asq|mjwJL+kMoQm;+1sPrFuB~00;3QP`Fi5l>`d{{f{}A"
+    "{5$pbIo)&<Kp4>kuF53=C3jAxGqE5gD14sbF9$=XSuwt(ypSCVL<KT{2#gJZ7p`u<wg@L!1cEJVx"
+    "7cjM1jM?10j~Rn?0w!)dJ3IUz!D5M#"
+)
+
+
+def _session_median_operator():
+    operator = GeneralSlicingOperator(stream_in_order=False, allowed_lateness=1_000)
+    operator.add_query(SessionWindow(5), Median())
+    return operator
+
+
+class TestFramesAcrossTheRecordRule:
+    HEAD = [_legacy_record(ts) for ts in (0, 1, 2, 3, 10, 11, 12, 13, 20, 21)]
+
+    def _restored(self):
+        blob = zlib.decompress(base64.b85decode(_PRE_RECORD_RULE_FRAME))
+        assert blob.startswith(CHECKPOINT_MAGIC)
+        clone = restore(blob)
+        (store,) = clone.state_objects()
+        return clone, store
+
+    def test_frame_with_records_restores_under_the_rule_derived_from_its_queries(self):
+        clone, store = self._restored()
+        # Genuinely an old pickle: every slice keeps its records ...
+        assert [len(slice_.records) for slice_ in store.slices] == [4, 4, 2]
+        # ... and the flags it was written with are not what it runs on.
+        chain = clone._chain_list[0]
+        assert clone.stores_records is False
+        assert chain.manager.store_records is chain.slicer.store_records is False
+        clone.check_invariants()
+
+        uninterrupted = _session_median_operator()
+        run_operator(uninterrupted, self.HEAD)
+        tail = [_legacy_record(ts) for ts in range(30, 90, 2)] + [Watermark(2_000)]
+        assert run_operator(clone, tail) == run_operator(uninterrupted, tail)
+        clone.check_invariants()
+        # The records left with their slices: the same frame from here on.
+        assert snapshot(clone) == snapshot(uninterrupted)
+
+    def test_a_session_merge_across_old_and_new_slices_keeps_no_half_filled_list(self):
+        clone, store = self._restored()
+        collected = final_values(clone, [_legacy_record(30), _legacy_record(31)])
+        assert [slice_.records is None for slice_ in store.slices] == [False, False, False, True]
+        # ts 25 extends the session of 20 and 21 in the frame's last
+        # slice; ts 27 extends the one of 30 and 31 backwards and bridges
+        # the two: a slice with records absorbs one without.
+        late = [_legacy_record(25), _legacy_record(27)]
+        collected.update(final_values(clone, late))
+        merged = store.slices[-1]
+        assert (merged.start, merged.record_count, merged.records) == (18, 6, None)
+        clone.check_invariants()
+        collected.update(final_values(clone, [Watermark(2_000)]))
+        arrived = self.HEAD + [_legacy_record(30), _legacy_record(31)] + late
+        assert collected == reference_results([(SessionWindow(5), Median())], arrived, horizon=2_000)
+        assert (0, 20, 36) in collected
+
+
 class LambdaSum(Sum):
     """Picklable class, unpicklable *instance* (closure in state)."""
 

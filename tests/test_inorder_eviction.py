@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_operator
-from repro import GeneralSlicingOperator, Record
+from conftest import disordered_with_watermarks, run_operator
+from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Max, Median, Sum
 from repro.core.slice_ import Slice
 from repro.core.window_manager import WindowManager
@@ -190,3 +190,32 @@ def test_a_session_that_never_closes_pins_its_slices_and_is_grouped_only_once(mo
     emitted = {(r.query_id, r.start, r.end): r.value for r in results}
     assert emitted == reference_results(queries(), stream, horizon=2_000)
     assert emitted[(1, 0, 1_004)] == 1_000.0
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["in-order", "disorder"])
+def test_a_last_n_every_window_forgets_the_edges_behind_the_horizon(ordered):
+    """The count a trigger edge was resolved to is window state outside
+    ``state_objects()`` and inside the frame: it goes with the emitted
+    edges, behind every eviction, instead of one entry per edge for ever
+    (499 beside three live slices after these 5 000 records)."""
+    window = LastNEveryWindow(5, 10)
+    base = [Record(tick, float(tick % 7)) for tick in range(5_000)]
+    # Under disorder, late records hit emitted edges.
+    stream = base if ordered else disordered_with_watermarks(base, every=25, seed=3)
+    operator = GeneralSlicingOperator(stream_in_order=ordered, allowed_lateness=0 if ordered else 20)
+    operator.add_query(window, Sum())
+    collected = {}
+    most = 0
+    for element in stream + [Watermark(5_000)]:
+        for result in operator.process(element):
+            collected[(result.query_id, result.start, result.end)] = result.value
+        most = max(most, len(window._counts_at_edge))
+    # Lateness 20 over edges 10 apart keeps a handful of slices and edges.
+    assert most <= (3 if ordered else 10)
+    assert operator.total_slices() <= (4 if ordered else 8)
+    expected = reference_results([(window, Sum())], stream, horizon=5_000)
+    assert len(expected) == 500
+    # Under disorder ``collected`` also holds the count intervals a late
+    # record has since shifted by one.
+    assert expected.items() <= collected.items()
+    assert ordered is (len(collected) == 500)

@@ -7,13 +7,15 @@ the Figure 4 decision tree.
 
 import pytest
 
-from conftest import run_operator
+from conftest import disordered_with_watermarks, run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
-from repro.aggregations import M4, Median, Sum
+from repro.aggregations import M4, Median, Percentile, Sum
+from repro.reference import reference_results
 from repro.core.measures import MeasureKind
 from repro.windows import (
     CountTumblingWindow,
     LastNEveryWindow,
+    PunctuationWindow,
     SessionWindow,
     SlidingWindow,
     TumblingWindow,
@@ -26,17 +28,21 @@ class TestStorageAdaptivity:
         op.add_query(TumblingWindow(10), Sum())
         assert not op.stores_records
 
-    def test_adding_holistic_query_switches_to_records(self):
+    def test_adding_holistic_query_keeps_no_records(self):
+        # The multiset partial holds the values; Figure 4 does not ask
+        # for the aggregation class.
         op = GeneralSlicingOperator(stream_in_order=False)
         op.add_query(TumblingWindow(10), Sum())
         assert not op.stores_records
         op.add_query(TumblingWindow(20), Median())
-        assert op.stores_records
+        assert not op.stores_records
 
     def test_removing_demanding_query_drops_requirement(self):
         op = GeneralSlicingOperator(stream_in_order=False)
         op.add_query(TumblingWindow(10), Sum())
-        demanding = op.add_query(TumblingWindow(20), Median())
+        op.add_query(TumblingWindow(20), Median())
+        assert not op.stores_records
+        demanding = op.add_query(TumblingWindow(20), M4())  # non-commutative, out of order
         assert op.stores_records
         op.remove_query(demanding.query_id)
         assert not op.stores_records
@@ -48,6 +54,85 @@ class TestStorageAdaptivity:
         ooo = GeneralSlicingOperator(stream_in_order=False)
         ooo.add_query(TumblingWindow(10), M4())
         assert ooo.stores_records
+
+
+def _final(op, elements, after_each=lambda: None):
+    """Last value per window.  A late record can extend or bridge
+    sessions that were emitted already: a session result replaces what
+    it overlaps."""
+    final = {}
+    for element in elements:
+        for result in op.process(element):
+            if isinstance(op.queries[result.query_id].window, SessionWindow):
+                for key in [k for k in final if k[1] < result.end and result.start < k[2]]:
+                    del final[key]
+            final[(result.query_id, result.start, result.end)] = result.value
+        after_each()
+    return final
+
+
+class TestHolisticPartialIsTheRecordStore:
+    """A multiset partial holds every value of its slice, so a holistic
+    query keeps records only where Figure 4 asks for them anyway."""
+
+    BASE = [Record(tick, float((tick * 7) % 11)) for tick in range(600)]
+    HORIZON = 10_000
+
+    WINDOWS = {
+        "tumbling": lambda: TumblingWindow(20),
+        "sliding": lambda: SlidingWindow(40, 10),
+        "session": lambda: SessionWindow(3),
+    }
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("ordered", [True, False], ids=["in-order", "disorder"])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("function", [Median, lambda: Percentile(0.9)], ids=["median", "p90"])
+    def test_no_records_kept_and_results_match_the_reference(self, function, window, ordered, eager):
+        # Every 9th tick is silent, so sessions close.
+        base = [record for record in self.BASE if record.ts % 9 < 6]
+        stream = base if ordered else disordered_with_watermarks(base)
+        queries = [(self.WINDOWS[window](), function())]
+        op = GeneralSlicingOperator(
+            stream_in_order=ordered, eager=eager, allowed_lateness=0 if ordered else 20
+        )
+        op.add_query(*queries[0])
+        assert op.stores_records is False
+        final = _final(op, stream + [Watermark(self.HORIZON)])
+        assert len(final) > 25
+        assert final == reference_results(queries, stream, horizon=self.HORIZON)
+        op.check_invariants()
+        slices = [slice_ for store in op.state_objects() for slice_ in store.slices]
+        assert len(slices) < 10  # evicted along the way
+        assert all(slice_.records is None for slice_ in slices)
+
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    @pytest.mark.parametrize(
+        "window, punctuate_every",
+        [(lambda: CountTumblingWindow(7), None), (lambda: PunctuationWindow(), 30)],
+        ids=["count", "punctuation"],
+    )
+    @pytest.mark.parametrize("function", [Median, lambda: Percentile(0.9)], ids=["median", "p90"])
+    def test_windows_that_split_or_shift_still_keep_records(
+        self, function, window, punctuate_every, eager
+    ):
+        stream = disordered_with_watermarks(self.BASE, punctuate_every=punctuate_every)
+        queries = [(window(), function())]
+        op = GeneralSlicingOperator(stream_in_order=False, eager=eager, allowed_lateness=20)
+        op.add_query(*queries[0])
+        assert op.stores_records is True
+        kept = []
+        final = _final(
+            op,
+            stream + [Watermark(self.HORIZON)],
+            lambda: kept.extend(
+                slice_.records is not None for store in op.state_objects() for slice_ in store.slices
+            ),
+        )
+        assert kept and all(kept)
+        assert len(final) > 15
+        assert final == reference_results(queries, stream, horizon=self.HORIZON)
+        op.check_invariants()
 
 
 class TestChainManagement:

@@ -38,6 +38,22 @@ class TestBasicOutOfOrder:
         assert final[(0, 10)] == 2.0
         assert final[(10, 20)] == 1.0
 
+    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+    def test_first_result_of_a_window_behind_the_watermark_is_emitted_and_flagged(self, eager):
+        """The ``is_update`` contract: "emitted by the late path, may
+        replace an earlier result" -- the window was empty when the
+        watermark passed it, so nothing was emitted for it before."""
+        op = make_operator(eager, lateness=10**9)
+        op.add_query(TumblingWindow(100), Sum())
+        elements = [Watermark(10**6), Record(5003, 1.0)]
+        results = run_operator(op, elements)
+        assert [(r.start, r.end, r.value, r.is_update) for r in results] == [(5000, 5100, 1.0, True)]
+        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
+        assert emitted == reference_results([(TumblingWindow(100), Sum())], elements, horizon=10**6)
+        # A second late record does replace it, under the same flag.
+        (again,) = op.process(Record(5004, 2.0))
+        assert (again.start, again.end, again.value, again.is_update) == (5000, 5100, 3.0, True)
+
     def test_no_emission_before_watermark(self):
         op = make_operator()
         op.add_query(TumblingWindow(10), Sum())

@@ -14,7 +14,15 @@ import random
 import pytest
 
 from repro import GeneralSlicingOperator
-from repro.aggregations import Average, Max, Median, Sum
+from repro.aggregations import (
+    AggregateFunction,
+    Average,
+    Max,
+    Median,
+    Percentile,
+    Sum,
+    SumWithoutInvert,
+)
 from repro.baselines import (
     AggregateTreeOperator,
     BucketsOperator,
@@ -23,6 +31,7 @@ from repro.baselines import (
     TupleBufferOperator,
 )
 from repro.core.types import Record, Watermark
+from repro.reference import reference_results
 from repro.windows import (
     CountTumblingWindow,
     SessionWindow,
@@ -208,6 +217,70 @@ class TestGeneralSlicingEquivalence:
         size = batch_size if batch_size is not None else len(stream)
         got = [result_key(r) for r in build().run(stream, batch_size=size)]
         assert got == expected
+
+
+class Scaled(Sum):
+    def lift(self, value):
+        return value * 2
+
+
+class AbsMax(Max):
+    lift = staticmethod(abs)
+
+
+class FuelSum(Sum):
+    """Sum over the second component of a pair: ``lift`` changes the type."""
+
+    def lift(self, value):
+        return value[1]
+
+
+class TestSubclassThatOverridesLift:
+    """``Sum.fold_values`` / ``Max.fold_values`` reduce the raw values,
+    which is ``lift`` only for ``Sum`` / ``Max`` themselves: a subclass
+    with its own ``lift`` must get the exact left fold on every bulk
+    path instead of silently losing it."""
+
+    CASES = {
+        "scaled-sum": (Scaled, lambda t: 1.0, {(0, 0, 100): 20.0, (0, 100, 200): 20.0}),
+        "abs-max": (AbsMax, lambda t: -float(t % 70), {(0, 0, 100): 60.0, (0, 100, 200): 60.0}),
+        "pair-sum": (FuelSum, lambda t: (t, 0.5), {(0, 0, 100): 5.0, (0, 100, 200): 5.0}),
+    }
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_process_batch_and_reference_agree(self, case, batch_size):
+        function, value_of, expected = self.CASES[case]
+        stream = [Record(t, value_of(t)) for t in range(0, 300, 10)]
+
+        def build():
+            op = GeneralSlicingOperator(stream_in_order=True)
+            op.add_query(TumblingWindow(100), function())
+            return op
+
+        assert reference_results([(TumblingWindow(100), function())], stream, horizon=299) == expected
+        as_results = [(q, s, e, v, False) for (q, s, e), v in expected.items()]
+        assert run_tuple_at_a_time(build(), stream) == as_results
+        assert run_batched(build(), stream, batch_size) == as_results
+
+    def test_only_the_hooks_a_class_does_not_define_fall_back(self):
+        base = AggregateFunction
+        assert Scaled.fold_values is base.fold_values
+        assert Scaled.accumulate is base.accumulate
+        assert Scaled.combine_all is base.combine_all
+        # No ``lift`` or ``combine`` of its own: the parent's shortcuts stay.
+        assert SumWithoutInvert.fold_values is Sum.fold_values
+        assert Median.accumulate is Percentile.accumulate
+
+        class Halved(Sum):
+            def lift(self, value):
+                return value / 2
+
+            def fold_values(self, partial, values):
+                return Sum.fold_values(self, partial, [value / 2 for value in values])
+
+        assert Halved.fold_values is not base.fold_values
+        assert Halved.accumulate is base.accumulate
 
 
 BASELINES_IN_ORDER = [

@@ -194,6 +194,23 @@ class TestMerge:
         assert left.aggs[0] == 2.0
         assert left.first_ts == 12
 
+    @pytest.mark.parametrize("kept", ["left", "right"])
+    def test_merge_with_a_record_less_slice_leaves_no_half_filled_list(self, kept):
+        fn = Sum()
+        left = Slice(0, 10, 1, store_records=kept == "left")
+        right = Slice(10, 20, 1, store_records=kept == "right")
+        for ts in (1, 2, 3):
+            left.add_inorder(Record(ts, 1.0), [fn])
+            right.add_inorder(Record(10 + ts, 2.0), [fn])
+        left.merge_from(right, [fn])
+        assert (left.record_count, left.aggs[0]) == (6, 9.0)
+        # Three records of six would fold to a wrong aggregate in silence.
+        assert left.records is None
+        with pytest.raises(ValueError, match="does not retain records"):
+            left.split_at(5, [fn])
+        with pytest.raises(ValueError, match="does not retain records"):
+            left.recompute([fn])
+
     def test_merge_rejects_preceding_slice(self):
         left = make_slice(10, 20)
         right = make_slice(0, 10)

@@ -82,6 +82,10 @@ def _window_manager(operator, kind=MeasureKind.TIME):
     return operator._chains[kind].window_manager
 
 
+def _slices(operator, kind=MeasureKind.TIME):
+    return operator._chains[kind].store.slices
+
+
 def _carry(operator, query_id=0):
     return _window_manager(operator)._carries[query_id]
 
@@ -652,6 +656,11 @@ def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
     # every window emitted so far are in it.
     assert clone.total_slices() == 7
     assert [len(pairs) for pairs in manager._emitted.values()] == [3, 5]
+    # And the rule that a holistic query keeps records beside its
+    # multisets: the frame's slices carry theirs, but whether new ones do
+    # is derived from the queries, not read from the frame.
+    assert all(len(slice_.records) == slice_.record_count for slice_ in _slices(clone))
+    assert clone.stores_records is False
     uninterrupted = _pre_carry_operator()
     run_operator(uninterrupted, [_pre_carry_record(ts) for ts in range(65)])
     assert uninterrupted.total_slices() == 5  # [20, 30) .. [60, ...): the cut at 60 evicted up to 20
@@ -661,7 +670,10 @@ def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
     expected = run_operator(uninterrupted, tail)
     unbroken = slides[:]
     del slides[:]
-    assert run_operator(clone, tail) == expected
+    resumed = run_operator(clone, tail[:15])  # ts 65..79: cuts at 70
+    cut_since = [slice_ for slice_ in _slices(clone) if slice_.start >= 70]
+    assert cut_since and all(slice_.records is None for slice_ in cut_since)
+    assert resumed + run_operator(clone, tail[15:]) == expected
     # One fold per query, then the restored operator slides like the other.
     assert _folded(slides)[:2] == [(0, 30, 70), (1, 50, 70)]
     assert [call for call in slides if call[2] > 70] == [call for call in unbroken if call[2] > 70]
@@ -669,6 +681,16 @@ def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
     # What the frame held beyond today's state has been evicted and pruned
     # like anything else: the two operators now write the same frame.
     assert snapshot(clone) == snapshot(uninterrupted)
+
+
+def test_a_frame_with_record_lists_shrinks_once_its_slices_are_evicted():
+    blob = zlib.decompress(base64.b85decode(_PRE_CARRY_FRAME))
+    clone = restore(blob)
+    # 65 records so far, 65 more: the same windows over the same values.
+    run_operator(clone, [_pre_carry_record(ts) for ts in range(65, 130)])
+    assert all(slice_.records is None for slice_ in _slices(clone))
+    # 5 791 bytes then, 3 322 now; 4 964 if the 50 live records were kept.
+    assert len(snapshot(clone)) < 0.7 * len(blob)
 
 
 def test_the_carry_is_small_and_outside_the_measured_state():
