@@ -328,29 +328,6 @@ class BucketsOperator(WindowOperator):
         self._watermark = watermark.ts
         return results
 
-    def process_batch(self, elements) -> List[WindowResult]:
-        """Batch entry point (apples-to-apples with the slicing batch API).
-
-        Buckets must touch every containing window per record, so there
-        is no run-level work to amortize; the batch path only hoists the
-        element-type dispatch out of :meth:`process`.  Results are
-        identical to the per-element path.
-        """
-        results: List[WindowResult] = []
-        process_record = self.process_record
-        process_watermark = self.process_watermark
-        process = self.process
-        for element in elements:
-            if isinstance(element, Record):
-                out = process_record(element)
-            elif isinstance(element, Watermark):
-                out = process_watermark(element)
-            else:
-                out = process(element)
-            if out:
-                results.extend(out)
-        return results
-
     # ------------------------------------------------------------------
     # housekeeping
 

@@ -3,17 +3,17 @@
 The Tuple Buffer (Section 3.1) and the Aggregate Tree (Section 3.2)
 both keep the *individual records* of the allowed lateness in
 event-time order and differ only in how a range of records is folded
-into an aggregate.  This module factors the common part out: given a
-:class:`SortedRecordsView`, the :class:`BufferTriggerEngine` enumerates
-ended windows on watermark progress, computes their aggregates through
-the view, and emits update results for late arrivals -- the same
-output semantics as the slicing operator.
+into an aggregate.  This module factors the common part out: the
+:class:`BufferTriggerEngine` enumerates ended windows on watermark
+progress, computes their aggregates through the operator's record view,
+and emits update results for late arrivals -- the same output semantics
+as the slicing operator.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.characteristics import Query
 from ..core.measures import MeasureKind
@@ -22,25 +22,19 @@ from ..windows.base import ContextClass
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.session import SessionWindow
 
-__all__ = ["SortedRecordsView", "BufferTriggerEngine"]
-
-
-class SortedRecordsView(Protocol):
-    """A technique's view of its event-time-ordered record state."""
-
-    def timestamps(self) -> Sequence[int]:
-        """Event-times of all retained records, ascending."""
-        ...
-
-    def fold_range(self, lo: int, hi: int, query: Query) -> Any:
-        """Partial aggregate of records ``[lo, hi)`` for ``query``."""
-        ...
+__all__ = ["BufferTriggerEngine"]
 
 
 class BufferTriggerEngine:
-    """Watermark-driven window emission over a sorted record buffer."""
+    """Watermark-driven window emission over a sorted record buffer.
 
-    def __init__(self, view: SortedRecordsView, emit_empty: bool = False) -> None:
+    ``view`` is the operator that owns the records: ``view.timestamps()``
+    returns the event-times of every retained record, ascending, and
+    ``view.fold_range(lo, hi, query)`` the partial aggregate of records
+    ``[lo, hi)`` for ``query`` (``None`` when there is none).
+    """
+
+    def __init__(self, view: Any, emit_empty: bool = False) -> None:
         self._view = view
         self._emit_empty = emit_empty
         self._queries: List[Query] = []
@@ -309,27 +303,29 @@ class BufferTriggerEngine:
         (:meth:`~repro.windows.base.WindowType.retention_start`): a
         timestamp on the time measure, a record position on the count
         measure -- records can be arbitrarily dense in time, so a count
-        window's length is never read as a duration.  A session that a
-        record at ``settled_ts`` could still join is kept whole.
+        window's length is never read as a duration.  The cut never
+        falls inside a session: the records left of one, emitted or
+        still open, would be read as a session of their own.  Sessions
+        by the largest gap contain those of every smaller one.
         """
         timestamps = self._view.timestamps()
         size = len(timestamps)
         cut = size
         reach = settled_ts  # the earliest timestamp a time window needs
+        gap = 0
         for query in self._queries:
             window = query.window
             if window.measure_kind is MeasureKind.COUNT:
                 completed = self._completed_count(settled_ts)
                 cut = min(cut, window.retention_start(completed) - self.evicted_count)
                 continue
-            start = window.retention_start(settled_ts)
-            reach = min(reach, start)
+            reach = min(reach, window.retention_start(settled_ts))
             if isinstance(window, SessionWindow):
-                first = bisect.bisect_left(timestamps, start)
-                while 0 < first < size and timestamps[first] - timestamps[first - 1] < window.gap:
-                    first -= 1
-                cut = min(cut, first)
-        return max(min(cut, bisect.bisect_left(timestamps, reach)), 0)
+                gap = max(gap, window.gap)
+        cut = max(min(cut, bisect.bisect_left(timestamps, reach)), 0)
+        while 0 < cut < size and timestamps[cut] - timestamps[cut - 1] < gap:
+            cut -= 1
+        return cut
 
     def note_eviction(self, count: int) -> None:
         """Record that ``count`` front records left the buffer."""

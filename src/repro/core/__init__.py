@@ -23,14 +23,7 @@ from .characteristics import (
 )
 from .flatfat import FlatFAT
 from .kernels import KernelKind, SubtractOnEvictKernel, TwoStacksKernel, make_kernel
-from .measures import (
-    AttributeMeasure,
-    CountMeasure,
-    EventTimeMeasure,
-    MeasureKind,
-    MeasureVector,
-    ProcessingTimeMeasure,
-)
+from .measures import MeasureKind
 from .operator_ import GeneralSlicingOperator
 from .operator_base import StreamOrderViolation, WindowOperator
 from .slice_ import Slice
@@ -57,11 +50,6 @@ __all__ = [
     "WindowResult",
     "is_in_order",
     "MeasureKind",
-    "MeasureVector",
-    "EventTimeMeasure",
-    "ProcessingTimeMeasure",
-    "CountMeasure",
-    "AttributeMeasure",
     "Slice",
     "SliceManager",
     "Modification",

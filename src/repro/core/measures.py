@@ -3,38 +3,22 @@
 Windows can be defined over different monotonically advancing measures:
 event-time, processing-time, arbitrary advancing attributes (odometer
 kilometres, invoice numbers, ...), or a tuple count.  The slicing core is
-measure-agnostic: it works on abstract integer "timestamps".  A
-:class:`Measure` maps an incoming :class:`~repro.core.types.Record` to its
-timestamp in that measure's domain.
+measure-agnostic: it works on abstract integer "timestamps".  A record's
+timestamp is its event-time unless the operator is given another
+measure (``GeneralSlicingOperator(timestamp_of=...)``).
 
 Count-based measures are special (Section 4.3): when a record arrives
 out-of-order, it changes the count of every record with a larger
-event-time.  The slicing core therefore treats the count measure
-explicitly (see :mod:`repro.core.slice_manager`); this module only
-provides the per-record position bookkeeping.
-
-When queries with different measures run concurrently, timestamps become
-vectors with one dimension per measure.  :class:`MeasureVector` captures
-the (event-time, count) vector used throughout the library.
+event-time.  The slicing core therefore keeps count-measure queries on a
+chain of their own that tracks record positions itself (see
+:mod:`repro.core.slice_manager`).
 """
 
 from __future__ import annotations
 
 import enum
-import time as _time
-from typing import Callable
 
-from .types import Record
-
-__all__ = [
-    "MeasureKind",
-    "Measure",
-    "EventTimeMeasure",
-    "ProcessingTimeMeasure",
-    "CountMeasure",
-    "AttributeMeasure",
-    "MeasureVector",
-]
+__all__ = ["MeasureKind"]
 
 
 class MeasureKind(enum.Enum):
@@ -48,132 +32,3 @@ class MeasureKind(enum.Enum):
 
     TIME = "time"
     COUNT = "count"
-
-
-class Measure:
-    """Base class for windowing measures."""
-
-    #: The decision-tree classification of this measure.
-    kind: MeasureKind = MeasureKind.TIME
-
-    def timestamp(self, record: Record) -> int:
-        """Return the record's timestamp in this measure's domain."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}()"
-
-
-class EventTimeMeasure(Measure):
-    """The record's embedded event-time (the default measure)."""
-
-    kind = MeasureKind.TIME
-
-    def timestamp(self, record: Record) -> int:
-        return record.ts
-
-
-class ProcessingTimeMeasure(Measure):
-    """Wall-clock time at which the operator processes the record.
-
-    A ``clock`` callable can be injected for deterministic tests; it
-    defaults to a monotonic nanosecond clock.
-    """
-
-    kind = MeasureKind.TIME
-
-    def __init__(self, clock: Callable[[], int] | None = None) -> None:
-        self._clock = clock if clock is not None else _time.monotonic_ns
-
-    def timestamp(self, record: Record) -> int:
-        return self._clock()
-
-
-class AttributeMeasure(Measure):
-    """An arbitrary advancing measure read from the record payload.
-
-    ``extract`` maps a record to its measure value -- e.g. a transaction
-    counter or kilometres driven.  Arbitrary advancing measures are
-    processed exactly like event-time (Section 6.3.4): the measure value
-    of a record never changes, no matter in which order records arrive.
-    """
-
-    kind = MeasureKind.TIME
-
-    def __init__(self, extract: Callable[[Record], int], name: str = "attribute") -> None:
-        self._extract = extract
-        self.name = name
-
-    def timestamp(self, record: Record) -> int:
-        return self._extract(record)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AttributeMeasure(name={self.name!r})"
-
-
-class CountMeasure(Measure):
-    """Tuple-count measure: the i-th record (in event-time order) has count i.
-
-    The count of a record is its zero-based position in the event-time
-    order of the stream, *not* its arrival position.  An out-of-order
-    arrival therefore shifts the count of every record behind it; the
-    slice manager compensates by shifting records between slices
-    (Figure 6 of the paper).  ``timestamp`` returns the position the
-    record receives *on arrival*; shift corrections are the slice
-    manager's job.
-    """
-
-    kind = MeasureKind.COUNT
-
-    def __init__(self) -> None:
-        self._arrived = 0
-
-    def timestamp(self, record: Record) -> int:
-        position = self._arrived
-        self._arrived += 1
-        return position
-
-    @property
-    def arrived(self) -> int:
-        """Number of records counted so far."""
-        return self._arrived
-
-    def reset(self) -> None:
-        """Reset the counter (used when an operator is restarted)."""
-        self._arrived = 0
-
-
-class MeasureVector:
-    """An (event-time, count) timestamp vector.
-
-    Multi-query workloads mixing time- and count-based windows share one
-    slice chain; every slice boundary carries its position in both
-    dimensions.  The vector is ordered by event-time (the primary
-    dimension along which streams are sliced).
-    """
-
-    __slots__ = ("ts", "count")
-
-    def __init__(self, ts: int, count: int) -> None:
-        self.ts = ts
-        self.count = count
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MeasureVector(ts={self.ts}, count={self.count})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MeasureVector)
-            and self.ts == other.ts
-            and self.count == other.count
-        )
-
-    def __lt__(self, other: "MeasureVector") -> bool:
-        return (self.ts, self.count) < (other.ts, other.count)
-
-    def __hash__(self) -> int:
-        return hash((self.ts, self.count))
-
-    def component(self, kind: MeasureKind) -> int:
-        """Return the vector component for ``kind``."""
-        return self.count if kind is MeasureKind.COUNT else self.ts

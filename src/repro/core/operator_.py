@@ -117,7 +117,7 @@ class _Chain:
             track_counts=track_counts,
             session_gap=min(session_gaps) if session_gaps else None,
             floor_time_edge=self.floor_time_edge,
-            ceil_time_edge=self.ceil_time_edge,
+            ceil_time_edge=self.next_time_edge,
             edge_in_region=self.edge_in_region,
             is_count_edge=self.is_count_edge,
             on_modified=self._record_modification,
@@ -182,6 +182,10 @@ class _Chain:
                 best = edge
         return best
 
+    #: Frames pickled while the slice manager's ceiling callback had a
+    #: name of its own look it up under that name on restore.
+    ceil_time_edge = next_time_edge
+
     def floor_time_edge(self, ts: int) -> Optional[int]:
         best: Optional[int] = None
         for window in self._time_edge_windows():
@@ -190,9 +194,6 @@ class _Chain:
                 best = edge
         return best
 
-    def ceil_time_edge(self, ts: int) -> Optional[int]:
-        return self.next_time_edge(ts)
-
     def next_count_edge(self, count: int) -> Optional[int]:
         best: Optional[int] = None
         for window in self._count_edge_windows():
@@ -200,9 +201,6 @@ class _Chain:
             if edge is not None and (best is None or edge < best):
                 best = edge
         return best
-
-    def edge_needed(self, ts: int) -> bool:
-        return any(window.is_edge(ts) for window in self._time_edge_windows())
 
     def edge_in_region(self, lo: int, hi: int) -> bool:
         """Whether any window has an edge in the closed interval [lo, hi].

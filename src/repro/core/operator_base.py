@@ -53,7 +53,16 @@ class WindowOperator:
     # query management
 
     def add_query(self, window: WindowType, aggregation: AggregateFunction) -> Query:
-        """Register a query; techniques adapt their strategy if needed."""
+        """Register a query; techniques adapt their strategy if needed.
+
+        A query added mid-stream sees the records from then on.  The
+        baselines keep what the queries already registered hold.
+        :class:`~repro.core.GeneralSlicingOperator` does not yet: it
+        starts a fresh slice chain for the measure whose query set
+        changed, so those queries lose the slices of windows still open
+        -- their next results cover only the records that follow, and
+        out of order the windows behind the watermark are never emitted.
+        """
         query = Query(window, aggregation, query_id=self._next_query_id)
         self._next_query_id += 1
         self.queries.append(query)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from conftest import final_values, run_operator, shuffled_with_disorder
+from conftest import disordered_with_watermarks, final_values, run_operator, shuffled_with_disorder
 from repro import Record, StreamOrderViolation, Watermark
-from repro.aggregations import Median, Min, Sum
+from repro.aggregations import Average, Max, Median, Min, Sum
 from repro.baselines import (
     AggregateBucketsOperator,
     AggregateTreeOperator,
@@ -15,6 +15,7 @@ from repro.baselines import (
 )
 from repro.core.types import Punctuation
 from repro.reference import reference_results
+from repro.runtime.memory import deep_sizeof
 from repro.windows import (
     CountTumblingWindow,
     ExplicitEdgesWindow,
@@ -182,7 +183,7 @@ class TestPairsRestrictions:
         op.add_query(SlidingWindow(10, 5), Sum())
         run_operator(op, simple_stream)
         # Edges at multiples of 5: about one fragment per 5 ts.
-        assert op.fragment_count() <= 7
+        assert op.slice_count() <= 7
 
 
 class TestCutty:
@@ -323,3 +324,225 @@ class TestEvictionKeepsWhatWindowsStillReach:
         op, final = self._final(cls, queries, elements)
         assert final == {(0, 0, 309): 300.0, (0, 400, 410): 1.0}
         assert op.buffered_records() == 0
+
+    def test_an_emitted_session_is_not_cut_by_a_shorter_reach(self, cls):
+        # The tumbling window reaches 20 back, into the session that
+        # ended at 109: the records right of such a cut were emitted
+        # again as a session of their own, (92, 109) and on.
+        queries = [(SessionWindow(10), Sum()), (TumblingWindow(20), Sum())]
+        elements = []
+        for ts in [*range(100), *range(112, 200)]:
+            elements.append(Record(ts, 1.0))
+            elements.append(Watermark(ts))
+        elements.append(Watermark(400))
+        op, final = self._final(cls, queries, elements)
+        assert final == reference_results(queries, elements, horizon=400)
+        assert op.buffered_records() == 0
+
+
+# ----------------------------------------------------------------------
+# Pairs and Cutty: one in-order slicer, a list or a FlatFAT per function
+
+IN_ORDER_SLICERS = [PairsOperator, CuttyOperator]
+
+SHARED_QUERY_SETS = {
+    "tumbling": [
+        (TumblingWindow(100), Sum()),
+        (TumblingWindow(100), Max()),
+        (TumblingWindow(250), Average()),
+    ],
+    "sliding": [
+        (SlidingWindow(100, 20), Sum()),
+        (SlidingWindow(300, 50), Max()),
+        (TumblingWindow(100), Average()),
+    ],
+}
+
+
+def _by_query(results, ids):
+    """Final value per ``(position in ids, start, end)``: the keying of
+    ``reference_results``."""
+    position = {query_id: index for index, query_id in enumerate(ids)}
+    return {
+        (position[r.query_id], r.start, r.end): r.value for r in results if r.query_id in position
+    }
+
+
+class TestInOrderSlicersAgree:
+    @pytest.mark.parametrize("name", sorted(SHARED_QUERY_SETS))
+    def test_pairs_and_cutty_match_the_reference(self, name):
+        queries = SHARED_QUERY_SETS[name]
+        records = [Record(ts, float(ts % 13)) for ts in range(0, 3_000, 3)]
+        elements = records + [Watermark(3_100)]
+        outputs = []
+        for cls in IN_ORDER_SLICERS:
+            op = cls()
+            for window, fn in queries:
+                op.add_query(window, fn)
+            outputs.append(run_operator(op, elements))
+            # 300 slices of 10 ticks without eviction; the longest window
+            # reaches 30 of them back.
+            assert op.slice_count() <= 32
+        assert outputs[0] == outputs[1]
+        expected = reference_results(queries, records, horizon=3_100)
+        assert _by_query(outputs[0], range(len(queries))) == expected
+
+    def test_queries_added_and_removed_mid_stream(self):
+        """A query added later sees the records from then on; one removed
+        stops; the others are unaffected, and so is the layout of the
+        partials they read."""
+        records = [Record(ts, float(ts % 13)) for ts in range(0, 3_000, 3)]
+        added_at, removed_at = 1_000, 2_000
+        outputs = []
+        for cls in IN_ORDER_SLICERS:
+            op = cls()
+            first = op.add_query(SlidingWindow(100, 20), Sum())
+            op.add_query(TumblingWindow(100), Max())
+            results = run_operator(op, [r for r in records if r.ts < added_at])
+            op.add_query(TumblingWindow(200), Average())
+            results += run_operator(op, [r for r in records if added_at <= r.ts < removed_at])
+            op.remove_query(first.query_id)
+            results += run_operator(op, [r for r in records if r.ts >= removed_at])
+            outputs.append(results + op.process(Watermark(3_100)))
+        assert outputs[0] == outputs[1]
+        results = outputs[0]
+        sliding_sum = reference_results([(SlidingWindow(100, 20), Sum())], records)
+        emitted = _by_query(results, [0])
+        assert emitted and all(value == sliding_sum[key] for key, value in emitted.items())
+        assert max(end for _, _, end in emitted) > added_at
+        assert _by_query(results, [1]) == reference_results(
+            [(TumblingWindow(100), Max())], records, horizon=3_100
+        )
+        assert _by_query(results, [2]) == reference_results(
+            [(TumblingWindow(200), Average())],
+            [r for r in records if r.ts >= added_at],
+            horizon=3_100,
+        )
+
+    @pytest.mark.parametrize(
+        "window", [SlidingWindow(100, 20), TumblingWindow(100)], ids=["sliding", "tumbling"]
+    )
+    @pytest.mark.parametrize("cls", IN_ORDER_SLICERS)
+    def test_removing_a_query_leaves_the_other_functions_partials(self, cls, window):
+        # Pairs once renumbered its functions when a query went, and read
+        # the removed Sum's partials as the remaining Max: 9.0 / 9.0 / 7.0
+        # for [60, 160) / [80, 180) / [100, 200) where 6.0 is right.
+        records = [Record(ts, float(ts % 7)) for ts in range(0, 300, 10)]
+        op = cls()
+        first = op.add_query(window, Sum())
+        op.add_query(window, Max())
+        results = run_operator(op, records[:15])
+        op.remove_query(first.query_id)
+        results += run_operator(op, records[15:])
+        expected = reference_results([(window, Max())], records, horizon=290)
+        assert _by_query(results, [1]) == expected
+
+
+class TestInOrderSlicersEvict:
+    """State is bounded by the longest window, not by the stream: every
+    cut and watermark drops the slices that no window still open there
+    reaches back to (``WindowType.retention_start``)."""
+
+    @staticmethod
+    def _state_at(op, elements, marks):
+        sizes, results, seen = [], [], 0
+        for element in elements:
+            results.extend(op.process(element))
+            if isinstance(element, Record):
+                seen += 1
+                if seen in marks:
+                    sizes.append(deep_sizeof(op.state_objects()))
+        return sizes, results
+
+    @pytest.fixture(scope="class")
+    def sliding_case(self):
+        records = [Record(ts, float(ts % 7)) for ts in range(80_000)]
+        queries = [(SlidingWindow(1_000, 100), Sum())]
+        expected = reference_results(queries, records, horizon=80_000)
+        return queries, records + [Watermark(80_000)], expected
+
+    @pytest.mark.parametrize("cls", IN_ORDER_SLICERS)
+    def test_sliding_state_after_80000_records_is_that_after_20000(self, cls, sliding_case):
+        # Cutty kept every slice: 23 040 bytes after 20 000 records and
+        # 91 488 after 80 000.
+        queries, elements, expected = sliding_case
+        op = cls()
+        op.add_query(*queries[0])
+        (early, late), results = self._state_at(op, elements, (20_000, 80_000))
+        assert late <= early
+        assert _by_query(results, [0]) == expected
+
+    def test_punctuation_windows_are_evicted_too(self):
+        elements = []
+        for ts in range(80_000):
+            if ts and ts % 1_000 == 0:
+                elements.append(Punctuation(ts))
+            elements.append(Record(ts, float(ts % 7)))
+        elements += [Punctuation(80_000), Watermark(80_000)]
+        op = CuttyOperator()
+        op.add_query(PunctuationWindow(), Sum())
+        (early, late), results = self._state_at(op, elements, (20_000, 80_000))
+        assert late <= early
+        expected = reference_results([(PunctuationWindow(), Sum())], elements, horizon=80_000)
+        assert len(expected) == 80
+        assert _by_query(results, [0]) == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        PairsOperator,
+        CuttyOperator,
+        lambda: TupleBufferOperator(stream_in_order=True),
+        lambda: AggregateTreeOperator(stream_in_order=True),
+        lambda: AggregateBucketsOperator(stream_in_order=True),
+        lambda: TupleBucketsOperator(stream_in_order=True),
+    ],
+    ids=["pairs", "cutty", "buffer", "tree", "agg-buckets", "tuple-buckets"],
+)
+def test_a_query_added_mid_stream_leaves_the_others_whole(make):
+    """The baselines keep what the queries already there hold when one is
+    added (general slicing does not yet: ``test_operator_adaptivity.py``)."""
+    records = [Record(ts, 1.0) for ts in range(0, 250, 10)]
+    op = make()
+    op.add_query(TumblingWindow(100), Sum())
+    results = run_operator(op, records[:15])
+    op.add_query(TumblingWindow(100), Max())
+    results += run_operator(op, records[15:] + [Watermark(1_000)])
+    expected = reference_results([(TumblingWindow(100), Sum())], records, horizon=1_000)
+    assert expected == {(0, 0, 100): 10.0, (0, 100, 200): 10.0, (0, 200, 300): 5.0}
+    assert _by_query(results, [0]) == expected
+
+
+# ----------------------------------------------------------------------
+# Tuple Buffer and Aggregate Tree: one record buffer, folded or treed
+
+
+@pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "disordered"])
+def test_tuple_buffer_and_aggregate_tree_agree_across_a_query_removal(in_order):
+    queries = [
+        (TumblingWindow(50), Sum()),
+        (SlidingWindow(100, 25), Max()),
+        (SessionWindow(7), Average()),
+    ]
+    base = [Record(ts, float(ts % 11)) for ts in range(0, 1_500, 2) if ts % 97 > 9]
+    elements = list(base) if in_order else disordered_with_watermarks(base)
+    elements.append(Watermark(2_000))
+    removed_after = len(elements) // 2
+    outputs = []
+    for cls in (TupleBufferOperator, AggregateTreeOperator):
+        op = cls(stream_in_order=in_order, allowed_lateness=0 if in_order else 20)
+        op.EVICT_BATCH = 1
+        ids = [op.add_query(window, fn).query_id for window, fn in queries]
+        results = run_operator(op, elements[:removed_after])
+        op.remove_query(ids[1])
+        outputs.append(results + run_operator(op, elements[removed_after:]))
+        assert op.buffered_records() < len(base) // 4
+    assert outputs[0] == outputs[1]
+    expected = reference_results(queries, base, horizon=2_000)
+    final = _by_query(outputs[0], [0, 1, 2])
+    assert {k: v for k, v in final.items() if k[0] != 1} == {
+        k: v for k, v in expected.items() if k[0] != 1
+    }
+    removed = {k: v for k, v in final.items() if k[0] == 1}
+    assert removed and all(value == expected[key] for key, value in removed.items())

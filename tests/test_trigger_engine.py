@@ -15,7 +15,7 @@ from repro.windows import (
 
 
 class FakeView:
-    """Minimal SortedRecordsView over (ts, value) pairs."""
+    """Minimal record view over (ts, value) pairs."""
 
     def __init__(self, pairs):
         self.pairs = sorted(pairs)
