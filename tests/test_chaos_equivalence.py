@@ -232,9 +232,9 @@ class _RecordingStore(InMemoryStore):
     "kernel", ["flatfat", "finger_tree", "two_stacks", "subtract_on_evict"]
 )
 def test_crash_between_a_record_and_the_next_cut(kernel):
-    """The eager store writes the open head into its kernels once per
-    slice, so a snapshot taken mid-slice holds kernel leaves that lag the
-    head's partials plus the mark that says so.  One record per tick and
+    """The eager store writes the open head into its kernels only when a
+    window reads it, so a snapshot taken mid-slice holds kernel leaves
+    that lag the head's partials.  One record per tick and
     a cut every 20 ticks; checkpoints after 33, 66 and 99 records all
     fall mid-slice, and each crash fires two records later, before the
     next cut.  The restored operator must finish the slice and emit
@@ -265,14 +265,26 @@ def test_crash_between_a_record_and_the_next_cut(kernel):
     assert stats.restarts == 3
     assert sink.results == expected
     assert len(expected) > 20
-    dirty_at_snapshot = [
-        all(state.head_dirty for state in restore(blob).state_objects())
-        for blob in store.blobs
-    ]
+
+    def lagging_at_snapshot(blob):
+        """(closed slices lag, the head's leaves lag) in a frame."""
+        (state,) = restore(blob).state_objects()
+        if not state.slices:
+            return False, False
+        last = len(state.slices) - 1
+        aggs = state.slices[last].aggs
+        head = any(kernel.leaf(last) != aggs[i] for i, kernel in enumerate(state.kernels))
+        return state.lag_from is not None, head
+
+    lagging = [lagging_at_snapshot(blob) for blob in store.blobs]
     # Every periodic snapshot fell mid-slice (33k is no multiple of 20
-    # within this stream); only the initial one saw a clean store.
-    assert dirty_at_snapshot[0] is False
-    assert len(dirty_at_snapshot) >= 4 and all(dirty_at_snapshot[1:])
+    # within this stream), so the head's leaves lag.  The first came
+    # before any window closed, so nothing has read [0, 20) either; at
+    # the others the emit at the last cut wrote every closed slice.
+    # Only the initial one saw an empty store.
+    assert lagging[0] == (False, False)
+    assert lagging[1] == (True, True)
+    assert len(lagging) >= 4 and all(entry == (False, True) for entry in lagging[2:])
 
 
 @pytest.mark.ooo

@@ -187,15 +187,79 @@ def _legacy_record(ts):
     return Record(ts, float(ts % 7))
 
 
+#: ``snapshot()`` of the operator built by ``_lagging_operator`` after
+#: ``_LAGGING_HEAD``, written by the commit before the eager store kept a
+#: lag index (zlib + base85).  Taken right after a late record landed in
+#: the closed slice [40, 50), ahead of the watermark, and was written
+#: through to the kernels; the open head [50, ...) has 5 records its
+#: kernel leaves do not hold yet, and the store pickle says so with a
+#: ``head_dirty`` entry.
+_PRE_LAG_INDEX_FRAME = (
+    "c-oa#-D@0G6yG%2kM3@=Nt4!E+F%uQ#S&>AN*_vTDVm3|BX)(pSTD0PclS&)AM1Q1X*EzET2i>"
+    "shmI743L+?e;6EWg=!1WY55Cvmy?17^JFP<VkiGYuGrxPj&$%)9;970&Uj3^l-J1FnYZ0GB;f5"
+    "VXd?TFj$V$S9W#YsZ4{-4Yo@=|o_`{r&J<i_#GTYDkVu=NOFJYghJi5bNCo_(Sro6a3&TfH!Y6"
+    "{mTE3)ha%s6rFI1}}c<YyYplxU4zH*mt;OdQvr>1(_Zd#;1$GqE_(r<+=?RHNbXV4P59^hI3?^"
+    "UP?AMmQS9Jjslj==$7>(}=Tee3*&VDXnr2)ahK;M?=ay&cs6E`aHXz-N@3R=vd=%#K%_RhCwDy"
+    "YJe$PyfL(5*UrTJAoaCkqIKw&npg-dpox_k3*L<(oIc2g)XsfCi?pnbqE(|$Yet)n8#OvXr_&*"
+    "wp>;8T-P+Um^tv%eZ&VR|uq7fFOJTq~E8#5Su++&+vB;b#oJ_c*=u)dDOAr$tf!T|bh+95$0|s"
+    "f39*R1*#yA{^Wy|xz-Tb?N$8lyjqRo9bVcef2cObhQBfOjyE`dW2#G<C<VFaPE&7**ON)_qdII"
+    ";W*3r8R{8S=voVwg^+sU{lin!J}WmM)+Ma*8_iCKpFXX<#eI%RHmAbPhB&3ZTBj_tXck-G_zr4"
+    "*t)j;#kSUb2?w;hepkq<6?!qK>1!ZU#TTtxfw>=UT8VjD!fw5QbXE&D7rC<g|j4`c!0z`;M|E>"
+    "Jn`H_-dD(qnH{D<!tykfLXsH6$I7@;C`e?XS-X}J>LDN?`hJ=q{dPF?Jr;34+_5}{IKqUnEWv$"
+    "gA@uIu(7b_W$(j@GAWUA93UNmzIg;s<6q(-DF;b<1syH@PE1Cmh+fb*XQaU5#ACHhrTo(-44^Z"
+    "C9`fR2Llpba|bM-x$Vpj|DKv7F?UM*wWKv~;)Q(2h;RAh9jx@=K=s+Zt(D^kTj&!HvyL2Kkjal"
+    "+tvnfRWSpO1<KXr++1u3XgpaO=uRec+<0t0zW^cJ)z5Od@u4?DR{fII6GmIa9RoquULgQWZWaD"
+    "m+F_C&n73_}wv9X;-~`<zD4wx?|E^h<t9+7bfjLkFo}ob)c*P<xGxpsrIrc>p<xPWgRGQ<tUe5"
+    "8l?}EO`!CFaz017`eKVZ|BbRqi3yNRfLzEyHVReNW<ct*Ae_#dbc<}2cg-SAW%7I~mfu&&`7v@"
+    "+XYEvyv}6qp-2jQ$8m6w7$Oa^uV~(my<d~zgqFIPMKw^tJi^4F;fZJgj*bJTNyj$?NH9|So-Gu"
+    "wqtSW<C#;J65?k$rebKSdK=G%fiWJW{GBSCSmJ8pztdmt?qjiPZYCq5~h_%%JHbM%eWmA<9#3i"
+    "9^{^n+66WF@r!b1*smXwpwcgMK#Y7xgOrYU<h2CT=;b&<EpDO^Upz58&6L=gSzZP@iMG=$1Cc5"
+    "l!C;)PyMp>QqUWtgfo;>-qI?<mZo(i!r0xY*DCaq0%?ox=!W2Q@lO4Ch+4j8+jr28##d(cg6sD"
+    "N|!~iN>u^xF`K(yRdz|OJ<o~CvmBskW^zx^q7|YNU1Dz0`42%CXK6~X%b>O&I_}6tpH^aPxurS"
+    "T);o!cIKnf;T*lWixI1!E=*C%fu^#mWt2<ElfxedA_jmZV$10Xe73eSZ+8^rtr_ys-%T1|o!pL"
+    "f17FjhiY)07?W?MF4&p3R~xP;lAQ)ke-n#wTNuwh}@u+xNLK^=vW&n2OaMK)mg!u7JPXMg9L?("
+    "!iuZ{#IUyKhM+=wSlBI_0=3Z&7bu)$CNRYn5X3n>2KKTUuh()u_d$_GbD=bTy_^*^#mI)vzP3V"
+    "4CF%knB;da`7>0s!pFBiqAp3fBVQB>^paR9zR%zR1LS-B;q@4*OzN^OX-)uacXCHgmvIimWp=n"
+    "bAr^qOxs*ahYch+>;$|X$PIKRA*CJZFoxl3uVWrIrHn4$N7chGdusGv0RAqfe&k!xw${RmBCIo"
+    "**B8^_#=oM6%1!"
+)
+
+
+def _lagging_operator():
+    operator = GeneralSlicingOperator(stream_in_order=False, eager=True, allowed_lateness=100)
+    operator.add_query(SlidingWindow(40, 10), Sum())
+    operator.add_query(SlidingWindow(40, 10), Max())
+    return operator
+
+
+_LAGGING_HEAD = [_legacy_record(ts) for ts in range(55)] + [Watermark(40), _legacy_record(45)]
+_LAGGING_TAIL = (
+    [_legacy_record(ts) for ts in range(55, 80)]
+    + [_legacy_record(12), Watermark(65), _legacy_record(33), _legacy_record(7)]
+    + [_legacy_record(ts) for ts in range(80, 110)]
+    + [Watermark(1_000)]
+)
+
+
+def _stale_leaves(store):
+    """(slice index, function index) of every kernel leaf that lags."""
+    return [
+        (index, fn_index)
+        for fn_index, kernel in enumerate(store.kernels)
+        for index, slice_ in enumerate(store.slices)
+        if kernel.leaf(index) != slice_.aggs[fn_index]
+    ]
+
+
 class TestFramesAcrossTheDeferredHeadWrite:
     def test_frame_written_before_the_mark_restores_and_continues(self):
         blob = zlib.decompress(base64.b85decode(_PRE_DEFERRED_HEAD_FRAME))
         assert blob.startswith(CHECKPOINT_MAGIC)
         clone = restore(blob)
         (store,) = clone.state_objects()
-        # Genuinely an old pickle: the class-level default supplies the mark.
+        # Genuinely an old pickle: every leaf written, and no closed one lags.
         assert "head_dirty" not in vars(store)
-        assert store.head_dirty is False
+        assert store.lag_from is None and _stale_leaves(store) == []
         store.check_invariants()
 
         uninterrupted = _legacy_operator()
@@ -207,20 +271,41 @@ class TestFramesAcrossTheDeferredHeadWrite:
         store.check_invariants()
 
     def test_mid_slice_snapshot_keeps_the_mark(self):
-        """A frame written now, between a record and the next cut, holds
-        a head whose kernel leaves lag; the mark must come back with it
-        or the next window would read the stale leaf."""
-        original = _legacy_operator()
-        run_operator(original, [_legacy_record(ts) for ts in range(25)])
+        """A frame written now, between a late record and the next
+        query, holds a closed slice and a head whose kernel leaves lag
+        their partials; ``lag_from`` must come back with them or the next
+        window would read a stale leaf."""
+        original = _lagging_operator()
+        run_operator(original, _LAGGING_HEAD)
         (store,) = original.state_objects()
-        assert store.head_dirty
-        assert store.kernels[0].leaf(2) != store.slices[2].aggs[0]
+        # The watermark's window [0, 40) wrote slices 0..3; [40, 50) has
+        # closed since and took the late record, and nothing read it.
+        assert store.lag_from == 4
+        assert _stale_leaves(store) == [(4, 0), (5, 0), (4, 1), (5, 1)]
         clone = restore(snapshot(original))
         (restored,) = clone.state_objects()
-        assert restored.head_dirty
-        assert restored.kernels[0].leaf(2) == store.kernels[0].leaf(2)
-        tail = [_legacy_record(ts) for ts in range(25, 60)] + [Watermark(1_000)]
-        assert run_operator(clone, tail) == run_operator(original, tail)
+        assert restored.lag_from == 4 and _stale_leaves(restored) == _stale_leaves(store)
+        clone.check_invariants()
+        assert run_operator(clone, _LAGGING_TAIL) == run_operator(original, _LAGGING_TAIL)
+
+    def test_frame_written_mid_slice_by_an_ooo_operator_restores_and_continues(self):
+        """The frame's late record was written through and its head
+        flagged: restored, no closed slice lags, the head does, and the
+        flag is gone.  It continues exactly like an uninterrupted run."""
+        blob = zlib.decompress(base64.b85decode(_PRE_LAG_INDEX_FRAME))
+        assert blob.startswith(CHECKPOINT_MAGIC) and b"head_dirty" in blob
+        clone = restore(blob)
+        (store,) = clone.state_objects()
+        assert "head_dirty" not in vars(store) and store.lag_from is None
+        assert _stale_leaves(store) == [(5, 0), (5, 1)]
+        clone.check_invariants()
+
+        uninterrupted = _lagging_operator()
+        run_operator(uninterrupted, _LAGGING_HEAD)
+        expected = run_operator(uninterrupted, _LAGGING_TAIL)
+        assert any(result.is_update for result in expected)
+        assert run_operator(clone, _LAGGING_TAIL) == expected
+        clone.check_invariants()
 
 
 #: ``snapshot()`` of the operator built by ``_guarded_operator`` after

@@ -110,6 +110,31 @@ class TestMeasureInjection:
         final = {(r.start, r.end): r.value for r in out}
         assert final[(0, 100)] == 3.0
 
+    def test_process_batch_extracts_the_measure_once_per_record(self):
+        """Batched, every record is mapped once: the run gatherer's
+        mapping is the one the per-record path uses, for a record that
+        crosses a slice edge and for one that arrives behind the run."""
+        calls = []
+
+        def odometer(record):
+            calls.append(record)
+            return int(record.value[0])
+
+        def build(timestamp_of):
+            op = GeneralSlicingOperator(
+                stream_in_order=False, allowed_lateness=1000, timestamp_of=timestamp_of
+            )
+            op.add_query(TumblingWindow(100), _FuelSum())
+            return op
+
+        km = [5, 30, 90, 120, 150, 60, 210, 260, 240, 330, 20, 410]
+        readings = [Record(ts, (k, float(ts))) for ts, k in enumerate(km)]
+        stream = readings[:6] + [Watermark(100)] + readings[6:] + [Watermark(1_000)]
+        batched = build(odometer).run(stream, batch_size=4)
+        assert len(calls) == len(readings)
+        assert batched == build(lambda record: int(record.value[0])).run(stream)
+        assert any(result.is_update for result in batched)
+
 
 class _FuelSum(Sum):
     """Sum over the fuel component of (odometer, fuel) payloads."""

@@ -124,26 +124,30 @@ class TestHandComputedCounters:
 
         (Forced because auto-selection gives the invertible in-order Sum
         a subtract-on-evict kernel; see the kernel counter tests below.)
-        The head slice's leaf is written once per slice, not once per
-        record, so the tree work is (capacity c, position i: a root path
-        repairs ``bit_length((c + i) // 2)`` nodes, a relayout c - 1):
+        A slice's leaf is written once, by the first query that reads it,
+        not once per record, so the tree work is (capacity c, position i:
+        a root path repairs ``bit_length((c + i) // 2)`` nodes, a
+        relayout c - 1):
 
         * ts 0: leaf 0 appended at c=1 -- no inner node yet: 0.
-        * ts 10: head [0,10) synced (path of position 0 at c=1: 0);
-          append grows to c=2 (relayout: 1) and repairs position 1's
-          path (1).  The emit of [0,10) stops short of the new head: no
-          sync.  Nothing ends at or before 10 - 10.  Sum 2.
-        * ts 20: head [10,20) synced (position 1 at c=2: 1); append grows
-          to c=4 (relayout: 3) and repairs position 2's path (2).  Behind
-          the emit of [10,20) the record evicts [0,10): position 0 is
-          cleared and its two ancestors repaired (2), the leaves stay
-          where they are and the head is not synced.  Sum 10.
-        * Watermark(100): the query of [20,30) reaches the dirty head,
-          which is synced first (position 2 at c=4: 2); evicting
-          [10,20) clears position 1 (2).  Sum 14.
+        * ts 10: the cut closes [0,10), which joins the lagging range
+          unwritten; append grows to c=2 (relayout: 1) and repairs
+          position 1's path (1).  The emit of [0,10) writes the lagging
+          slice (position 0 at c=2: 1) and stops short of the new head.
+          Nothing ends at or before 10 - 10.  Sum 3.
+        * ts 20: [10,20) joins the lagging range; append grows to c=4
+          (relayout: 3) and repairs position 2's path (2).  The emit of
+          [10,20) writes it (position 1 at c=4: 2).  Behind it the record
+          evicts [0,10): position 0 is cleared and its two ancestors
+          repaired (2), the leaves stay where they are.  Sum 12.
+        * Watermark(100): the query of [20,30) reaches the head, whose
+          leaf is written first (position 2 at c=4: 2); evicting [10,20)
+          clears position 1 (2).  Sum 16.
 
         2 relayouts (the two growths; an eviction moves an offset), one
-        query per window.
+        query per window, and 3 writes as before: two closed slices by a
+        deferred flush, one head.  Writing each closed slice at its cut,
+        before the tree grew, cost two nodes fewer (14).
         """
         operator = GeneralSlicingOperator(
             stream_in_order=True, eager=True, kernel="flatfat"
@@ -154,8 +158,9 @@ class TestHandComputedCounters:
         assert final == {(0, 0, 10): 10.0, (0, 10, 20): 10.0, (0, 20, 30): 5.0}
         assert tracer.value("flatfat.rebuilds") == 2
         assert tracer.value("flatfat.queries") == 3
-        assert tracer.value("flatfat.node_updates") == 14
-        assert tracer.value("kernel.head_syncs") == 3
+        assert tracer.value("flatfat.node_updates") == 16
+        assert tracer.value("kernel.lag_writes") == 2
+        assert tracer.value("kernel.head_syncs") == 1
         assert tracer.value("kernel.evictions") == 2
 
     def test_inorder_eager_writes_kernels_once_per_slice(self, monkeypatch):
@@ -163,12 +168,15 @@ class TestHandComputedCounters:
         (slices + emitting calls) x functions times.
 
         SlidingWindow(40, 10) x {Sum, Max} over ts 0..199, one record
-        per tick: 20 slices [0,10) .. [190,200).  Each of the 19 cuts
-        syncs the closing head once (one ``update`` per function: 38);
-        the 16 in-stream emits query slices strictly before the fresh
-        head, so they sync nothing; the closing watermark's first window
-        reaches the still-dirty last head (2 more).  Per-record writes
-        would have been 200 x 2.
+        per tick: 20 slices [0,10) .. [190,200).  The 19 cuts write
+        nothing; each adds the slice it closes to the lagging range.  The
+        first emit, [0,40) at ts 40, writes the four slices that lag by
+        then; each of the 15 later emits writes the one slice closed
+        since (19 slices, one ``update`` per function: 38).  They all
+        stop short of the fresh head.  The closing watermark's four
+        windows reach the last head: the first query per function writes
+        it, the other three find the leaf already holds its partial (2
+        more).  Per-record writes would have been 200 x 2.
         """
         from repro.aggregations import Max
         from repro.core.kernels import SubtractOnEvictKernel, TwoStacksKernel
@@ -197,7 +205,8 @@ class TestHandComputedCounters:
         assert len(updates) == 40
         assert sorted(set(updates)) == ["SubtractOnEvictKernel", "TwoStacksKernel"]
         assert len(updates) <= (slices + emitting_calls) * functions
-        assert tracer.value("kernel.head_syncs") == 20
+        assert tracer.value("kernel.lag_writes") == 19
+        assert tracer.value("kernel.head_syncs") == 2
 
     def test_eager_kernel_counters(self):
         """Eager store: slice traffic reaches the kernels, whatever they
