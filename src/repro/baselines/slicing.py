@@ -25,7 +25,7 @@ from ..core.characteristics import Query
 from ..core.flatfat import FlatFAT
 from ..core.operator_base import StreamOrderViolation, WindowOperator
 from ..core.types import Punctuation, Record, Watermark, WindowResult
-from ..windows.base import ContextClass, WindowEdges
+from ..windows.base import ContextClass
 from ..windows.punctuation import PunctuationWindow
 from ..windows.sliding import SlidingWindow
 from ..windows.tumbling import TumblingWindow
@@ -248,7 +248,7 @@ class CuttyOperator(_InOrderSlicingOperator):
             )
         for query in self.queries:
             if isinstance(query.window, PunctuationWindow):
-                query.window.on_punctuation(WindowEdges(), punctuation)
+                query.window.on_punctuation(punctuation)
         if self._max_ts is None:
             return []
         self._next_edge = self._next_edge_after(self._max_ts)

@@ -61,10 +61,11 @@ def _slice_end(slice_: Slice) -> float:
 class AggregateStore:
     """Base class: an ordered, gap-tolerant collection of slices."""
 
-    #: Whether :class:`SharedQueryPlan` should answer batched queries by
-    #: folding shared suffixes once and extending leftward.  True where
-    #: range queries cost O(range) (lazy); the eager kernels answer each
-    #: query in O(1)/O(log s) already, so only duplicates are shared.
+    #: Whether the window manager batches a watermark's range queries
+    #: through a :class:`SharedQueryPlan`, which folds shared suffixes
+    #: once and extends them leftward.  True where a range query costs
+    #: O(range) (lazy); the eager kernels answer each in O(1)/O(log s),
+    #: so an eager store's windows are resolved directly.
     shared_suffix_folding = True
 
     def __init__(self, functions: Sequence[AggregateFunction]) -> None:
@@ -105,11 +106,6 @@ class AggregateStore:
             return None
         candidate = self.slices[position]
         return position if candidate.covers(ts) else None
-
-    def find_slice(self, ts: int) -> Optional[Slice]:
-        """The slice covering ``ts``, or ``None``."""
-        index = self.find_index(ts)
-        return self.slices[index] if index is not None else None
 
     def neighbors(self, ts: int) -> tuple[Optional[int], Optional[int]]:
         """Indices of the last slice ending at/before ``ts`` and the first
@@ -461,14 +457,16 @@ class SharedQueryPlan:
     """One watermark's batch of slice-range queries with partial reuse.
 
     The window manager collects every time-window query triggered by a
-    watermark advance as ``(lo, hi, fn_index)`` requests, then calls
-    :meth:`execute` once.  Requests over the same function ending at the
-    same slice index share their suffix: the shortest range is folded
-    first, and each wider range is one bulk combine
-    (:meth:`~repro.aggregations.base.AggregateFunction.combine_all`) over
-    its extra leftward slices followed by the cached suffix, preserving
-    stream order for non-commutative functions.  On stores whose point queries
-    are already cheap (eager kernels), only exact duplicates are shared.
+    watermark advance over a lazy store as ``(lo, hi, fn_index)``
+    requests, then calls :meth:`execute` once.  Requests over the same
+    function ending at the same slice index share their suffix: the
+    shortest range is folded first, and each wider range is one bulk
+    combine (:meth:`~repro.aggregations.base.AggregateFunction.
+    combine_all`) over its extra leftward slices followed by the cached
+    suffix, preserving stream order for non-commutative functions.  An
+    eager store builds no plan (:attr:`AggregateStore.
+    shared_suffix_folding`): its kernels answer each range in O(1) or
+    O(log s) already.
 
     Counters: ``share.requests`` (batched queries), ``share.hits``
     (queries answered from a shared partial instead of a full fold).
@@ -499,16 +497,6 @@ class SharedQueryPlan:
             return
         if tracer is not None:
             tracer.count("share.requests", len(requests))
-        if not store.shared_suffix_folding:
-            memo: Dict[Tuple[int, int, int], Any] = {}
-            for token, key in enumerate(requests):
-                if key in memo:
-                    results[token] = memo[key]
-                    if tracer is not None:
-                        tracer.count("share.hits")
-                else:
-                    memo[key] = results[token] = store.query_slices(*key)
-            return
         # Group by (function, right edge); nested ranges share suffixes.
         groups: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
         for token, (lo, hi, fn_index) in enumerate(requests):

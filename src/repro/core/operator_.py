@@ -33,7 +33,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..aggregations.base import AggregateFunction
-from ..windows.base import WindowEdges, WindowType
+from ..windows.base import WindowType
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.punctuation import PunctuationWindow
 from ..windows.session import SessionWindow
@@ -107,21 +107,21 @@ class _Chain:
 
         self._windows = [query.window for query in queries]
         self.session_windows = [w for w in self._windows if isinstance(w, SessionWindow)]
-        session_gaps = [w.gap for w in self.session_windows]
+        self._derive_edge_sources()
         track_counts = measure_kind is MeasureKind.COUNT
 
         self.manager = SliceManager(
             self.store,
             store_records=characteristics.store_tuples,
             track_counts=track_counts,
-            session_gap=min(session_gaps) if session_gaps else None,
+            session_gap=self._session_gaps[0] if self._session_gaps else None,
             floor_time_edge=self.floor_time_edge,
             ceil_time_edge=self.next_time_edge,
             edge_in_region=self.edge_in_region,
             is_count_edge=self.is_count_edge,
             on_modified=self._record_modification,
         )
-        self.edges_move = bool(session_gaps) or any(
+        self.edges_move = bool(self._session_gaps) or any(
             isinstance(w, PunctuationWindow) for w in self._windows
         )
         self.slicer = StreamSlicer(
@@ -147,11 +147,17 @@ class _Chain:
             )
         self._pending_modifications: List[Modification] = []
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_fixed_edge_windows"], state["_session_gaps"]
+        return state
+
     def __setstate__(self, state: dict) -> None:
         # Interned, as the default unpickling does (see WindowManager).
         # A frame may carry an ``eager_store`` flag that nothing reads.
         state.pop("eager_store", None)
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        self._derive_edge_sources()
         # Whether slices keep records is derived from the queries, not
         # read from the frame: one written under an older rule continues
         # under today's, its record lists leaving with their slices.
@@ -175,12 +181,29 @@ class _Chain:
             if w.measure_kind is MeasureKind.COUNT and not isinstance(w, LastNEveryWindow)
         ]
 
+    def _derive_edge_sources(self) -> None:
+        """What :meth:`next_time_edge` reads per call, derived from the
+        windows and never pickled: the windows that know their edges in
+        advance, and the session gaps, smallest first."""
+        windows = self._time_edge_windows()
+        self._fixed_edge_windows = [w for w in windows if not isinstance(w, SessionWindow)]
+        self._session_gaps = sorted(window.gap for window in self.session_windows)
+
     def next_time_edge(self, ts: int) -> Optional[int]:
+        """The smallest window edge after ``ts``.  Sessions add their
+        tentative ones: the newest retained record plus a gap."""
         best: Optional[int] = None
-        for window in self._time_edge_windows():
+        for window in self._fixed_edge_windows:
             edge = window.get_next_edge(ts)
             if edge is not None and (best is None or edge < best):
                 best = edge
+        if self._session_gaps:
+            newest = self.window_manager.newest_record_ts()
+            if newest is not None:
+                for gap in self._session_gaps:
+                    edge = newest + gap
+                    if edge > ts:
+                        return edge if best is None or edge < best else best
         return best
 
     #: Frames pickled while the slice manager's ceiling callback had a
@@ -285,9 +308,7 @@ class _Chain:
         if first_end > horizon:
             return 0
         # Sessions by the largest gap contain those of every smaller one.
-        # (Looked up here, not kept: a chain from an older frame has no
-        # attribute for it.)
-        largest_gap = max((window.gap for window in self.session_windows), default=None)
+        largest_gap = self._session_gaps[-1] if self._session_gaps else None
         horizon = self.window_manager.pin_horizon(horizon, largest_gap)
         if first_end > horizon:
             return 0
@@ -473,8 +494,6 @@ class GeneralSlicingOperator(WindowOperator):
             # distinct function (the per-record hot path).
             head.add_inorder(record, chain.functions)
             if chain.edges_move:
-                for session in chain.session_windows:
-                    session.observe(ts)
                 slicer.after_record(ts)
 
         self._max_ts = ts
@@ -529,8 +548,6 @@ class GeneralSlicingOperator(WindowOperator):
                 head = chain.slicer.ensure_open_slice(ts, count_position)
                 chain.manager.add_inorder(record, head)
                 if chain.edges_move:
-                    for session in chain.session_windows:
-                        session.observe(ts)
                     chain.slicer.after_record(ts)
                 modifications = [Modification(ts, count_position if counted else None)]
             else:
@@ -678,15 +695,12 @@ class GeneralSlicingOperator(WindowOperator):
         for chain in self._chains.values():
             chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
             for window in chain._windows:
-                if not isinstance(window, PunctuationWindow):
-                    continue
-                edges = WindowEdges()
-                window.on_punctuation(edges, punctuation)
-                if not edges:
+                if not isinstance(window, PunctuationWindow) or not window.on_punctuation(
+                    punctuation
+                ):
                     continue
                 if late:
-                    for ts in edges.added:
-                        chain.manager.split_time(ts)
+                    chain.manager.split_time(punctuation.ts)
                     for modification in chain.drain_modifications():
                         results.extend(chain.window_manager.on_modification(modification))
                 else:

@@ -11,6 +11,7 @@ operators ... without changing their input or output semantics").
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..aggregations.base import AggregateFunction
@@ -55,6 +56,11 @@ class WindowOperator:
     def add_query(self, window: WindowType, aggregation: AggregateFunction) -> Query:
         """Register a query; techniques adapt their strategy if needed.
 
+        The operator registers its own copy of ``window``: whatever a
+        window learns from the stream (a punctuation window's edges)
+        belongs to exactly one operator, and one window object may be
+        handed to any number of them.
+
         A query added mid-stream sees the records from then on.  The
         baselines keep what the queries already registered hold.
         :class:`~repro.core.GeneralSlicingOperator` does not yet: it
@@ -63,7 +69,7 @@ class WindowOperator:
         -- their next results cover only the records that follow, and
         out of order the windows behind the watermark are never emitted.
         """
-        query = Query(window, aggregation, query_id=self._next_query_id)
+        query = Query(copy.deepcopy(window), aggregation, query_id=self._next_query_id)
         self._next_query_id += 1
         self.queries.append(query)
         self._on_queries_changed()

@@ -77,9 +77,9 @@ class WindowManager:
         self._store = store
         self._manager = slice_manager
         self._emit_empty = emit_empty
-        #: Batch each watermark's time-window queries through a
-        #: :class:`SharedQueryPlan` so overlapping windows reuse
-        #: partials.  Off only for ablations.
+        #: Batch each watermark's time-window queries over a lazy store
+        #: through a :class:`SharedQueryPlan` so overlapping windows
+        #: reuse partials.  Off only for ablations.
         self._share_windows = share_windows
         self._queries: List[ManagedQuery] = []
         self._prev_wm: Optional[int] = None
@@ -90,8 +90,9 @@ class WindowManager:
         self._emitted: Dict[int, Set[Tuple[int, int]]] = {}
         #: Emitted high-water mark in the count domain per count query.
         self._count_hwm: Dict[int, int] = {}
-        #: Emitted trigger edges per multi-measure query.
-        self._emitted_edges: Dict[int, Set[int]] = {}
+        #: Per multi-measure query: each emitted trigger edge and the
+        #: record count before it that its window was resolved to.
+        self._emitted_edges: Dict[int, Dict[int, int]] = {}
         #: Per query whose windows slide (see :meth:`_slide`): the carry,
         #: ``(start, end, lo, hi, partial, non-empty slices)`` of its last
         #: emitted window, or ``None`` while there is nothing to slide
@@ -126,7 +127,7 @@ class WindowManager:
         self._queries.append(managed)
         self._emitted.setdefault(managed.query_id, set())
         if isinstance(managed.window, LastNEveryWindow):
-            self._emitted_edges.setdefault(managed.query_id, set())
+            self._emitted_edges.setdefault(managed.query_id, {})
         self._register_carry(managed)
 
     def _register_carry(self, managed: ManagedQuery) -> None:
@@ -173,11 +174,11 @@ class WindowManager:
     def advance(self, wm: int) -> List[WindowResult]:
         """Emit all windows that ended at or before ``wm``.
 
-        Time-window queries are collected into one
-        :class:`SharedQueryPlan` and answered together so overlapping
-        windows (across all queries of this chain) reuse each other's
-        slice-range partials; placeholder slots keep the emission order
-        identical to per-window evaluation.
+        Time-window queries are collected and answered together --
+        over a lazy store through one :class:`SharedQueryPlan`, so
+        overlapping windows (across all queries of this chain) reuse
+        each other's slice-range partials; placeholder slots keep the
+        emission order identical to per-window evaluation.
         """
         prev = self._prev_wm
         if prev is not None and wm <= prev:
@@ -215,13 +216,18 @@ class WindowManager:
                 self._trigger_time(managed, lower_bound, upto, share, pending, results)
         if pending:
             # Sharing pays when the trigger batch re-covers slice ranges
-            # (nested sliding windows, many queries); for one window, or
-            # a few short disjoint ranges, the plan's grouping machinery
-            # costs more than the handful of combines it saves.  The
-            # upper bound on saved combines is the total spanned length
-            # minus the widest range (perfect nesting).
-            spans = [hi - lo for _, _, _, _, lo, hi in pending]
-            if len(pending) >= 2 and sum(spans) - max(spans) >= self.share_min_savings:
+            # (nested sliding windows, many queries) of a lazy store; for
+            # one window, or a few short disjoint ranges, the plan's
+            # grouping machinery costs more than the handful of combines
+            # it saves.  The upper bound on saved combines is the total
+            # spanned length minus the widest range (perfect nesting).
+            # An eager store's kernels answer a range in O(1) or
+            # O(log s): its windows resolve directly.
+            shared = self._store.shared_suffix_folding and len(pending) >= 2
+            if shared:
+                spans = [hi - lo for _, _, _, _, lo, hi in pending]
+                shared = sum(spans) - max(spans) >= self.share_min_savings
+            if shared:
                 plan = SharedQueryPlan(self._store)
                 tokens = [
                     plan.request(lo, hi, managed.fn_index)
@@ -556,21 +562,16 @@ class WindowManager:
         for edge in window.time_edges_between(prev, wm):
             if edge in emitted:
                 continue
-            cumulative = self._cumulative_count_at(edge)
-            window.record_edge_count(edge, cumulative)
-            count_range = window.window_for_edge(edge)
-            if count_range is None:
-                continue
-            start, end = count_range
-            if end <= start:
-                continue
+            end = self._cumulative_count_at(edge)
+            if end <= 0:
+                continue  # no record before the edge: no window
+            start = max(0, end - window.count)
             # Exercise the split path for interior window starts.
             self._manager.ensure_count_boundary(start)
             value = self._count_window_value(managed, start, end)
+            emitted[edge] = end
             if value is None and not self._emit_empty:
-                emitted.add(edge)
                 continue
-            emitted.add(edge)
             results.append(WindowResult(managed.query_id, start, end, value))
         return results
 
@@ -691,17 +692,15 @@ class WindowManager:
     def _update_multimeasure(self, managed: ManagedQuery, ts: int) -> List[WindowResult]:
         window: LastNEveryWindow = managed.window
         results: List[WindowResult] = []
-        for edge in sorted(self._emitted_edges[managed.query_id]):
+        emitted = self._emitted_edges[managed.query_id]
+        for edge in sorted(emitted):
             if edge <= ts:
                 continue
-            cumulative = self._cumulative_count_at(edge)
-            if window.count_at_edge(edge) == cumulative:
+            end = self._cumulative_count_at(edge)
+            if emitted[edge] == end:
                 continue
-            window.record_edge_count(edge, cumulative)
-            count_range = window.window_for_edge(edge)
-            if count_range is None:
-                continue
-            start, end = count_range
+            emitted[edge] = end
+            start = max(0, end - window.count)
             self._manager.ensure_count_boundary(start)
             value = self._count_window_value(managed, start, end)
             if value is None:
@@ -770,9 +769,10 @@ class WindowManager:
         """Forget what the ``evicted`` slices just dropped from the front
         of the store, all ending at or before ``horizon``, stood for.
 
-        Emitted windows and trigger edges at or before the horizon go,
-        unless their first slice is still there; no session still in the
-        store starts before the horizon (:meth:`pin_horizon`).  A carry moves down by the evicted count,
+        Emitted windows and trigger edges (with their counts) at or
+        before the horizon go, unless their first slice is still there;
+        no session still in the store starts before the horizon
+        (:meth:`pin_horizon`).  A carry moves down by the evicted count,
         or is dropped with its first slice; so does the session walk.
         """
         walked, first_ts, last_ts = self._session_walk
@@ -788,10 +788,9 @@ class WindowManager:
                 }
         for query_id, edges in self._emitted_edges.items():
             if edges:
-                self._emitted_edges[query_id] = {edge for edge in edges if edge > horizon}
-        for managed in self._queries:
-            if isinstance(managed.window, LastNEveryWindow):
-                managed.window.forget_edges(horizon)
+                self._emitted_edges[query_id] = {
+                    edge: count for edge, count in edges.items() if edge > horizon
+                }
         for query_id, carry in self._carries.items():
             if carry is None:
                 continue

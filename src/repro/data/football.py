@@ -20,7 +20,7 @@ Timestamps are integer milliseconds.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import List
 
 from ..core.types import Record
 
@@ -75,8 +75,3 @@ def football_keyed_stream(
     for record in base:
         record.key = rng.randrange(num_keys)
     return base
-
-
-def football_iter(num_records: int, **kwargs) -> Iterator[Record]:
-    """Generator form of :func:`football_stream` (constant memory)."""
-    yield from football_stream(num_records, **kwargs)

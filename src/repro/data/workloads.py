@@ -46,8 +46,10 @@ def dashboard_windows(concurrent_windows: int) -> List[TumblingWindow]:
 
     ``concurrent_windows`` tumbling queries imply the same number of
     concurrent windows at any instant (one open window per query).
-    Lengths cycle through the 1-20 s range with distinct offsets so the
-    edge sets differ, as the dashboard zoom levels do.
+    Lengths cycle through the whole seconds 1-20 s with no offset, so
+    every edge falls on a whole second: the windows from the 21st on
+    repeat the edges of the first 20, and slices never get thinner
+    than 1 s.
     """
     if concurrent_windows <= 0:
         raise ValueError("need at least one window")

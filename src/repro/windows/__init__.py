@@ -6,6 +6,11 @@ Context free: :class:`TumblingWindow`, :class:`SlidingWindow`,
 Forward context free: :class:`PunctuationWindow`.
 Context aware: :class:`SessionWindow` (merge-only),
 :class:`LastNEveryWindow` (multi-measure FCA).
+
+A window holds its parameters and pure functions of them; a
+:class:`PunctuationWindow` also keeps the punctuations it was shown.
+Operators register a copy of each window they are given, so one window
+object may be handed to any number of operators.
 """
 
 from .base import (
@@ -13,7 +18,6 @@ from .base import (
     ContextClass,
     ContextFreeWindow,
     ForwardContextFreeWindow,
-    WindowEdges,
     WindowType,
 )
 from .count import CountSlidingWindow, CountTumblingWindow
@@ -30,7 +34,6 @@ __all__ = [
     "ContextFreeWindow",
     "ForwardContextFreeWindow",
     "ContextAwareWindow",
-    "WindowEdges",
     "TumblingWindow",
     "SlidingWindow",
     "CountTumblingWindow",

@@ -14,20 +14,30 @@ Session windows are context aware but special: out-of-order records can
 only *merge* sessions (or open new ones in gaps), never force a slice
 split, so they avoid record retention (Figure 4).
 
-The interface mirrors the paper's Section 5.4.2: context free windows
-implement ``get_next_edge`` (for on-the-fly slicing) and
-``trigger_windows`` (for watermark-driven emission).  Context aware
-windows additionally receive ``notify_context`` callbacks through which
-they add or remove window edges.
+The interface mirrors the paper's Section 5.4.2: a window declares its
+edges and the operator's slices carry the rest.  The operator asks a
+window for ``get_next_edge`` / ``get_floor_edge`` (on-the-fly slicing
+and gap slices), ``is_edge`` (which slice boundaries a merge must
+keep), ``trigger_windows`` (watermark-driven emission),
+``assign_windows`` (late updates and the bucket baselines), and
+``retention_start`` / ``flush_horizon`` (eviction and end of stream).
+
+A window object is a specification: its parameters and pure functions
+of them.  What the stream reveals is kept by the operator component that
+already records it -- a session's moving end is read off the slices'
+``last_ts``, the record count at a last-n trigger edge lives in the
+window manager.  The one exception is a punctuation window's edge list.
+An operator therefore registers a copy of every window it is given
+(:meth:`~repro.core.operator_base.WindowOperator.add_query`), so one
+window object may serve any number of operators.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..core.measures import MeasureKind
-from ..core.types import Record
 
 __all__ = [
     "ContextClass",
@@ -35,7 +45,6 @@ __all__ = [
     "ContextFreeWindow",
     "ForwardContextFreeWindow",
     "ContextAwareWindow",
-    "WindowEdges",
 ]
 
 
@@ -45,30 +54,6 @@ class ContextClass(enum.Enum):
     CONTEXT_FREE = "CF"
     FORWARD_CONTEXT_FREE = "FCF"
     FORWARD_CONTEXT_AWARE = "FCA"
-
-
-class WindowEdges:
-    """Callback object handed to context-aware windows.
-
-    A context-aware window reports discovered or retracted window edges
-    through this object; the slice manager then splits / merges slices
-    to keep slice edges aligned with window edges (Section 5.3, Step 2).
-    """
-
-    def __init__(self) -> None:
-        self.added: List[int] = []
-        self.removed: List[int] = []
-
-    def add_edge(self, ts: int) -> None:
-        """Report a new window start/end timestamp."""
-        self.added.append(ts)
-
-    def remove_edge(self, ts: int) -> None:
-        """Retract a previously reported window edge."""
-        self.removed.append(ts)
-
-    def __bool__(self) -> bool:
-        return bool(self.added or self.removed)
 
 
 class WindowType:
@@ -93,8 +78,8 @@ class WindowType:
         """Return the next window edge strictly greater than ``ts``.
 
         Used by the stream slicer to cache the upcoming slice boundary.
-        ``None`` means this window currently implies no upcoming edge
-        (e.g. a session window with no open session).
+        ``None`` means this window implies no upcoming edge (a session
+        window never does: its tentative end comes from the slices).
         """
         raise NotImplementedError
 
@@ -163,6 +148,13 @@ class WindowType:
         edge = self.get_next_edge(last_ts)
         return last_ts if edge is None else edge
 
+    def __setstate__(self, state: dict) -> None:
+        # Attribute by attribute, as ``__init__`` sets them: a copied or
+        # restored window keeps them inline, as fast to read as a fresh
+        # one's.  ``setattr`` interns the names, as default unpickling does.
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
 
@@ -174,23 +166,12 @@ class ContextFreeWindow(WindowType):
 
 
 class ForwardContextFreeWindow(WindowType):
-    """Base class for FCF windows (edges revealed by the records up to them).
-
-    Subclasses consume stream context through :meth:`notify_context`.
-    """
+    """Base class for FCF windows (edges revealed by the stream up to them)."""
 
     context = ContextClass.FORWARD_CONTEXT_FREE
-
-    def notify_context(self, edges: WindowEdges, record: Record) -> None:
-        """Inspect ``record`` and report any edges it reveals."""
-        raise NotImplementedError
 
 
 class ContextAwareWindow(WindowType):
     """Base class for FCA windows (future records reveal past edges)."""
 
     context = ContextClass.FORWARD_CONTEXT_AWARE
-
-    def notify_context(self, edges: WindowEdges, record: Record) -> None:
-        """Inspect ``record`` and report any edges it adds or removes."""
-        raise NotImplementedError

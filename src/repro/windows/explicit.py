@@ -7,15 +7,16 @@ calendar months, trading sessions, billing periods, shift schedules.
 context-free window type: give it the boundary timestamps and it slots
 into general slicing, Pairs, and Cutty alike.
 
-For unbounded streams the edge list can be extended on the fly with
-:meth:`extend_edges` (e.g. append next month's boundary as time
-advances); edges must stay sorted and only grow forward.
+The boundaries are fixed when the window is made: an operator registers
+its own copy of every window it is given, so a later change to the
+object would not reach it.  For an unbounded stream, give the
+boundaries as far ahead as the stream runs.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.measures import MeasureKind
 from .base import ContextFreeWindow
@@ -47,15 +48,6 @@ class ExplicitEdgesWindow(ContextFreeWindow):
     def edges(self) -> List[int]:
         """The boundary timestamps (sorted copy)."""
         return list(self._edges)
-
-    def extend_edges(self, more: Iterable[int]) -> None:
-        """Append further boundaries (must continue the increasing order)."""
-        for edge in more:
-            if edge <= self._edges[-1]:
-                raise ValueError(
-                    f"edge {edge} does not extend past {self._edges[-1]}"
-                )
-            self._edges.append(edge)
 
     # ------------------------------------------------------------------
 

@@ -9,6 +9,11 @@ The model implemented here is the common "punctuations delimit
 data-driven tumbling windows" semantics: every punctuation at timestamp
 ``p`` ends the window that opened at the previous punctuation (or at
 ``origin`` for the first one) and opens the next window.
+
+The punctuations seen so far are the one piece of stream state a window
+keeps.  Each operator registers its own copy of the window, so a
+window object handed to several operators (a keyed factory's, say)
+learns nothing from one on behalf of another.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import bisect
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.measures import MeasureKind
-from ..core.types import Punctuation, Record
-from .base import ForwardContextFreeWindow, WindowEdges
+from ..core.types import Punctuation
+from .base import ForwardContextFreeWindow
 
 __all__ = ["PunctuationWindow"]
 
@@ -33,17 +38,14 @@ class PunctuationWindow(ForwardContextFreeWindow):
         #: Sorted punctuation timestamps (window boundaries) seen so far.
         self._edges: List[int] = []
 
-    def on_punctuation(self, edges: WindowEdges, punctuation: Punctuation) -> None:
-        """Register a punctuation; reports the new edge to the slicer."""
+    def on_punctuation(self, punctuation: Punctuation) -> bool:
+        """Register a punctuation; whether its edge is new."""
         ts = punctuation.ts
         position = bisect.bisect_left(self._edges, ts)
         if position < len(self._edges) and self._edges[position] == ts:
-            return  # duplicate punctuation: edge already known
+            return False  # duplicate punctuation: edge already known
         self._edges.insert(position, ts)
-        edges.add_edge(ts)
-
-    def notify_context(self, edges: WindowEdges, record: Record) -> None:
-        """Plain records carry no punctuation context."""
+        return True
 
     def get_next_edge(self, ts: int) -> Optional[int]:
         """The next already-known punctuation edge after ``ts``, if any."""
@@ -82,10 +84,6 @@ class PunctuationWindow(ForwardContextFreeWindow):
         ``settled``."""
         floor = self.get_floor_edge(settled)
         return min(self.origin, settled) if floor is None else floor
-
-    def known_edges(self) -> List[int]:
-        """All punctuation edges registered so far (sorted copy)."""
-        return list(self._edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PunctuationWindow(origin={self.origin}, edges={len(self._edges)})"

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from ..core.measures import MeasureKind
-from ..core.types import Record
-from .base import ContextAwareWindow, WindowEdges
+from .base import ContextAwareWindow
 
 __all__ = ["SessionWindow"]
 
@@ -24,10 +23,11 @@ class SessionWindow(ContextAwareWindow):
 
     A session window's extent is ``[first_ts, last_ts + gap)`` where
     ``first_ts``/``last_ts`` are the first and last record of the
-    activity period.  The actual session extents are derived from the
-    slice store by the window manager (session slices carry the activity
-    interval); this class holds the parameters and the in-order slicing
-    hook.
+    activity period.  Everything but the gap comes from the slices, which
+    carry the activity interval: the window manager groups them into
+    sessions, and the operator cuts at the tentative end of the newest
+    one, the newest retained record plus the gap
+    (:meth:`~repro.core.operator_._Chain.next_time_edge`).
     """
 
     is_session = True
@@ -37,31 +37,16 @@ class SessionWindow(ContextAwareWindow):
         if gap <= 0:
             raise ValueError(f"session gap must be positive, got {gap}")
         self.gap = gap
-        self._last_inorder_ts: Optional[int] = None
 
-    def observe(self, ts: int) -> None:
-        """Track the newest in-order record (drives the tentative edge)."""
-        if self._last_inorder_ts is None or ts > self._last_inorder_ts:
-            self._last_inorder_ts = ts
+    def __setstate__(self, state: dict) -> None:
+        # A frame written while the window tracked the newest in-order
+        # record itself drops that copy: the slices hold the record.
+        state.pop("_last_inorder_ts", None)
+        super().__setstate__(state)
 
     def get_next_edge(self, ts: int) -> Optional[int]:
-        """Tentative session end: ``last_record_ts + gap``.
-
-        The edge is tentative -- a record arriving before it moves the
-        edge further out.  With no open session there is no edge.
-        """
-        if self._last_inorder_ts is None:
-            return None
-        edge = self._last_inorder_ts + self.gap
-        return edge if edge > ts else None
-
-    def notify_context(self, edges: WindowEdges, record: Record) -> None:
-        """Report the moved session end when a record extends the session."""
-        previous = self._last_inorder_ts
-        self.observe(record.ts)
-        if previous is not None and record.ts > previous:
-            edges.remove_edge(previous + self.gap)
-        edges.add_edge(record.ts + self.gap)
+        """``None``: a session has no edge known in advance."""
+        return None
 
     def retention_start(self, settled: int) -> int:
         """One gap back: a record at ``settled`` can still join a session
@@ -82,10 +67,6 @@ class SessionWindow(ContextAwareWindow):
         raise NotImplementedError(
             "session windows are data-driven; bucket baselines use merging assigners"
         )
-
-    def reset(self) -> None:
-        """Forget the in-order context (used when operators restart)."""
-        self._last_inorder_ts = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SessionWindow(gap={self.gap})"

@@ -194,22 +194,23 @@ def test_a_session_that_never_closes_pins_its_slices_and_is_grouped_only_once(mo
 
 @pytest.mark.parametrize("ordered", [True, False], ids=["in-order", "disorder"])
 def test_a_last_n_every_window_forgets_the_edges_behind_the_horizon(ordered):
-    """The count a trigger edge was resolved to is window state outside
-    ``state_objects()`` and inside the frame: it goes with the emitted
-    edges, behind every eviction, instead of one entry per edge for ever
-    (499 beside three live slices after these 5 000 records)."""
+    """The count a trigger edge was resolved to is window-manager state
+    outside ``state_objects()`` and inside the frame: it goes with its
+    emitted edge, behind every eviction, instead of one entry per edge
+    for ever (499 beside three live slices after these 5 000 records)."""
     window = LastNEveryWindow(5, 10)
     base = [Record(tick, float(tick % 7)) for tick in range(5_000)]
     # Under disorder, late records hit emitted edges.
     stream = base if ordered else disordered_with_watermarks(base, every=25, seed=3)
     operator = GeneralSlicingOperator(stream_in_order=ordered, allowed_lateness=0 if ordered else 20)
     operator.add_query(window, Sum())
+    (chain,) = operator._chain_list
     collected = {}
     most = 0
     for element in stream + [Watermark(5_000)]:
         for result in operator.process(element):
             collected[(result.query_id, result.start, result.end)] = result.value
-        most = max(most, len(window._counts_at_edge))
+        most = max(most, len(chain.window_manager._emitted_edges[0]))
     # Lateness 20 over edges 10 apart keeps a handful of slices and edges.
     assert most <= (3 if ordered else 10)
     assert operator.total_slices() <= (4 if ordered else 8)

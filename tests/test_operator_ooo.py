@@ -579,6 +579,21 @@ class TestMultiMeasureOutOfOrder:
         assert 3.0 in values  # initial emission
         assert 10.0 in values  # update after the late record
 
+    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP 9(e)")
+    def test_a_late_record_before_an_emptied_count_boundary(self):
+        """The late 527 updates the window at edge 550 by splitting its
+        start off at count 1; the late 520 then shifts the one record
+        out of the slice that ends there, leaving it empty, and the
+        second 520 finds no record to shift out of it."""
+        op = make_operator(lateness=10_000)
+        op.add_query(LastNEveryWindow(count=5, every=25), Sum())
+        elements = [Record(ts, 1.0) for ts in (526, 527, 527, 529, 530)]
+        elements += [Watermark(570)] + [Record(ts, 1.0) for ts in (527, 520, 520)]
+        final = final_values(op, elements + [Watermark(1_000)])
+        assert final == reference_results(
+            [(LastNEveryWindow(count=5, every=25), Sum())], elements, horizon=1_000
+        )
+
 
 class TestRandomizedAgainstReference:
     @pytest.mark.parametrize("seed", range(6))

@@ -60,9 +60,7 @@ def test_punctuation_windows_inorder(records, punct_gaps):
 
     reference_window = PunctuationWindow()
     for ts in punct_ts:
-        from repro.windows.base import WindowEdges
-
-        reference_window.on_punctuation(WindowEdges(), Punctuation(ts))
+        reference_window.on_punctuation(Punctuation(ts))
     expected = reference_results(
         [(reference_window, Sum())], elements, horizon=HORIZON
     )

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import GeneralSlicingOperator
+from repro.aggregations import Sum
 from repro.core.measures import MeasureKind
-from repro.core.types import Punctuation, Record
+from repro.core.types import Punctuation, Record, Watermark
 from repro.windows import (
     ContextClass,
     CountSlidingWindow,
@@ -13,7 +15,6 @@ from repro.windows import (
     SessionWindow,
     SlidingWindow,
     TumblingWindow,
-    WindowEdges,
 )
 
 
@@ -136,6 +137,18 @@ class TestCountWindows:
 
 
 class TestSession:
+    """A session window holds its gap; the tentative end it cuts at is
+    the chain's, read off the newest retained record."""
+
+    @staticmethod
+    def _chain_after(*stamps):
+        operator = GeneralSlicingOperator(stream_in_order=True)
+        operator.add_query(SessionWindow(5), Sum())
+        for ts in stamps:
+            operator.process(Record(ts, 1.0))
+        (chain,) = operator._chain_list
+        return chain
+
     def test_context_classification(self):
         window = SessionWindow(5)
         assert window.is_session
@@ -143,32 +156,17 @@ class TestSession:
 
     def test_no_edge_without_records(self):
         assert SessionWindow(5).get_next_edge(0) is None
+        assert self._chain_after().next_time_edge(0) is None
 
     def test_tentative_edge_follows_last_record(self):
-        window = SessionWindow(5)
-        window.observe(10)
-        assert window.get_next_edge(10) == 15
-        window.observe(12)
-        assert window.get_next_edge(12) == 17
+        chain = self._chain_after(10)
+        assert chain.slicer.cached_time_edge == chain.next_time_edge(10) == 15
+        chain = self._chain_after(10, 12)
+        assert chain.slicer.cached_time_edge == chain.next_time_edge(12) == 17
+        assert SessionWindow(5).get_next_edge(12) is None  # nothing known in advance
 
     def test_edge_not_behind_query_point(self):
-        window = SessionWindow(5)
-        window.observe(10)
-        assert window.get_next_edge(20) is None
-
-    def test_notify_context_moves_edge(self):
-        window = SessionWindow(5)
-        window.observe(10)
-        edges = WindowEdges()
-        window.notify_context(edges, Record(12, 0))
-        assert 15 in edges.removed
-        assert 17 in edges.added
-
-    def test_reset(self):
-        window = SessionWindow(5)
-        window.observe(10)
-        window.reset()
-        assert window.get_next_edge(0) is None
+        assert self._chain_after(10).next_time_edge(20) is None
 
     def test_invalid_gap(self):
         with pytest.raises(ValueError):
@@ -178,24 +176,20 @@ class TestSession:
 class TestPunctuationWindow:
     def test_edges_register_in_order(self):
         window = PunctuationWindow()
-        edges = WindowEdges()
-        window.on_punctuation(edges, Punctuation(10))
-        window.on_punctuation(edges, Punctuation(5))
-        assert window.known_edges() == [5, 10]
-        assert edges.added == [10, 5]
+        assert window.on_punctuation(Punctuation(10)) is True
+        assert window.on_punctuation(Punctuation(5)) is True
+        assert [window.get_next_edge(ts) for ts in (0, 5, 10)] == [5, 10, None]
 
     def test_duplicate_punctuation_ignored(self):
         window = PunctuationWindow()
-        edges = WindowEdges()
-        window.on_punctuation(edges, Punctuation(10))
-        window.on_punctuation(edges, Punctuation(10))
-        assert window.known_edges() == [10]
-        assert edges.added == [10]
+        assert window.on_punctuation(Punctuation(10)) is True
+        assert window.on_punctuation(Punctuation(10)) is False
+        assert [window.get_next_edge(ts) for ts in (0, 10)] == [10, None]
 
     def test_next_edge_from_known(self):
         window = PunctuationWindow()
-        window.on_punctuation(WindowEdges(), Punctuation(10))
-        window.on_punctuation(WindowEdges(), Punctuation(20))
+        window.on_punctuation(Punctuation(10))
+        window.on_punctuation(Punctuation(20))
         assert window.get_next_edge(5) == 10
         assert window.get_next_edge(10) == 20
         assert window.get_next_edge(20) is None
@@ -203,24 +197,24 @@ class TestPunctuationWindow:
     def test_trigger_windows_between_punctuations(self):
         window = PunctuationWindow()
         for ts in (10, 25, 30):
-            window.on_punctuation(WindowEdges(), Punctuation(ts))
+            window.on_punctuation(Punctuation(ts))
         assert list(window.trigger_windows(-1, 30)) == [(0, 10), (10, 25), (25, 30)]
 
     def test_trigger_respects_origin(self):
         window = PunctuationWindow(origin=5)
-        window.on_punctuation(WindowEdges(), Punctuation(10))
+        window.on_punctuation(Punctuation(10))
         assert list(window.trigger_windows(-1, 100)) == [(5, 10)]
 
     def test_assign_windows(self):
         window = PunctuationWindow()
         for ts in (10, 20):
-            window.on_punctuation(WindowEdges(), Punctuation(ts))
+            window.on_punctuation(Punctuation(ts))
         assert list(window.assign_windows(15)) == [(10, 20)]
         assert list(window.assign_windows(25)) == []  # window still open
 
     def test_is_edge_and_floor(self):
         window = PunctuationWindow()
-        window.on_punctuation(WindowEdges(), Punctuation(10))
+        window.on_punctuation(Punctuation(10))
         assert window.is_edge(10)
         assert not window.is_edge(11)
         assert window.get_floor_edge(15) == 10
@@ -240,27 +234,34 @@ class TestLastNEvery:
         window = LastNEveryWindow(count=10, every=5)
         assert list(window.time_edges_between(0, 16)) == [5, 10, 15]
 
+    @staticmethod
+    def _emitted(window, stream):
+        """The operator's ``(start, end, value)`` results, and the record
+        count its window manager resolved each trigger edge to."""
+        operator = GeneralSlicingOperator(stream_in_order=False)
+        operator.add_query(window, Sum())
+        results = [(r.start, r.end, r.value) for r in operator.run(stream)]
+        (chain,) = operator._chain_list
+        return results, chain.window_manager._emitted_edges[0]
+
     def test_window_requires_context(self):
+        """The window at a trigger edge is the last ``count`` records
+        before it, resolved once the stream is final up to the edge."""
         window = LastNEveryWindow(count=3, every=5)
-        assert window.window_for_edge(5) is None
-        window.record_edge_count(5, 7)
-        assert window.window_for_edge(5) == (4, 7)
+        stream = [Record(ts, 1.0) for ts in (0, 0, 1, 2, 3, 4, 4)]
+        assert self._emitted(window, stream) == ([], {})
+        assert self._emitted(window, stream + [Watermark(5)]) == ([(4, 7, 3.0)], {5: 7})
 
     def test_window_clipped_at_zero(self):
         window = LastNEveryWindow(count=10, every=5)
-        window.record_edge_count(5, 4)
-        assert window.window_for_edge(5) == (0, 4)
+        stream = [Record(ts, 1.0) for ts in range(4)] + [Watermark(5)]
+        assert self._emitted(window, stream) == ([(0, 4, 4.0)], {5: 4})
 
     def test_trigger_windows_resolved_only(self):
+        """Only the edges a watermark has passed are resolved."""
         window = LastNEveryWindow(count=2, every=10)
-        window.record_edge_count(10, 5)
-        assert list(window.trigger_windows(0, 25)) == [(3, 5)]
-
-    def test_reset(self):
-        window = LastNEveryWindow(count=2, every=10)
-        window.record_edge_count(10, 5)
-        window.reset()
-        assert window.window_for_edge(10) is None
+        stream = [Record(ts, 1.0) for ts in range(0, 20, 2)] + [Watermark(15)]
+        assert self._emitted(window, stream) == ([(3, 5, 2.0)], {10: 5})
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -272,21 +273,6 @@ class TestLastNEvery:
         window = LastNEveryWindow(count=2, every=10)
         assert window.is_edge(20)
         assert not window.is_edge(21)
-
-
-class TestWindowEdges:
-    def test_bool(self):
-        edges = WindowEdges()
-        assert not edges
-        edges.add_edge(5)
-        assert edges
-
-    def test_collects_adds_and_removes(self):
-        edges = WindowEdges()
-        edges.add_edge(1)
-        edges.remove_edge(2)
-        assert edges.added == [1]
-        assert edges.removed == [2]
 
 
 class TestExplicitEdgesWindow:
@@ -328,13 +314,6 @@ class TestExplicitEdgesWindow:
         window = self._window()
         assert list(window.assign_windows(12)) == [(10, 15)]
         assert list(window.assign_windows(45)) == []
-
-    def test_extend_edges(self):
-        window = self._window()
-        window.extend_edges([60, 80])
-        assert list(window.trigger_windows(40, 90)) == [(40, 60), (60, 80)]
-        with pytest.raises(ValueError):
-            window.extend_edges([70])
 
     def test_end_to_end_with_general_slicing(self):
         from repro import GeneralSlicingOperator, Record
