@@ -61,8 +61,7 @@ class _Bucket:
             if not function.commutative:
                 self.partial = None  # recomputed lazily from sorted records
                 return
-        lifted = function.lift(value)
-        self.partial = lifted if self.partial is None else function.combine(self.partial, lifted)
+        self.partial = function.accumulate(self.partial, value)
 
     def merge_in(self, other: "_Bucket", function) -> None:
         """Absorb an overlapping session proto-bucket."""
@@ -89,8 +88,7 @@ class _Bucket:
         if self.partial is None and self.records:
             partial = None
             for _, value in self.records:
-                lifted = function.lift(value)
-                partial = lifted if partial is None else function.combine(partial, lifted)
+                partial = function.accumulate(partial, value)
             self.partial = partial
         return self.partial
 
@@ -311,8 +309,7 @@ class BucketsOperator(WindowOperator):
         function = query.aggregation
         partial = None
         for _, value in pairs:
-            lifted = function.lift(value)
-            partial = lifted if partial is None else function.combine(partial, lifted)
+            partial = function.accumulate(partial, value)
         if partial is None:
             return function.empty_result() if self.emit_empty else None
         return function.lower(partial)

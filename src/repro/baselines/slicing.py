@@ -117,10 +117,9 @@ class _InOrderSlicingOperator(WindowOperator):
             self._close_slice(self._next_edge)
             self._next_edge = self._next_edge_after(self._next_edge)
         open_ = self._open
+        value = record.value
         for index, function in enumerate(self._functions):
-            lifted = function.lift(record.value)
-            current = open_[index]
-            open_[index] = lifted if current is None else function.combine(current, lifted)
+            open_[index] = function.accumulate(open_[index], value)
         self._max_ts = ts
         return self._advance(ts) if cut else []
 

@@ -70,8 +70,7 @@ class TupleBufferOperator(WindowOperator):
         function = query.aggregation
         partial = None
         for value in self._values[lo:hi]:
-            lifted = function.lift(value)
-            partial = lifted if partial is None else function.combine(partial, lifted)
+            partial = function.accumulate(partial, value)
         return partial
 
     # ------------------------------------------------------------------

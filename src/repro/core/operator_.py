@@ -107,7 +107,7 @@ class _Chain:
 
         self._windows = [query.window for query in queries]
         self.session_windows = [w for w in self._windows if isinstance(w, SessionWindow)]
-        self._derive_edge_sources()
+        self._derive_read_per_record()
         track_counts = measure_kind is MeasureKind.COUNT
 
         self.manager = SliceManager(
@@ -149,7 +149,7 @@ class _Chain:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_fixed_edge_windows"], state["_session_gaps"]
+        del state["_fixed_edge_windows"], state["_session_gaps"], state["accumulators"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -157,7 +157,7 @@ class _Chain:
         # A frame may carry an ``eager_store`` flag that nothing reads.
         state.pop("eager_store", None)
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
-        self._derive_edge_sources()
+        self._derive_read_per_record()
         # Whether slices keep records is derived from the queries, not
         # read from the frame: one written under an older rule continues
         # under today's, its record lists leaving with their slices.
@@ -181,13 +181,18 @@ class _Chain:
             if w.measure_kind is MeasureKind.COUNT and not isinstance(w, LastNEveryWindow)
         ]
 
-    def _derive_edge_sources(self) -> None:
-        """What :meth:`next_time_edge` reads per call, derived from the
-        windows and never pickled: the windows that know their edges in
-        advance, and the session gaps, smallest first."""
+    def _derive_read_per_record(self) -> None:
+        """What the per-record paths read, derived from the queries and
+        never pickled.  For :meth:`next_time_edge`: the windows that know
+        their edges in advance, and the session gaps, smallest first.
+        For the operator's write into the open head: per shared function,
+        its partial's index and its bound ``accumulate``."""
         windows = self._time_edge_windows()
         self._fixed_edge_windows = [w for w in windows if not isinstance(w, SessionWindow)]
         self._session_gaps = sorted(window.gap for window in self.session_windows)
+        self.accumulators = tuple(
+            (index, function.accumulate) for index, function in enumerate(self.functions)
+        )
 
     def next_time_edge(self, ts: int) -> Optional[int]:
         """The smallest window edge after ``ts``.  Sessions add their
@@ -468,6 +473,11 @@ class GeneralSlicingOperator(WindowOperator):
         entered only by a record that opens or cuts a slice.
         ``extracted`` says the record's ``ts`` already is the slicing
         measure (the batched path maps each record once).
+
+        The record enters the head in this frame: what
+        :meth:`Slice.add_inorder` does, with the chain's bound
+        ``accumulate``s, so a record below the guard costs one call per
+        distinct function and no other.
         """
         if self._timestamp_of is not None and not extracted:
             record = Record(self._timestamp_of(record), record.value, record.key)
@@ -481,6 +491,7 @@ class GeneralSlicingOperator(WindowOperator):
         if tracer is not None:
             tracer.count("operator.records")
 
+        value = record.value
         cut = False
         for chain in self._chain_list:
             slicer = chain.slicer
@@ -490,9 +501,18 @@ class GeneralSlicingOperator(WindowOperator):
                 head = slicer.ensure_open_slice(ts, count_position)
                 if slicer.cut_performed:
                     cut = True
-            # Inlined slice-manager update: one incremental ⊕ per
-            # distinct function (the per-record hot path).
-            head.add_inorder(record, chain.functions)
+            aggs = head.aggs
+            for index, accumulate in chain.accumulators:
+                aggs[index] = accumulate(aggs[index], value)
+            # Per slice, not per chain: a frame written under another
+            # record rule restores slices that keep records or not.
+            records = head.records
+            if records is not None:
+                records.append(record)
+            head.record_count += 1
+            if head.first_ts is None:
+                head.first_ts = ts
+            head.last_ts = ts
             if chain.edges_move:
                 slicer.after_record(ts)
 

@@ -140,7 +140,9 @@ class WindowOperator:
 
     def process(self, element: StreamElement) -> List[WindowResult]:
         """Process one stream element; return any emitted window results."""
-        if isinstance(element, Record):
+        # Exact type first: a record is the common element, and the
+        # comparison is cheaper than ``isinstance``.
+        if type(element) is Record or isinstance(element, Record):
             return self.process_record(element)
         if isinstance(element, Watermark):
             return self.process_watermark(element)
@@ -230,8 +232,11 @@ class WindowOperator:
             if batch:
                 results.extend(self.process_batch(batch))
             return results
+        process = self.process
         for element in elements:
-            results.extend(self.process(element))
+            out = process(element)
+            if out:
+                results.extend(out)
         return results
 
     # ------------------------------------------------------------------

@@ -546,3 +546,39 @@ def test_tuple_buffer_and_aggregate_tree_agree_across_a_query_removal(in_order):
     }
     removed = {k: v for k, v in final.items() if k[0] == 1}
     assert removed and all(value == expected[key] for key, value in removed.items())
+
+
+# ----------------------------------------------------------------------
+# Every technique folds a record the way general slicing does
+
+
+class _AccumulateCountingSum(Sum):
+    calls = 0
+
+    def accumulate(self, partial, value):
+        _AccumulateCountingSum.calls += 1
+        return super().accumulate(partial, value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        PairsOperator,
+        CuttyOperator,
+        lambda: TupleBufferOperator(stream_in_order=True),
+        lambda: AggregateBucketsOperator(stream_in_order=True),
+        lambda: TupleBucketsOperator(stream_in_order=True),
+    ],
+    ids=["pairs", "cutty", "buffer", "agg-buckets", "tuple-buckets"],
+)
+def test_a_record_is_folded_by_one_accumulate(make):
+    """One fused ``accumulate`` per record and window it falls into, the
+    step general slicing takes, not ``lift`` then ``combine``."""
+    records = [Record(ts, float(ts % 7)) for ts in range(0, 500, 10)]
+    op = make()
+    op.add_query(TumblingWindow(100), _AccumulateCountingSum())
+    _AccumulateCountingSum.calls = 0
+    results = run_operator(op, records + [Watermark(1_000)])
+    assert _AccumulateCountingSum.calls == len(records)
+    expected = reference_results([(TumblingWindow(100), Sum())], records, horizon=1_000)
+    assert _by_query(results, [0]) == expected

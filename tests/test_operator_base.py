@@ -28,9 +28,14 @@ class TestDispatch:
                 calls.append(("punctuation", punctuation.ts))
                 return []
 
+        class Stamped(Record):
+            """A record type of the caller's own."""
+
+            __slots__ = ("source",)
+
         probe = Probe()
-        probe.run([Record(1, 0), Watermark(2), Punctuation(3)])
-        assert calls == [("record", 1), ("watermark", 2), ("punctuation", 3)]
+        probe.run([Record(1, 0), Watermark(2), Punctuation(3), Stamped(4, 0)])
+        assert calls == [("record", 1), ("watermark", 2), ("punctuation", 3), ("record", 4)]
 
     def test_unknown_element_rejected(self):
         operator = GeneralSlicingOperator(stream_in_order=True)
