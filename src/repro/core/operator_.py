@@ -37,7 +37,7 @@ from ..windows.base import WindowType
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.punctuation import PunctuationWindow
 from ..windows.session import SessionWindow
-from .aggregate_store import AggregateStore, EagerAggregateStore, LazyAggregateStore
+from .aggregate_store import AggregateStore, EagerAggregateStore, LazyAggregateStore, slice_start
 from .characteristics import Query, WorkloadCharacteristics, requires_tuple_storage
 from .kernels import KernelKind
 from .measures import MeasureKind
@@ -149,7 +149,8 @@ class _Chain:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_fixed_edge_windows"], state["_session_gaps"], state["accumulators"]
+        del state["_fixed_edge_windows"], state["_session_gaps"]
+        del state["accumulators"], state["late_write"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -185,13 +186,21 @@ class _Chain:
         """What the per-record paths read, derived from the queries and
         never pickled.  For :meth:`next_time_edge`: the windows that know
         their edges in advance, and the session gaps, smallest first.
-        For the operator's write into the open head: per shared function,
-        its partial's index and its bound ``accumulate``."""
+        For the operator's writes into a slice: per shared function, its
+        partial's index and its bound ``accumulate``; and whether a late
+        record inside an existing slice is written the same way -- on a
+        time chain with no sessions and only commutative functions, where
+        Step 2 is one ⊕ per function and moves no boundary."""
         windows = self._time_edge_windows()
         self._fixed_edge_windows = [w for w in windows if not isinstance(w, SessionWindow)]
         self._session_gaps = sorted(window.gap for window in self.session_windows)
         self.accumulators = tuple(
             (index, function.accumulate) for index, function in enumerate(self.functions)
+        )
+        self.late_write = (
+            self.measure_kind is MeasureKind.TIME
+            and not self._session_gaps
+            and all(function.commutative for function in self.functions)
         )
 
     def next_time_edge(self, ts: int) -> Optional[int]:
@@ -529,30 +538,77 @@ class GeneralSlicingOperator(WindowOperator):
 
     def _process_out_of_order(self, record: Record) -> List[WindowResult]:
         """A (measure-extracted) record behind ``_max_ts``: behind the
-        newest record, or behind a watermark that overtook the stream."""
+        newest record, or behind a watermark that overtook the stream.
+
+        On a chain that qualifies (:attr:`_Chain.late_write`) a record
+        that falls inside an existing slice is written in this frame:
+        what :meth:`Slice.add_out_of_order` does, with the chain's bound
+        ``accumulate``s, and the window manager is asked only when the
+        record lands behind its watermark -- ahead of it no emitted
+        window can hold the record.  Every other case goes through the
+        slice manager.
+        """
         if self.stream_in_order:
             raise StreamOrderViolation(
                 f"record at ts={record.ts} arrived after ts={self._max_ts} "
                 "on an operator declared in-order"
             )
-        if self._watermark is not None and record.ts < self._watermark - self.allowed_lateness:
+        ts = record.ts
+        watermark = self._watermark
+        if watermark is not None and ts < watermark - self.allowed_lateness:
             self._drop_late(record)
             return []  # beyond the allowed lateness: dropped
         count_position = self._arrived
         self._arrived = count_position + 1
-        if self._tracer is not None:
-            self._tracer.count("operator.records")
-            self._tracer.count("operator.ooo_records")
-        ts = record.ts
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.count("operator.records")
+            tracer.count("operator.ooo_records")
         results: List[WindowResult] = []
         for chain in self._chain_list:
+            store = chain.store
+            slices = store.slices
+            if chain.late_write:
+                index = bisect.bisect_right(slices, ts, key=slice_start) - 1
+                if index >= 0:
+                    slice_ = slices[index]
+                    end = slice_.end
+                    last_ts = slice_.last_ts
+                    # Inside a closed slice, or behind a record of the
+                    # open head; a gap or the head's front takes the
+                    # slice manager's path below.
+                    if end is None:
+                        inside = last_ts is not None and ts < last_ts
+                    else:
+                        inside = ts < end
+                    if inside:
+                        value = record.value
+                        aggs = slice_.aggs
+                        for fn_index, accumulate in chain.accumulators:
+                            aggs[fn_index] = accumulate(aggs[fn_index], value)
+                        records = slice_.records
+                        if records is not None:
+                            bisect.insort_right(records, record, key=_TS_KEY)
+                        slice_.record_count += 1
+                        first_ts = slice_.first_ts
+                        if first_ts is None or ts < first_ts:
+                            slice_.first_ts = ts
+                        if last_ts is None or ts > last_ts:
+                            slice_.last_ts = ts
+                        store.slice_updated(index)
+                        if tracer is not None:
+                            tracer.count("slice_manager.ooo_records")
+                        window_manager = chain.window_manager
+                        behind = window_manager.watermark
+                        if behind is not None and ts < behind:
+                            results.extend(window_manager.on_modification(Modification(ts)))
+                        continue
             counted = chain.measure_kind is not MeasureKind.TIME
             if counted:
                 # A late record shifts counts up to the head.  On a time
                 # chain it can neither close nor replace the open head
                 # nor move a fixed edge, so the guard stays armed there.
                 chain.slicer.disarm()
-            slices = chain.store.slices
             head = slices[-1] if slices else None
             if (
                 head is not None

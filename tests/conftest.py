@@ -9,6 +9,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+from repro.aggregations import Sum
 from repro.core.operator_base import WindowOperator
 from repro.core.types import Punctuation, Record, StreamElement, Watermark
 
@@ -32,6 +33,16 @@ def subprocess_env(**overrides: str) -> Dict[str, str]:
         str(SRC_DIR) if not existing else f"{SRC_DIR}{os.pathsep}{existing}"
     )
     return env
+
+
+class CountingSum(Sum):
+    """``Sum`` that counts its ``accumulate`` calls; reset ``calls`` first."""
+
+    calls = 0
+
+    def accumulate(self, partial, value):
+        CountingSum.calls += 1
+        return super().accumulate(partial, value)
 
 
 def run_operator(operator: WindowOperator, elements) -> list:

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from conftest import run_operator
+from conftest import CountingSum, run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Average, CollectList, Max, Median, Min, Sum
 from repro.core.slice_ import Slice
@@ -39,16 +39,6 @@ WINDOWS = (
     lambda rng: LastNEveryWindow(rng.choice((3, 5)), rng.choice((40, 100))),
 )
 FUNCTIONS = (Sum, Max, Min, Average, Median, CollectList)
-
-
-class CountingSum(Sum):
-    """``Sum`` that counts its ``accumulate`` calls."""
-
-    calls = 0
-
-    def accumulate(self, partial, value):
-        CountingSum.calls += 1
-        return super().accumulate(partial, value)
 
 
 def _draw_operator(rng: random.Random, in_order: bool) -> GeneralSlicingOperator:
