@@ -27,7 +27,7 @@ from .measures import MeasureKind
 from .operator_ import GeneralSlicingOperator
 from .operator_base import StreamOrderViolation, WindowOperator
 from .slice_ import Slice
-from .slice_manager import Modification, SliceManager
+from .slice_manager import SliceManager
 from .stream_slicer import StreamSlicer
 from .tracing import SpanStats, Tracer
 from .types import Punctuation, Record, StreamElement, Watermark, WindowResult, is_in_order
@@ -52,7 +52,6 @@ __all__ = [
     "MeasureKind",
     "Slice",
     "SliceManager",
-    "Modification",
     "StreamSlicer",
     "Tracer",
     "SpanStats",

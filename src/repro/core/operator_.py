@@ -42,7 +42,7 @@ from .characteristics import Query, WorkloadCharacteristics, requires_tuple_stor
 from .kernels import KernelKind
 from .measures import MeasureKind
 from .operator_base import StreamOrderViolation, WindowOperator
-from .slice_manager import Modification, SliceManager
+from .slice_manager import SliceManager
 from .stream_slicer import StreamSlicer
 from .types import Punctuation, Record, StreamElement, Watermark, WindowResult
 from .window_manager import ManagedQuery, WindowManager
@@ -119,7 +119,6 @@ class _Chain:
             ceil_time_edge=self.next_time_edge,
             edge_in_region=self.edge_in_region,
             is_count_edge=self.is_count_edge,
-            on_modified=self._record_modification,
         )
         self.edges_move = bool(self._session_gaps) or any(
             isinstance(w, PunctuationWindow) for w in self._windows
@@ -145,18 +144,20 @@ class _Chain:
                     self._fn_index_of_query[query_pos],
                 )
             )
-        self._pending_modifications: List[Modification] = []
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_fixed_edge_windows"], state["_session_gaps"]
-        del state["accumulators"], state["late_write"]
+        del state["accumulators"], state["structured"], state["refolds"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Interned, as the default unpickling does (see WindowManager).
-        # A frame may carry an ``eager_store`` flag that nothing reads.
+        # A frame may carry an ``eager_store`` flag, a modification queue
+        # and the manager's callback that nothing reads.
         state.pop("eager_store", None)
+        state.pop("_pending_modifications", None)
+        vars(state["manager"]).pop("_on_modified", None)
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
         self._derive_read_per_record()
         # Whether slices keep records is derived from the queries, not
@@ -187,21 +188,23 @@ class _Chain:
         never pickled.  For :meth:`next_time_edge`: the windows that know
         their edges in advance, and the session gaps, smallest first.
         For the operator's writes into a slice: per shared function, its
-        partial's index and its bound ``accumulate``; and whether a late
-        record inside an existing slice is written the same way -- on a
-        time chain with no sessions and only commutative functions, where
-        Step 2 is one ⊕ per function and moves no boundary."""
+        partial's index and its bound ``accumulate``; the non-commutative
+        ones, whose partial a late record refolds from the slice's
+        records; and whether a late record needs the slice manager's
+        structure (sessions or a count measure) before and after its
+        write."""
         windows = self._time_edge_windows()
         self._fixed_edge_windows = [w for w in windows if not isinstance(w, SessionWindow)]
         self._session_gaps = sorted(window.gap for window in self.session_windows)
         self.accumulators = tuple(
             (index, function.accumulate) for index, function in enumerate(self.functions)
         )
-        self.late_write = (
-            self.measure_kind is MeasureKind.TIME
-            and not self._session_gaps
-            and all(function.commutative for function in self.functions)
+        self.refolds = tuple(
+            (index, function)
+            for index, function in enumerate(self.functions)
+            if not function.commutative
         )
+        self.structured = bool(self._session_gaps) or self.measure_kind is MeasureKind.COUNT
 
     def next_time_edge(self, ts: int) -> Optional[int]:
         """The smallest window edge after ``ts``.  Sessions add their
@@ -255,13 +258,9 @@ class _Chain:
     def is_count_edge(self, count: int) -> bool:
         return any(window.is_edge(count) for window in self._count_edge_windows())
 
-    def _record_modification(self, modification: Modification) -> None:
-        self._pending_modifications.append(modification)
-
-    def drain_modifications(self) -> List[Modification]:
-        """Take and clear the modifications recorded since the last drain."""
-        pending, self._pending_modifications = self._pending_modifications, []
-        return pending
+    def _record_modification(self, modification) -> None:
+        """Old frames pickle the slice manager's callback bound to this
+        name; :meth:`__setstate__` drops it."""
 
     # ------------------------------------------------------------------
 
@@ -540,13 +539,13 @@ class GeneralSlicingOperator(WindowOperator):
         """A (measure-extracted) record behind ``_max_ts``: behind the
         newest record, or behind a watermark that overtook the stream.
 
-        On a chain that qualifies (:attr:`_Chain.late_write`) a record
-        that falls inside an existing slice is written in this frame:
-        what :meth:`Slice.add_out_of_order` does, with the chain's bound
-        ``accumulate``s, and the window manager is asked only when the
-        record lands behind its watermark -- ahead of it no emitted
-        window can hold the record.  Every other case goes through the
-        slice manager.
+        Per chain: *place* -- one ``bisect`` into an existing slice on a
+        chain without sessions or a count measure, the slicer for a
+        record behind no record of the open head, the slice manager
+        otherwise; *write* here what :meth:`Slice.add_out_of_order` does,
+        with the bound ``accumulate``s; *settle* sessions and counts
+        (:meth:`SliceManager.settle`).  The window manager is asked only
+        behind its watermark: no emitted window holds a record ahead of it.
         """
         if self.stream_in_order:
             raise StreamOrderViolation(
@@ -564,73 +563,78 @@ class GeneralSlicingOperator(WindowOperator):
         if tracer is not None:
             tracer.count("operator.records")
             tracer.count("operator.ooo_records")
+        value = record.value
         results: List[WindowResult] = []
         for chain in self._chain_list:
             store = chain.store
             slices = store.slices
-            if chain.late_write:
+            structured = chain.structured
+            index = -1
+            if structured:
+                if chain.manager.track_counts:
+                    # A late record shifts counts up to the head.  On a
+                    # time chain it can neither close nor replace the open
+                    # head nor move a fixed edge, so the guard stays armed.
+                    chain.slicer.disarm()
+            else:
                 index = bisect.bisect_right(slices, ts, key=slice_start) - 1
                 if index >= 0:
-                    slice_ = slices[index]
-                    end = slice_.end
-                    last_ts = slice_.last_ts
                     # Inside a closed slice, or behind a record of the
-                    # open head; a gap or the head's front takes the
-                    # slice manager's path below.
-                    if end is None:
-                        inside = last_ts is not None and ts < last_ts
-                    else:
-                        inside = ts < end
-                    if inside:
-                        value = record.value
-                        aggs = slice_.aggs
-                        for fn_index, accumulate in chain.accumulators:
-                            aggs[fn_index] = accumulate(aggs[fn_index], value)
-                        records = slice_.records
-                        if records is not None:
-                            bisect.insort_right(records, record, key=_TS_KEY)
-                        slice_.record_count += 1
-                        first_ts = slice_.first_ts
-                        if first_ts is None or ts < first_ts:
-                            slice_.first_ts = ts
-                        if last_ts is None or ts > last_ts:
-                            slice_.last_ts = ts
-                        store.slice_updated(index)
-                        if tracer is not None:
-                            tracer.count("slice_manager.ooo_records")
-                        window_manager = chain.window_manager
-                        behind = window_manager.watermark
-                        if behind is not None and ts < behind:
-                            results.extend(window_manager.on_modification(Modification(ts)))
-                        continue
-            counted = chain.measure_kind is not MeasureKind.TIME
-            if counted:
-                # A late record shifts counts up to the head.  On a time
-                # chain it can neither close nor replace the open head
-                # nor move a fixed edge, so the guard stays armed there.
-                chain.slicer.disarm()
-            head = slices[-1] if slices else None
-            if (
-                head is not None
-                and head.end is None
-                and ts >= head.start
-                and (head.last_ts is None or ts >= head.last_ts)
-            ):
-                # Behind a watermark that overtook the stream, but behind
-                # no record: sliced like any in-order record (the slice
-                # manager would add it to the open head whatever edge it
-                # has passed) and reported like a late one, since its
-                # windows may have been emitted.
-                head = chain.slicer.ensure_open_slice(ts, count_position)
-                chain.manager.add_inorder(record, head)
+                    # open head; a gap or the head's front is placed below.
+                    slice_ = slices[index]
+                    bound = slice_.last_ts if slice_.end is None else slice_.end
+                    if bound is None or ts >= bound:
+                        index = -1
+            position: Optional[int] = None
+            overtaken = False
+            if index < 0:
+                head = slices[-1] if slices else None
+                overtaken = (
+                    head is not None
+                    and head.end is None
+                    and ts >= head.start
+                    and (head.last_ts is None or ts >= head.last_ts)
+                )
+                if overtaken:
+                    # Behind a watermark that overtook the stream, but
+                    # behind no record: sliced like any in-order record
+                    # (the slice manager would place it in the open head
+                    # whatever edge it has passed) and reported like a
+                    # late one, since its windows may have been emitted.
+                    chain.slicer.ensure_open_slice(ts, count_position)
+                    index = len(slices) - 1
+                    if chain.manager.track_counts:
+                        position = count_position
+                else:
+                    index, position = chain.manager.add_out_of_order(record)
+                slice_ = slices[index]
+            aggs = slice_.aggs
+            for fn_index, accumulate in chain.accumulators:
+                aggs[fn_index] = accumulate(aggs[fn_index], value)
+            records = slice_.records
+            if records is not None:
+                bisect.insort_right(records, record, key=_TS_KEY)
+            if chain.refolds:
+                values = [stored.value for stored in records]
+                for fn_index, function in chain.refolds:
+                    aggs[fn_index] = function.fold_values(None, values)
+            slice_.record_count += 1
+            if slice_.first_ts is None or ts < slice_.first_ts:
+                slice_.first_ts = ts
+            if slice_.last_ts is None or ts > slice_.last_ts:
+                slice_.last_ts = ts
+            store.slice_updated(index)
+            if overtaken:
                 if chain.edges_move:
                     chain.slicer.after_record(ts)
-                modifications = [Modification(ts, count_position if counted else None)]
-            else:
-                chain.manager.add_out_of_order(record)
-                modifications = chain.drain_modifications()
-            for modification in modifications:
-                results.extend(chain.window_manager.on_modification(modification))
+            elif tracer is not None:
+                tracer.count("slice_manager.ooo_records")
+            if structured:
+                chain.manager.settle(index)
+            window_manager = chain.window_manager
+            behind = window_manager.watermark
+            if behind is not None and ts < behind:
+                results.extend(window_manager.on_modification(ts, position))
         return results
 
     # ------------------------------------------------------------------
@@ -776,9 +780,8 @@ class GeneralSlicingOperator(WindowOperator):
                 ):
                     continue
                 if late:
-                    chain.manager.split_time(punctuation.ts)
-                    for modification in chain.drain_modifications():
-                        results.extend(chain.window_manager.on_modification(modification))
+                    if chain.manager.split_time(punctuation.ts):
+                        results.extend(chain.window_manager.on_modification(punctuation.ts))
                 else:
                     chain.slicer.invalidate_cache()
         if self.stream_in_order and self._max_ts is not None:

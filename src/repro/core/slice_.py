@@ -103,7 +103,8 @@ class Slice:
     # update operations
 
     def add_inorder(self, record: Record, functions: Sequence[AggregateFunction]) -> None:
-        """Append a record arriving in event-time order (one ⊕ per function)."""
+        """Append a record arriving in event-time order (one ⊕ per function):
+        the tests' reference for the operator's write into the open head."""
         aggs = self.aggs
         value = record.value
         ts = record.ts
@@ -144,7 +145,8 @@ class Slice:
 
         Commutative functions update incrementally; non-commutative ones
         recompute from the stored records to retain aggregation order
-        (Section 5.3, Step 2).
+        (Section 5.3, Step 2).  The tests' reference for the operator's
+        write of a late record.
         """
         if self.records is not None:
             bisect.insort_right(self.records, record, key=_TS_KEY)

@@ -1,29 +1,26 @@
 """The Slice Manager -- Step 2 of the slicing pipeline (Section 5.3).
 
-The slice manager triggers all merge, split, and update operations on
-slices.  It keeps the invariant that *slice edges match window edges*:
+The slice manager triggers all merge and split operations on slices.  It
+keeps the invariant that *slice edges match window edges*:
 
-* in-order records are appended to the open head slice with one
-  incremental aggregation step;
-* out-of-order records are routed to the slice covering their timestamp
-  (or a new slice created in a gap), updating aggregates incrementally
-  for commutative functions and by recomputation otherwise;
-* session workloads split at record-free points (no recomputation) and
-  merge slices when a late record bridges two sessions;
-* count-measure workloads shift the last record of every affected slice
-  one slice onward when a late record changes record positions
-  (Figure 6), using the aggregation's invert where available;
+* a late record is *placed* in the slice covering its timestamp, a new
+  slice created in a gap, or a session split off at a record-free point
+  (no recomputation); the operator writes it, one ⊕ per commutative
+  function and a recomputation otherwise;
+* then the manager *settles* the chain: it merges slices when the record
+  bridged two sessions, and on count chains shifts the last record of
+  every affected slice one slice onward (Figure 6), using the
+  aggregation's invert where available;
 * late window edges (punctuations, context changes) split slices with a
   full recomputation from stored records (Figure 5 / Figure 15).
 
-Every mutation is reported to an ``on_modified`` callback so the window
-manager can emit updates for already-triggered windows.
+The operator, not the manager, asks the window manager for updates.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..aggregations.base import AggregateFunction
 from .aggregate_store import AggregateStore, slice_start
@@ -31,24 +28,7 @@ from .slice_ import Slice
 from .tracing import Tracer
 from .types import Record
 
-__all__ = ["SliceManager", "Modification"]
-
-
-class Modification:
-    """Describes a change to already-sliced stream regions.
-
-    ``ts`` is the event-time of the change; ``count_position`` the global
-    record position of an inserted record (count chains only).
-    """
-
-    __slots__ = ("ts", "count_position")
-
-    def __init__(self, ts: int, count_position: Optional[int] = None) -> None:
-        self.ts = ts
-        self.count_position = count_position
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Modification(ts={self.ts}, count_position={self.count_position})"
+__all__ = ["SliceManager"]
 
 
 class SliceManager:
@@ -65,7 +45,6 @@ class SliceManager:
         ceil_time_edge: Callable[[int], Optional[int]] = lambda ts: None,
         edge_in_region: Callable[[int, int], bool] = lambda lo, hi: False,
         is_count_edge: Callable[[int], bool] = lambda count: False,
-        on_modified: Optional[Callable[[Modification], None]] = None,
     ) -> None:
         self._store = store
         self.store_records = store_records
@@ -76,7 +55,6 @@ class SliceManager:
         self._ceil_time_edge = ceil_time_edge
         self._edge_in_region = edge_in_region
         self._is_count_edge = is_count_edge
-        self._on_modified = on_modified or (lambda modification: None)
         #: Observability sink; ``None`` (the default) is the no-op fast
         #: path -- attached by ``WindowOperator.enable_tracing()``.
         self.tracer: Optional[Tracer] = None
@@ -89,15 +67,20 @@ class SliceManager:
     # in-order path
 
     def add_inorder(self, record: Record, head: Slice) -> None:
-        """Append an in-order record to the open head slice: one ⊕ per fn."""
-        head.add_inorder(record, self.functions)
+        """Append an in-order record to the open head slice: one ⊕ per fn.
+        Unused by the operator, which writes the head itself."""
+        head.add_run((record,), self.functions)
         self._store.slice_updated(len(self._store.slices) - 1)
 
     # ------------------------------------------------------------------
-    # out-of-order path
+    # out-of-order path: place, (the operator writes,) settle
 
-    def add_out_of_order(self, record: Record) -> Modification:
-        """Route a late record to its slice; trigger merges/shifts as needed."""
+    def add_out_of_order(self, record: Record) -> Tuple[int, Optional[int]]:
+        """Place a late record -- a gap slice, a session split, past the
+        records it ties with on a count chain -- and return its slice's
+        index and, on a count chain, its global record position.  The
+        caller writes the record, calls ``slice_updated`` and :meth:`settle`.
+        """
         index = self._store.find_index(record.ts)
         if index is None:
             index = self._create_gap_slice(record.ts)
@@ -120,21 +103,19 @@ class SliceManager:
                 break
         if self.session_gap is not None:
             index = self._session_place(index, record)
-        slice_ = self._store.slices[index]
         count_position: Optional[int] = None
         if self.track_counts:
-            count_position = self._count_position(slice_, record.ts)
-        slice_.add_out_of_order(record, self.functions)
-        self._store.slice_updated(index)
+            count_position = self._count_position(self._store.slices[index], record.ts)
+        return index, count_position
+
+    def settle(self, index: int) -> None:
+        """Restore the slice invariants after a late record was written
+        into slice ``index``: merge the sessions it bridged, then repair
+        the count boundaries behind it."""
         if self.session_gap is not None:
             index = self._merge_bridged_sessions(index)
         if self.track_counts:
             self._count_cascade(index)
-        if self.tracer is not None:
-            self.tracer.count("slice_manager.ooo_records")
-        modification = Modification(record.ts, count_position)
-        self._on_modified(modification)
-        return modification
 
     def _count_position(self, slice_: Slice, ts: int) -> int:
         base = slice_.count_start if slice_.count_start is not None else 0
@@ -303,7 +284,6 @@ class SliceManager:
         else:
             right = slice_.split_empty_at(ts, self.functions)
         self._insert_after(index, right)
-        self._on_modified(Modification(ts))
         return True
 
     def ensure_count_boundary(self, count: int) -> bool:

@@ -16,8 +16,8 @@ Responsibilities:
 * resolve count-measure windows against the cumulative record counts
   maintained on slices, splitting slices on demand for multi-measure
   (FCA) window starts;
-* re-emit updated aggregates when the slice manager reports a
-  modification inside the already-emitted region;
+* re-emit updated aggregates when the operator reports a late record
+  or a late edge inside the already-emitted region;
 * slide, rather than refold, the windows of a query whose partials can
   be subtracted exactly (the removal strategy of Section 5.4 / Figure 6
   on the emit path): the previous window's partial ⊖ the slices that
@@ -36,7 +36,7 @@ from ..windows.multimeasure import LastNEveryWindow
 from ..windows.session import SessionWindow
 from .aggregate_store import AggregateStore, SharedQueryPlan
 from .measures import MeasureKind
-from .slice_manager import Modification, SliceManager
+from .slice_manager import SliceManager
 from .types import WindowResult
 
 __all__ = ["WindowManager", "ManagedQuery"]
@@ -578,11 +578,13 @@ class WindowManager:
     # ------------------------------------------------------------------
     # late updates (allowed lateness)
 
-    def on_modification(self, modification: Modification) -> List[WindowResult]:
-        """Re-emit windows already triggered that the modification touches."""
+    def on_modification(self, ts: int, count_position: Optional[int] = None) -> List[WindowResult]:
+        """Re-emit windows already triggered that a change at ``ts`` touches:
+        a late record (at global record position ``count_position`` on a
+        count chain) or a late edge."""
         self._session_walk = _NO_WALK  # a slice was changed, split or merged away
         wm = self._prev_wm
-        if wm is None or modification.ts >= wm:
+        if wm is None or ts >= wm:
             # Every emitted window ends at or before the watermark and all
             # its records precede it; a modification at/after the watermark
             # cannot touch any of them (this also covers count positions:
@@ -593,7 +595,6 @@ class WindowManager:
         if self._carries:
             self._carries = dict.fromkeys(self._carries)
         results: List[WindowResult] = []
-        ts = modification.ts
         for managed in self._queries:
             window = managed.window
             if isinstance(window, SessionWindow):
@@ -601,10 +602,8 @@ class WindowManager:
             elif isinstance(window, LastNEveryWindow):
                 results.extend(self._update_multimeasure(managed, ts))
             elif window.measure_kind is MeasureKind.COUNT:
-                if modification.count_position is not None:
-                    results.extend(
-                        self._update_count(managed, modification.count_position)
-                    )
+                if count_position is not None:
+                    results.extend(self._update_count(managed, count_position))
             else:
                 results.extend(self._update_time(managed, ts, wm))
         return results

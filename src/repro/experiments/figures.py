@@ -471,8 +471,7 @@ def fig15_split_cost(*, sizes: Sequence[int]) -> ResultTable:
     def case(function: AggregateFunction, size: int) -> Build:
         def build():
             slice_ = Slice(0, size, 1, store_records=True)
-            for index in range(size):
-                slice_.add_inorder(Record(index, float(index % 53)), [function])
+            slice_.add_run([Record(index, float(index % 53)) for index in range(size)], [function])
             return lambda: slice_.split_at(size // 2, [function])
 
         return build

@@ -45,6 +45,18 @@ class CountingSum(Sum):
         return super().accumulate(partial, value)
 
 
+def add_late(manager, record: Record):
+    """Step 2 for one late record, as the operator makes it: the slice
+    manager places it, ``Slice.add_out_of_order`` (the reference for the
+    operator's write) writes it, the store hears of it, the manager
+    settles.  Returns the record's count position (count chains only)."""
+    index, count_position = manager.add_out_of_order(record)
+    manager._store.slices[index].add_out_of_order(record, manager.functions)
+    manager._store.slice_updated(index)
+    manager.settle(index)
+    return count_position
+
+
 def run_operator(operator: WindowOperator, elements) -> list:
     """Process a stream and return all emitted results."""
     results = []

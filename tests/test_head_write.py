@@ -112,22 +112,19 @@ def test_an_in_order_record_costs_one_accumulate_and_no_slice_call(monkeypatch):
     }
 
 
-def test_a_record_behind_an_overtaking_watermark_still_enters_through_the_slice(monkeypatch):
-    spied = []
-    original = Slice.add_inorder
-
-    def spy(self, record, functions):
-        spied.append(record.ts)
-        return original(self, record, functions)
-
-    monkeypatch.setattr(Slice, "add_inorder", spy)
+def test_a_record_behind_an_overtaking_watermark_is_written_by_the_operator(monkeypatch):
+    writes = []
+    for name in ("add_inorder", "add_out_of_order"):
+        monkeypatch.setattr(Slice, name, lambda *args, name=name: writes.append(name))
     operator = GeneralSlicingOperator(stream_in_order=False, allowed_lateness=20)
-    operator.add_query(TumblingWindow(100), Sum())
+    operator.add_query(TumblingWindow(100), CountingSum())
+    CountingSum.calls = 0
     results = run_operator(
         operator, [Record(10, 1.0), Watermark(50), Record(40, 2.0), Watermark(200)]
     )
-    # Behind the watermark but behind no record: the slice manager's path.
-    assert spied == [40]
+    # Behind the watermark but behind no record: sliced as in order and
+    # written, like every late record, in the operator's frame.
+    assert writes == [] and CountingSum.calls == 2
     assert [(r.start, r.end, r.value) for r in results] == [(0, 100, 3.0)]
 
 

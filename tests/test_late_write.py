@@ -1,17 +1,19 @@
-"""The operator's write of a late record: one frame per record.
+"""The operator's write of a late record: one write per record.
 
-A late record that falls inside an existing slice of a time chain with
-no session windows and only commutative functions is written inside
+Every late record is written inside
 ``GeneralSlicingOperator._process_out_of_order``, through the chain's
-bound ``accumulate``s, instead of through
-``SliceManager.add_out_of_order``; the window manager is asked only when
-the record lands behind its watermark.  These tests pin that the write
-is the one ``Slice.add_out_of_order`` makes -- the partials, the record
-list, the count and the first / last timestamps -- record by record,
-over random out-of-order operators; that final results equal the
-reference; that it is the only call on that path; that every other case
-still goes through the slice manager; and that what the path reads is
-derived, never pickled.
+bound ``accumulate``s, with non-commutative partials refolded from the
+slice's records.  The slice manager only places the record (gap slices,
+session splits, count ties) and settles the chain after the write
+(session merges, the count cascade); the window manager is asked only
+when the record lands behind its watermark.  These tests pin that the
+write is the one ``Slice.add_out_of_order`` makes -- the partials, the
+record list, the count and the first / last timestamps -- record by
+record, over random out-of-order operators; that final results equal the
+reference; that no late record reaches a ``Slice`` write method, on any
+chain; that the slice manager is asked only where structure is needed;
+that the session walk survives a late record ahead of the watermark;
+and that what the path reads is derived, never pickled.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ def test_the_operator_writes_a_late_record_as_slice_add_out_of_order_would(seed,
     horizon = max(e.ts for e in stream if isinstance(e, Record)) + 300
     stream.append(Watermark(horizon))
     (chain,) = operator._chain_list
-    assert chain.late_write is not any(isinstance(f, CollectList) for _, f in queries)
 
     final: dict = {}
     frontier = None
@@ -159,9 +160,9 @@ def test_a_late_record_costs_one_accumulate_and_no_slice_manager_call(monkeypatc
     asked = []
     original = WindowManager.on_modification
 
-    def spy(self, modification):
-        asked.append(modification.ts)
-        return original(self, modification)
+    def spy(self, ts, count_position=None):
+        asked.append(ts)
+        return original(self, ts, count_position)
 
     monkeypatch.setattr(WindowManager, "on_modification", spy)
     operator = GeneralSlicingOperator(stream_in_order=False, eager=True, allowed_lateness=1_000)
@@ -233,49 +234,63 @@ def _ooo_operator(*queries) -> GeneralSlicingOperator:
 
 
 @pytest.mark.parametrize(
-    "queries, stream, late_write",
+    "queries, stream, placed",
     [
         pytest.param(
-            [(TumblingWindow(10), Sum())],
+            [(TumblingWindow(10), CountingSum())],
             [Record(0, 1.0), Record(50, 1.0), Record(25, 1.0)],
             True,
             id="gap_slice",
         ),
         pytest.param(
-            [(SessionWindow(5), Sum())],
+            [(SessionWindow(5), CountingSum())],
             [Record(0, 1.0), Record(3, 1.0), Record(20, 1.0), Record(1, 1.0)],
-            False,
+            True,
             id="session",
         ),
         pytest.param(
-            [(CountTumblingWindow(3), Sum())],
+            [(CountTumblingWindow(3), CountingSum())],
             [Record(0, 1.0), Record(5, 1.0), Record(9, 1.0), Record(2, 1.0)],
-            False,
+            True,
             id="count",
         ),
         pytest.param(
-            [(LastNEveryWindow(3, 100), Sum())],
+            [(LastNEveryWindow(3, 100), CountingSum())],
             [Record(0, 1.0), Record(5, 1.0), Record(9, 1.0), Record(2, 1.0)],
-            False,
+            True,
             id="last_n",
         ),
         pytest.param(
-            [(TumblingWindow(10), Sum()), (TumblingWindow(10), CollectList())],
+            [(TumblingWindow(10), CountingSum()), (TumblingWindow(10), CollectList())],
             [Record(0, 1.0), Record(5, 1.0), Record(9, 1.0), Record(2, 1.0)],
             False,
             id="non_commutative",
         ),
+        pytest.param(
+            [(TumblingWindow(100), CountingSum()), (SessionWindow(5), CountingSum())],
+            [Record(10, 1.0), Watermark(50), Record(40, 1.0)],
+            False,
+            id="overtaken_head",
+        ),
     ],
 )
-def test_every_other_late_record_still_goes_through_the_slice_manager(
-    routed, queries, stream, late_write
+def test_no_late_record_is_written_outside_the_operator(
+    monkeypatch, routed, queries, stream, placed
 ):
+    writes = []
+    for name in ("add_out_of_order", "add_inorder"):
+        monkeypatch.setattr(Slice, name, lambda *args, name=name: writes.append(name))
     operator = _ooo_operator(*queries)
+    CountingSum.calls = 0
     final = final_values(operator, stream + [Watermark(200)])
     operator.check_invariants()
-    # A gap is the one case on a chain that writes late records itself.
-    assert [chain.late_write for chain in operator._chain_list] == [late_write]
-    assert routed == [stream[-1].ts]
+
+    assert writes == []
+    # One chain, one shared CountingSum partial: one accumulate per record.
+    assert CountingSum.calls == sum(isinstance(e, Record) for e in stream)
+    # The slice manager places only what needs structure; a late record
+    # inside a slice, or behind no record of the open head, it never sees.
+    assert routed == ([stream[-1].ts] if placed else [])
     assert final == reference_results(queries, stream, horizon=200)
 
 
@@ -283,31 +298,106 @@ def test_a_time_chain_writes_late_beside_a_count_chain_that_does_not(routed):
     operator = _ooo_operator((TumblingWindow(10), Sum()), (CountTumblingWindow(2), Sum()))
     stream = [Record(0, 1.0), Record(5, 2.0), Record(12, 4.0), Record(3, 8.0), Watermark(30)]
     final = final_values(operator, stream)
-    # The count chain's add; the time chain wrote in the operator's frame.
+    # The count chain's placement; the time chain placed the record itself.
     assert routed == [3]
     assert final == reference_results(
         [(TumblingWindow(10), Sum()), (CountTumblingWindow(2), Sum())], stream, horizon=30
     )
 
 
-def test_the_late_write_flag_is_derived_and_never_pickled():
-    operator = GeneralSlicingOperator(stream_in_order=False, eager=True, allowed_lateness=500)
-    operator.add_query(SlidingWindow(200, 50), Sum())
-    operator.add_query(TumblingWindow(100), Median())
+@pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+def test_a_late_record_ahead_of_the_watermark_keeps_the_session_walk(eager):
+    """Bursts of four records 10 apart: gaps of 7 part the sessions of
+    gap 5, and all of them make one session of gap 20, so eviction pins
+    the chain and its walk (``WindowManager.pin_horizon``) stands inside
+    that session, past its first slices.  A late record ahead of the
+    watermark bridges two gap-5 sessions beyond the walk: the slices it
+    merges were not walked, so the walk stays, and the next watermark's
+    eviction resumes it."""
+    queries = [(SessionWindow(5), Sum()), (SessionWindow(20), Max())]
+    operator = GeneralSlicingOperator(stream_in_order=False, eager=eager, allowed_lateness=0)
+    for window, function in queries:
+        operator.add_query(window, function)
+    bursts = [Record(ts, float(ts)) for start in range(0, 200, 10) for ts in range(start, start + 4)]
+    head = bursts + [Watermark(150)]
+    final = final_values(operator, head)
+    (chain,) = operator._chain_list
+    walk = chain.window_manager._session_walk
+    assert walk[0] > 0 and walk[1] == 0
+    slices = len(chain.store.slices)
+
+    late = Record(166, 7.0)  # 3 after the burst at 160, 4 before the one at 170
+    final.update(final_values(operator, [late]))
+    assert len(chain.store.slices) == slices - 1  # the two sessions merged
+    assert chain.window_manager._session_walk == walk
+    operator.check_invariants()
+
+    tail = [Watermark(180), Watermark(400)]
+    final.update(final_values(operator, tail))
+    operator.check_invariants()
+    assert final == reference_results(queries, head + [late] + tail, horizon=400)
+    assert (0, 160, 178) in final
+
+
+#: Query sets with, per chain, whether it is structured and which of its
+#: functions (by partial index) refold.
+FLAG_CASES = [
+    ([(SlidingWindow(200, 50), Sum()), (TumblingWindow(100), Median())], [False], [()]),
+    (
+        [
+            (SessionWindow(40), Sum()),
+            (TumblingWindow(100), CollectList()),
+            (CountTumblingWindow(5), Max()),
+        ],
+        [True, True],
+        [((1, CollectList),), ()],
+    ),
+]
+
+
+def test_the_structured_and_refolds_flags_are_derived_and_never_pickled():
     rng = random.Random(7)
     stream = [
         Record(ts - (rng.randrange(80) if rng.random() < 0.3 else 0), float(ts % 13))
         for ts in range(100, 3_000, 3)
     ]
-    run_operator(operator, stream[:400])
+    for queries, structured, refolds in FLAG_CASES:
+        operator = GeneralSlicingOperator(stream_in_order=False, eager=True, allowed_lateness=500)
+        for window, function in queries:
+            operator.add_query(window, function)
+        run_operator(operator, stream[:400])
 
-    frame = pickle.dumps(operator)
-    assert b"late_write" not in frame
-    assert b"accumulators" not in frame
-    restored = pickle.loads(frame)
-    (chain,) = restored._chain_list
-    assert chain.late_write is True
-    for (index, accumulate), function in zip(chain.accumulators, chain.functions):
-        assert accumulate.__self__ is function
-    tail = stream[400:] + [Watermark(3_500)]
-    assert run_operator(restored, tail) == run_operator(operator, tail)
+        frame = pickle.dumps(operator)
+        for name in (b"structured", b"refolds", b"accumulators", b"late_write"):
+            assert name not in frame
+        restored = pickle.loads(frame)
+        chains = restored._chain_list
+        assert [chain.structured for chain in chains] == structured
+        assert [
+            tuple((index, type(function)) for index, function in chain.refolds)
+            for chain in chains
+        ] == refolds
+        for chain in chains:
+            for (index, accumulate), function in zip(chain.accumulators, chain.functions):
+                assert accumulate.__self__ is function
+            for index, function in chain.refolds:
+                assert chain.functions[index] is function
+        tail = stream[400:] + [Watermark(3_500)]
+        assert run_operator(restored, tail) == run_operator(operator, tail)
+
+
+def test_a_record_behind_an_overtaking_watermark_moves_the_session_edge():
+    """Written into the open head, the record is the newest one: the
+    session edge the slicer cuts at moves with it, or the next session
+    would share its slice and be taken for the same one."""
+    operator = _ooo_operator((SessionWindow(5), Sum()))
+    stream = [Record(0, 1.0), Record(1, 1.0), Watermark(50), Record(40, 2.0), Record(41, 2.0)]
+    results = run_operator(operator, stream + [Record(60, 4.0), Watermark(200)])
+    operator.check_invariants()
+    # Behind the watermark, each record emits its session as it grows.
+    assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
+        (0, 6, 2.0, False),
+        (40, 45, 2.0, False),
+        (40, 46, 4.0, True),
+        (60, 65, 4.0, False),
+    ]

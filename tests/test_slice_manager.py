@@ -2,10 +2,11 @@
 
 import pytest
 
+from conftest import add_late
 from repro.aggregations import M4, Min, Sum
 from repro.core.aggregate_store import EagerAggregateStore, LazyAggregateStore
 from repro.core.slice_ import Slice
-from repro.core.slice_manager import Modification, SliceManager
+from repro.core.slice_manager import SliceManager
 from repro.core.types import Record
 
 
@@ -35,24 +36,16 @@ class TestOutOfOrderRouting:
     def test_routes_to_covering_slice(self):
         store = build_store([0, 10, 20, 30])
         manager = SliceManager(store)
-        manager.add_out_of_order(Record(15, 3.0))
+        add_late(manager, Record(15, 3.0))
         assert store.slices[1].aggs[0] == 3.0
         assert store.slices[0].is_empty()
-
-    def test_modification_callback_invoked(self):
-        events = []
-        store = build_store([0, 10])
-        manager = SliceManager(store, on_modified=events.append)
-        manager.add_out_of_order(Record(5, 1.0))
-        assert len(events) == 1
-        assert events[0].ts == 5
 
     def test_gap_slice_created(self):
         store = build_store([0, 10])
         late = Slice(30, 40, 1, store_records=False)
         store.append_slice(late)
         manager = SliceManager(store)
-        manager.add_out_of_order(Record(15, 5.0))
+        add_late(manager, Record(15, 5.0))
         assert [s.start for s in store] == [0, 10, 30]
         gap = store.slices[1]
         assert gap.start == 10 and gap.end == 30
@@ -67,7 +60,7 @@ class TestOutOfOrderRouting:
             floor_time_edge=lambda ts: (ts // 10) * 10,
             ceil_time_edge=lambda ts: (ts // 10 + 1) * 10,
         )
-        manager.add_out_of_order(Record(25, 5.0))
+        add_late(manager, Record(25, 5.0))
         gap = store.slices[1]
         assert (gap.start, gap.end) == (20, 30)
 
@@ -76,7 +69,7 @@ class TestOutOfOrderRouting:
         store = build_store([0, 100], fn=fn, store_records=True)
         manager = SliceManager(store, store_records=True)
         store.slices[0].add_inorder(Record(50, 5.0), [fn])
-        manager.add_out_of_order(Record(10, 1.0))
+        add_late(manager, Record(10, 1.0))
         assert fn.lower(store.slices[0].aggs[0]) == (1.0, 5.0, 1.0, 5.0)
 
 
@@ -94,7 +87,7 @@ class TestSessionPlacement:
         store.slices[0].add_inorder(Record(10, 1.0), [fn])
         store.slices[0].add_inorder(Record(20, 1.0), [fn])
         manager = self._manager(store)
-        manager.add_out_of_order(Record(15, 1.0))
+        add_late(manager, Record(15, 1.0))
         assert len(store) == 1
         assert store.slices[0].aggs[0] == 3.0
 
@@ -103,7 +96,7 @@ class TestSessionPlacement:
         store = build_store([0, 100], fn=fn)
         store.slices[0].add_inorder(Record(10, 1.0), [fn])
         manager = self._manager(store, gap=5)
-        manager.add_out_of_order(Record(50, 2.0))
+        add_late(manager, Record(50, 2.0))
         assert len(store) == 2
         left, right = store.slices
         assert left.end == 15  # split at last_ts + gap
@@ -115,7 +108,7 @@ class TestSessionPlacement:
         store = build_store([0, 100], fn=fn)
         store.slices[0].add_inorder(Record(80, 1.0), [fn])
         manager = self._manager(store, gap=5)
-        manager.add_out_of_order(Record(10, 2.0))
+        add_late(manager, Record(10, 2.0))
         assert len(store) == 2
         left, right = store.slices
         assert left.end == 15  # split at record.ts + gap
@@ -127,7 +120,7 @@ class TestSessionPlacement:
         store = build_store([0, 100], fn=fn)
         store.slices[0].add_inorder(Record(10, 1.0), [fn])
         manager = self._manager(store, gap=5)
-        manager.add_out_of_order(Record(13, 2.0))
+        add_late(manager, Record(13, 2.0))
         assert len(store) == 1
         assert store.slices[0].aggs[0] == 3.0
 
@@ -139,7 +132,7 @@ class TestSessionPlacement:
         manager = self._manager(store, gap=5)
         # A record at 14 closes both gaps (14-10 < 5 and 18-14 < 5), so the
         # droppable boundary at 15 disappears.
-        manager.add_out_of_order(Record(14, 1.0))
+        add_late(manager, Record(14, 1.0))
         assert len(store) == 1
         assert store.slices[0].aggs[0] == 3.0
 
@@ -151,7 +144,7 @@ class TestSessionPlacement:
         manager = self._manager(
             store, gap=5, edge_region=lambda lo, hi: lo <= 15 <= hi
         )
-        manager.add_out_of_order(Record(15, 1.0))
+        add_late(manager, Record(15, 1.0))
         assert len(store) == 2  # boundary kept: another window needs it
 
 
@@ -212,7 +205,7 @@ class TestCountCascade:
     def test_insert_shifts_records_across_count_edges(self):
         store, manager, fn = self._count_workload()
         # Records: slice0 ts 0,2; slice1 ts 10,12; slice2 (open) ts 20,22.
-        manager.add_out_of_order(Record(1, 1.0))
+        add_late(manager, Record(1, 1.0))
         s0, s1, s2 = store.slices
         assert [r.ts for r in s0.records] == [0, 1]
         assert [r.ts for r in s1.records] == [2, 10]
@@ -223,25 +216,24 @@ class TestCountCascade:
 
     def test_count_boundaries_stay_fixed(self):
         store, manager, _ = self._count_workload()
-        manager.add_out_of_order(Record(1, 1.0))
+        add_late(manager, Record(1, 1.0))
         assert (store.slices[0].count_start, store.slices[0].count_end) == (0, 2)
         assert (store.slices[1].count_start, store.slices[1].count_end) == (2, 4)
 
     def test_insert_into_open_head_no_shift(self):
         store, manager, _ = self._count_workload()
-        manager.add_out_of_order(Record(21, 21.0))
+        add_late(manager, Record(21, 21.0))
         assert [r.ts for r in store.slices[0].records] == [0, 2]
         assert [r.ts for r in store.slices[2].records] == [20, 21, 22]
 
     def test_modification_reports_count_position(self):
         store, manager, _ = self._count_workload()
-        modification = manager.add_out_of_order(Record(5, 5.0))
         # Records 0, 2 precede ts=5: zero-based position 2.
-        assert modification.count_position == 2
+        assert add_late(manager, Record(5, 5.0)) == 2
 
     def test_noninvertible_shift_recomputes_correctly(self):
         store, manager, fn = self._count_workload(fn=Min())
-        manager.add_out_of_order(Record(1, 1.0))
+        add_late(manager, Record(1, 1.0))
         # slice1 now holds ts 2 (value 2.0) and ts 10 (10.0): min is 2.0.
         assert store.slices[1].aggs[0] == 2.0
 
@@ -277,7 +269,7 @@ class TestEagerStoreIntegration:
         fn = Sum()
         store = build_store([0, 10, 20, 30], fn=fn, cls=EagerAggregateStore)
         manager = SliceManager(store)
-        manager.add_out_of_order(Record(15, 7.0))
+        add_late(manager, Record(15, 7.0))
         assert store.query_slices(0, 3, 0) == 7.0
 
 

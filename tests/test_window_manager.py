@@ -5,7 +5,7 @@ import pytest
 from repro.aggregations import Sum
 from repro.core.aggregate_store import LazyAggregateStore
 from repro.core.slice_ import Slice
-from repro.core.slice_manager import Modification, SliceManager
+from repro.core.slice_manager import SliceManager
 from repro.core.types import Record
 from repro.core.window_manager import ManagedQuery, WindowManager
 from repro.windows import LastNEveryWindow, SessionWindow, TumblingWindow
@@ -126,12 +126,12 @@ class TestWatermarkAheadOfTheData:
         # Inside the allowed lateness, in a window the jump never walked:
         # the walk would have found it empty and left no trace of it.
         late = add_slice(store, fn, 5_000, 5_010, [(5_003, 2.0)])
-        results = wm.on_modification(Modification(5_003))
+        results = wm.on_modification(5_003)
         assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
             (5_000, 5_010, 2.0, True)
         ]
         late.add_out_of_order(Record(5_004, 3.0), [fn])
-        results = wm.on_modification(Modification(5_004))
+        results = wm.on_modification(5_004)
         assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
             (5_000, 5_010, 5.0, True)
         ]
@@ -237,7 +237,7 @@ class TestEvictionPins:
         # A horizon behind what was walked (a carry newly pinned) starts it over ...
         assert wm.pin_horizon(35, 5) == 12 and wm._session_walk == (2, 12, 28)
         # ... and so does any change behind the head.
-        assert wm.on_modification(Modification(45)) == []
+        assert wm.on_modification(45) == []
         assert wm._session_walk == (0, None, None)
         assert wm.pin_horizon(60, 5) == 12 and wm._session_walk == (5, 12, 58)
         # With every walked slice evicted there is no session to stand in.
@@ -264,7 +264,7 @@ class TestModifications:
         slice_ = add_slice(store, fn, 0, 10, [(1, 1.0)])
         wm.advance(12)
         slice_.add_out_of_order(Record(5, 2.0), [fn])
-        results = wm.on_modification(Modification(5))
+        results = wm.on_modification(5)
         assert [(r.start, r.end, r.value, r.is_update) for r in results] == [
             (0, 10, 3.0, True)
         ]
@@ -273,13 +273,13 @@ class TestModifications:
         store, _, wm, fn = build(TumblingWindow(10))
         add_slice(store, fn, 0, 10, [(1, 1.0)])
         wm.advance(12)
-        assert wm.on_modification(Modification(12)) == []
-        assert wm.on_modification(Modification(13)) == []
+        assert wm.on_modification(12) == []
+        assert wm.on_modification(13) == []
 
     def test_modification_before_any_watermark_is_noop(self):
         store, _, wm, fn = build(TumblingWindow(10))
         add_slice(store, fn, 0, 10, [(1, 1.0)])
-        assert wm.on_modification(Modification(1)) == []
+        assert wm.on_modification(1) == []
 
 
 class TestBookkeeping:
@@ -307,7 +307,7 @@ class TestBookkeeping:
         assert len(wm.advance(25)) == 2
         assert wm._emitted[0] == set()
         first.add_out_of_order(Record(5, 2.0), [fn])
-        (update,) = wm.on_modification(Modification(5))
+        (update,) = wm.on_modification(5)
         assert (update.start, update.end, update.value, update.is_update) == (0, 10, 3.0, True)
         assert wm._emitted[0] == set()
 
