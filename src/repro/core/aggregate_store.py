@@ -29,7 +29,6 @@ gaps between slices are legal (empty stream regions get no slice).
 from __future__ import annotations
 
 import bisect
-import sys
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -304,16 +303,6 @@ class EagerAggregateStore(AggregateStore):
         #: partials, or ``None`` when none does.  Always below the last
         #: slice, whose leaves are treated as lagging anyway.
         self.lag_from: Optional[int] = None
-
-    def __setstate__(self, state: dict) -> None:
-        # Interned, as the default unpickling does (see _Chain).  A frame
-        # with a ``head_dirty`` flag wrote every closed leaf through and
-        # let only the head lag, which the head may always do: the flag
-        # goes, and no closed slice lags.
-        state.pop("head_dirty", None)
-        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
-        if "lag_from" not in state:
-            self.lag_from = None
 
     @AggregateStore.tracer.setter
     def tracer(self, value: Optional[Tracer]) -> None:

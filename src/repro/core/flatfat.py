@@ -55,13 +55,6 @@ class FlatFAT(Generic[P]):
         initial = list(leaves) if leaves else []
         self._relayout(initial, self._pow2_at_least(max(1, len(initial))))
 
-    def __setstate__(self, state) -> None:
-        # Slots pickle as ``(None, {slot: value})``; a tree pickled before
-        # the front offset existed has no dead positions.
-        self._front = 0
-        for name, value in state[1].items():
-            setattr(self, name, value)
-
     # ------------------------------------------------------------------
     # internal helpers
 

@@ -38,7 +38,7 @@ from ..windows.multimeasure import LastNEveryWindow
 from ..windows.punctuation import PunctuationWindow
 from ..windows.session import SessionWindow
 from .aggregate_store import AggregateStore, EagerAggregateStore, LazyAggregateStore, slice_start
-from .characteristics import Query, WorkloadCharacteristics, requires_tuple_storage
+from .characteristics import Query, WorkloadCharacteristics
 from .kernels import KernelKind
 from .measures import MeasureKind
 from .operator_base import StreamOrderViolation, WindowOperator
@@ -153,19 +153,8 @@ class _Chain:
 
     def __setstate__(self, state: dict) -> None:
         # Interned, as the default unpickling does (see WindowManager).
-        # A frame may carry an ``eager_store`` flag, a modification queue
-        # and the manager's callback that nothing reads.
-        state.pop("eager_store", None)
-        state.pop("_pending_modifications", None)
-        vars(state["manager"]).pop("_on_modified", None)
         self.__dict__.update((sys.intern(name), value) for name, value in state.items())
         self._derive_read_per_record()
-        # Whether slices keep records is derived from the queries, not
-        # read from the frame: one written under an older rule continues
-        # under today's, its record lists leaving with their slices.
-        chars = self.characteristics
-        chars.store_tuples = requires_tuple_storage(chars.queries, chars.stream_in_order)
-        self.manager.store_records = self.slicer.store_records = chars.store_tuples
 
     # ------------------------------------------------------------------
     # edge callbacks (aggregate over all windows of this chain)
@@ -223,10 +212,6 @@ class _Chain:
                         return edge if best is None or edge < best else best
         return best
 
-    #: Frames pickled while the slice manager's ceiling callback had a
-    #: name of its own look it up under that name on restore.
-    ceil_time_edge = next_time_edge
-
     def floor_time_edge(self, ts: int) -> Optional[int]:
         best: Optional[int] = None
         for window in self._time_edge_windows():
@@ -257,10 +242,6 @@ class _Chain:
 
     def is_count_edge(self, count: int) -> bool:
         return any(window.is_edge(count) for window in self._count_edge_windows())
-
-    def _record_modification(self, modification) -> None:
-        """Old frames pickle the slice manager's callback bound to this
-        name; :meth:`__setstate__` drops it."""
 
     # ------------------------------------------------------------------
 
@@ -331,11 +312,26 @@ class _Chain:
 
     def check_invariants(self) -> None:
         """Assert the slice chain's shape (and, eagerly, its kernels), the
-        slicer's guard and the window manager's carries; raises
+        slicer's guard, the window manager's carries and the Fig. 4
+        record rule: the slicer, the slice manager and every slice keep
+        records exactly when the characteristics say so.  Raises
         ``AssertionError`` naming the violation."""
         self.store.check_invariants()
         self.slicer.check_invariants()
         self.window_manager.check_invariants()
+        keep = self.characteristics.store_tuples
+        if self.slicer.store_records != keep or self.manager.store_records != keep:
+            raise AssertionError(
+                f"store_tuples is {keep} but the slicer's store_records is "
+                f"{self.slicer.store_records} and the slice manager's "
+                f"{self.manager.store_records}"
+            )
+        for index, slice_ in enumerate(self.store.slices):
+            if (slice_.records is not None) != keep:
+                raise AssertionError(
+                    f"slice {index} {slice_!r} {'keeps no' if keep else 'keeps'} "
+                    f"records but store_tuples is {keep}"
+                )
 
 
 class GeneralSlicingOperator(WindowOperator):
@@ -512,8 +508,6 @@ class GeneralSlicingOperator(WindowOperator):
             aggs = head.aggs
             for index, accumulate in chain.accumulators:
                 aggs[index] = accumulate(aggs[index], value)
-            # Per slice, not per chain: a frame written under another
-            # record rule restores slices that keep records or not.
             records = head.records
             if records is not None:
                 records.append(record)

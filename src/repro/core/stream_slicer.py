@@ -68,15 +68,6 @@ class StreamSlicer:
         refreshed after every record instead of being reused.
     """
 
-    #: The guard: a record with ``ts < open_until`` at a count position
-    #: ``< open_until_count`` needs no cut and belongs to the store's
-    #: last slice, which is open.  Armed by :meth:`ensure_open_slice`
-    #: from the cached edges (+inf where no edge is upcoming); -inf
-    #: whenever that promise cannot be made.  Anything but an in-order
-    #: record reaching the chain must :meth:`disarm` it.  The class-level
-    #: defaults restore slicers pickled before the guard existed disarmed.
-    open_until: float = _NEVER
-    open_until_count: float = _NEVER
     #: Backs :attr:`cache_edges` (on unless the ablation turns it off).
     _cache_edges = True
 
@@ -103,8 +94,14 @@ class StreamSlicer:
         #: Whether the last ensure_open_slice call closed/opened a slice
         #: (windows can only end at slice cuts, so emission checks key off it).
         self.cut_performed = False
-        self.open_until = _NEVER
-        self.open_until_count = _NEVER
+        #: The guard: a record with ``ts < open_until`` at a count position
+        #: ``< open_until_count`` needs no cut and belongs to the store's
+        #: last slice, which is open.  Armed by :meth:`ensure_open_slice`
+        #: from the cached edges (+inf where no edge is upcoming); -inf
+        #: whenever that promise cannot be made.  Anything but an in-order
+        #: record reaching the chain must :meth:`disarm` it.
+        self.open_until: float = _NEVER
+        self.open_until_count: float = _NEVER
         #: Observability sink; ``None`` (the default) is the no-op fast
         #: path -- attached by ``WindowOperator.enable_tracing()``.
         self.tracer: Optional[Tracer] = None

@@ -8,7 +8,11 @@ another process), and resume with identical emissions.
 
 Snapshots carry a small versioned header (magic + format version) so a
 restore can tell a checkpoint from arbitrary bytes and reject blobs
-written by an incompatible build, instead of blindly unpickling.
+written by an incompatible build, instead of blindly unpickling.  Each
+format version has one pickled layout, recorded by
+``tests/test_checkpoint.py::test_the_pickled_layout_is_the_format_versions``:
+a change to what a frame holds bumps the version, and no class carries
+code to restore the layout of another one.
 
 The operator object graph includes the eager store's aggregation
 kernels (FlatFAT trees, finger B-trees, two-stacks fronts/backs,
@@ -48,7 +52,9 @@ __all__ = [
 #: Leading bytes of every checkpoint blob ("Repro SLiCing").
 CHECKPOINT_MAGIC = b"RSLC"
 #: Current on-wire layout: MAGIC + 2-byte big-endian version + pickle.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped whenever the pickled layout changes; :func:`restore` refuses
+#: every other version.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _HEADER_LEN = len(CHECKPOINT_MAGIC) + 2
 

@@ -43,12 +43,6 @@ class LastNEveryWindow(ContextAwareWindow):
         self.every = every
         self.offset = offset
 
-    def __setstate__(self, state: dict) -> None:
-        # A frame written while the window kept the count at each trigger
-        # edge drops it: the window manager keeps it now.
-        state.pop("_counts_at_edge", None)
-        super().__setstate__(state)
-
     def get_next_edge(self, ts: int) -> Optional[int]:
         """Next trigger timestamp (time measure) after ``ts``."""
         relative = ts - self.offset

@@ -38,12 +38,6 @@ class SessionWindow(ContextAwareWindow):
             raise ValueError(f"session gap must be positive, got {gap}")
         self.gap = gap
 
-    def __setstate__(self, state: dict) -> None:
-        # A frame written while the window tracked the newest in-order
-        # record itself drops that copy: the slices hold the record.
-        state.pop("_last_inorder_ts", None)
-        super().__setstate__(state)
-
     def get_next_edge(self, ts: int) -> Optional[int]:
         """``None``: a session has no edge known in advance."""
         return None

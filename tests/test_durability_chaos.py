@@ -27,6 +27,9 @@ from repro import Record
 from repro.aggregations import Sum
 from repro.experiments.harness import TECHNIQUES, make_operator
 from repro.runtime import (
+    CHECKPOINT_FORMAT_VERSION,
+    CHECKPOINT_MAGIC,
+    CheckpointFormatError,
     CollectSink,
     DiskCheckpointStore,
     FaultInjectingOperator,
@@ -272,6 +275,41 @@ def test_resume_falls_back_past_torn_generation(tmp_path):
     # initial generation and replays the whole stream.
     assert stats.resumed_from_cursor == 0
     assert sink.results == expected
+
+
+def test_resume_refuses_a_generation_of_another_format_version(tmp_path):
+    """The newest generation holds a frame of the previous format version
+    (today's payload behind a v1 header).  Resume fails loudly at that
+    header: it neither starts fresh nor falls back to an older
+    generation this build could read."""
+    factory, elements, _expected, _delivered = _run_to_death(tmp_path)
+    store = DiskCheckpointStore(tmp_path / "ckpt", keep=3)
+    newest = store.load(store.generations()[-1])
+    previous = CHECKPOINT_MAGIC + (CHECKPOINT_FORMAT_VERSION - 1).to_bytes(2, "big")
+    store.save(
+        previous + newest.blob[len(previous) :],
+        cursor=newest.cursor,
+        records_processed=newest.records_processed,
+    )
+    generations = store.generations()
+
+    sink = CollectSink()
+    tracer = Tracer()
+    pipeline = SupervisedPipeline(
+        factory(),
+        sink,
+        checkpoint_every=CHECKPOINT_EVERY,
+        batch_size=BATCH_SIZE,
+        store=store,
+        tracer=tracer,
+        sleep=lambda _seconds: None,
+    )
+    with pytest.raises(CheckpointFormatError, match="v1 is not supported"):
+        pipeline.run(elements, resume=True)
+
+    assert pipeline.stats.resumed_from_cursor is None
+    assert sink.results == [] and store.generations() == generations
+    assert tracer.value("durability.fallbacks") == 0
 
 
 def test_resume_with_empty_store_starts_fresh(tmp_path):

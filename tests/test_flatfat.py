@@ -130,16 +130,6 @@ def assert_consistent(tree):
         assert arr[node] == tree._merge(arr[2 * node], arr[2 * node + 1]), f"inner node {node}"
 
 
-#: ``pickle.dumps(FlatFAT(operator.add, [1, 2, 3, 4, 5]), protocol=4)`` at
-#: commit 9fe9a1c, the last one whose tree had no front offset.
-_PRE_OFFSET_PICKLE = (
-    b"\x80\x04\x95\x94\x00\x00\x00\x00\x00\x00\x00\x8c\x12repro.core.flatfat\x94\x8c\x07FlatFAT"
-    b"\x94\x93\x94)\x81\x94N}\x94(\x8c\x08_combine\x94\x8c\t_operator\x94\x8c\x03add\x94\x93\x94"
-    b"\x8c\t_capacity\x94K\x08\x8c\x05_size\x94K\x05\x8c\x04_arr\x94]\x94(NK\x0fK\nK\x05K\x03K\x07"
-    b"K\x05NK\x01K\x02K\x03K\x04K\x05NNNe\x8c\x06tracer\x94Nu\x86\x94b."
-)
-
-
 class TestFrontEviction:
     """``remove_front`` moves an offset; the dead positions are reclaimed
     by the append that finds no room behind the last leaf."""
@@ -208,17 +198,16 @@ class TestFrontEviction:
         assert tree.leaves() == [7] and tree.root() == 7
         assert_consistent(tree)
 
-    def test_pickle_written_before_the_offset_restores_and_keeps_working(self):
-        tree = pickle.loads(_PRE_OFFSET_PICKLE)
-        assert tree._front == 0  # genuinely an old pickle: it has no such entry
-        assert b"_front" not in _PRE_OFFSET_PICKLE
-        assert tree.leaves() == [1, 2, 3, 4, 5] and tree.root() == 15
+    def test_a_pickle_after_an_eviction_keeps_the_offset(self):
+        tree = FlatFAT(operator.add, [1, 2, 3, 4, 5])
         tree.remove_front(2)
         tree.append(6)
-        assert tree.leaves() == [3, 4, 5, 6] and tree.query(1, 3) == 9
-        assert_consistent(tree)
         again = pickle.loads(pickle.dumps(tree))
         assert again.leaves() == [3, 4, 5, 6] and again._front == 2
+        assert again.query(1, 3) == 9
+        assert_consistent(again)
+        again.append(7)
+        assert again.leaves() == [3, 4, 5, 6, 7] and again.root() == 25
         assert_consistent(again)
 
 

@@ -17,11 +17,9 @@ pin the two halves of that contract, one test per event:
 
 from __future__ import annotations
 
-import base64
 import os
 import random
 import sys
-import zlib
 
 import pytest
 
@@ -592,105 +590,6 @@ def test_snapshot_leaves_the_carry_out_and_a_restored_operator_reseeds(slides):
     assert _folded(slides) == [(0, 60, 100)] and len(slides) == 2 * 6
     collected.update(resumed)
     _finish(clone, queries, head + tail, collected, stream_in_order=True)
-
-
-#: ``snapshot()`` of the operator built by ``_pre_carry_operator`` after
-#: records ts 0..64, written by commit 23cc168, the last one whose window
-#: manager had no carry (zlib + base85).
-_PRE_CARRY_FRAME = (
-    "c-oy<TW=dh6!yCDC61jqiJPXkkkXq&X-d;_ZJ?<l(T8n~NFMrBjW*t~XPv#cdr2Ckih|Urg%MO@`"
-    "43!v0pbA({sYha19(OPab{+By|$A{NFHLJ%bYpqeCJGZ&f5CD)r|5q_w83R8U90SF7CR{V$*T)qS"
-    "M8$<~uG5>C9bh17WV4M$@p{A4QVzn{eT?@JU#w<H*L3ee@{6?hZ2aP|eZ;BMj_?4?%t^Ww%K*S8M"
-    "tp^n9b~g*5juJ0^@Zn6>=2Ve8IzNRNwSg7g+W)6n7ikXF{kw+BKmaU*YHyX})ut<xM+#-UoGd8gI"
-    "#upg=!TDGv}1ujOLa4@9PDX$_4xHEQNd{vpwHz6JI4GV|Q!nH8ipkrFQ?c%oP8;%{))51WC=PeS)"
-    "<bj1We;@0HX7}7v9))*r{}H8n#MZzp&09hVY!`d!%a9AS))(ZpSZ_DnAf+f%q(Z8~Hknpyq^6e0a"
-    "X33e&IB9eESZmF=aXB>1#%HYmsCZ10jA@QjZDqQ$i<KzJ#5el(p{(9#X9G+Y!;9YKw=k!6Q1v4%|"
-    "eEaKpR-kX%1^``0|2QHPdvqqjNU)Ja)E(EyG9H>iRoO#e<r_D9$6G@SIizFTx%e`AzKF*yOG-NIY"
-    "M&y2xn(qky2O4BLZf$r+NNd9=#tB=amIBoBp1#>fJuqpiSha<rg0$vKUVqLvN5>-aIVFrTDr7hLt"
-    "|R3e4jM2)keRx@e_(@C_4?-PSHPKxxz1IOJo9Zg>ykR?tg4w9SCY1xAY!^jW1CO28OG1figbxp(f"
-    "AZ3$8^H9?XY#&9X3(PWOdXQosTcTw9tU0x9jVnz69>BD$z=x9E!eD&L#g?<BnFwHn5ZbJ5pRfqQ?"
-    "};@bTNfhMr?g}{{ycLC>%1|boE`>H!DRsvZ!a%gfF@)?gnjLwBnm~sse9TdJ9lF4I%g(1Srq`~p_"
-    "`l0TQZq4#@X;d<=D%FQ%?xothv1Bk6~zIcm|3s!}WaR^YSa0TJ(LCj(|tJ5awuM&BSYg?WGKjxB)"
-    "Md`rS<Qqh@!ZjsHp!D{09}F(MR3RMSK)P0aQPOmn{DYbLnKx=*78(RCu;YARlTr^}wG{F>;>o|{<"
-    "_R}O#*aG3Z?k8R?eu)!aV-T2XX0dRehL_oeA5@$gi$Fzs|7!w!w6^}4+bzgCgiEI0c^GrOuuebo>"
-    "%>J$w<$;Y32Zm``BwI8StCTU(R-%F$bX1V6j2g5EAL6eEImNAaV(S(>zBW9<4t#diY4Qjv%8!NHe"
-    "FdbX3rI;9kdiK-Y`TE5=>p0Q77%$Fl@9rwJtC=)OLDNr<Y1NMU{&N`jmyEBkb_l~SK*{Quqk<9)5"
-    "C#b@*QOB`v&=;L4F)Yw+86W0lGCn_pA)v{htTr2+u=Sif&B~z;QVMGjae<$N`v@18`Cfz$tlUot6"
-    "i7MjqJN;lK_+cMj041G;m7?&YKPZuW4!s~o;}=i~sqA_rhz4!}7%0I$jcI4=j_g1oXW$^*M35A5="
-    "AU<aUE2XvPJ-8!Iq{m{Lu9HDo!hwt6G9DoHm0I$gbxFQGObvXc6<p3<oE9;s(us7s^T^|nY0CblC"
-    "-DN;`3DCWD=-$m9u6LCq_U@7#fE#iEZps08Qx3peasb|z1MrT#vfh;k_MSYjTf>1JfbKG}8vyPyf"
-    "V=Yl9_B+snA;n|WqFq0muL9{d6sX>v%IqRU$9(%o-n!5U`q);YDe?b3tCKuW){#Sxq@Ln7eir6LJ"
-    "O8=^AVlS4oy^vsLThe`w`h&v_zMYCd}!4P>m-Rm{i$TU{m}%&4$pi`0lpWh5w+dsAW2i%SU*G^)^"
-    "g^#f`u)eKx<-LL0+W>a(lJ3Y{2K-GyP3PM{_>%oMlts{&bCq2mMmNSl3Un+X^&+14h}9^iBBab(0"
-    "}b)V@<Kbz~85d>v9y3sOV4vsZzQ7R%yQ>=>kfqc9#0nAFwjt5Fx3^Fm_4niSzDzT`%&gpeQ#!z&A"
-    "X4f_$Oum8JBPj!X=1J!lkVOie-xRj!0QaiGL@LY%<YN%t3L3;0^@TEtnp%@!J$0q}A)Si3eb&o@i"
-    "(qOsbY{C5_^6BBmg8EOF-lGs+Xzk=CbLrQk<qwz_tU6JI=@30EV1LF#Cs)tGL_OnSw-x=2J1UcYB"
-    "AC5`~(~pYI<!ojs|yBMU>ilcK&2%%EGulu;e6{)C{SRNm`7TQ6V`8M7)PmGpxZoe}jqM2?b7E>HN"
-    "c-yW05|K7<yAd%G^)LfclTE(5{5^dW(Khx0XGRn>Q4v{jejcTHX14PUAX<JUMpqt>`|4u02}RGnj"
-    "*F9TYN@FHOO3G0r?vVa^|knkBm%w~JUzKUlV2sS)O8DGsIwiJbyeg-WLNqx+BFDqbwTl2ANY3?Q)"
-    "u94=t#uhlP-U&7q{{zItvh)"
-)
-
-
-def _pre_carry_operator():
-    operator = GeneralSlicingOperator(stream_in_order=True)
-    operator.add_query(SlidingWindow(40, 10), Median())
-    operator.add_query(SlidingWindow(20, 10), Median())
-    return operator
-
-
-def _pre_carry_record(ts):
-    return Record(ts, float(ts % 7))
-
-
-def test_frame_written_before_the_carry_restores_reseeds_and_continues(slides):
-    blob = zlib.decompress(base64.b85decode(_PRE_CARRY_FRAME))
-    clone = restore(blob)
-    manager = _window_manager(clone)
-    # Genuinely an old pickle: eligibility is re-derived from its queries.
-    assert manager._carries == {0: None, 1: None}
-    clone.check_invariants()
-
-    # It also predates eviction behind in-order records and the emitted
-    # pairs no longer kept for context-free windows: all seven slices and
-    # every window emitted so far are in it.
-    assert clone.total_slices() == 7
-    assert [len(pairs) for pairs in manager._emitted.values()] == [3, 5]
-    # And the rule that a holistic query keeps records beside its
-    # multisets: the frame's slices carry theirs, but whether new ones do
-    # is derived from the queries, not read from the frame.
-    assert all(len(slice_.records) == slice_.record_count for slice_ in _slices(clone))
-    assert clone.stores_records is False
-    uninterrupted = _pre_carry_operator()
-    run_operator(uninterrupted, [_pre_carry_record(ts) for ts in range(65)])
-    assert uninterrupted.total_slices() == 5  # [20, 30) .. [60, ...): the cut at 60 evicted up to 20
-
-    del slides[:]
-    tail = [_pre_carry_record(ts) for ts in range(65, 200)] + [Watermark(HORIZON)]
-    expected = run_operator(uninterrupted, tail)
-    unbroken = slides[:]
-    del slides[:]
-    resumed = run_operator(clone, tail[:15])  # ts 65..79: cuts at 70
-    cut_since = [slice_ for slice_ in _slices(clone) if slice_.start >= 70]
-    assert cut_since and all(slice_.records is None for slice_ in cut_since)
-    assert resumed + run_operator(clone, tail[15:]) == expected
-    # One fold per query, then the restored operator slides like the other.
-    assert _folded(slides)[:2] == [(0, 30, 70), (1, 50, 70)]
-    assert [call for call in slides if call[2] > 70] == [call for call in unbroken if call[2] > 70]
-    clone.check_invariants()
-    # What the frame held beyond today's state has been evicted and pruned
-    # like anything else: the two operators now write the same frame.
-    assert snapshot(clone) == snapshot(uninterrupted)
-
-
-def test_a_frame_with_record_lists_shrinks_once_its_slices_are_evicted():
-    blob = zlib.decompress(base64.b85decode(_PRE_CARRY_FRAME))
-    clone = restore(blob)
-    # 65 records so far, 65 more: the same windows over the same values.
-    run_operator(clone, [_pre_carry_record(ts) for ts in range(65, 130)])
-    assert all(slice_.records is None for slice_ in _slices(clone))
-    # 5 791 bytes then, 3 322 now; 4 964 if the 50 live records were kept.
-    assert len(snapshot(clone)) < 0.7 * len(blob)
 
 
 def test_the_carry_is_small_and_outside_the_measured_state():
