@@ -251,14 +251,6 @@ class CheckpointStore:
             return checkpoint
         return None
 
-    def oldest_cursor(self) -> Optional[int]:
-        """Cursor of the oldest retained generation (corrupt or not).
-
-        Supervisors trim their replay bookkeeping to this horizon: any
-        fallback restores at or after it.  ``None`` when empty.
-        """
-        raise NotImplementedError
-
 
 class InMemoryStore(CheckpointStore):
     """Checkpoints in supervisor memory (the pre-durability behaviour),
@@ -276,8 +268,6 @@ class InMemoryStore(CheckpointStore):
         self.tracer = tracer
         #: generation -> frame bytes (mutable for corrupt()).
         self._frames: Dict[int, bytearray] = {}
-        #: generation -> cursor of the frame as saved (survives corruption).
-        self._cursors: Dict[int, int] = {}
         self._next_generation = 0
 
     def save(self, blob, *, cursor, records_processed, meta=None) -> int:
@@ -287,13 +277,11 @@ class InMemoryStore(CheckpointStore):
             StoredCheckpoint(generation, bytes(blob), cursor, records_processed, meta)
         )
         self._frames[generation] = bytearray(frame)
-        self._cursors[generation] = cursor
         self._count("durability.saves")
         self._count("durability.bytes_written", len(frame))
         while len(self._frames) > self.keep:
             oldest = min(self._frames)
             del self._frames[oldest]
-            del self._cursors[oldest]
             self._count("durability.gc_collected")
         return generation
 
@@ -310,11 +298,6 @@ class InMemoryStore(CheckpointStore):
 
     def generations(self) -> List[int]:
         return sorted(self._frames)
-
-    def oldest_cursor(self) -> Optional[int]:
-        if not self._cursors:
-            return None
-        return self._cursors[min(self._cursors)]
 
     def corrupt(self, generation, *, truncate_to=None, flip_bit=None) -> None:
         frame = self._frames[generation]
@@ -365,13 +348,8 @@ class DiskCheckpointStore(CheckpointStore):
         self.fsync = fsync
         self.tracer = tracer
         os.makedirs(self.directory, exist_ok=True)
-        #: generation -> cursor, for retained frames (loaded lazily from
-        #: headers; kept current by save()).
-        self._cursors: Dict[int, int] = {}
-        #: Generations on disk as of this store's last listing (open or
-        #: save); what ``oldest_cursor`` answers from without a listing.
-        self._retained = self._scan()
-        self._next_generation = (self._retained[-1] + 1) if self._retained else 0
+        retained = self._scan()
+        self._next_generation = (retained[-1] + 1) if retained else 0
 
     # -- paths ---------------------------------------------------------
 
@@ -426,7 +404,6 @@ class DiskCheckpointStore(CheckpointStore):
             StoredCheckpoint(generation, bytes(blob), cursor, records_processed, meta)
         )
         self._write_atomically(self._path(generation), frame)
-        self._cursors[generation] = cursor
         self._count("durability.saves")
         self._count("durability.bytes_written", len(frame))
         self._collect_garbage()
@@ -436,15 +413,12 @@ class DiskCheckpointStore(CheckpointStore):
         """Drop generations beyond ``keep`` and stray temp files (one
         directory listing per save)."""
         names = os.listdir(self.directory)
-        retained = self._scan(names)
-        self._retained = retained[-self.keep :]
-        for generation in retained[: -self.keep]:
+        for generation in self._scan(names)[: -self.keep]:
             try:
                 os.remove(self._path(generation))
                 self._count("durability.gc_collected")
             except OSError:  # pragma: no cover - already gone
                 pass
-            self._cursors.pop(generation, None)
         for name in names:
             if name.endswith(".tmp"):
                 try:
@@ -470,20 +444,6 @@ class DiskCheckpointStore(CheckpointStore):
 
     def generations(self) -> List[int]:
         return self._scan()
-
-    def oldest_cursor(self) -> Optional[int]:
-        if not self._retained:
-            return None
-        oldest = self._retained[0]
-        if oldest not in self._cursors:
-            # Opened over an existing directory: read the cursor from
-            # the frame header (tolerating a corrupt oldest generation
-            # by conservatively reporting its replay horizon unknown).
-            try:
-                self._cursors[oldest] = self.load(oldest).cursor
-            except CheckpointCorruptError:
-                return None
-        return self._cursors[oldest]
 
     def corrupt(self, generation, *, truncate_to=None, flip_bit=None) -> None:
         path = self._path(generation)

@@ -436,9 +436,6 @@ class FaultyStore:
     def generations(self):
         return self.inner.generations()
 
-    def oldest_cursor(self):
-        return self.inner.oldest_cursor()
-
     def corrupt(self, generation, **kwargs) -> None:
         self.inner.corrupt(generation, **kwargs)
 

@@ -19,15 +19,15 @@ state survives the process: checkpoints are CRC32-framed files written
 atomically, and a restore that finds the newest generation corrupt (a
 torn write, a bit flip) falls back generation-by-generation to the last
 good one.  The supervisor keeps its emitted-results log deep enough to
-cover the *oldest* retained generation, so exactly-once re-emission
-holds no matter which generation the restore lands on.
+cover the oldest retained generation *of this run*, so exactly-once
+re-emission holds no matter which generation the restore lands on.
 
 Exactly-once re-emission
 ------------------------
 Replayed input re-produces results the sink already saw.  Operators are
 deterministic (same state + same elements => same emissions, the
 property the checkpoint tests assert), so the supervisor logs every
-delivered result with the cursor of the batch that produced it and,
+delivered result at the end cursor of the batch that produced it and,
 during replay, matches re-emitted results against that log one-for-one
 -- suppressing the duplicates and *verifying* they are bit-identical to
 what was delivered (a mismatch means replay diverged and raises
@@ -243,37 +243,171 @@ def _count_records(elements: Sequence[StreamElement]) -> int:
     return sum(1 for element in elements if isinstance(element, Record))
 
 
-def _retry_store_io(
-    operation: Callable[[], T],
-    *,
-    policy: RestartPolicy,
-    failures: List[BaseException],
-    tracer: Optional[Tracer],
-    counter: str,
-    gave_up: str,
-    sleep: Callable[[float], None],
-    token: int = 0,
-) -> T:
-    """Call a checkpoint-store operation, retrying transient I/O errors
-    under the restart policy.
+class _RestartUnit:
+    """The recovery state of one restartable unit: a
+    :class:`SupervisedPipeline` run, or one shard of a
+    :class:`~repro.runtime.sharded.ShardedPipeline` run.
 
-    Every :class:`OSError` is appended to ``failures`` and counted as
-    ``counter``; past ``policy.max_restarts`` retries the run gives up
-    with :class:`PipelineFailed` (``gave_up`` formatted with the number
-    of attempts).  ``token`` is the backoff-jitter token (a shard index).
+    Positions are the driver's own (a source cursor, a feed seq); a
+    generation is saved at a position, and a result is logged at the
+    position after which a restore re-produces it.  A restore at
+    position ``P`` expects every logged result after ``P``, one for one.
+
+    * **Floor.**  The first generation this run saved, or the one it
+      resumed from: a restore never reaches below it, so a fresh run
+      never restores what a previous run left in a shared store.
+    * **Save / load.**  Transient :class:`OSError` is retried under the
+      restart policy (``durability.save_retries`` /
+      ``durability.load_retries``); past the budget, :class:`PipelineFailed`.
+    * **Trim.**  The log keeps what was delivered after the oldest
+      generation *of this run* the store still retains -- known from the
+      unit's own saves, never read back from the store.
+    * **Budget.**  :meth:`restart` counts against ``max_restarts``.
     """
-    attempt = 0
-    while True:
-        try:
-            return operation()
-        except OSError as exc:
-            failures.append(exc)
-            if tracer is not None:
-                tracer.count(counter)
-            if attempt >= policy.max_restarts:
-                raise PipelineFailed(gave_up.format(attempt + 1), failures) from exc
-            sleep(policy.delay(attempt, token=token))
-            attempt += 1
+
+    __slots__ = ("store", "policy", "failures", "tracer", "sleep", "token", "prefix",
+                 "floor", "restarts", "_saved", "_log", "_pending")
+
+    def __init__(
+        self,
+        store: CheckpointStore,
+        *,
+        policy: RestartPolicy,
+        failures: List[BaseException],
+        tracer: Optional[Tracer],
+        sleep: Callable[[float], None],
+        token: int = 0,
+        prefix: str = "",
+    ) -> None:
+        self.store = store
+        self.policy = policy
+        #: The driver's failure log, shared by all of its units.
+        self.failures = failures
+        self.tracer = tracer
+        self.sleep = sleep
+        #: Backoff-jitter token (a shard index).
+        self.token = token
+        #: Leads the unit's error messages (``"shard 3 "``).
+        self.prefix = prefix
+        self.floor: Optional[int] = None
+        self.restarts = 0
+        #: (generation, position) this run saved or resumed from, oldest
+        #: first, while the store may still retain the generation.
+        self._saved: Deque[Tuple[int, int]] = deque()
+        #: (position, result) of every delivered result a restore may
+        #: have to re-produce.
+        self._log: List[Tuple[int, WindowResult]] = []
+        #: Results the replay in progress must re-produce verbatim.
+        self._pending: Deque[WindowResult] = deque()
+
+    def _store_io(self, operation: Callable[[], T], counter: str, gave_up: str) -> T:
+        attempt = 0
+        while True:
+            try:
+                return operation()
+            except OSError as exc:
+                self.failures.append(exc)
+                if self.tracer is not None:
+                    self.tracer.count(counter)
+                if attempt >= self.policy.max_restarts:
+                    raise PipelineFailed(
+                        f"{self.prefix}checkpoint {gave_up.format(attempt + 1)}",
+                        self.failures,
+                    ) from exc
+                self.backoff(attempt)
+                attempt += 1
+
+    def save(
+        self, blob: bytes, position: int, records_processed: int, meta: Optional[dict] = None
+    ) -> int:
+        """Save one generation and trim the log; returns the horizon:
+        the position of the oldest generation of this run the store
+        still retains (no restore lands below it)."""
+        generation = self._store_io(
+            lambda: self.store.save(
+                blob, cursor=position, records_processed=records_processed, meta=meta
+            ),
+            "durability.save_retries",
+            f"save failed {{}} times at cursor {position}",
+        )
+        if self.floor is None:
+            self.floor = generation
+        saved = self._saved
+        saved.append((generation, position))
+        retained = set(self.store.generations())
+        while len(saved) > 1 and saved[0][0] not in retained:
+            saved.popleft()
+        horizon = saved[0][1]
+        if self._log and self._log[0][0] <= horizon:
+            self._log = [entry for entry in self._log if entry[0] > horizon]
+        return horizon
+
+    def resume(self) -> Optional[StoredCheckpoint]:
+        """The newest loadable generation in the store, whichever run
+        saved it; it becomes the floor.  ``None`` for an empty store."""
+        loaded = self._store_io(
+            self.store.load_latest, "durability.load_retries", "load failed {} times"
+        )
+        if loaded is not None:
+            self.floor = loaded.generation
+            self._saved.append((loaded.generation, loaded.cursor))
+        return loaded
+
+    def restore(self) -> Optional[StoredCheckpoint]:
+        """The newest loadable generation at or above the floor, with
+        the replay it implies armed.  ``None`` when this run saved
+        nothing yet: the replay starts from the start."""
+        if self.floor is None:
+            loaded = None
+            position = -1
+        else:
+            loaded = self._store_io(
+                lambda: self.store.load_latest(min_generation=self.floor),
+                "durability.load_retries",
+                "load failed {} times",
+            )
+            if loaded is None:
+                raise PipelineFailed(
+                    f"{self.prefix}no loadable checkpoint generation remains "
+                    "(all retained generations are corrupt)",
+                    self.failures,
+                )
+            position = loaded.cursor
+        self._pending = deque(result for at, result in self._log if at > position)
+        return loaded
+
+    def deliver(
+        self, results: List[WindowResult], position: int, emit: Callable[[WindowResult], None]
+    ) -> int:
+        """Match ``results`` against the replay in progress and ``emit``
+        (and log at ``position``) the rest; returns how many matched.
+        A mismatch means the replay diverged: :class:`RecoveryError`."""
+        pending = self._pending
+        log = self._log
+        deduped = 0
+        for result in results:
+            if pending:
+                expected = pending.popleft()
+                if not _results_match(expected, result):
+                    raise RecoveryError(
+                        f"{self.prefix}replay diverged from the pre-crash run: "
+                        f"expected {expected!r}, re-emitted {result!r}"
+                    )
+                deduped += 1
+            else:
+                emit(result)
+                log.append((position, result))
+        return deduped
+
+    def restart(self, cause: BaseException, gave_up: str) -> None:
+        """Count one restart; past ``max_restarts`` the run gives up with
+        :class:`PipelineFailed` (``gave_up`` formatted with the count)."""
+        self.restarts += 1
+        if self.restarts > self.policy.max_restarts:
+            raise PipelineFailed(gave_up.format(self.restarts), self.failures) from cause
+
+    def backoff(self, attempt: int) -> None:
+        self.sleep(self.policy.delay(attempt, token=self.token))
 
 
 class SupervisedPipeline:
@@ -376,18 +510,13 @@ class SupervisedPipeline:
         # when the batch succeeds on its first (non-replay) pass, so a
         # crashed half-batch or a replayed batch never reports twice.
         self._late_buffer: List[Record] = []
-        # Results delivered to the sink, keyed by the cursor of the
-        # batch that produced them.  Trimmed to the oldest retained
-        # store generation: any fallback restores at or after it, so
-        # the log always covers the replay window.
-        self._emitted_log: List[Tuple[int, WindowResult]] = []
         # Poison-record bookkeeping (only populated with a DLQ).
         self._quarantined: Set[int] = set()
         self._failures_at: Dict[int, int] = {}
         self._isolate_at: Optional[int] = None
-        # Fallback floor: a fresh run must never restore a generation a
-        # previous run left in a shared (disk) store.
-        self._min_generation: Optional[int] = None
+        # The run's recovery state: floor, saves, restarts and the log of
+        # delivered results (made per run).
+        self._unit: Optional[_RestartUnit] = None
 
     # ------------------------------------------------------------------
     # operator (un)wrapping
@@ -434,52 +563,15 @@ class SupervisedPipeline:
         under the restart policy (the previous generation stands until a
         save succeeds)."""
         blob = snapshot(self._snapshot_target(), tracer=self.tracer)
-        generation = _retry_store_io(
-            lambda: self.store.save(
-                blob, cursor=cursor, records_processed=records_processed
-            ),
-            policy=self.policy,
-            failures=self._failures,
-            tracer=self.tracer,
-            counter="durability.save_retries",
-            gave_up=f"checkpoint save failed {{}} times at cursor {cursor}",
-            sleep=self._sleep,
-        )
-        if self._min_generation is None:
-            self._min_generation = generation
+        self._unit.save(blob, cursor, records_processed)
         self.stats.checkpoints_taken += 1
-        self._trim_emitted_log()
-
-    def _trim_emitted_log(self) -> None:
-        horizon = self.store.oldest_cursor()
-        if (
-            horizon is not None
-            and self._emitted_log
-            and self._emitted_log[0][0] < horizon
-        ):
-            self._emitted_log = [
-                entry for entry in self._emitted_log if entry[0] >= horizon
-            ]
 
     def _restore_latest(self) -> StoredCheckpoint:
-        """Load the newest loadable generation (transient I/O retried,
-        corrupt generations skipped by the store) and reseat the
-        operator from it."""
-        loaded = _retry_store_io(
-            lambda: self.store.load_latest(min_generation=self._min_generation),
-            policy=self.policy,
-            failures=self._failures,
-            tracer=self.tracer,
-            counter="durability.load_retries",
-            gave_up="checkpoint load failed {} times",
-            sleep=self._sleep,
-        )
-        if loaded is None:
-            raise PipelineFailed(
-                "no loadable checkpoint generation remains "
-                "(all retained generations are corrupt)",
-                self._failures,
-            )
+        """Load the newest loadable generation of this run (transient
+        I/O retried, corrupt generations skipped by the store) and
+        reseat the operator from it."""
+        # Every run saves at its start or resumes: a restore point exists.
+        loaded = self._unit.restore()
         newest = self.store.generations()[-1]
         if newest != loaded.generation:
             # The store fell back past corrupt newer generations.
@@ -561,36 +653,18 @@ class SupervisedPipeline:
             )
         ]
 
-    def _deliver(
-        self,
-        results: List[WindowResult],
-        pending_replay: Deque[WindowResult],
-        batch_cursor: int,
-    ) -> None:
+    def _deliver(self, results: List[WindowResult], end: int) -> None:
         """Exactly-once delivery: replayed results must match what the
         sink already observed; only genuinely new results are emitted
-        (and logged against the batch that produced them)."""
-        stats = self.stats
-        for result in results:
-            if pending_replay:
-                expected = pending_replay.popleft()
-                if not _results_match(expected, result):
-                    raise RecoveryError(
-                        "replay diverged from the pre-crash run: "
-                        f"expected {expected!r}, re-emitted {result!r}"
-                    )
-                stats.deduped_results += 1
-            else:
-                self.sink.emit(result)
-                self._emitted_log.append((batch_cursor, result))
-                stats.results_emitted += 1
+        (and logged at the end cursor of the batch that produced them)."""
+        self.stats.deduped_results += self._unit.deliver(results, end, self._emit)
+
+    def _emit(self, result: WindowResult) -> None:
+        self.sink.emit(result)
+        self.stats.results_emitted += 1
 
     def _isolate_batch(
-        self,
-        cursor: int,
-        batch: List[StreamElement],
-        pending_replay: Deque[WindowResult],
-        replayed_batch: bool,
+        self, cursor: int, batch: List[StreamElement], replayed_batch: bool
     ) -> Optional[Record]:
         """Replay one failing batch record-at-a-time to find the poison
         record.  Successful prefixes are delivered (and deduped) as they
@@ -622,7 +696,7 @@ class SupervisedPipeline:
             else:
                 results = self._operator.process(element)
             self._flush_late_buffer(replayed_batch)
-            self._deliver(results, pending_replay, cursor)
+            self._deliver(results, cursor + len(batch))
         self._failures_at.pop(cursor, None)
         self._isolate_at = None
         return None
@@ -655,25 +729,25 @@ class SupervisedPipeline:
         self._install_late_hook()
         self._last_guard_check = 0
         self._late_buffer.clear()
+        unit = self._unit = _RestartUnit(
+            self.store,
+            policy=policy,
+            failures=self._failures,
+            tracer=self.tracer,
+            sleep=self._sleep,
+        )
 
         cursor = 0
         records_done = 0
-        if resume:
-            self._min_generation = None
-            loaded = self.store.load_latest()
-            if loaded is not None:
-                self._reseat(restore(loaded.blob, tracer=self.tracer))
-                cursor = loaded.cursor
-                records_done = loaded.records_processed
-                self.stats.resumed_from_cursor = loaded.cursor
-            else:
-                self._take_checkpoint(0, 0)
+        loaded = unit.resume() if resume else None
+        if loaded is not None:
+            self._reseat(restore(loaded.blob, tracer=self.tracer))
+            cursor = loaded.cursor
+            records_done = loaded.records_processed
+            stats.resumed_from_cursor = loaded.cursor
         else:
             self._take_checkpoint(0, 0)
         records_since_checkpoint = 0
-        # Results a replay is expected to re-produce verbatim.
-        pending_replay: Deque[WindowResult] = deque()
-        restarts = 0
         hiccups_in_row = 0
         total = len(source)
 
@@ -699,9 +773,7 @@ class SupervisedPipeline:
             replayed_batch = end <= self._high_cursor
             try:
                 if self._isolate_at == cursor:
-                    poison = self._isolate_batch(
-                        cursor, batch, pending_replay, replayed_batch
-                    )
+                    poison = self._isolate_batch(cursor, batch, replayed_batch)
                     if poison is not None:
                         # The culprit left mid-batch state behind; roll
                         # back to the checkpoint and replay without it.
@@ -709,7 +781,6 @@ class SupervisedPipeline:
                         cursor = loaded.cursor
                         records_done = loaded.records_processed
                         records_since_checkpoint = 0
-                        pending_replay = self._pending_after(cursor)
                         continue
                 else:
                     to_process = self._shed_filter(
@@ -717,7 +788,7 @@ class SupervisedPipeline:
                     )
                     results = self._operator.process_batch(to_process)
                     self._flush_late_buffer(replayed_batch)
-                    self._deliver(results, pending_replay, cursor)
+                    self._deliver(results, end)
             except RecoveryError:
                 # Not a failure a restore can heal: the same state and
                 # input would diverge again.  As on the sharded path.
@@ -727,14 +798,11 @@ class SupervisedPipeline:
                 self._failures.append(exc)
                 managed = self.dlq is not None and self._note_dlq_failure(cursor, exc)
                 if not managed:
-                    restarts += 1
-                    if restarts > policy.max_restarts:
-                        raise PipelineFailed(
-                            f"operator failed {restarts} times "
-                            f"(max_restarts={policy.max_restarts}); giving up "
-                            f"at cursor {cursor}",
-                            self._failures,
-                        ) from exc
+                    unit.restart(
+                        exc,
+                        f"operator failed {{}} times (max_restarts={policy.max_restarts}); "
+                        f"giving up at cursor {cursor}",
+                    )
                 began = self._clock()
                 loaded = self._restore_latest()
                 replayed_elements = cursor - loaded.cursor
@@ -742,16 +810,15 @@ class SupervisedPipeline:
                 cursor = loaded.cursor
                 records_done = loaded.records_processed
                 records_since_checkpoint = 0
-                pending_replay = self._pending_after(cursor)
                 stats.record_recovery(
                     self._clock() - began, replayed_elements, replayed_records
                 )
                 attempt = (
-                    self._failures_at.get(cursor, restarts) - 1
+                    self._failures_at.get(cursor, unit.restarts) - 1
                     if managed
-                    else restarts - 1
+                    else unit.restarts - 1
                 )
-                self._sleep(policy.delay(max(0, attempt)))
+                unit.backoff(max(0, attempt))
                 continue
 
             cursor = end
@@ -765,12 +832,6 @@ class SupervisedPipeline:
                 records_since_checkpoint = 0
 
         return stats
-
-    def _pending_after(self, cursor: int) -> Deque[WindowResult]:
-        """Delivered results the replay from ``cursor`` must re-produce."""
-        return deque(
-            result for batch_cursor, result in self._emitted_log if batch_cursor >= cursor
-        )
 
     def _rewind(self, stats: RecoveryStats) -> StoredCheckpoint:
         """Restore the newest loadable generation after a quarantine

@@ -38,25 +38,27 @@ Execution model
   way (see :func:`run_keyed_reference`).
 * **Recovery.**  Workers checkpoint their keyed operator every
   ``checkpoint_every`` records (RSLC snapshots, at batch boundaries) and
-  ship the blob to the coordinator, which saves it into that shard's
+  ship the blob to the coordinator.  Each shard is one restart unit
+  (:class:`~repro.runtime.recovery._RestartUnit`, the class a
+  :class:`~repro.runtime.recovery.SupervisedPipeline` run is), which
+  saves the blob into that shard's
   :class:`~repro.runtime.durability.CheckpointStore` (``store_factory``;
-  default an in-memory store keeping one generation).  When a shard
-  crashes -- an injected fault from :mod:`repro.runtime.faults`, a real
-  exception, or a hard process death -- only that shard restarts: the
-  coordinator restores the newest *loadable* generation from the store
-  (corrupt generations -- torn writes, bit flips -- are detected by
-  their CRC frame and skipped, falling back generation-by-generation)
-  and replays the feed items sent since that generation's position.
-  With a :class:`~repro.runtime.durability.DiskCheckpointStore` the
-  restore point survives even a hard-killed coordinator-side cache: the
-  blob is re-read from disk.  Results the sink already observed are
-  matched one-for-one against the replay
+  default an in-memory store keeping one generation), retrying transient
+  I/O errors under the restart policy.  When a shard crashes -- an
+  injected fault from :mod:`repro.runtime.faults`, a real exception, or
+  a hard process death -- only that shard restarts, from the newest
+  *loadable* generation this run saved (corrupt generations -- torn
+  writes, bit flips -- are detected by their CRC frame and skipped), and
+  the coordinator replays the feed items sent since that generation's
+  seq.  A shard none of whose generations loads fails the run with
+  :class:`~repro.runtime.recovery.PipelineFailed`.  Results the sink
+  already observed are matched one-for-one against the replay
   (:class:`~repro.runtime.recovery.RecoveryError` on divergence) and
   suppressed, so every window result is delivered exactly once, crash
-  or no crash -- the :class:`SupervisedPipeline` contract, per shard.
-  The coordinator keeps each shard's replay feed and delivered-results
-  log back to the *oldest retained* generation, so exactly-once holds
-  no matter how far the fallback reaches.
+  or no crash.  The coordinator keeps each shard's replay feed and
+  delivered-results log back to the oldest generation *of this run* the
+  store retains, so exactly-once holds no matter how far the fallback
+  reaches.
 
 Tracing counters (coordinator tracer): ``shard.batches``,
 ``shard.records`` (worker-side, folded in; replayed work counts again),
@@ -73,8 +75,7 @@ import os
 import pickle
 import queue as queue_module
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.operator_base import WindowOperator
 from ..core.tracing import Tracer
@@ -84,8 +85,7 @@ from .durability import CheckpointStore, InMemoryStore, StoredCheckpoint
 from .faults import FaultInjectingOperator, FaultPlan
 from .keyed import KeyedWindowOperator
 from .partition import _canonical_bytes, stable_hash
-from .recovery import PipelineFailed, RecoveryError, RestartPolicy
-from .recovery import _results_match, _retry_store_io
+from .recovery import RestartPolicy, _RestartUnit
 
 __all__ = ["ShardedPipeline", "run_keyed_reference", "alignment_key"]
 
@@ -158,7 +158,7 @@ def _shard_worker(config: Dict[str, Any], feed, out) -> None:
         if config["is_restart"]:
             kill_at = None  # a hard kill, like a real one, fires once
         records_done = config["records_done"]
-        since_ckpt = 0
+        unsaved = 0
         counters = {"shard.batches": 0, "shard.records": 0}
 
         while True:
@@ -181,10 +181,10 @@ def _shard_worker(config: Dict[str, Any], feed, out) -> None:
                 counters["shard.batches"] += 1
                 counters["shard.records"] += len(elements)
                 records_done += len(elements)
-                since_ckpt += len(elements)
+                unsaved += len(elements)
                 if results:
                     out.put(("results", shard, seq, eid, results))
-                if since_ckpt >= config["checkpoint_every"]:
+                if unsaved >= config["checkpoint_every"]:
                     # Snapshot the keyed operator only: fault wrappers
                     # are transient environment, not state.
                     blob = snapshot(keyed)
@@ -198,7 +198,7 @@ def _shard_worker(config: Dict[str, Any], feed, out) -> None:
                             _shipped_counters(counters, tracer),
                         )
                     )
-                    since_ckpt = 0
+                    unsaved = 0
             else:  # "mark"
                 _, seq, eid, payload = item
                 if payload == "flush":
@@ -226,60 +226,40 @@ class _ShardState:
 
     __slots__ = (
         "index",
+        "unit",
         "queue",
         "process",
         "generation",
-        "restarts",
         "buffer",
         "next_seq",
         "replay",
         "sent_upto",
-        "store",
-        "first_generation",
-        "ckpt_seq",
-        "ckpt_blob",
-        "ckpt_records",
-        "ckpt_counters",
-        "since_ckpt",
-        "pending_replay",
+        "restore_point",
         "fired",
         "epoch_done",
         "stopped",
         "crashed",
     )
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, unit: _RestartUnit) -> None:
         self.index = index
+        #: The shard's recovery state: store, floor, restart budget and
+        #: the log of delivered results, positioned by feed seq.
+        self.unit = unit
         self.queue = None
         self.process = None
         self.generation = 0
-        self.restarts = 0
         #: Records waiting to fill the next batch for this shard.
         self.buffer: List[Record] = []
         self.next_seq = 0
-        #: Feed items since the oldest retained checkpoint generation
-        #: (the replay source; a fallback may restore any of them).
+        #: Feed items after the unit's horizon (the replay source; a
+        #: fallback may restore any generation at or above it).
         self.replay: List[tuple] = []
         #: How many of ``replay`` have been put on the current queue.
         self.sent_upto = 0
-        #: This shard's durable checkpoint store (set per run).
-        self.store: Optional[CheckpointStore] = None
-        #: First generation this run saved -- the fallback floor; stale
-        #: generations a previous run left in a shared store are never
-        #: restored.
-        self.first_generation: Optional[int] = None
-        #: The restore point the current worker life started from
-        #: (chosen by ``_restart`` from the store; blob ``None`` means a
-        #: fresh operator).
-        self.ckpt_seq = -1
-        self.ckpt_blob: Optional[bytes] = None
-        self.ckpt_records = 0
-        self.ckpt_counters: Dict[str, int] = {}
-        #: Results delivered downstream since the oldest retained
-        #: generation, with the feed seq that produced them.
-        self.since_ckpt: List[Tuple[int, WindowResult]] = []
-        #: Replayed results still expected to be re-emitted verbatim.
-        self.pending_replay: Deque[Tuple[int, WindowResult]] = deque()
+        #: The generation the current worker life started from (``None``:
+        #: a fresh operator).
+        self.restore_point: Optional[StoredCheckpoint] = None
         #: Fault positions that already fired (accumulated over crashes).
         self.fired: set = set()
         self.epoch_done = -1
@@ -393,12 +373,13 @@ class ShardedPipeline:
 
     def _spawn(self, state: _ShardState) -> None:
         index = state.index
+        point = state.restore_point
         config = {
             "shard": index,
             "factory": self._factory_bytes,
-            "snapshot": state.ckpt_blob,
+            "snapshot": point.blob if point is not None else None,
             "fired": tuple(state.fired),
-            "records_done": state.ckpt_records,
+            "records_done": point.records_processed if point is not None else 0,
             "checkpoint_every": self.checkpoint_every,
             "trace": self.trace,
             "is_restart": state.generation > 0,
@@ -416,52 +397,22 @@ class ShardedPipeline:
         )
         state.process.start()
 
-    def _load_restore_point(self, state: _ShardState) -> Optional[StoredCheckpoint]:
-        """Newest loadable generation from the shard's store (transient
-        I/O errors retried under the restart-policy budget; corrupt
-        generations skipped by the store's CRC check)."""
-        if state.first_generation is None:
-            return None  # nothing saved this run: restart from scratch
-        return _retry_store_io(
-            lambda: state.store.load_latest(min_generation=state.first_generation),
-            policy=self.policy,
-            failures=self._failures,
-            tracer=self.tracer,
-            counter="durability.load_retries",
-            gave_up=f"shard {state.index} checkpoint load failed {{}} times",
-            sleep=time.sleep,
-            token=state.index,
-        )
-
     def _restart(self, state: _ShardState, cause: BaseException) -> None:
         """Respawn one crashed shard from the newest loadable checkpoint
-        generation and replay the feed sent since it."""
+        generation of this run and replay the feed sent since it."""
         self._failures.append(cause)
-        state.restarts += 1
-        if state.restarts > self.policy.max_restarts:
-            self._terminate_all()
-            raise PipelineFailed(
-                f"shard {state.index} failed {state.restarts} times "
-                f"(max_restarts={self.policy.max_restarts}); giving up",
-                self._failures,
-            ) from cause
+        unit = state.unit
+        unit.restart(
+            cause,
+            f"shard {state.index} failed {{}} times "
+            f"(max_restarts={self.policy.max_restarts}); giving up",
+        )
         self.tracer.count("shard.restarts")
-        loaded = self._load_restore_point(state)
-        if loaded is not None:
-            state.ckpt_seq = loaded.cursor
-            state.ckpt_blob = loaded.blob
-            state.ckpt_records = loaded.records_processed
-            state.ckpt_counters = dict((loaded.meta or {}).get("counters", {}))
-        else:
-            # All generations corrupt (or none saved yet): restart from
-            # the beginning of the retained replay window.
-            state.ckpt_seq = -1
-            state.ckpt_blob = None
-            state.ckpt_records = 0
-            state.ckpt_counters = {}
-        # This life's pre-restore-point work is final; everything after
-        # it will be recounted by the replay.
-        self._fold_counters(state.ckpt_counters)
+        point = state.restore_point = unit.restore()
+        if point is not None:
+            # This life's pre-restore-point work is final; everything
+            # after it will be recounted by the replay.
+            self._fold_counters(point.meta.get("counters", {}))
         old_queue = state.queue
         if state.process is not None:
             state.process.join(timeout=5.0)
@@ -473,19 +424,13 @@ class ShardedPipeline:
             # queue for the fresh process avoids double delivery.
             old_queue.cancel_join_thread()
             old_queue.close()
-        time.sleep(self.policy.delay(state.restarts - 1, token=state.index))
+        unit.backoff(unit.restarts - 1)
         state.generation += 1
         state.crashed = False
-        # Everything delivered after the restore point must be
-        # re-emitted verbatim by the replay before anything new is
-        # accepted.  Feed items at or before it are durable w.r.t. this
-        # restore point and are skipped -- but stay retained (trimmed
-        # only by checkpoint GC) in case a later restart falls back to
-        # an older generation.
-        seq0 = state.ckpt_seq
-        state.pending_replay = deque(
-            (s, r) for s, r in state.since_ckpt if s > seq0
-        )
+        # Feed items at or before the restore point are skipped -- but
+        # stay retained (trimmed only to the unit's horizon) in case a
+        # later restart falls back to an older generation.
+        seq0 = point.cursor if point is not None else -1
         skip = 0
         for item in state.replay:
             if item[1] > seq0:
@@ -579,20 +524,9 @@ class ShardedPipeline:
         if kind == "results":
             _, _, seq, eid, results = message
             fresh: List[WindowResult] = []
-            for result in results:
-                if state.pending_replay:
-                    expected_seq, expected = state.pending_replay.popleft()
-                    if not _results_match(expected, result):
-                        self._terminate_all()
-                        raise RecoveryError(
-                            f"shard {state.index} replay diverged from the "
-                            f"pre-crash run: expected {expected!r}, "
-                            f"re-emitted {result!r}"
-                        )
-                    self.tracer.count("shard.deduped_results")
-                else:
-                    state.since_ckpt.append((seq, result))
-                    fresh.append(result)
+            deduped = state.unit.deliver(results, seq, fresh.append)
+            if deduped:
+                self.tracer.count("shard.deduped_results", deduped)
             if fresh:
                 buffers = self._epoch_results.setdefault(
                     eid, [[] for _ in range(self.parallelism)]
@@ -605,40 +539,15 @@ class ShardedPipeline:
                 self._release_epochs()
         elif kind == "ckpt":
             _, _, seq, records, blob, counters = message
-            try:
-                generation = state.store.save(
-                    blob,
-                    cursor=seq,
-                    records_processed=records,
-                    meta={"counters": counters},
-                )
-            except OSError as exc:
-                # A failed save is survivable: the previous generation
-                # stands, and the replay window simply stays deeper.
-                self._failures.append(exc)
-                self.tracer.count("shard.ckpt_save_errors")
-                return
-            if state.first_generation is None:
-                state.first_generation = generation
-            # The new generation makes everything at/before seq durable,
-            # but a corrupt newer generation may force a fallback: keep
-            # replay state back to the *oldest retained* generation and
-            # only trim what checkpoint GC has aged out.  Every trimmed
-            # item was necessarily already sent (the worker processed
-            # past it), so sent_upto shrinks by the trim.
-            horizon = state.store.oldest_cursor()
-            if horizon is None:
-                horizon = seq  # oldest frame unreadable: newest rules
+            horizon = state.unit.save(blob, seq, records, {"counters": counters})
+            # A corrupt newer generation may force a fallback to any
+            # generation of this run the store retains: the feed is kept
+            # back to the oldest of them.  Every trimmed item was already
+            # sent (the worker processed past it), so sent_upto shrinks
+            # by the trim.
             before = len(state.replay)
-            state.replay = [it for it in state.replay if it[1] > horizon]
+            state.replay = [item for item in state.replay if item[1] > horizon]
             state.sent_upto -= before - len(state.replay)
-            state.since_ckpt = [(s, r) for s, r in state.since_ckpt if s > horizon]
-            # Matching of in-flight replayed results is against the
-            # worker's actual restore point, which is never newer than
-            # this checkpoint: only age-out trimming applies here too.
-            state.pending_replay = deque(
-                (s, r) for s, r in state.pending_replay if s > horizon
-            )
         elif kind == "stats":
             _, _, records, counters = message
             state.stopped = True
@@ -688,7 +597,6 @@ class ShardedPipeline:
         ``flush=False`` ends with a result-free alignment barrier
         instead, mirroring a pipeline that stops between watermarks.
         """
-        self._shards = [_ShardState(i) for i in range(self.parallelism)]
         self._out = self._context.Queue()
         self._epoch_results = {}
         self._output = []
@@ -697,14 +605,7 @@ class ShardedPipeline:
         self._failures = []
         self._pending_crashes = []
         self.tracer = Tracer()
-        for state in self._shards:
-            state.store = (
-                self.store_factory(state.index)
-                if self.store_factory is not None
-                else InMemoryStore(keep=1)
-            )
-            if state.store.tracer is None:
-                state.store.tracer = self.tracer
+        self._shards = [_ShardState(i, self._make_unit(i)) for i in range(self.parallelism)]
         eid = 0
         try:
             for state in self._shards:
@@ -735,6 +636,24 @@ class ShardedPipeline:
             self._out.cancel_join_thread()
             self._out.close()
         return self._output
+
+    def _make_unit(self, index: int) -> _RestartUnit:
+        store = (
+            self.store_factory(index)
+            if self.store_factory is not None
+            else InMemoryStore(keep=1)
+        )
+        if store.tracer is None:
+            store.tracer = self.tracer
+        return _RestartUnit(
+            store,
+            policy=self.policy,
+            failures=self._failures,
+            tracer=self.tracer,
+            sleep=time.sleep,
+            token=index,
+            prefix=f"shard {index} ",
+        )
 
     def _flush_buffer(self, state: _ShardState, eid: int) -> None:
         if state.buffer:

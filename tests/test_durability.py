@@ -127,13 +127,6 @@ class TestStoreContract:
             with pytest.raises(KeyError):
                 store.load(generations[0])
 
-    def test_oldest_cursor_tracks_gc(self, tmp_path):
-        for name, store in make_stores(tmp_path).items():
-            assert store.oldest_cursor() is None, name
-            for i in range(5):
-                store.save(b"x", cursor=i * 10, records_processed=0)
-            assert store.oldest_cursor() == 20, name  # 2 oldest GC'd
-
     def test_load_latest_falls_back_past_corruption(self, tmp_path):
         for name, store in make_stores(tmp_path).items():
             tracer = Tracer()
@@ -205,7 +198,6 @@ class TestDiskStore:
         reopened = DiskCheckpointStore(tmp_path / "d", keep=3)
         assert reopened.generations() == [g_old, g_new]
         assert reopened.load_latest().blob == b"second"
-        assert reopened.oldest_cursor() == 10
         # Numbering resumes past the dead run's generations.
         assert reopened.save(b"third", cursor=30, records_processed=30) > g_new
 
@@ -260,18 +252,9 @@ class TestDiskStore:
         reopened = DiskCheckpointStore(tmp_path / "d", keep=3)
         assert reopened.generations() == [g0, g1]
         assert reopened.load_latest().blob == b"beta"
-        assert reopened.oldest_cursor() == 1
         assert reopened.save(b"gamma", cursor=3, records_processed=3) == g1 + 1
         with open(manifest) as handle:
             assert json.load(handle)["generations"] == [g0, g1 + 5]  # untouched
-
-    def test_corrupt_oldest_reports_unknown_horizon(self, tmp_path):
-        store = DiskCheckpointStore(tmp_path / "d", keep=2)
-        g0 = store.save(b"a", cursor=10, records_processed=10)
-        store.save(b"b", cursor=20, records_processed=20)
-        reopened = DiskCheckpointStore(tmp_path / "d", keep=2)
-        reopened.corrupt(g0, truncate_to=4)
-        assert reopened.oldest_cursor() is None
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +303,6 @@ class TestFaultyStore:
         store = FaultyStore(inner, seed=FUZZ_SEED)
         g = store.save(b"x", cursor=3, records_processed=2)
         assert store.generations() == [g]
-        assert store.oldest_cursor() == 3
         assert store.frame_size(g) == inner.frame_size(g)
         assert store.load(g).blob == b"x"
 

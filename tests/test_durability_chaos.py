@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 
 from conftest import run_operator
-from repro import Record
+from repro import Record, Watermark
 from repro.aggregations import Sum
 from repro.experiments.harness import TECHNIQUES, make_operator
 from repro.runtime import (
@@ -327,13 +327,57 @@ def test_resume_with_empty_store_starts_fresh(tmp_path):
     assert sink.results == run_operator(factory(), elements)
 
 
+def _counting_stream(length):
+    """``Record(i, 1.0)`` with ``Watermark(i - 5)`` after every 20th."""
+    elements: list = []
+    for index in range(length):
+        elements.append(Record(index, 1.0))
+        if (index + 1) % 20 == 0:
+            elements.append(Watermark(index - 5))
+    return elements
+
+
+def test_a_fresh_run_over_a_used_directory_falls_back_exactly_once(tmp_path):
+    """A fresh (not resumed) run over a directory a longer run left its
+    generations in.  The fresh run's newest generation is torn, so its
+    restore falls back to its first.  The results it must re-produce
+    reach back to that generation, whatever the previous run's
+    generations still retained in the directory say: the run delivers
+    exactly the unfailed output instead of failing with "replay
+    diverged"."""
+    directory = tmp_path / "ckpt"
+    SupervisedPipeline(
+        _sharded_factory(),
+        CollectSink(),
+        checkpoint_every=100,
+        batch_size=10,
+        store=DiskCheckpointStore(directory, keep=3),
+    ).run(_counting_stream(4_000))
+
+    elements = _counting_stream(600)
+    sink = CollectSink()
+    tracer = Tracer()
+    pipeline = SupervisedPipeline(
+        FaultInjectingOperator(_sharded_factory(), crash_at=[150]),
+        sink,
+        checkpoint_every=100,
+        batch_size=10,
+        store=FaultyStore(DiskCheckpointStore(directory, keep=3), torn_write_at=(1,), seed=3),
+        tracer=tracer,
+        sleep=lambda _seconds: None,
+    )
+    stats = pipeline.run(elements)
+
+    assert sink.results == run_operator(_sharded_factory(), elements)
+    assert stats.restarts == 1 and stats.store_fallbacks == 1
+    assert stats.deduped_results > 0
+
+
 # ----------------------------------------------------------------------
 # sharded: the coordinator restores a hard-killed shard from disk
 
 
 def _keyed_stream(rng, *, length=600, cardinality=8, watermark_every=50):
-    from repro import Watermark
-
     ts = 0
     elements: list = []
     for index in range(length):
@@ -424,3 +468,36 @@ def test_sharded_soft_crash_with_memory_store_factory(tmp_path):
 
 def _memory_store(_index: int) -> InMemoryStore:
     return InMemoryStore(keep=3)
+
+
+@pytest.mark.shard
+def test_a_fresh_sharded_run_over_used_directories_falls_back_exactly_once(tmp_path):
+    """The sharded twin of the supervised case above: a fresh run over a
+    shard directory a longer run used tears its second generation and
+    crashes after it, so the restore falls back to its first.  The feed
+    and the results the replay needs reach back to that generation, not
+    to the previous run's oldest retained one."""
+    ShardedPipeline(
+        _sharded_factory,
+        1,
+        batch_size=10,
+        checkpoint_every=100,
+        store_factory=lambda _index: DiskCheckpointStore(tmp_path / "ckpt", keep=3),
+    ).run(_counting_stream(4_000))
+
+    elements = _counting_stream(600)
+    pipeline = ShardedPipeline(
+        _sharded_factory,
+        1,
+        batch_size=10,
+        checkpoint_every=100,
+        crash_at={0: (250,)},
+        store_factory=lambda _index: FaultyStore(
+            DiskCheckpointStore(tmp_path / "ckpt", keep=3), torn_write_at=(1,), seed=3
+        ),
+    )
+    merged = pipeline.run(elements)
+
+    assert _comparable(merged) == _comparable(run_keyed_reference(_sharded_factory, elements))
+    assert pipeline.tracer.value("shard.restarts") == 1
+    assert pipeline.tracer.value("durability.fallbacks") == 1

@@ -191,7 +191,7 @@ class TestQueriesAddedMidStream:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP 8(c): a changed query set gets a fresh chain, and the "
+        reason="ROADMAP 5: a changed query set gets a fresh chain, and the "
         "slices of the queries already on it are dropped",
     )
     @pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "out-of-order"])

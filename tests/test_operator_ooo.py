@@ -579,7 +579,7 @@ class TestMultiMeasureOutOfOrder:
         assert 3.0 in values  # initial emission
         assert 10.0 in values  # update after the late record
 
-    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP 9(e)")
+    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP 12(e)")
     def test_a_late_record_before_an_emptied_count_boundary(self):
         """The late 527 updates the window at edge 550 by splitting its
         start off at count 1; the late 520 then shifts the one record

@@ -274,6 +274,62 @@ def test_chaos_transient_checkpoint_load_error_is_retried():
 
 
 @pytest.mark.chaos
+def test_chaos_transient_checkpoint_save_error_is_retried():
+    """Shard 0's first checkpoint save hits one transient store I/O
+    error: the save is retried under the restart policy (and counted),
+    so the restore after the later crash still finds that generation and
+    the merged output is exact."""
+    rng = random.Random(f"{SEED}:chaos-save")
+    elements = _keyed_stream(rng, length=600, cardinality=8, watermark_every=50)
+    factory = _factory("lazy", CHAOS_SPECS)
+    expected = run_keyed_reference(factory, elements)
+
+    pipeline = ShardedPipeline(
+        factory,
+        2,
+        batch_size=16,
+        queue_capacity=4,
+        checkpoint_every=50,
+        crash_at={0: (150,)},
+        store_factory=lambda index: FaultyStore(
+            InMemoryStore(keep=1), io_error_saves=(0,) if index == 0 else ()
+        ),
+        context=CONTEXT,
+    )
+    merged = pipeline.run(elements)
+
+    assert _comparable(merged) == _comparable(expected)
+    assert pipeline.tracer.value("shard.restarts") == 1
+    assert pipeline.tracer.value("durability.save_retries") == 1
+
+
+@pytest.mark.chaos
+def test_every_generation_corrupt_fails_explicitly():
+    """Every generation the shard saves is torn.  The restore after its
+    crash finds nothing loadable and fails the run, as the supervised
+    driver does -- it does not restart a fresh operator over the feed
+    its trims left, which read window [1000, 2000) as 700.0, not 2000.0."""
+    elements: list = []
+    for index in range(4_000):
+        elements.append(Record(index // 2, 1.0, "k"))
+        if (index + 1) % 500 == 0:
+            elements.append(Watermark(index // 2 - 100))
+    pipeline = ShardedPipeline(
+        _factory("lazy", (("tumbling", (1000,), "Sum"),)),
+        1,
+        batch_size=50,
+        checkpoint_every=100,
+        crash_at={0: [3300]},
+        store_factory=lambda index: FaultyStore(
+            InMemoryStore(keep=1), torn_write_at=range(1000), seed=1
+        ),
+        context=CONTEXT,
+    )
+    with pytest.raises(PipelineFailed, match="no loadable checkpoint"):
+        pipeline.run(elements)
+
+
+@pytest.mark.chaos
 def test_chaos_seeded_fault_plan_multiple_crashes():
     rng = random.Random(f"{SEED}:chaos-plan")
     elements = _keyed_stream(rng, length=500, cardinality=6, watermark_every=40)

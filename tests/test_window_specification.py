@@ -203,7 +203,7 @@ def test_windows_inside_an_operator_pickle_like_fresh_ones(case):
     punctuated = any(isinstance(element, Punctuation) for element in arrival)
     for makers in (_TIME_WINDOWS, _COUNT_WINDOWS, _LAST_N_WINDOWS):
         # A late record behind an emitted last-n window can crash the
-        # count shift (ROADMAP 9(e), pinned in test_operator_ooo.py):
+        # count shift (ROADMAP 12(e), pinned in test_operator_ooo.py):
         # that operator drops what arrives behind the watermark.
         allowed = 0 if makers is _LAST_N_WINDOWS else lateness
         operator = GeneralSlicingOperator(stream_in_order=in_order, allowed_lateness=allowed)
