@@ -84,6 +84,8 @@ class AggregateFunction(Generic[V, P, R]):
     #: Distributive / algebraic / holistic.
     kind: AggregationClass = AggregationClass.ALGEBRAIC
 
+    __slots__ = ()
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         # An inherited bulk hook is a shortcut around the *parent's* lift

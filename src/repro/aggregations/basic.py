@@ -27,6 +27,8 @@ __all__ = [
 class Sum(AggregateFunction[float, float, float]):
     """Invertible, commutative, distributive sum."""
 
+    __slots__ = ()
+
     name = "sum"
     commutative = True
     invertible = True
@@ -69,6 +71,8 @@ class SumWithoutInvert(Sum):
     full recomputation of the slice aggregate.
     """
 
+    __slots__ = ()
+
     name = "sum w/o invert"
     invertible = False
 
@@ -78,6 +82,8 @@ class SumWithoutInvert(Sum):
 
 class Count(AggregateFunction[Any, int, int]):
     """Invertible, commutative, distributive count."""
+
+    __slots__ = ()
 
     name = "count"
     commutative = True
@@ -113,6 +119,8 @@ class Count(AggregateFunction[Any, int, int]):
 
 class Average(AggregateFunction[float, Tuple[float, int], float]):
     """Algebraic average: the partial is a ``(sum, count)`` pair."""
+
+    __slots__ = ()
 
     name = "avg"
     commutative = True
@@ -157,6 +165,8 @@ class Min(AggregateFunction[float, float, float]):
     invertibility").  That check is :meth:`unaffected_by_removal`.
     """
 
+    __slots__ = ()
+
     name = "min"
     commutative = True
     invertible = False
@@ -189,6 +199,8 @@ class Min(AggregateFunction[float, float, float]):
 
 class Max(AggregateFunction[float, float, float]):
     """Non-invertible, commutative, distributive maximum."""
+
+    __slots__ = ()
 
     name = "max"
     commutative = True

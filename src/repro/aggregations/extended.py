@@ -29,6 +29,8 @@ __all__ = [
 class MinCount(AggregateFunction[float, Tuple[float, int], Tuple[float, int]]):
     """Minimum together with its multiplicity: ``(min, count_of_min)``."""
 
+    __slots__ = ()
+
     name = "mincount"
     commutative = True
     invertible = False
@@ -53,6 +55,8 @@ class MinCount(AggregateFunction[float, Tuple[float, int], Tuple[float, int]]):
 
 class MaxCount(AggregateFunction[float, Tuple[float, int], Tuple[float, int]]):
     """Maximum together with its multiplicity: ``(max, count_of_max)``."""
+
+    __slots__ = ()
 
     name = "maxcount"
     commutative = True
@@ -85,6 +89,8 @@ class ArgMin(AggregateFunction[Tuple[float, Any], Tuple[float, Any], Any]):
     ties -- we treat it as commutative like the original catalogue).
     """
 
+    __slots__ = ()
+
     name = "argmin"
     commutative = True
     invertible = False
@@ -106,6 +112,8 @@ class ArgMin(AggregateFunction[Tuple[float, Any], Tuple[float, Any], Any]):
 
 class ArgMax(AggregateFunction[Tuple[float, Any], Tuple[float, Any], Any]):
     """Argument of the maximum (see :class:`ArgMin`)."""
+
+    __slots__ = ()
 
     name = "argmax"
     commutative = True
@@ -131,6 +139,8 @@ class GeometricMean(AggregateFunction[float, Tuple[float, int], float]):
 
     Requires strictly positive inputs.  Invertible (subtract the log).
     """
+
+    __slots__ = ()
 
     name = "geomean"
     commutative = True
@@ -164,6 +174,8 @@ class GeometricMean(AggregateFunction[float, Tuple[float, int], float]):
 class PopulationStdDev(AggregateFunction[float, Tuple[float, float, int], float]):
     """Population standard deviation via ``(sum, sum_of_squares, count)``."""
 
+    __slots__ = ()
+
     name = "stddev"
     commutative = True
     invertible = True
@@ -196,6 +208,8 @@ class PopulationStdDev(AggregateFunction[float, Tuple[float, float, int], float]
 
 class SampleStdDev(PopulationStdDev):
     """Sample (Bessel-corrected) standard deviation."""
+
+    __slots__ = ()
 
     name = "sample stddev"
 
@@ -246,6 +260,8 @@ class M4(AggregateFunction[float, M4Partial, Tuple[float, float, float, float]])
     non-commutative: out-of-order streams force the general slicer to
     retain records (Figure 4, branch 1).
     """
+
+    __slots__ = ()
 
     name = "m4"
     commutative = False

@@ -301,7 +301,8 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
     results with ``==``, not by ``repr``.
     """
 
-    name = "percentile"
+    __slots__ = ("q", "name")
+
     commutative = True
     invertible = True
     kind = AggregationClass.HOLISTIC
@@ -363,6 +364,8 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
 class Median(Percentile):
     """The 50th percentile, the paper's canonical holistic function."""
 
+    __slots__ = ()
+
     def __init__(self) -> None:
         super().__init__(0.5)
         self.name = "median"
@@ -370,6 +373,8 @@ class Median(Percentile):
 
 class PlainMedian(AggregateFunction[float, SortedValues, float]):
     """Median over plain sorted lists (ablation: no run-length encoding)."""
+
+    __slots__ = ()
 
     name = "median (no RLE)"
     commutative = True

@@ -18,6 +18,8 @@ __all__ = ["First", "Last", "CollectList", "ConcatString"]
 class First(AggregateFunction[Any, Any, Any]):
     """The first value in stream order."""
 
+    __slots__ = ()
+
     name = "first"
     commutative = False
     invertible = False
@@ -35,6 +37,8 @@ class First(AggregateFunction[Any, Any, Any]):
 
 class Last(AggregateFunction[Any, Any, Any]):
     """The last value in stream order."""
+
+    __slots__ = ()
 
     name = "last"
     commutative = False
@@ -56,6 +60,8 @@ class CollectList(AggregateFunction[Any, Tuple[Any, ...], List[Any]]):
 
     Partials are tuples so they stay immutable under sharing.
     """
+
+    __slots__ = ()
 
     name = "collect"
     commutative = False
@@ -80,6 +86,8 @@ class CollectList(AggregateFunction[Any, Tuple[Any, ...], List[Any]]):
 
 class ConcatString(AggregateFunction[str, str, str]):
     """Concatenate string values in stream order."""
+
+    __slots__ = ("separator",)
 
     name = "concat"
     commutative = False

@@ -25,7 +25,8 @@ class TopK(AggregateFunction[float, Tuple[float, ...], List[float]]):
     individual input values, not a fixed-size summary of them).
     """
 
-    name = "top-k"
+    __slots__ = ("k", "name")
+
     commutative = True
     invertible = False
     kind = AggregationClass.HOLISTIC
@@ -63,6 +64,8 @@ class CountDistinct(AggregateFunction[Any, FrozenSet[Any], int]):
     the value cardinality -- the property the Figure 14 datasets vary.
     """
 
+    __slots__ = ()
+
     name = "count distinct"
     commutative = True
     invertible = False
@@ -91,6 +94,8 @@ class Product(AggregateFunction[float, Tuple[float, int], float]):
     product of the *non-zero* values plus a zero counter -- a classic
     trick to keep an "almost invertible" function invertible.
     """
+
+    __slots__ = ()
 
     name = "product"
     commutative = True

@@ -67,6 +67,8 @@ class AggregateStore:
     #: so an eager store's windows are resolved directly.
     shared_suffix_folding = True
 
+    __slots__ = ("functions", "slices", "_tracer")
+
     def __init__(self, functions: Sequence[AggregateFunction]) -> None:
         self.functions = list(functions)
         self.slices: List[Slice] = []
@@ -251,6 +253,8 @@ class AggregateStore:
 class LazyAggregateStore(AggregateStore):
     """Slice list only; window aggregates combined on demand (lazy slicing)."""
 
+    __slots__ = ()
+
 
 class EagerAggregateStore(AggregateStore):
     """Slice list plus one incremental kernel per function.
@@ -280,6 +284,8 @@ class EagerAggregateStore(AggregateStore):
     """
 
     shared_suffix_folding = False
+
+    __slots__ = ("kernel_kinds", "kernels", "lag_from")
 
     def __init__(
         self,

@@ -195,6 +195,18 @@ class WorkloadCharacteristics:
     depends only on workload characteristics.
     """
 
+    __slots__ = (
+        "queries",
+        "stream_in_order",
+        "store_tuples",
+        "needs_splits",
+        "has_count_measure",
+        "has_sessions",
+        "has_context_aware",
+        "all_commutative",
+        "removal_strategies",
+    )
+
     def __init__(self, queries: Sequence[Query], stream_in_order: bool) -> None:
         self.queries: List[Query] = list(queries)
         self.stream_in_order = stream_in_order

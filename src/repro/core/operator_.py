@@ -29,7 +29,6 @@ lateness yield update results.
 from __future__ import annotations
 
 import bisect
-import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..aggregations.base import AggregateFunction
@@ -43,6 +42,7 @@ from .kernels import KernelKind
 from .measures import MeasureKind
 from .operator_base import StreamOrderViolation, WindowOperator
 from .slice_manager import SliceManager
+from .slots import set_slot_state, slot_state
 from .stream_slicer import StreamSlicer
 from .types import Punctuation, Record, StreamElement, Watermark, WindowResult
 from .window_manager import ManagedQuery, WindowManager
@@ -51,9 +51,30 @@ __all__ = ["GeneralSlicingOperator"]
 
 _TS_KEY = lambda record: record.ts  # noqa: E731 - bisect key
 
+#: What :meth:`_Chain._derive_read_per_record` sets: never pickled.
+_DERIVED = ("_fixed_edge_windows", "_session_gaps", "accumulators", "refolds", "structured")
+
 
 class _Chain:
     """One slicing pipeline serving all queries of a single measure."""
+
+    __slots__ = (
+        "measure_kind",
+        "queries",
+        "functions",
+        "_fn_index",
+        "_fn_index_of_query",
+        "_share_aggregates",
+        "characteristics",
+        "kernel_kinds",
+        "store",
+        "_windows",
+        "session_windows",
+        "manager",
+        "edges_move",
+        "slicer",
+        "window_manager",
+    ) + _DERIVED
 
     def __init__(
         self,
@@ -146,14 +167,10 @@ class _Chain:
             )
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_fixed_edge_windows"], state["_session_gaps"]
-        del state["accumulators"], state["structured"], state["refolds"]
-        return state
+        return slot_state(self, leave_out=_DERIVED)
 
     def __setstate__(self, state: dict) -> None:
-        # Interned, as the default unpickling does (see WindowManager).
-        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        set_slot_state(self, state)
         self._derive_read_per_record()
 
     # ------------------------------------------------------------------
@@ -368,6 +385,22 @@ class GeneralSlicingOperator(WindowOperator):
         windows reuse each other's slice-range partials (on by
         default; off for ablations).
     """
+
+    __slots__ = (
+        "stream_in_order",
+        "eager",
+        "allowed_lateness",
+        "emit_empty",
+        "share_aggregates",
+        "share_windows",
+        "kernel",
+        "_timestamp_of",
+        "_chains",
+        "_chain_list",
+        "_max_ts",
+        "_watermark",
+        "_arrived",
+    )
 
     def __init__(
         self,

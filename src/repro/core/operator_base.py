@@ -17,6 +17,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from ..aggregations.base import AggregateFunction
 from ..windows.base import WindowType
 from .characteristics import Query
+from .slots import set_slot_state, slot_state
 from .tracing import Tracer
 from .types import Punctuation, Record, StreamElement, Watermark, WindowResult
 
@@ -29,6 +30,8 @@ class StreamOrderViolation(RuntimeError):
 
 class WindowOperator:
     """Abstract tuple-at-a-time window aggregation operator."""
+
+    __slots__ = ("_next_query_id", "queries", "on_late_record", "_dropped_late", "_tracer")
 
     def __init__(self) -> None:
         self._next_query_id = 0
@@ -44,11 +47,13 @@ class WindowOperator:
         self._tracer: Optional[Tracer] = None
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
         # Callbacks point at live runtime objects (supervisors, sinks);
         # a restored operator must be re-wired, not resurrect stale ones.
-        state["on_late_record"] = None
-        return state
+        return slot_state(self, leave_out=("on_late_record",))
+
+    def __setstate__(self, state: dict) -> None:
+        set_slot_state(self, state)
+        self.on_late_record = None
 
     # ------------------------------------------------------------------
     # query management

@@ -34,6 +34,18 @@ __all__ = ["SliceManager"]
 class SliceManager:
     """Coordinates merge / split / update operations on the slice store."""
 
+    __slots__ = (
+        "_store",
+        "store_records",
+        "track_counts",
+        "session_gap",
+        "_floor_time_edge",
+        "_ceil_time_edge",
+        "_edge_in_region",
+        "_is_count_edge",
+        "tracer",
+    )
+
     def __init__(
         self,
         store: AggregateStore,

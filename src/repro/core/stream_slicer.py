@@ -68,8 +68,23 @@ class StreamSlicer:
         refreshed after every record instead of being reused.
     """
 
-    #: Backs :attr:`cache_edges` (on unless the ablation turns it off).
-    _cache_edges = True
+    __slots__ = (
+        "_store",
+        "_next_time_edge",
+        "_floor_time_edge",
+        "_next_count_edge",
+        "_store_records",
+        "_track_counts",
+        "_edges_move",
+        "_cache_edges",
+        "_cached_time_edge",
+        "_cached_count_edge",
+        "_cache_valid",
+        "cut_performed",
+        "open_until",
+        "open_until_count",
+        "tracer",
+    )
 
     def __init__(
         self,
@@ -88,6 +103,8 @@ class StreamSlicer:
         self._store_records = store_records
         self._track_counts = track_counts
         self._edges_move = edges_move
+        #: Backs :attr:`cache_edges` (on unless the ablation turns it off).
+        self._cache_edges = True
         self._cached_time_edge: Optional[int] = None
         self._cached_count_edge: Optional[int] = None
         self._cache_valid = False

@@ -27,7 +27,6 @@ Responsibilities:
 from __future__ import annotations
 
 import bisect
-import sys
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aggregations.base import AggregateFunction, AggregationClass
@@ -37,6 +36,7 @@ from ..windows.session import SessionWindow
 from .aggregate_store import AggregateStore, SharedQueryPlan
 from .measures import MeasureKind
 from .slice_manager import SliceManager
+from .slots import set_slot_state, slot_state
 from .types import WindowResult
 
 __all__ = ["WindowManager", "ManagedQuery"]
@@ -58,6 +58,20 @@ class ManagedQuery:
 
 class WindowManager:
     """Final aggregation and emission for one slicing chain."""
+
+    __slots__ = (
+        "_store",
+        "_manager",
+        "_emit_empty",
+        "_share_windows",
+        "_queries",
+        "_prev_wm",
+        "_emitted",
+        "_count_hwm",
+        "_emitted_edges",
+        "_carries",
+        "_session_walk",
+    )
 
     #: Minimum upper-bound on saved slice combines (total spanned slices
     #: minus the widest range) before a trigger batch goes through the
@@ -107,14 +121,10 @@ class WindowManager:
         self._session_walk: tuple = _NO_WALK
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_carries"], state["_session_walk"]
-        return state
+        return slot_state(self, leave_out=("_carries", "_session_walk"))
 
     def __setstate__(self, state: dict) -> None:
-        # Interned, as the default unpickling does: a restored operator
-        # then pickles to the same bytes as one that never was.
-        self.__dict__.update((sys.intern(name), value) for name, value in state.items())
+        set_slot_state(self, state)
         self._carries = {}
         self._session_walk = _NO_WALK
         for managed in self._queries:

@@ -154,6 +154,8 @@ class FaultInjectingOperator(WindowOperator):
 
     transient = True
 
+    __slots__ = ("inner", "_crash_at", "_error_at", "fired", "records_processed")
+
     def __init__(
         self,
         inner: WindowOperator,

@@ -21,9 +21,15 @@ from ..core.types import Punctuation, Record, StreamElement, Watermark, WindowRe
 
 __all__ = ["KeyedWindowOperator"]
 
+#: The base class's slot for the late-record hook, which the property of
+#: the same name below shadows and stores into.
+_late_record_slot = WindowOperator.on_late_record
+
 
 class KeyedWindowOperator(WindowOperator):
     """Route records to per-key operator instances (lazy creation)."""
+
+    __slots__ = ("_factory", "_by_key")
 
     def __init__(self, operator_factory: Callable[[], WindowOperator]) -> None:
         self._factory = operator_factory
@@ -46,18 +52,18 @@ class KeyedWindowOperator(WindowOperator):
         return operator
 
     # Records are dropped by the per-key operators, so the late-record
-    # side channel and its count live there.  The hook is kept under its
-    # own name in ``__dict__``: the base ``__getstate__`` already leaves
-    # it out of snapshots (of this operator and of every per-key one), so
+    # side channel and its count live there.  The hook is kept in the
+    # base class's slot: the base ``__getstate__`` already leaves it out
+    # of snapshots (of this operator and of every per-key one), so
     # whoever restores one assigns the hook again, which re-wires all keys.
 
     @property
     def on_late_record(self) -> Optional[Callable[[Record], None]]:
-        return self.__dict__["on_late_record"]
+        return _late_record_slot.__get__(self)
 
     @on_late_record.setter
     def on_late_record(self, hook: Optional[Callable[[Record], None]]) -> None:
-        self.__dict__["on_late_record"] = hook
+        _late_record_slot.__set__(self, hook)
         for operator in self._by_key.values():
             operator.on_late_record = hook
 

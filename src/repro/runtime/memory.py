@@ -14,6 +14,8 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, Set
 
+from ..core.slots import slot_names
+
 __all__ = ["deep_sizeof", "memory_model", "TABLE1_ROWS"]
 
 _ATOMIC = (type(None), bool, int, float, complex, str, bytes, bytearray, range)
@@ -22,7 +24,8 @@ _ATOMIC = (type(None), bool, int, float, complex, str, bytes, bytearray, range)
 def deep_sizeof(obj: Any, _seen: Set[int] | None = None) -> int:
     """Deep retained size of ``obj`` in bytes.
 
-    Follows containers, object ``__dict__``/``__slots__`` attributes,
+    Follows containers, object ``__dict__`` attributes and the
+    ``__slots__`` of the object's class and of every base,
     and shared references exactly once (like a retained-heap measure).
     Atomic immutables are counted per reference site visit once.
     """
@@ -46,13 +49,11 @@ def deep_sizeof(obj: Any, _seen: Set[int] | None = None) -> int:
     attributes = getattr(obj, "__dict__", None)
     if attributes is not None:
         size += deep_sizeof(attributes, seen)
-    slots = getattr(type(obj), "__slots__", None)
-    if slots is not None:
-        for name in slots:
-            try:
-                size += deep_sizeof(getattr(obj, name), seen)
-            except AttributeError:
-                continue
+    for name in slot_names(type(obj)):
+        try:
+            size += deep_sizeof(getattr(obj, name), seen)
+        except AttributeError:
+            continue
     return size
 
 

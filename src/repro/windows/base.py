@@ -74,6 +74,8 @@ class WindowType:
     measure_kind: MeasureKind = MeasureKind.TIME
     is_session: bool = False
 
+    __slots__ = ()
+
     def get_next_edge(self, ts: int) -> Optional[int]:
         """Return the next window edge strictly greater than ``ts``.
 
@@ -148,13 +150,6 @@ class WindowType:
         edge = self.get_next_edge(last_ts)
         return last_ts if edge is None else edge
 
-    def __setstate__(self, state: dict) -> None:
-        # Attribute by attribute, as ``__init__`` sets them: a copied or
-        # restored window keeps them inline, as fast to read as a fresh
-        # one's.  ``setattr`` interns the names, as default unpickling does.
-        for name, value in state.items():
-            setattr(self, name, value)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
 
@@ -164,14 +159,20 @@ class ContextFreeWindow(WindowType):
 
     context = ContextClass.CONTEXT_FREE
 
+    __slots__ = ()
+
 
 class ForwardContextFreeWindow(WindowType):
     """Base class for FCF windows (edges revealed by the stream up to them)."""
 
     context = ContextClass.FORWARD_CONTEXT_FREE
 
+    __slots__ = ()
+
 
 class ContextAwareWindow(WindowType):
     """Base class for FCA windows (future records reveal past edges)."""
 
     context = ContextClass.FORWARD_CONTEXT_AWARE
+
+    __slots__ = ()

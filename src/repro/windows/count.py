@@ -19,6 +19,8 @@ __all__ = ["CountTumblingWindow", "CountSlidingWindow"]
 class CountTumblingWindow(TumblingWindow):
     """Tumbling window over tuple counts: every ``length`` records."""
 
+    __slots__ = ()
+
     def __init__(self, length: int, offset: int = 0) -> None:
         super().__init__(length, offset, measure_kind=MeasureKind.COUNT)
 
@@ -28,6 +30,8 @@ class CountTumblingWindow(TumblingWindow):
 
 class CountSlidingWindow(SlidingWindow):
     """Sliding window over tuple counts: ``length`` records every ``slide``."""
+
+    __slots__ = ()
 
     def __init__(self, length: int, slide: int, offset: int = 0) -> None:
         super().__init__(length, slide, offset, measure_kind=MeasureKind.COUNT)

@@ -31,6 +31,8 @@ class ExplicitEdgesWindow(ContextFreeWindow):
     boundary range belong to no window.
     """
 
+    __slots__ = ("_edges", "measure_kind")
+
     def __init__(
         self,
         edges: Sequence[int],

@@ -34,6 +34,8 @@ class LastNEveryWindow(ContextAwareWindow):
     #: Window ends live on the time measure; contents on the count measure.
     measure_kind = MeasureKind.COUNT
 
+    __slots__ = ("count", "every", "offset")
+
     def __init__(self, count: int, every: int, offset: int = 0) -> None:
         if count <= 0:
             raise ValueError(f"record count must be positive, got {count}")

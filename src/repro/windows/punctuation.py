@@ -33,6 +33,8 @@ class PunctuationWindow(ForwardContextFreeWindow):
 
     measure_kind = MeasureKind.TIME
 
+    __slots__ = ("origin", "_edges")
+
     def __init__(self, origin: int = 0) -> None:
         self.origin = origin
         #: Sorted punctuation timestamps (window boundaries) seen so far.

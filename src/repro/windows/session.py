@@ -33,6 +33,8 @@ class SessionWindow(ContextAwareWindow):
     is_session = True
     measure_kind = MeasureKind.TIME
 
+    __slots__ = ("gap",)
+
     def __init__(self, gap: int) -> None:
         if gap <= 0:
             raise ValueError(f"session gap must be positive, got {gap}")

@@ -20,6 +20,8 @@ class SlidingWindow(ContextFreeWindow):
     that slicing removes.
     """
 
+    __slots__ = ("length", "slide", "offset", "measure_kind")
+
     def __init__(
         self,
         length: int,

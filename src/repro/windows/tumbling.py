@@ -19,6 +19,8 @@ class TumblingWindow(ContextFreeWindow):
     (equivalently use :class:`repro.windows.count.CountTumblingWindow`).
     """
 
+    __slots__ = ("length", "offset", "measure_kind")
+
     def __init__(
         self,
         length: int,

@@ -10,6 +10,7 @@ from conftest import final_values, run_operator, shuffled_with_disorder
 from repro import GeneralSlicingOperator, Punctuation, Record, Watermark
 from repro.aggregations import First, Max, Median, Sum
 from repro.baselines import AggregateTreeOperator, TupleBufferOperator
+from repro.core.slots import slot_names
 from repro.experiments.harness import INORDER_ONLY_TECHNIQUES, TECHNIQUES
 from repro.reference import reference_results
 from repro.runtime.checkpoint import (
@@ -324,10 +325,9 @@ def _reference_operators():
             yield _baseline(name), True
 
 
-def _layout(root):
-    """``{module.qualname: attribute and slot names}`` of every object
-    of a ``repro`` class (enums aside) reachable from ``root``."""
-    layout = {}
+def _repro_objects(root):
+    """``(object, {attribute or slot name: value})`` for every object of
+    a ``repro`` class (enums aside) reachable from ``root``."""
     seen = set()
     pending = [root]
     while pending:
@@ -346,19 +346,30 @@ def _layout(root):
         if not cls.__module__.startswith("repro.") or isinstance(obj, enum.Enum):
             continue
         attributes = dict(getattr(obj, "__dict__", {}))
-        for klass in cls.__mro__:
-            for slot in klass.__dict__.get("__slots__", ()):
-                if hasattr(obj, slot):
-                    attributes[slot] = getattr(obj, slot)
-        layout.setdefault(f"{cls.__module__}.{cls.__qualname__}", set()).update(attributes)
+        for slot in slot_names(cls):
+            if hasattr(obj, slot):
+                attributes[slot] = getattr(obj, slot)
+        yield obj, attributes
         pending += attributes.values()
+
+
+def _qualname(obj):
+    return f"{type(obj).__module__}.{type(obj).__qualname__}"
+
+
+def _layout(root):
+    """``{module.qualname: attribute and slot names}`` of every object
+    of a ``repro`` class (enums aside) reachable from ``root``."""
+    layout = {}
+    for obj, attributes in _repro_objects(root):
+        layout.setdefault(_qualname(obj), set()).update(attributes)
     return layout
 
 
-#: The layout of checkpoint format v2, as restored: per class, its
+#: The layout of checkpoint format v3, as restored: per class, its
 #: instance attributes and slots, sorted.  Attributes a class derives on
 #: restore (``_Chain.accumulators``, ...) are part of it.
-_LAYOUT_VERSION = 2
+_LAYOUT_VERSION = 3
 _LAYOUT = {
     "repro.aggregations.basic.Max": "",
     "repro.aggregations.basic.Sum": "",
@@ -429,9 +440,9 @@ _LAYOUT = {
         "store_records tracer track_counts"
     ),
     "repro.core.stream_slicer.StreamSlicer": (
-        "_cache_valid _cached_count_edge _cached_time_edge _edges_move _floor_time_edge "
-        "_next_count_edge _next_time_edge _store _store_records _track_counts cut_performed "
-        "open_until open_until_count tracer"
+        "_cache_edges _cache_valid _cached_count_edge _cached_time_edge _edges_move "
+        "_floor_time_edge _next_count_edge _next_time_edge _store _store_records _track_counts "
+        "cut_performed open_until open_until_count tracer"
     ),
     "repro.core.types.Record": "key ts value",
     "repro.core.window_manager.ManagedQuery": "fn_index function query_id window",
@@ -475,6 +486,25 @@ def test_the_pickled_layout_is_the_format_versions():
         "CHECKPOINT_FORMAT_VERSION and re-records _LAYOUT and _LAYOUT_VERSION:\n"
         + "\n".join(changed)
     )
+
+
+def test_snapshot_and_restore_leave_no_state_object_with_a_dict():
+    """The state classes of general slicing and of the keyed wrapper
+    declare ``__slots__``.  CPython 3.11 keeps an instance's attributes
+    inline until something reads its ``__dict__``, and slower through a
+    real dict from then on; pickling reads it on every snapshot.  Neither
+    the operator a snapshot was taken of nor the one restored from it
+    holds an object with a ``__dict__``."""
+    for operator, in_order in _reference_operators():
+        if not isinstance(operator, (GeneralSlicingOperator, KeyedWindowOperator)):
+            continue
+        run_operator(operator, _reference_stream(in_order))
+        restored = restore(snapshot(operator))
+        for root in (operator, restored):
+            with_dict = sorted(
+                {_qualname(obj) for obj, _ in _repro_objects(root) if hasattr(obj, "__dict__")}
+            )
+            assert with_dict == [], f"{_qualname(operator)} holds dict-backed {with_dict}"
 
 
 class LambdaSum(Sum):

@@ -279,9 +279,9 @@ def test_resume_falls_back_past_torn_generation(tmp_path):
 
 def test_resume_refuses_a_generation_of_another_format_version(tmp_path):
     """The newest generation holds a frame of the previous format version
-    (today's payload behind a v1 header).  Resume fails loudly at that
-    header: it neither starts fresh nor falls back to an older
-    generation this build could read."""
+    (today's payload behind the previous version's header).  Resume fails
+    loudly at that header: it neither starts fresh nor falls back to an
+    older generation this build could read."""
     factory, elements, _expected, _delivered = _run_to_death(tmp_path)
     store = DiskCheckpointStore(tmp_path / "ckpt", keep=3)
     newest = store.load(store.generations()[-1])
@@ -304,7 +304,8 @@ def test_resume_refuses_a_generation_of_another_format_version(tmp_path):
         tracer=tracer,
         sleep=lambda _seconds: None,
     )
-    with pytest.raises(CheckpointFormatError, match="v1 is not supported"):
+    stale = f"v{CHECKPOINT_FORMAT_VERSION - 1} is not supported"
+    with pytest.raises(CheckpointFormatError, match=stale):
         pipeline.run(elements, resume=True)
 
     assert pipeline.stats.resumed_from_cursor is None

@@ -1,5 +1,7 @@
 """Tests for memory accounting and the Table 1 models."""
 
+import sys
+
 import pytest
 
 from repro.runtime.memory import TABLE1_ROWS, deep_sizeof, memory_model
@@ -38,6 +40,21 @@ class TestDeepSizeof:
         small = deep_sizeof(Record(1, 1.0))
         large = deep_sizeof(Record(1, tuple(range(100))))
         assert large > small
+
+    def test_a_slotted_subclass_counts_the_slots_of_its_base(self):
+        """``LazyAggregateStore`` declares no slot of its own; its slices
+        sit in a slot of ``AggregateStore``."""
+
+        class Base:
+            __slots__ = ("payload",)
+
+        class Derived(Base):
+            __slots__ = ()
+
+        payload = list(range(100))
+        derived = Derived()
+        derived.payload = payload
+        assert deep_sizeof(derived) == sys.getsizeof(derived) + deep_sizeof(payload)
 
     def test_dict_backed_objects(self):
         class Thing:

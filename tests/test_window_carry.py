@@ -27,6 +27,7 @@ from conftest import final_values, run_operator
 from repro import GeneralSlicingOperator, Punctuation, Record, Watermark
 from repro.aggregations import Median, Percentile, PlainMedian, Sum
 from repro.core.measures import MeasureKind
+from repro.core.slots import slot_names
 from repro.core.window_manager import WindowManager
 from repro.reference import reference_results
 from repro.runtime import deep_sizeof, restore, snapshot
@@ -576,10 +577,13 @@ def test_snapshot_leaves_the_carry_out_and_a_restored_operator_reseeds(slides):
 
     clone = restore(blob)
     assert _window_manager(clone)._carries == {0: None}
-    # Nor does the restore leave a trace in later frames: attribute names
-    # come back interned, as default unpickling leaves them, so the next
-    # snapshot memoizes ``_store`` across objects as it always did.
-    assert all(name is sys.intern(name) for name in vars(_window_manager(clone)))
+    # Nor does the restore leave a trace in later frames: the window
+    # manager holds no attribute dict, only its class's slots, whose names
+    # are interned, so the next snapshot memoizes ``_store`` across
+    # objects as it always did.
+    manager = _window_manager(clone)
+    assert not hasattr(manager, "__dict__")
+    assert all(name is sys.intern(name) for name in slot_names(type(manager)))
     clone.check_invariants()
     del slides[:]
     tail = _records(range(100, 160))

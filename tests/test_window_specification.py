@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Median, Sum
+from repro.core.stream_slicer import StreamSlicer
 from repro.core.types import Punctuation
 from repro.runtime import KeyedWindowOperator
 from repro.windows import (
@@ -143,20 +144,22 @@ def test_a_session_chain_cuts_where_the_observed_session_edge_was(case):
     side = _ObservedSession(gap)
     slicer = chain.slicer
     refreshed = []
-    after_record = slicer.after_record
     next_time_edge = chain.next_time_edge
 
-    def observed_after_record(ts):
-        side.observe(ts)
-        after_record(ts)
-        refreshed.append(ts)
+    class ObservedSlicer(StreamSlicer):
+        __slots__ = ()
+
+        def after_record(self, ts):
+            side.observe(ts)
+            super().after_record(ts)
+            refreshed.append(ts)
 
     def checked_edge(ts):
         edge = next_time_edge(ts)
         assert edge == side.next_edge(ts), (ts, edge, side.newest)
         return edge
 
-    slicer.after_record = observed_after_record
+    slicer.__class__ = ObservedSlicer
     slicer._next_time_edge = chain.manager._ceil_time_edge = checked_edge
     for element in arrival:
         operator.process(element)
