@@ -63,6 +63,8 @@ class AggregateFunction(Generic[V, P, R]):
     Partial aggregates must be treated as immutable values: ``combine``
     and ``invert`` return new partials rather than mutating arguments, so
     partials can safely be shared between slices and aggregate trees.
+    The one exception is a partial that :meth:`private_copy` made: it
+    shares nothing, and :meth:`slide_in_place` may edit it.
     """
 
     #: Human-readable name used in benchmark tables.
@@ -92,9 +94,16 @@ class AggregateFunction(Generic[V, P, R]):
         # and combine (``Sum.fold_values`` adds the raw values): a class
         # with its own gets the exact left fold back, unless it brings
         # the hook too.
-        if "lift" in cls.__dict__ or "combine" in cls.__dict__:
+        # The in-place slide is the same kind of shortcut around the
+        # parent's combine and invert.
+        own = cls.__dict__
+        if "lift" in own or "combine" in own:
             for hook in ("accumulate", "fold_values", "combine_all"):
-                if hook not in cls.__dict__:
+                if hook not in own:
+                    setattr(cls, hook, getattr(AggregateFunction, hook))
+        if "combine" in own or "invert" in own:
+            for hook in ("private_copy", "slide_in_place"):
+                if hook not in own:
                     setattr(cls, hook, getattr(AggregateFunction, hook))
 
     def lift(self, value: V) -> P:
@@ -194,6 +203,32 @@ class AggregateFunction(Generic[V, P, R]):
         if not partials:
             return None
         return reduce(self.combine, partials)
+
+    def private_copy(self, partial: P) -> P:
+        """A copy of ``partial`` that shares nothing mutable with it, for
+        one owner to edit through :meth:`slide_in_place`.  The default
+        returns ``partial`` itself: the default :meth:`slide_in_place`
+        edits nothing, so sharing is safe.
+        """
+        return partial
+
+    def slide_in_place(self, partial: P, left: Sequence[P], entered: Sequence[P]) -> P:
+        """``partial`` ⊖ every partial of ``left`` ⊕ every partial of
+        ``entered``, in that order: what sliding a window costs.
+
+        ``partial`` must come from :meth:`private_copy` (or from an
+        earlier call on one); the override may edit it and return it.
+        ``left`` and ``entered`` are shared and stay untouched.  The
+        result must equal the loop below -- the same value, the same
+        representatives of equal values, the same ``ValueError`` -- and
+        a call that raises leaves ``partial`` as it was.  The default is
+        that loop, one new value per step.
+        """
+        for removed in left:
+            partial = self.invert(partial, removed)
+        for added in entered:
+            partial = self.combine(partial, added)
+        return partial
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"

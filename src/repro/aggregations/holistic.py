@@ -24,7 +24,7 @@ sorted lists (:class:`SortedValues`).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .base import AggregateFunction, AggregationClass
 
@@ -188,6 +188,64 @@ class RleRuns:
         result.extend(runs[position:])
         return RleRuns(result, self.total - other.total)
 
+    def slide(self, left: Sequence["RleRuns"], entered: Sequence["RleRuns"]) -> "RleRuns":
+        """Subtract every multiset of ``left``, then merge every one of
+        ``entered``, editing this one in place; returns ``self``.
+
+        Equal to ``self.subtract(l0).subtract(l1)...merge(e0)...``: the
+        same runs and representatives.  Each changed run costs one
+        bisect, and a count set, a ``del`` or an ``insert`` (memmove)
+        instead of a new run list.  The whole removal is checked before
+        anything is edited: a removal the chain of :meth:`subtract`
+        refuses is handed to that chain, on the untouched runs, to raise
+        its own ``ValueError``.
+        """
+        runs = self.runs
+        size = len(runs)
+        total = self.total
+        # What the removal leaves of each run it reaches, by index.  The
+        # counts are positive, so the chain refuses a removal exactly
+        # when the sum over all parts overdraws a run or misses a value.
+        remaining: Dict[int, int] = {}
+        for removed in left:
+            total -= removed.total
+            for value, count in removed.runs:
+                at = bisect.bisect_left(runs, (value,))
+                if at == size or runs[at][0] != value:
+                    self._refuse(left)
+                count = remaining.get(at, runs[at][1]) - count
+                if count < 0:
+                    self._refuse(left)
+                remaining[at] = count
+        # From the back, so a ``del`` moves no index still to be read.
+        for at in sorted(remaining, reverse=True):
+            count = remaining[at]
+            if count:
+                runs[at] = (runs[at][0], count)
+            else:
+                del runs[at]
+        for added in entered:
+            total += added.total
+            position = 0
+            for run in added.runs:
+                value = run[0]
+                at = bisect.bisect_left(runs, (value,), position)
+                if at < len(runs) and runs[at][0] == value:
+                    present_value, present = runs[at]
+                    runs[at] = (present_value, present + run[1])
+                else:
+                    runs.insert(at, run)
+                position = at + 1
+        self.total = total
+        return self
+
+    def _refuse(self, left: Sequence["RleRuns"]) -> NoReturn:
+        """Raise what subtracting ``left`` part by part raises."""
+        partial = self
+        for removed in left:
+            partial = partial.subtract(removed)
+        raise AssertionError(f"the subtract chain accepted a removal the slide refused: {left!r}")
+
     def select(self, index: int) -> float:
         """Return the ``index``-th smallest value (zero-based)."""
         if index < 0 or index >= self.total:
@@ -291,6 +349,13 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
     it is unordered, so the pairwise merge treats it as equal to any
     value and the bulk merge as equal to none.
 
+    A partial is a value that slices, kernel leaves and shared plans
+    hold alike, with one exception: a sliding window's carry keeps a
+    :meth:`private_copy` (a new run list) and :meth:`slide_in_place`
+    edits it, one bisect per run that left or entered
+    (:meth:`RleRuns.slide`) instead of a ``subtract`` and a ``merge``
+    that each build a new list.
+
     Values that compare equal (``1`` / ``1.0`` / ``True``, ``0.0`` /
     ``-0.0``) are one run, represented by the first of them the
     multiset saw.  A window folded from its slices has seen its own
@@ -328,6 +393,15 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
 
     def invert(self, partial: RleRuns, removed: RleRuns) -> RleRuns:
         return partial.subtract(removed)
+
+    def private_copy(self, partial: RleRuns) -> RleRuns:
+        # The runs are tuples: a new list shares nothing mutable.
+        return RleRuns(partial.runs.copy(), partial.total)
+
+    def slide_in_place(
+        self, partial: RleRuns, left: Sequence[RleRuns], entered: Sequence[RleRuns]
+    ) -> RleRuns:
+        return partial.slide(left, entered)
 
     def identity(self) -> RleRuns:
         return RleRuns()

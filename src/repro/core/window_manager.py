@@ -111,7 +111,8 @@ class WindowManager:
         #: ``(start, end, lo, hi, partial, non-empty slices)`` of its last
         #: emitted window, or ``None`` while there is nothing to slide
         #: from.  A cache over the slices, not state: it is rebuilt by one
-        #: fold and never enters a pickle.
+        #: fold and never enters a pickle.  Its partial is its own, a
+        #: private copy that :meth:`_slide` edits in place.
         self._carries: Dict[int, Optional[tuple]] = {}
         #: How far :meth:`pin_horizon` has grouped the front of the chain
         #: into sessions: ``(slices walked, first_ts, last_ts)``, the
@@ -254,7 +255,7 @@ class WindowManager:
             for (slot, managed, start, end, lo, hi), partial in zip(pending, partials):
                 if carries and managed.query_id in carries:
                     carries[managed.query_id] = self._seed_carry(
-                        managed.fn_index, start, end, lo, hi, partial
+                        managed, start, end, lo, hi, partial
                     )
                 if partial is None and not self._emit_empty:
                     continue
@@ -366,22 +367,31 @@ class WindowManager:
             if carried_start <= start < carried_end <= end:
                 slices = store.slices
                 size = len(slices)
-                lo, hi = carried_lo, carried_hi
-                while lo < size and slices[lo].start < start:
+                fn_index = managed.fn_index
+                # The walks collect the non-empty partials on their way,
+                # what two ``store._range_partials`` calls would return.
+                left = []
+                lo = carried_lo
+                while lo < size and (slice_ := slices[lo]).start < start:
+                    if (agg := slice_.aggs[fn_index]) is not None:
+                        left.append(agg)
                     lo += 1
-                while hi < size and (closed := slices[hi].end) is not None and closed <= end:
+                entered = []
+                hi = carried_hi
+                while hi < size and (slice_ := slices[hi]).end is not None and slice_.end <= end:
+                    if (agg := slice_.aggs[fn_index]) is not None:
+                        entered.append(agg)
                     hi += 1
                 if not self._open_head_at(hi, start, end):
-                    function = managed.function
-                    fn_index = managed.fn_index
-                    left = store._range_partials(carried_lo, lo, fn_index)
-                    entered = store._range_partials(carried_hi, hi, fn_index)
+                    if tracer is not None:
+                        # As ``store._range_partials`` counts each read.
+                        for first, stop in ((carried_lo, lo), (carried_hi, hi)):
+                            if stop > first:
+                                tracer.count("store.range_queries")
+                                tracer.count("store.slices_combined", stop - first)
                     nonempty += len(entered) - len(left)
                     if nonempty:
-                        for removed in left:
-                            partial = function.invert(partial, removed)
-                        for added in entered:
-                            partial = function.combine(partial, added)
+                        partial = managed.function.slide_in_place(partial, left, entered)
                         carries[query_id] = (start, end, lo, hi, partial, nonempty)
                         if tracer is not None:
                             tracer.count("window.slides")
@@ -392,14 +402,21 @@ class WindowManager:
         return None
 
     def _seed_carry(
-        self, fn_index: int, start: int, end: int, lo: int, hi: int, partial: Any
+        self, managed: ManagedQuery, start: int, end: int, lo: int, hi: int, partial: Any
     ) -> Optional[tuple]:
-        """The carry for a window just folded over slices ``[lo, hi)``."""
+        """The carry for a window just folded over slices ``[lo, hi)``.
+
+        The fold's partial may be a slice's own (a range with one
+        non-empty slice), a kernel leaf or a plan result another query
+        shares, and :meth:`_slide` edits the carried one in place: the
+        carry keeps a private copy.
+        """
         slices = self._store.slices
         if partial is None or slices[hi - 1].end is None:
             return None
+        fn_index = managed.fn_index
         nonempty = sum(1 for slice_ in slices[lo:hi] if slice_.aggs[fn_index] is not None)
-        return (start, end, lo, hi, partial, nonempty)
+        return (start, end, lo, hi, managed.function.private_copy(partial), nonempty)
 
     def _time_window_result(
         self, managed: ManagedQuery, start: int, end: int, is_update: bool
@@ -814,7 +831,8 @@ class WindowManager:
         (test and fuzz hook).
 
         Every carry covers exactly the slices of its window, all of them
-        closed, and its partial equals the fold over them; the session
+        closed, and its partial equals the fold over them and is none of
+        theirs (a slide edits it in place); the session
         walk stands where grouping the slices it covers anew would.
         Raises ``AssertionError`` naming the first violation.
         """
@@ -855,6 +873,8 @@ class WindowManager:
             ]
             if len(parts) != nonempty:
                 raise AssertionError(f"{where} counts {nonempty} non-empty slices of {len(parts)}")
+            if any(part is partial for part in parts):
+                raise AssertionError(f"{where} holds a slice's own partial, which a slide would edit")
             folded = managed.function.combine_all(parts)
             if partial != folded:
                 raise AssertionError(f"{where} holds {partial!r}, the slices fold to {folded!r}")

@@ -72,7 +72,7 @@ def tuple_storage_ablation(*, workload: Workload) -> ResultTable:
     ``sum``: the multiset partial already holds every value.  The last
     row is the case where it cannot -- count windows out of order shift
     records between slices -- so those slices hold each value twice, in
-    the record list and in the multiset (ROADMAP item 1).
+    the record list and in the multiset (ROADMAP item 14(g)).
     """
     records = workload.stream()
     stream = constrained_stream(records)

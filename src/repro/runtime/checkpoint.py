@@ -54,7 +54,7 @@ CHECKPOINT_MAGIC = b"RSLC"
 #: Current on-wire layout: MAGIC + 2-byte big-endian version + pickle.
 #: Bumped whenever the pickled layout changes; :func:`restore` refuses
 #: every other version.
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 _HEADER_LEN = len(CHECKPOINT_MAGIC) + 2
 

@@ -5,6 +5,9 @@ within one task, systems like Flink keep independent window state per
 key.  :class:`KeyedWindowOperator` reproduces that: records route to a
 per-key operator built by a factory, watermarks and punctuations are
 broadcast to every key, and emitted results are tagged with their key.
+A key first seen after a watermark starts behind it, as the keys that
+saw it broadcast do: what arrives late for it is late (out-of-order
+per-key operators only; an in-order one starts at its first record).
 
 The wrapper is itself a :class:`~repro.core.operator_base.WindowOperator`,
 so keyed aggregation runs unchanged under plain ``process`` calls, under
@@ -29,25 +32,35 @@ _late_record_slot = WindowOperator.on_late_record
 class KeyedWindowOperator(WindowOperator):
     """Route records to per-key operator instances (lazy creation)."""
 
-    __slots__ = ("_factory", "_by_key")
+    __slots__ = ("_factory", "_by_key", "_watermark")
 
     def __init__(self, operator_factory: Callable[[], WindowOperator]) -> None:
         self._factory = operator_factory
         # Before super().__init__(): it assigns ``on_late_record``, whose
         # setter below walks the per-key operators.
         self._by_key: Dict[Any, WindowOperator] = {}
+        #: The highest watermark broadcast so far, handed to each new key.
+        self._watermark: Optional[int] = None
         super().__init__()
 
     # ------------------------------------------------------------------
 
     def operator_for(self, key: Any) -> WindowOperator:
-        """The per-key operator, created on first use."""
+        """The per-key operator, created on first use and handed the
+        watermark the other keys have seen, unless it is in-order."""
         operator = self._by_key.get(key)
         if operator is None:
             operator = self._factory()
             if self._tracer is not None:
                 operator.enable_tracing(self._tracer)
             operator.on_late_record = self.on_late_record
+            # An in-order operator takes a record behind its watermark as
+            # in order and never emits that record's window: it starts at
+            # its first record instead.  Any other holds no record yet, so
+            # all it can emit is an empty window (``emit_empty``) of a key
+            # that did not exist.
+            if self._watermark is not None and not getattr(operator, "stream_in_order", False):
+                operator.process_watermark(Watermark(self._watermark))
             self._by_key[key] = operator
         return operator
 
@@ -97,6 +110,8 @@ class KeyedWindowOperator(WindowOperator):
         return self._tag(operator.process_record(record), key)
 
     def process_watermark(self, watermark: Watermark) -> List[WindowResult]:
+        if self._watermark is None or watermark.ts > self._watermark:
+            self._watermark = watermark.ts
         results: List[WindowResult] = []
         for key, operator in self._by_key.items():
             results.extend(self._tag(operator.process_watermark(watermark), key))

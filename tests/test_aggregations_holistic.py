@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from repro.aggregations import Median, Percentile, PlainMedian, RleRuns, SortedValues
+from repro.aggregations import AggregateFunction, Median, Percentile, PlainMedian, RleRuns, SortedValues
 from repro.aggregations import holistic
 
 
@@ -263,6 +263,111 @@ class TestBisectedMergeAndSubtract:
             result = operation(RleRuns.of(Counted(1_000.0)))
             assert result.total == large.total + (1 if operation == large.merge else -1)
             assert Counted.comparisons <= 4 * 12  # log2(4096) = 12 probes, a few comparisons each
+
+
+def _state(partial):
+    """What a multiset holds, with the type and sign of every value."""
+    assert partial.total == sum(count for _, count in partial.runs)
+    return _typed(partial), partial.total
+
+
+def _looped(partial, left, entered):
+    """The reference slide: ⊖ each part of ``left``, then ⊕ each of
+    ``entered``, one new value per step -- the base class's hook."""
+    try:
+        return _state(AggregateFunction.slide_in_place(Median(), partial, left, entered))
+    except ValueError as error:
+        return str(error)
+
+
+def _in_place(partial, left, entered):
+    """``Median``'s own hook, on a private copy of ``partial``.  The
+    operands stay as they were; so does the copy when the hook raises."""
+    function = Median()
+    before = _state(partial), [_state(part) for part in left + entered]
+    own = function.private_copy(partial)
+    assert own is not partial and own.runs is not partial.runs and _state(own) == before[0]
+    try:
+        result = function.slide_in_place(own, left, entered)
+    except ValueError as error:
+        assert _state(own) == before[0], "a slide that raises must edit nothing"
+        result = str(error)
+    else:
+        assert result is own
+        result = _state(result)
+    assert (_state(partial), [_state(part) for part in left + entered]) == before
+    return result
+
+
+class TestSlideInPlace:
+    """A carry edits its private copy in place: the same result, the same
+    representatives and the same errors as the ⊖ / ⊕ loop, and a slide
+    that raises edits nothing."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_invert_combine_loop(self, seed):
+        rng = random.Random(f"slide-in-place:{seed}")
+        window = [_random_runs(rng, rng.randint(1, 8)) for _ in range(rng.randint(1, 6))]
+        carry = reduce(RleRuns.merge, window)
+        errors = 0
+        for gone in range(len(window) + 1):
+            entered = [_random_runs(rng, rng.randint(1, 8)) for _ in range(rng.randint(0, 3))]
+            # Contained, then most likely not: a part the window never held.
+            for left in (window[:gone], window[:gone] + [_random_runs(rng, rng.randint(1, 8))]):
+                expected = _looped(carry, left, entered)
+                assert _in_place(carry, left, entered) == expected
+                errors += isinstance(expected, str)
+        assert errors, "the seed drew no removal the window does not hold"
+
+    @pytest.mark.parametrize(
+        "values", [[1, 1.0, True], [1.0, True, 1], [0.0, -0.0, 0], [-0.0, 0, 0.0]], ids=repr
+    )
+    def test_representatives_are_the_loops(self, values):
+        first, second, third = values
+        padding = [(float(v), 1) for v in range(10, 30)]
+        for count in (1, 2, 3):
+            carry = RleRuns([(first, count)] + padding)
+            left, entered = [RleRuns.of(second)], [RleRuns.of(third)]
+            slid = _in_place(carry, left, entered)
+            assert slid == _looped(carry, left, entered)
+            # A run that kept a count keeps its representative; one
+            # that emptied takes the added value's.
+            kept = first if count > 1 else third
+            assert slid[0][0] == (type(kept).__name__, repr(kept), count)
+
+    @pytest.mark.parametrize(
+        "left, message",
+        [
+            ([[(2.0, 1), (5.0, 9)]], "cannot remove 9x 5: only 2 present"),
+            ([[(2.5, 1)]], "cannot remove value 2.5: not present"),
+            ([[(0.5, 1), (2.5, 1), (9.0, 1)]], "cannot remove value 0.5: not present"),
+            ([[(0.5, 1), (5.0, 3)]], "cannot remove 3x 5: only 2 present"),
+            ([[(3.0, 7), (8.5, 1)]], "cannot remove 7x 3.0: only 1 present"),
+            # Each part is checked against what the parts before it left.
+            ([[(5.0, 1)], [(5.0, 2)]], "cannot remove 2x 5: only 1 present"),
+            ([[(5.0, 2)], [(5.0, 1)]], "cannot remove value 5.0: not present"),
+            ([[(1.0, 1)], [(2.5, 1)], [(9.0, 9)]], "cannot remove value 2.5: not present"),
+        ],
+    )
+    def test_raises_the_loops_errors_and_edits_nothing(self, left, message):
+        carry = RleRuns([(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1), (5, 2), (6.0, 1), (7.0, 1), (8.0, 3)])
+        removed = [RleRuns(runs) for runs in left]
+        for entered in ([], [RleRuns.of(2.0)]):
+            assert _looped(carry, removed, entered) == message
+            assert _in_place(carry, removed, entered) == message
+
+    def test_a_subclass_that_changes_combine_slides_through_it(self):
+        class Doubled(Median):
+            __slots__ = ()
+
+            def combine(self, left, right):
+                return left.merge(right).merge(right)
+
+        function = Doubled()
+        carry = RleRuns.of(1.0)
+        assert function.private_copy(carry) is carry
+        slid = function.slide_in_place(carry, [], [RleRuns.of(2.0)])
+        assert slid.runs == [(1.0, 1), (2.0, 2)] and carry.runs == [(1.0, 1)]
 
 
 class TestSortedValues:

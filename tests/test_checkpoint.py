@@ -366,10 +366,10 @@ def _layout(root):
     return layout
 
 
-#: The layout of checkpoint format v3, as restored: per class, its
+#: The layout of checkpoint format v4, as restored: per class, its
 #: instance attributes and slots, sorted.  Attributes a class derives on
 #: restore (``_Chain.accumulators``, ...) are part of it.
-_LAYOUT_VERSION = 3
+_LAYOUT_VERSION = 4
 _LAYOUT = {
     "repro.aggregations.basic.Max": "",
     "repro.aggregations.basic.Sum": "",
@@ -451,7 +451,7 @@ _LAYOUT = {
         "_session_walk _share_windows _store"
     ),
     "repro.runtime.keyed.KeyedWindowOperator": (
-        "_by_key _dropped_late _factory _next_query_id _tracer on_late_record queries"
+        "_by_key _dropped_late _factory _next_query_id _tracer _watermark on_late_record queries"
     ),
     "repro.windows.count.CountTumblingWindow": "length measure_kind offset",
     "repro.windows.multimeasure.LastNEveryWindow": "count every offset",

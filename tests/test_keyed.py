@@ -5,7 +5,7 @@ import pytest
 from conftest import run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
-from repro.runtime import KeyedWindowOperator
+from repro.runtime import KeyedWindowOperator, restore, snapshot
 from repro.windows import SessionWindow, TumblingWindow
 
 
@@ -70,6 +70,72 @@ class TestKeyedOperator:
         keyed = KeyedWindowOperator(slicing_factory)
         run_operator(keyed, [Record(0, 1.0, key=0), Record(0, 1.0, key=1)])
         assert len(keyed.state_objects()) >= 2
+
+
+def ooo_factory(stream_in_order=False):
+    operator = GeneralSlicingOperator(stream_in_order=stream_in_order, allowed_lateness=0)
+    operator.add_query(TumblingWindow(100), Sum())
+    return operator
+
+
+def in_order_factory():
+    return ooo_factory(stream_in_order=True)
+
+
+def _rows(results):
+    return [(r.key, r.start, r.end, r.value, r.is_update) for r in results]
+
+
+class TestKeyFirstSeenAfterAWatermark:
+    """A new key starts behind the watermark its operator broadcast, as
+    an unkeyed operator would be: a record behind it is late."""
+
+    HEAD = [Record(10, 1.0, "a"), Watermark(1000)]
+    TAIL = [Record(20, 5.0, "b"), Record(1010, 2.0, "b"), Watermark(1200)]
+    EXPECTED = [("a", 0, 100, 1.0, False), ("b", 1000, 1100, 2.0, False)]
+
+    def test_the_unkeyed_operator_drops_the_same_record(self):
+        operator = ooo_factory()
+        run_operator(operator, [Record(10, 1.0), Watermark(1000), Record(20, 5.0)])
+        assert operator.dropped_late_records == 1
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 7])
+    def test_a_record_behind_the_watermark_is_dropped_and_handed_out(self, batch_size):
+        keyed = KeyedWindowOperator(ooo_factory)
+        late = []
+        keyed.on_late_record = late.append
+        results = keyed.run(self.HEAD + self.TAIL, batch_size=batch_size)
+        assert _rows(results) == self.EXPECTED
+        assert keyed.dropped_late_records == 1
+        assert late == [self.TAIL[0]]
+
+    def test_a_restored_operator_keeps_the_watermark(self):
+        keyed = KeyedWindowOperator(ooo_factory)
+        results = keyed.run(self.HEAD)
+        restored = restore(snapshot(keyed))
+        late = []
+        restored.on_late_record = late.append
+        results += restored.run(self.TAIL)
+        assert _rows(results) == self.EXPECTED
+        assert restored.dropped_late_records == 1 and late == [self.TAIL[0]]
+
+    def test_an_in_order_key_starts_at_its_first_record(self):
+        """An in-order operator does not take a record behind its
+        watermark as late: handed the watermark, it would lose the
+        record's window.  So it is not handed it, and emits that window."""
+        keyed = KeyedWindowOperator(in_order_factory)
+        late = []
+        keyed.on_late_record = late.append
+        results = keyed.run(self.HEAD + self.TAIL)
+        assert _rows(results) == [self.EXPECTED[0], ("b", 0, 100, 5.0, False), self.EXPECTED[1]]
+        assert keyed.dropped_late_records == 0 and late == []
+
+    def test_a_regressing_watermark_does_not_lower_what_a_new_key_gets(self):
+        keyed = KeyedWindowOperator(ooo_factory)
+        tail = [Record(700, 5.0, "b")] + self.TAIL[1:]
+        results = keyed.run(self.HEAD + [Watermark(500)] + tail)
+        assert _rows(results) == self.EXPECTED
+        assert keyed.dropped_late_records == 1
 
 
 class TestMeasureInjection:

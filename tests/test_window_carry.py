@@ -634,6 +634,9 @@ def test_check_invariants_names_what_a_carry_must_satisfy():
     manager._carries[0] = (start, end, lo, hi, partial, nonempty + 1)
     with pytest.raises(AssertionError, match="counts 5 non-empty slices of 4"):
         operator.check_invariants()
+    manager._carries[0] = (start, end, lo, hi, _slices(operator)[lo + 1].aggs[0], nonempty)
+    with pytest.raises(AssertionError, match="holds a slice's own partial"):
+        operator.check_invariants()
     manager._carries[0] = (start, end, lo + 1, hi + 1, partial, nonempty)
     with pytest.raises(AssertionError, match="ends in the open head"):
         operator.check_invariants()
@@ -680,6 +683,35 @@ def test_random_disorder_with_lateness_keeps_every_carry_valid(seed):
     collected.update(final_values(operator, [Watermark(horizon)]))
     assert collected == reference_results(queries(), kept, horizon=horizon)
     assert tracer.value("window.slides") > 100 and tracer.value("window.refolds") > 0
+
+
+# ----------------------------------------------------------------------
+# the carry owns its partial
+
+
+def test_a_carry_seeded_from_one_slice_slides_a_copy_of_its_partial(slides):
+    """The seed window [0, 40) has one non-empty slice, [30, 40), so its
+    fold is that slice's own partial.  The carry slides a private copy
+    in place, three windows in and then out of that slice: the slice
+    keeps its partial, the same object with the same runs."""
+    queries = lambda: [(SlidingWindow(40, 10), Median())]  # noqa: E731
+    operator = _operator(queries(), stream_in_order=True)
+    stream = _records([35] + list(range(40, 90)))
+    collected = final_values(operator, stream[:2])
+    (held,) = [slice_ for slice_ in _slices(operator) if slice_.start == 30]
+    partial = held.aggs[0]
+    runs = list(partial.runs)
+    carried = _carry(operator)[4]
+    assert carried == partial and carried is not partial
+    operator.check_invariants()
+
+    for record in stream[2:]:
+        for result in operator.process(record):
+            collected[(result.query_id, result.start, result.end)] = result.value
+        operator.check_invariants()
+    assert _folded(slides) == [(0, 0, 40)] and len(slides) == 5
+    assert held.aggs[0] is partial and partial.runs == runs and partial.total == 1
+    _finish(operator, queries, stream, collected, stream_in_order=True)
 
 
 # ----------------------------------------------------------------------
