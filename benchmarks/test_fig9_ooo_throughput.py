@@ -34,7 +34,7 @@ def test_fig9_ooo_throughput(dataset):
     # The paper's "near-constant in the window count" does NOT hold here:
     # lazy slicing loses x4.0-4.4 from 1 to 64 windows, because the one
     # session window puts every record back on the per-record slicer path
-    # (ROADMAP item 2).  The bound holds only because it is loose; it
+    # (ROADMAP item 8).  The bound holds only because it is loose; it
     # keeps the decline from growing until that item removes it.
     lazy = table.series("technique", "throughput")["Lazy Slicing"]
     assert max(lazy) / min(lazy) < 8, lazy

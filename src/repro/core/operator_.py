@@ -576,8 +576,8 @@ class GeneralSlicingOperator(WindowOperator):
         """
         if self.stream_in_order:
             raise StreamOrderViolation(
-                f"record at ts={record.ts} arrived after ts={self._max_ts} "
-                "on an operator declared in-order"
+                f"record at ts={record.ts} arrived behind ts={self._max_ts} (the newest "
+                "record or a watermark) on an operator declared in-order"
             )
         ts = record.ts
         watermark = self._watermark
@@ -773,11 +773,13 @@ class GeneralSlicingOperator(WindowOperator):
             chain.slicer.disarm()  # not an in-order record: see StreamSlicer.open_until
             if chain.evict(settled):
                 chain.slicer.invalidate_cache()
-        if not self.stream_in_order and (self._max_ts is None or self._max_ts < watermark.ts):
+        if self._max_ts is None or self._max_ts < watermark.ts:
             # The watermark overtook the stream: what arrives behind it
             # from now on is late, even if it is behind no record.
             # ``process_record`` sends everything below ``_max_ts`` to
-            # :meth:`_process_out_of_order`, so the mark moves up with it.
+            # :meth:`_process_out_of_order`, so the mark moves up with it;
+            # an in-order operator raises there instead of folding the
+            # record into a window it already emitted.
             self._max_ts = watermark.ts
         return results
 

@@ -139,11 +139,6 @@ class Tracer:
             },
         }
 
-    def reset(self) -> None:
-        """Zero every counter and span (storage is released, not kept)."""
-        self.counters.clear()
-        self.spans.clear()
-
     def merge_from(self, others: Iterable["Tracer"]) -> None:
         """Fold other tracers' totals into this one (keyed/partitioned runs)."""
         for other in others:

@@ -50,8 +50,6 @@ from .keyed import KeyedWindowOperator
 from .partition import stable_hash
 from .pipeline import CollectSink, CountingSink
 from .recovery import (
-    MemoryGuard,
-    MemoryPressure,
     PipelineFailed,
     RecoveryError,
     RestartPolicy,
@@ -104,8 +102,6 @@ __all__ = [
     "stall_watermarks",
     "SupervisedPipeline",
     "RestartPolicy",
-    "MemoryGuard",
-    "MemoryPressure",
     "PipelineFailed",
     "RecoveryError",
     "CollectSink",

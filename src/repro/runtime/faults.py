@@ -124,10 +124,6 @@ class FaultPlan:
         self.error_points = _sample_positions(rng, horizon, errors)
         self.hiccup_points = _sample_positions(rng, horizon, hiccups)
 
-    @property
-    def total_faults(self) -> int:
-        return len(self.crash_points) + len(self.error_points) + len(self.hiccup_points)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultPlan(seed={self.seed}, crashes={self.crash_points}, "

@@ -54,9 +54,9 @@ class KeyedWindowOperator(WindowOperator):
             if self._tracer is not None:
                 operator.enable_tracing(self._tracer)
             operator.on_late_record = self.on_late_record
-            # An in-order operator takes a record behind its watermark as
-            # in order and never emits that record's window: it starts at
-            # its first record instead.  Any other holds no record yet, so
+            # An in-order operator refuses a record behind its watermark
+            # (``StreamOrderViolation``): it starts at its first record
+            # instead.  Any other holds no record yet, so
             # all it can emit is an empty window (``emit_empty``) of a key
             # that did not exist.
             if self._watermark is not None and not getattr(operator, "stream_in_order", False):

@@ -40,7 +40,6 @@ class RecoveryStats:
         "deduped_results",
         "results_emitted",
         "late_records",
-        "shed_records",
         "quarantined_records",
         "store_fallbacks",
         "resumed_from_cursor",
@@ -56,7 +55,6 @@ class RecoveryStats:
         self.deduped_results = 0
         self.results_emitted = 0
         self.late_records = 0
-        self.shed_records = 0
         # Poison records the DeadLetterQueue pulled out of the stream.
         self.quarantined_records = 0
         # Corrupt newer generations skipped on restore (durable stores).
@@ -82,12 +80,6 @@ class RecoveryStats:
             return 0.0
         return statistics.fmean(self.recovery_seconds)
 
-    @property
-    def max_recovery_seconds(self) -> float:
-        if not self.recovery_seconds:
-            return 0.0
-        return max(self.recovery_seconds)
-
     def summary(self) -> Dict[str, float]:
         """Flat dict for result tables and logs."""
         return {
@@ -99,7 +91,6 @@ class RecoveryStats:
             "deduped_results": self.deduped_results,
             "results_emitted": self.results_emitted,
             "late_records": self.late_records,
-            "shed_records": self.shed_records,
             "quarantined_records": self.quarantined_records,
             "store_fallbacks": self.store_fallbacks,
             "mean_recovery_seconds": self.mean_recovery_seconds,

@@ -49,18 +49,18 @@ Quarantine decisions live in a cursor-indexed log applied on every
 pass, so a later crash-and-replay neither re-emits nor re-quarantines a
 poisoned record.
 
-Graceful degradation
---------------------
-Two further failure modes degrade explicitly instead of silently:
-
-* late records beyond the allowed lateness are handed to a side channel
-  (``late_record_sink``) via the operator's ``on_late_record`` hook and
-  counted, instead of vanishing;
-* a :class:`MemoryGuard` bounds operator state: when the limit is
-  exceeded the pipeline signals :class:`MemoryPressure` and sheds
-  records (watermarks always pass) until state falls below the resume
-  threshold.  Shed decisions are recorded per cursor range so a replay
-  after a crash repeats them deterministically.
+Late records
+------------
+A record beyond the allowed lateness is dropped by the operator, which
+counts it (``dropped_late_records``, part of every snapshot) and hands
+it to its ``on_late_record`` hook; the supervisor forwards it to the
+``late_record_sink``.  Replay is deterministic, so the n-th drop of a
+replay is the n-th drop of the first pass: the supervisor counts drops
+from the restored operator's own count and reports a drop only when it
+is past the highest one reported so far.  Each late record reaches the
+sink once, crash or no crash.  A drop is reported when it happens, so a
+run that ends in :class:`PipelineFailed` may have reported a late
+record of a batch it never finished.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .durability import (
     StoredCheckpoint,
 )
 from .faults import SourceHiccup
-from .memory import deep_sizeof
 from .metrics import RecoveryStats
 from .sources import ReplayableSource
 
@@ -91,8 +90,6 @@ __all__ = [
     "RestartPolicy",
     "PipelineFailed",
     "RecoveryError",
-    "MemoryPressure",
-    "MemoryGuard",
     "SupervisedPipeline",
 ]
 
@@ -177,60 +174,6 @@ class RestartPolicy:
         # Seeded by value, not by object identity: pure given the seed.
         draw = random.Random(f"{self.seed}|{attempt}|{token}").random()
         return base * (1.0 + self.jitter * draw)
-
-
-class MemoryPressure:
-    """Explicit load-shedding signal handed to ``on_pressure``."""
-
-    __slots__ = ("state_bytes", "limit_bytes", "cursor")
-
-    def __init__(self, state_bytes: int, limit_bytes: int, cursor: int) -> None:
-        self.state_bytes = state_bytes
-        self.limit_bytes = limit_bytes
-        self.cursor = cursor
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MemoryPressure({self.state_bytes} > {self.limit_bytes} bytes "
-            f"at cursor {self.cursor})"
-        )
-
-
-class MemoryGuard:
-    """Bounded-memory policy over an operator's retained state.
-
-    ``max_state_bytes`` is the shed threshold (measured with
-    :func:`repro.runtime.memory.deep_sizeof` over ``state_objects()``);
-    shedding stops once state falls to ``resume_state_bytes`` (default:
-    three quarters of the limit).  ``check_every`` throttles how often
-    the measurement runs while below the limit.
-    """
-
-    __slots__ = ("max_state_bytes", "resume_state_bytes", "check_every")
-
-    def __init__(
-        self,
-        max_state_bytes: int,
-        *,
-        resume_state_bytes: Optional[int] = None,
-        check_every: int = 256,
-    ) -> None:
-        if max_state_bytes <= 0:
-            raise ValueError(f"max_state_bytes must be positive, got {max_state_bytes}")
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {check_every}")
-        self.max_state_bytes = max_state_bytes
-        self.resume_state_bytes = (
-            resume_state_bytes
-            if resume_state_bytes is not None
-            else max_state_bytes * 3 // 4
-        )
-        if self.resume_state_bytes > max_state_bytes:
-            raise ValueError("resume_state_bytes must not exceed max_state_bytes")
-        self.check_every = check_every
-
-    def state_bytes(self, operator: WindowOperator) -> int:
-        return sum(deep_sizeof(obj) for obj in operator.state_objects())
 
 
 def _results_match(expected: WindowResult, result: WindowResult) -> bool:
@@ -440,11 +383,10 @@ class SupervisedPipeline:
         Optional :class:`~repro.runtime.durability.DeadLetterQueue`;
         when set, deterministic per-record failures are quarantined
         after a bounded number of retries instead of failing the run.
-    memory_guard / on_pressure:
-        Optional bounded-memory degradation (see module docstring).
     late_record_sink:
         Optional callable (or object with ``append``) receiving records
-        dropped beyond the allowed lateness, exactly once each.
+        dropped beyond the allowed lateness, exactly once each (see the
+        module docstring); ``stats.late_records`` counts them.
     tracer:
         Optional :class:`~repro.core.tracing.Tracer`; receives the
         ``durability.*`` / ``dlq.*`` counters (shared with the store
@@ -464,8 +406,6 @@ class SupervisedPipeline:
         restart_policy: Optional[RestartPolicy] = None,
         store: Optional[CheckpointStore] = None,
         dlq: Optional[DeadLetterQueue] = None,
-        memory_guard: Optional[MemoryGuard] = None,
-        on_pressure: Optional[Callable[[MemoryPressure], None]] = None,
         late_record_sink=None,
         stats: Optional[RecoveryStats] = None,
         tracer: Optional[Tracer] = None,
@@ -483,8 +423,6 @@ class SupervisedPipeline:
         self.policy = restart_policy if restart_policy is not None else RestartPolicy()
         self.store = store if store is not None else InMemoryStore(keep=1)
         self.dlq = dlq
-        self.guard = memory_guard
-        self.on_pressure = on_pressure
         if late_record_sink is not None and not callable(late_record_sink):
             late_record_sink = late_record_sink.append
         self._late_sink = late_record_sink
@@ -499,17 +437,11 @@ class SupervisedPipeline:
         self._clock = clock
 
         self._failures: List[BaseException] = []
-        # Cursor ranges [start, end) whose records were shed; decisions
-        # are replayed from this log, never re-taken, so recovery replay
-        # filters exactly the records the original pass filtered.
-        self._shed_ranges: List[List[Optional[int]]] = []
-        self._decided_to = 0
-        self._high_cursor = 0
-        self._last_guard_check = 0
-        # Late-record reports are buffered per batch and flushed only
-        # when the batch succeeds on its first (non-replay) pass, so a
-        # crashed half-batch or a replayed batch never reports twice.
-        self._late_buffer: List[Record] = []
+        # Drops the operator has made (reset from its checkpointed
+        # ``dropped_late_records`` on every restore) and the highest drop
+        # reported: a drop a replay repeats is not reported again.
+        self._late_seen = 0
+        self._late_reported = 0
         # Poison-record bookkeeping (only populated with a DLQ).
         self._quarantined: Set[int] = set()
         self._failures_at: Dict[int, int] = {}
@@ -541,16 +473,14 @@ class SupervisedPipeline:
         self._install_late_hook()
 
     def _install_late_hook(self) -> None:
-        self._snapshot_target().on_late_record = self._on_late_record
+        target = self._snapshot_target()
+        target.on_late_record = self._on_late_record
+        self._late_seen = target.dropped_late_records
 
     def _on_late_record(self, record: Record) -> None:
-        self._late_buffer.append(record)
-
-    def _flush_late_buffer(self, replayed_batch: bool) -> None:
-        buffered, self._late_buffer = self._late_buffer, []
-        if replayed_batch:
-            return  # already reported before the crash: exactly once
-        for record in buffered:
+        self._late_seen += 1
+        if self._late_seen > self._late_reported:
+            self._late_reported = self._late_seen
             self.stats.late_records += 1
             if self._late_sink is not None:
                 self._late_sink(record)
@@ -583,59 +513,6 @@ class SupervisedPipeline:
         return loaded
 
     # ------------------------------------------------------------------
-    # memory guard / load shedding
-
-    def _shed_filter(
-        self, cursor: int, batch: List[StreamElement], end: int
-    ) -> List[StreamElement]:
-        """Apply (and, past the decision horizon, extend) the shed log.
-
-        ``end`` is the cursor after the *original* batch -- quarantine
-        filtering may have shrunk ``batch``, but shed decisions cover
-        whole cursor ranges of the source stream.
-        """
-        if cursor >= self._decided_to:
-            self._decide_shedding(cursor, end)
-            self._decided_to = end
-            count_new = True
-        else:
-            count_new = False
-        if not self._cursor_shed(cursor):
-            return batch
-        kept = [e for e in batch if not isinstance(e, Record)]
-        if count_new:
-            self.stats.shed_records += len(batch) - len(kept)
-        return kept
-
-    def _cursor_shed(self, cursor: int) -> bool:
-        for start, end in self._shed_ranges:
-            if start <= cursor and (end is None or cursor < end):
-                return True
-        return False
-
-    def _decide_shedding(self, cursor: int, end: int) -> None:
-        guard = self.guard
-        if guard is None:
-            return
-        open_range = self._shed_ranges and self._shed_ranges[-1][1] is None
-        if open_range:
-            # Shedding: re-measure every batch to resume promptly.
-            if guard.state_bytes(self._snapshot_target()) <= guard.resume_state_bytes:
-                self._shed_ranges[-1][1] = cursor
-        else:
-            records_unchecked = end - self._last_guard_check
-            if records_unchecked < guard.check_every:
-                return
-            self._last_guard_check = end
-            state_bytes = guard.state_bytes(self._snapshot_target())
-            if state_bytes > guard.max_state_bytes:
-                self._shed_ranges.append([cursor, None])
-                if self.on_pressure is not None:
-                    self.on_pressure(
-                        MemoryPressure(state_bytes, guard.max_state_bytes, cursor)
-                    )
-
-    # ------------------------------------------------------------------
     # poison-record quarantine
 
     def _quarantine_filter(
@@ -663,25 +540,21 @@ class SupervisedPipeline:
         self.sink.emit(result)
         self.stats.results_emitted += 1
 
-    def _isolate_batch(
-        self, cursor: int, batch: List[StreamElement], replayed_batch: bool
-    ) -> Optional[Record]:
+    def _isolate_batch(self, cursor: int, batch: List[StreamElement]) -> Optional[Record]:
         """Replay one failing batch record-at-a-time to find the poison
         record.  Successful prefixes are delivered (and deduped) as they
         go; the culprit is quarantined and returned, with operator state
         left mid-batch for the caller to roll back.  Returns ``None``
         when the whole batch passes (the failure was transient after
         all)."""
-        shed = self._cursor_shed(cursor)
         for offset, element in enumerate(batch):
             position = cursor + offset
             if isinstance(element, Record):
-                if shed or position in self._quarantined:
+                if position in self._quarantined:
                     continue
                 try:
                     results = self._operator.process(element)
                 except Exception as exc:
-                    self._late_buffer.clear()
                     attempts = self._failures_at.get(cursor, 0)
                     # May raise DeadLetterOverflow: the caller escalates
                     # that to the ordinary restart budget.
@@ -695,7 +568,6 @@ class SupervisedPipeline:
                     return element
             else:
                 results = self._operator.process(element)
-            self._flush_late_buffer(replayed_batch)
             self._deliver(results, cursor + len(batch))
         self._failures_at.pop(cursor, None)
         self._isolate_at = None
@@ -714,10 +586,11 @@ class SupervisedPipeline:
         ``resume=True`` continues from the newest loadable generation a
         previous run (possibly a dead process) left in the store,
         re-feeding the *same* stream: the operator restores from the
-        checkpoint and the cursor rewinds to it.  Results the dead
-        process emitted after that checkpoint are re-emitted (the
-        classic at-least-once boundary of a non-transactional sink);
-        within the resumed run, delivery is exactly-once as usual.
+        checkpoint and the cursor rewinds to it.  Results (and late
+        records) the dead process emitted after that checkpoint are
+        re-emitted (the classic at-least-once boundary of a
+        non-transactional sink); within the resumed run, delivery is
+        exactly-once as usual.
         """
         source = (
             elements
@@ -727,8 +600,6 @@ class SupervisedPipeline:
         stats = self.stats
         policy = self.policy
         self._install_late_hook()
-        self._last_guard_check = 0
-        self._late_buffer.clear()
         unit = self._unit = _RestartUnit(
             self.store,
             policy=policy,
@@ -747,6 +618,9 @@ class SupervisedPipeline:
             stats.resumed_from_cursor = loaded.cursor
         else:
             self._take_checkpoint(0, 0)
+        # Drops before the start (or the resumed checkpoint) are not this
+        # run's to report.
+        self._late_reported = self._late_seen
         records_since_checkpoint = 0
         hiccups_in_row = 0
         total = len(source)
@@ -770,10 +644,9 @@ class SupervisedPipeline:
             hiccups_in_row = 0
 
             end = cursor + len(batch)
-            replayed_batch = end <= self._high_cursor
             try:
                 if self._isolate_at == cursor:
-                    poison = self._isolate_batch(cursor, batch, replayed_batch)
+                    poison = self._isolate_batch(cursor, batch)
                     if poison is not None:
                         # The culprit left mid-batch state behind; roll
                         # back to the checkpoint and replay without it.
@@ -783,18 +656,13 @@ class SupervisedPipeline:
                         records_since_checkpoint = 0
                         continue
                 else:
-                    to_process = self._shed_filter(
-                        cursor, self._quarantine_filter(cursor, batch), end
-                    )
-                    results = self._operator.process_batch(to_process)
-                    self._flush_late_buffer(replayed_batch)
+                    results = self._operator.process_batch(self._quarantine_filter(cursor, batch))
                     self._deliver(results, end)
             except RecoveryError:
                 # Not a failure a restore can heal: the same state and
                 # input would diverge again.  As on the sharded path.
                 raise
             except Exception as exc:
-                self._late_buffer.clear()
                 self._failures.append(exc)
                 managed = self.dlq is not None and self._note_dlq_failure(cursor, exc)
                 if not managed:
@@ -822,8 +690,6 @@ class SupervisedPipeline:
                 continue
 
             cursor = end
-            if cursor > self._high_cursor:
-                self._high_cursor = cursor
             batch_records = _count_records(batch)
             records_done += batch_records
             records_since_checkpoint += batch_records

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_operator
-from repro import GeneralSlicingOperator, Record
+from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Sum
 from repro.runtime import (
     CollectSink,
@@ -225,6 +225,41 @@ class TestReplayInterplay:
         assert sink.results == reference_results(stream)
         assert len(dlq) == 1
         assert [entry.cursor for entry in dlq.entries] == [13]
+
+    def test_a_batch_with_late_and_poison_records_reports_each_late_record_once(self):
+        """Retry, isolation and the rewind after the quarantine each
+        replay the batch from cursor 0 and drop its late records again;
+        the side channel hears each of them once."""
+        stream = [Record(t, 1.0) for t in range(20)]
+        # One batch (cursors 20-23): the watermark, a late record, the
+        # poison record, and a late record behind it.
+        stream += [Watermark(19), Record(2, 99.0), Record(21, POISON), Record(3, 99.0)]
+        stream += [Record(t, 1.0) for t in range(22, 40)]
+        stream.append(Watermark(100))
+
+        def late_tolerant(function):
+            operator = GeneralSlicingOperator(stream_in_order=False, allowed_lateness=5)
+            operator.add_query(TumblingWindow(5), function)
+            return operator
+
+        late = []
+        dlq = DeadLetterQueue(max_retries=1)
+        pipeline, sink = supervised(
+            late_tolerant(PoisonousSum()),
+            dlq=dlq,
+            checkpoint_every=1_000,
+            late_record_sink=late,
+        )
+        stats = pipeline.run(stream)
+
+        assert [entry.cursor for entry in dlq.entries] == [22]
+        assert stats.restarts == 3  # one retry, one isolation, one rewind
+        assert [(r.ts, r.value) for r in late] == [(2, 99.0), (3, 99.0)]
+        assert stats.late_records == 2
+        assert pipeline.operator.dropped_late_records == 2
+        assert sink.results == run_operator(
+            late_tolerant(Sum()), [e for e in stream if getattr(e, "value", None) != POISON]
+        )
 
 
 class TestOverflowAndHooks:

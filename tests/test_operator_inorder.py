@@ -62,6 +62,21 @@ class TestTumbling:
         with pytest.raises(StreamOrderViolation):
             op.process(Record(5, 1.0))
 
+    @pytest.mark.parametrize("path", ["process", "process_batch"])
+    def test_a_record_behind_a_watermark_that_overtook_the_stream_raises(self, path):
+        """The watermark at 1000 emitted [0, 100) without the record at
+        20; taken as in order, its 5.0 would reach no window at all."""
+        op = make_operator()
+        op.add_query(TumblingWindow(100), Sum())
+        head = [Record(10, 1.0), Watermark(1000)]
+        emitted = run_operator(op, head) if path == "process" else op.process_batch(head)
+        assert [(r.start, r.end, r.value) for r in emitted] == [(0, 100, 1.0)]
+        with pytest.raises(StreamOrderViolation):
+            if path == "process":
+                op.process(Record(20, 5.0))
+            else:
+                op.process_batch([Record(20, 5.0)])
+
     def test_equal_timestamps_allowed(self):
         op = make_operator()
         op.add_query(TumblingWindow(10), Sum())

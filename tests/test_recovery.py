@@ -3,9 +3,8 @@
 Covers the sink/source behaviour the recovery loop guarantees:
 duplicate re-emissions are deduplicated, the replay cursor lands
 exactly on the snapshot boundary, watermarks are re-delivered after a
-restore, source hiccups retry without restoring, and degradation
-(late-record side channel, memory guard) stays exactly-once under
-crashes.
+restore, source hiccups retry without restoring, and the late-record
+side channel stays exactly-once under crashes.
 """
 
 import pytest
@@ -14,15 +13,14 @@ from conftest import run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
 from repro.core.operator_base import WindowOperator
 from repro.core.types import WindowResult
-from repro.aggregations import Median, Sum
+from repro.aggregations import Sum
 from repro.runtime import (
     CollectSink,
+    DiskCheckpointStore,
     FaultInjectingOperator,
     FaultPlan,
     FaultySource,
     KeyedWindowOperator,
-    MemoryGuard,
-    MemoryPressure,
     PipelineFailed,
     RecoveryError,
     RecoveryStats,
@@ -426,42 +424,90 @@ class TestKeyedLateRecordChannel:
         )
 
 
-class TestMemoryGuard:
-    def test_pressure_sheds_load_with_signal(self):
-        operator = GeneralSlicingOperator(stream_in_order=True)
-        # Holistic aggregation over one huge window: state grows with
-        # every record until the guard steps in.
-        operator.add_query(TumblingWindow(1_000_000), Median())
-        signals = []
-        pipeline, _sink = supervised(
-            operator,
-            batch_size=16,
-            memory_guard=MemoryGuard(max_state_bytes=64 * 1024, check_every=64),
-            on_pressure=signals.append,
+class TestLateRecordsReportedByCount:
+    """The supervisor reports the n-th drop of a run once: a restore
+    resets its count to the restored operator's ``dropped_late_records``,
+    and only a drop past the highest one reported reaches the sink."""
+
+    def _late_stream(self):
+        elements = [Record(t, 1.0) for t in range(20)]  # cursors 0-19
+        elements.append(Watermark(19))
+        elements.append(Record(2, 99.0))  # cursor 21
+        elements.extend(Record(t, 1.0) for t in range(20, 30))  # 22-31
+        elements.append(Watermark(29))
+        elements.append(Record(12, 98.0))  # cursor 33
+        elements.extend(Record(t, 1.0) for t in range(30, 40))  # 34-43
+        elements.append(Watermark(100))
+        return elements
+
+    def test_hiccups_and_a_crash_report_each_late_record_once(self):
+        elements = self._late_stream()
+        late = []
+        # Both late records' reads hiccup; the crash (before the 39th
+        # record) replays from cursor 0 over both of them again.
+        source = FaultySource(elements, hiccup_at=[21, 33])
+        wrapped = FaultInjectingOperator(
+            build_operator(in_order=False, lateness=5), crash_at=[38]
         )
-        stats = pipeline.run([Record(t, float(t)) for t in range(5_000)])
+        pipeline, sink = supervised(
+            wrapped, checkpoint_every=1_000, batch_size=4, late_record_sink=late
+        )
+        stats = pipeline.run(source)
 
-        assert signals, "guard never signalled despite unbounded state"
-        signal = signals[0]
-        assert isinstance(signal, MemoryPressure)
-        assert signal.state_bytes > signal.limit_bytes == 64 * 1024
-        assert 0 < signal.cursor <= 5_000
-        assert stats.shed_records > 0
-        # Not everything was shed: records before the pressure point got in.
-        assert stats.shed_records < 5_000
+        assert stats.source_retries == 2
+        assert stats.restarts == 1
+        assert [(r.ts, r.value) for r in late] == [(2, 99.0), (12, 98.0)]
+        assert stats.late_records == 2
+        assert pipeline.operator.dropped_late_records == 2
+        assert sink.results == run_operator(
+            build_operator(in_order=False, lateness=5), elements
+        )
 
-    def test_no_guard_no_shedding(self):
-        pipeline, _sink = supervised(build_operator(), batch_size=16)
-        stats = pipeline.run([Record(t, 1.0) for t in range(500)])
-        assert stats.shed_records == 0
+    def test_a_resumed_run_reports_only_the_drops_past_its_checkpoint(self, tmp_path):
+        elements = self._late_stream()
+        store_dir = tmp_path / "ckpt"
+        first_late = []
+        # The first run checkpoints at cursors 12 and 24 (the late record
+        # at 21 is in the second) and dies before the record at cursor 31.
+        first, first_sink = supervised(
+            FaultInjectingOperator(
+                build_operator(in_order=False, lateness=5), crash_at=[30]
+            ),
+            checkpoint_every=10,
+            batch_size=4,
+            store=DiskCheckpointStore(store_dir),
+            restart_policy=RestartPolicy(max_restarts=0),
+            late_record_sink=first_late,
+        )
+        with pytest.raises(PipelineFailed):
+            first.run(elements)
+        assert [(r.ts, r.value) for r in first_late] == [(2, 99.0)]
 
-    def test_guard_validation(self):
-        with pytest.raises(ValueError):
-            MemoryGuard(0)
-        with pytest.raises(ValueError):
-            MemoryGuard(100, check_every=0)
-        with pytest.raises(ValueError):
-            MemoryGuard(100, resume_state_bytes=200)
+        # The resumed run starts at cursor 24 with one drop restored, and
+        # crashes before cursor 34: its replay drops the record at 33 again.
+        late = []
+        second, second_sink = supervised(
+            FaultInjectingOperator(
+                build_operator(in_order=False, lateness=5), crash_at=[9]
+            ),
+            checkpoint_every=10,
+            batch_size=4,
+            store=DiskCheckpointStore(store_dir),
+            late_record_sink=late,
+        )
+        stats = second.run(elements, resume=True)
+
+        assert stats.resumed_from_cursor == 24
+        assert stats.restarts == 1
+        assert [(r.ts, r.value) for r in late] == [(12, 98.0)]
+        assert stats.late_records == 1
+        assert second.operator.dropped_late_records == 2
+        expected = run_operator(build_operator(in_order=False, lateness=5), elements)
+        delivered = {
+            (r.query_id, r.start, r.end, r.value)
+            for r in first_sink.results + second_sink.results
+        }
+        assert delivered == {(r.query_id, r.start, r.end, r.value) for r in expected}
 
 
 class TestStatsAndConfig:
@@ -475,7 +521,7 @@ class TestStatsAndConfig:
         assert summary["replayed_records"] == 12
         assert summary["mean_recovery_seconds"] == 1.0
         assert summary["total_recovery_seconds"] == 2.0
-        assert stats.max_recovery_seconds == 1.5
+        assert stats.recovery_seconds == [0.5, 1.5]
 
     def test_supervisor_validation(self):
         with pytest.raises(ValueError):
