@@ -84,11 +84,6 @@ class Slice:
     # ------------------------------------------------------------------
     # predicates
 
-    @property
-    def is_open(self) -> bool:
-        """Whether this is the unbounded head slice."""
-        return self.end is None
-
     def covers(self, ts: int) -> bool:
         """Whether ``ts`` falls into ``[start, end)``."""
         if ts < self.start:

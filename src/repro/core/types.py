@@ -23,7 +23,7 @@ interprets the unit.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Union
 
 __all__ = [
     "Record",
@@ -32,7 +32,6 @@ __all__ = [
     "StreamElement",
     "WindowResult",
     "is_in_order",
-    "max_event_time",
 ]
 
 
@@ -203,18 +202,3 @@ def is_in_order(elements: Iterable[StreamElement]) -> bool:
             last = element.ts
     return True
 
-
-def max_event_time(elements: Iterable[StreamElement]) -> int | None:
-    """Return the largest record event-time in ``elements`` (None if empty)."""
-    best: int | None = None
-    for element in elements:
-        if isinstance(element, Record) and (best is None or element.ts > best):
-            best = element.ts
-    return best
-
-
-def records_only(elements: Iterable[StreamElement]) -> Iterator[Record]:
-    """Yield only the :class:`Record` elements of a stream."""
-    for element in elements:
-        if isinstance(element, Record):
-            yield element

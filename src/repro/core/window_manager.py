@@ -33,6 +33,7 @@ from ..aggregations.base import AggregateFunction, AggregationClass
 from ..windows.base import ContextClass
 from ..windows.multimeasure import LastNEveryWindow
 from ..windows.session import SessionWindow
+from ..windows.sliding import SlidingWindow
 from .aggregate_store import AggregateStore, SharedQueryPlan
 from .measures import MeasureKind
 from .slice_manager import SliceManager
@@ -144,9 +145,13 @@ class WindowManager:
     def _register_carry(self, managed: ManagedQuery) -> None:
         """Decide, once per query, whether its windows slide.
 
-        Holistic partials only: they cost O(distinct values) to fold per
-        slice and a multiset subtracts exactly.  Distributive and
-        algebraic partials fold in O(1) per slice, and over floats
+        Only windows that overlap their predecessor can slide: a time
+        :class:`SlidingWindow` whose slide is shorter than its length.
+        Tumbling, edge-list and punctuation windows never overlap, and a
+        carry there would be seeded by every emit and dropped by the
+        next.  Holistic partials only: they cost O(distinct values) to
+        fold per slice and a multiset subtracts exactly.  Distributive
+        and algebraic partials fold in O(1) per slice, and over floats
         ``(x ⊕ y) ⊖ y`` is not ``x`` bit for bit, so they stay a left
         fold.  Only the shared time-window path of :meth:`advance`
         consults the carry.
@@ -155,8 +160,9 @@ class WindowManager:
         window = managed.window
         if (
             self._share_windows
+            and isinstance(window, SlidingWindow)
             and window.measure_kind is MeasureKind.TIME
-            and not isinstance(window, SessionWindow)
+            and window.slide < window.length
             and function.kind is AggregationClass.HOLISTIC
             and function.commutative
             and function.invertible

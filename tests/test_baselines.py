@@ -502,7 +502,9 @@ class TestInOrderSlicersEvict:
 )
 def test_a_query_added_mid_stream_leaves_the_others_whole(make):
     """The baselines keep what the queries already there hold when one is
-    added (general slicing does not yet: ``test_operator_adaptivity.py``)."""
+    added (general slicing does not yet: ROADMAP 5, the
+    ``adding_a_query_keeps_the_results_of_the_others`` row of
+    ``tests/regressions.py``)."""
     records = [Record(ts, 1.0) for ts in range(0, 250, 10)]
     op = make()
     op.add_query(TumblingWindow(100), Sum())

@@ -15,8 +15,9 @@ Reproducibility: the base seed comes from ``REPRO_FUZZ_SEED`` (default
 pinned), and each parametrized case derives its own child seed, so a CI
 failure names the exact case.  On a mismatch the failing stream is
 greedily shrunk (drop one arrival at a time while the disagreement
-persists) and the minimal reproducing stream is printed in a form that
-pastes straight into a regression test.
+persists) and the minimal reproducing case is printed as a ``Case(...)``
+literal that pastes straight into ``tests/regressions.py``'s
+``REGRESSIONS``, where every path replays it (``tests/test_regressions.py``).
 """
 
 from __future__ import annotations
@@ -143,29 +144,28 @@ def _draw_queries(
         agg, agg_name = _algebraic(rng)
         if kind == "tumbling":
             length = rng.randint(5, 60)
-            draws.append((lambda l=length: TumblingWindow(l), agg, f"Tumbling({length}) {agg_name}"))
+            label = f"(TumblingWindow({length}), {agg_name}())"
+            draws.append((lambda l=length: TumblingWindow(l), agg, label))
         elif kind == "sliding":
             length = rng.randint(6, 60)
             slide = rng.randint(2, length)
-            draws.append(
-                (lambda l=length, s=slide: SlidingWindow(l, s), agg, f"Sliding({length},{slide}) {agg_name}")
-            )
+            label = f"(SlidingWindow({length}, {slide}), {agg_name}())"
+            draws.append((lambda l=length, s=slide: SlidingWindow(l, s), agg, label))
         elif kind == "session":
             gap = rng.randint(3, 30)
-            draws.append((lambda g=gap: SessionWindow(g), agg, f"Session({gap}) {agg_name}"))
+            label = f"(SessionWindow({gap}), {agg_name}())"
+            draws.append((lambda g=gap: SessionWindow(g), agg, label))
             any_session = True
         elif kind == "count_tumbling":
             length = rng.randint(3, 25)
-            draws.append(
-                (lambda l=length: CountTumblingWindow(l), agg, f"CountTumbling({length}) {agg_name}")
-            )
+            label = f"(CountTumblingWindow({length}), {agg_name}())"
+            draws.append((lambda l=length: CountTumblingWindow(l), agg, label))
             any_count = True
         else:  # count_sliding
             length = rng.randint(4, 25)
             slide = rng.randint(2, length)
-            draws.append(
-                (lambda l=length, s=slide: CountSlidingWindow(l, s), agg, f"CountSliding({length},{slide}) {agg_name}")
-            )
+            label = f"(CountSlidingWindow({length}, {slide}), {agg_name}())"
+            draws.append((lambda l=length, s=slide: CountSlidingWindow(l, s), agg, label))
             any_count = True
     return draws, any_session, any_count
 
@@ -306,6 +306,32 @@ def _shrink(make_operator, draws: List[QueryDraw], arrival: List[Record]) -> Lis
     return current
 
 
+def _case_source(name, make_operator, draws, minimal, seed) -> str:
+    """The shrunk case as a ``Case(...)`` literal for ``REGRESSIONS`` in
+    ``tests/regressions.py`` (a baseline gives its stream order and
+    lateness as the general slicing operator's options)."""
+    operator = make_operator()
+    options = {key: getattr(operator, key, 0) for key in ("stream_in_order", "allowed_lateness")}
+    if isinstance(operator, GeneralSlicingOperator):
+        options.update(eager=operator.eager, share_windows=operator.share_windows)
+        if operator.kernel is not None:
+            options["kernel"] = operator.kernel.value
+    defaults = dict(stream_in_order=False, allowed_lateness=0, eager=False, share_windows=True)
+    options = {key: value for key, value in options.items() if defaults.get(key) != value}
+    stream = [
+        f"Watermark({e.ts})"
+        if isinstance(e, Watermark)
+        else f"Record({e.ts}, {e.value!r}" + (f", key={e.key!r})" if e.key is not None else ")")
+        for e in list(minimal) + [Watermark(_horizon(minimal))]
+    ]
+    return (
+        f"Case(\n    [{', '.join(label for _, _, label in draws)}],\n"
+        f"    [{', '.join(stream)}],\n    {options!r},\n"
+        '    issue="",  # the commit that fixes it, or the ROADMAP item that will\n'
+        f'    why="Found by the differential fuzz on technique {name!r}, seed {seed}.",\n)'
+    )
+
+
 def _check_technique(name, make_operator, draws, arrival, seed):
     if not _disagrees(make_operator, draws, arrival):
         return
@@ -316,17 +342,11 @@ def _check_technique(name, make_operator, draws, arrival, seed):
         actual = _final_results(make_operator, draws, minimal)
     except Exception as exc:  # pragma: no cover - only on real bugs
         actual = f"<crash: {type(exc).__name__}: {exc}>"
-    stream_repr = ", ".join(
-        f"Watermark({e.ts})"
-        if isinstance(e, Watermark)
-        else f"Record({e.ts}, {e.value!r}" + (f", key={e.key!r})" if e.key is not None else ")")
-        for e in minimal
-    )
     pytest.fail(
         f"technique {name!r} disagrees with the reference (seed {seed})\n"
-        f"queries:  {[label for _, _, label in draws]}\n"
-        f"minimal reproducing stream ({len(minimal)} of {len(arrival)} arrivals, "
-        f"in arrival order):\n  [{stream_repr}]\n"
+        f"minimal reproducing case ({len(minimal)} of {len(arrival)} arrivals, "
+        f"in arrival order), a row for tests/regressions.py:\n"
+        f"{_case_source(name, make_operator, draws, minimal, seed)}\n"
         f"expected: {expected}\n"
         f"actual:   {actual}"
     )
@@ -373,7 +393,7 @@ def test_fuzz_holistic_median_record_keeping_techniques(case):
     rng = random.Random(seed)
     length = rng.randint(4, 40)
     draws: List[QueryDraw] = [
-        (lambda l=length: TumblingWindow(l), Median, f"Tumbling({length}) Median")
+        (lambda l=length: TumblingWindow(l), Median, f"(TumblingWindow({length}), Median())")
     ]
     arrival = _draw_disorder(rng, _draw_stream(rng))
     operators = [
@@ -402,7 +422,7 @@ def test_fuzz_holistic_fractional_values_shared_and_unshared(case):
             (
                 lambda l=factor * slide, s=slide: SlidingWindow(l, s),
                 make_agg,
-                f"Sliding({factor * slide},{slide}) Percentile({q})",
+                f"(SlidingWindow({factor * slide}, {slide}), Percentile({q}))",
             )
         )
     stream = _draw_stream(rng, fractional=True)
@@ -456,7 +476,11 @@ def test_fuzz_eviction_under_frequent_watermarks(case):
         length = rng.randint(6, 40)
         slide = rng.randint(2, length)
         draws.append(
-            (lambda l=length, s=slide: SlidingWindow(l, s), Median, f"Sliding({length},{slide}) Median")
+            (
+                lambda l=length, s=slide: SlidingWindow(l, s),
+                Median,
+                f"(SlidingWindow({length}, {slide}), Median())",
+            )
         )
     # None, a few slides (drawn windows are 5 .. 60 wide), or unbounded.
     lateness = [0, rng.randint(5, 60), LATENESS][case % 3]
@@ -491,15 +515,19 @@ def test_fuzz_sessions_are_evicted_whole_around_silences_of_about_the_gap(case):
     seed = _child_seed("session-eviction", case)
     rng = random.Random(seed)
     gap = rng.randint(2, 6)
-    draws: List[QueryDraw] = [(lambda: SessionWindow(gap), Sum, f"Session({gap}) Sum")]
+    draws: List[QueryDraw] = [(lambda: SessionWindow(gap), Sum, f"(SessionWindow({gap}), Sum())")]
     if rng.random() < 0.4:
         other = rng.randint(2, 9)
-        draws.append((lambda: SessionWindow(other), Sum, f"Session({other}) Sum"))
+        draws.append((lambda: SessionWindow(other), Sum, f"(SessionWindow({other}), Sum())"))
     length = rng.randint(3, 25)
     slide = rng.randint(1, length)
     agg = rng.choice([Sum, Median])
     draws.append(
-        (lambda: SlidingWindow(length, slide), agg, f"Sliding({length},{slide}) {agg.__name__}")
+        (
+            lambda: SlidingWindow(length, slide),
+            agg,
+            f"(SlidingWindow({length}, {slide}), {agg.__name__}())",
+        )
     )
     ts = 0
     stream = []

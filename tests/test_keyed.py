@@ -94,11 +94,6 @@ class TestKeyFirstSeenAfterAWatermark:
     TAIL = [Record(20, 5.0, "b"), Record(1010, 2.0, "b"), Watermark(1200)]
     EXPECTED = [("a", 0, 100, 1.0, False), ("b", 1000, 1100, 2.0, False)]
 
-    def test_the_unkeyed_operator_drops_the_same_record(self):
-        operator = ooo_factory()
-        run_operator(operator, [Record(10, 1.0), Watermark(1000), Record(20, 5.0)])
-        assert operator.dropped_late_records == 1
-
     @pytest.mark.parametrize("batch_size", [None, 1, 7])
     def test_a_record_behind_the_watermark_is_dropped_and_handed_out(self, batch_size):
         keyed = KeyedWindowOperator(ooo_factory)

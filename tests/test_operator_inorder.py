@@ -62,21 +62,6 @@ class TestTumbling:
         with pytest.raises(StreamOrderViolation):
             op.process(Record(5, 1.0))
 
-    @pytest.mark.parametrize("path", ["process", "process_batch"])
-    def test_a_record_behind_a_watermark_that_overtook_the_stream_raises(self, path):
-        """The watermark at 1000 emitted [0, 100) without the record at
-        20; taken as in order, its 5.0 would reach no window at all."""
-        op = make_operator()
-        op.add_query(TumblingWindow(100), Sum())
-        head = [Record(10, 1.0), Watermark(1000)]
-        emitted = run_operator(op, head) if path == "process" else op.process_batch(head)
-        assert [(r.start, r.end, r.value) for r in emitted] == [(0, 100, 1.0)]
-        with pytest.raises(StreamOrderViolation):
-            if path == "process":
-                op.process(Record(20, 5.0))
-            else:
-                op.process_batch([Record(20, 5.0)])
-
     def test_equal_timestamps_allowed(self):
         op = make_operator()
         op.add_query(TumblingWindow(10), Sum())
@@ -172,28 +157,6 @@ class TestCountWindows:
         final = final_values(op, stream + [Watermark(100)])
         expected = reference_results([(CountSlidingWindow(4, 2), Sum())], stream)
         assert final == expected
-
-    @pytest.mark.parametrize("eager", [False, True])
-    @pytest.mark.parametrize(
-        "window", [CountTumblingWindow(10), CountSlidingWindow(100, 10)], ids=repr
-    )
-    def test_watermark_on_a_count_edge_does_not_lose_the_cut(self, eager, window):
-        """A watermark that evicts resets the slicer's edge cache; when
-        the next record sits exactly on a count edge, the refreshed
-        cache must still cut there.  It used to look past that edge, so
-        the head swallowed the following windows' records, and without
-        stored records 49 of these 100 tumbling windows came out wrong.
-        """
-        stream = [Record(t, float(t % 7)) for t in range(1_000)]
-        elements = []
-        for record in stream:
-            elements.append(record)
-            if record.ts % 10 == 9:
-                elements.append(Watermark(record.ts))
-        op = make_operator(eager)
-        op.add_query(window, Sum())
-        assert not op.stores_records
-        assert final_values(op, elements) == reference_results([(window, Sum())], stream)
 
     def test_time_and_count_queries_together(self):
         op = make_operator()

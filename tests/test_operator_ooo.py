@@ -12,7 +12,6 @@ from repro.core.types import Punctuation
 from repro.reference import reference_results
 from repro.windows import (
     CountTumblingWindow,
-    ExplicitEdgesWindow,
     LastNEveryWindow,
     PunctuationWindow,
     SessionWindow,
@@ -115,72 +114,9 @@ class TestLateUpdates:
 
 class TestRecordsBehindAWatermarkThatOvertookTheStream:
     """A watermark ahead of the newest record makes everything that
-    arrives behind it late -- also a record behind no other record,
-    which used to take the in-order path: its windows were never
-    emitted and, beyond the lateness, its loss never reported."""
-
-    STREAM = [Record(ts, 1.0) for ts in range(0, 5_000, 10)]
-    QUERIES = staticmethod(lambda: [(TumblingWindow(100), Sum())])
-
-    @pytest.mark.parametrize("eager", [False, True])
-    def test_within_lateness_its_window_is_emitted(self, eager):
-        op = make_operator(eager, lateness=10**9)
-        op.add_query(*self.QUERIES()[0])
-        final = final_values(op, self.STREAM + [Watermark(10**6)])
-        late = Record(5_003, 7.0)
-        updates = op.process(late)
-        assert [(r.start, r.end, r.value, r.is_update) for r in updates] == [(5_000, 5_100, 7.0, True)]
-        final.update({(r.query_id, r.start, r.end): r.value for r in updates})
-        final.update(final_values(op, [Watermark(2 * 10**6)]))
-        assert final[(0, 5_000, 5_100)] == 7.0
-        assert final == reference_results(self.QUERIES(), self.STREAM + [late], horizon=2 * 10**6)
-        assert op.dropped_late_records == 0
-        op.check_invariants()
-
-    @pytest.mark.parametrize("eager", [False, True])
-    def test_beyond_lateness_it_is_dropped_and_reported(self, eager):
-        op = make_operator(eager, lateness=0)
-        op.add_query(*self.QUERIES()[0])
-        reported = []
-        op.on_late_record = reported.append
-        final = final_values(op, self.STREAM + [Watermark(10**6)])
-        late = Record(5_003, 7.0)
-        final.update(final_values(op, [late, Watermark(2 * 10**6)]))
-        assert reported == [late] and op.dropped_late_records == 1
-        assert final == reference_results(self.QUERIES(), self.STREAM, horizon=2 * 10**6)
-
-    @pytest.mark.parametrize("eager", [False, True])
-    def test_it_is_sliced_at_the_edges_it_passed_in_time_and_in_count(self, eager):
-        """The open head must not swallow it: [4900, ...) is cut at 5000,
-        and the count chain cuts where its in-order position says."""
-        queries = lambda: [  # noqa: E731
-            (TumblingWindow(100), Sum()),
-            (SlidingWindow(300, 100), Median()),
-            (CountTumblingWindow(7), Sum()),
-            (SessionWindow(40), Sum()),
-        ]
-        op = make_operator(eager, lateness=10**9)
-        for window, fn in queries():
-            op.add_query(window, fn)
-        behind = [Record(4_995, 2.0), Record(5_003, 7.0), Record(5_003, 1.0), Record(5_250, 3.0)]
-        tail = [Record(10**6 + 5, 4.0), Record(5_120, 5.0)]
-        elements = self.STREAM + [Watermark(10**6)] + behind + tail + [Watermark(2 * 10**6)]
-        final = {}
-        for element in elements:
-            for r in op.process(element):
-                final[(r.query_id, r.start, r.end)] = r.value
-            op.check_invariants()
-        expected = reference_results(queries(), elements, horizon=2 * 10**6)
-        # A session extended behind the watermark replaces the one emitted.
-        assert {key: value for key, value in final.items() if key in expected} == expected
-        assert final[(0, 5_000, 5_100)] == 8.0 and final[(0, 5_200, 5_300)] == 3.0
-
-    def test_a_first_record_behind_the_watermark_is_late_too(self):
-        op = make_operator(lateness=0)
-        op.add_query(TumblingWindow(10), Sum())
-        assert op.process(Watermark(100)) == []
-        assert op.process(Record(50, 1.0)) == [] and op.dropped_late_records == 1
-        assert final_values(op, [Record(105, 2.0), Watermark(200)]) == {(0, 100, 110): 2.0}
+    arrives behind it late (the rows ``a_record_behind_an_overtaking_
+    watermark_*`` of ``tests/regressions.py``); flush still goes by the
+    records."""
 
     def test_flush_still_closes_the_windows_of_the_newest_record_only(self):
         op = make_operator(lateness=5)
@@ -387,181 +323,6 @@ class TestPunctuationsOutOfOrder:
         assert final[(0, 5, 10)] == 1.0
 
 
-class TestEvictionKeepsLongEdgeDelimitedWindows:
-    """Windows given by an edge list or by punctuations have no
-    ``length``: how far back they reach is the start of the window that
-    is still open, which a finer window on the same chain must not make
-    the watermark evict."""
-
-    @staticmethod
-    def _stream(marks=()):
-        elements = []
-        for ts in range(2_000):
-            if ts in marks:
-                elements.append(Punctuation(ts))
-            elements.append(Record(ts, 1.0))
-            if ts % 100 == 99:
-                elements.append(Watermark(ts))
-        return elements
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    def test_explicit_edges_next_to_fine_tumbling(self, eager):
-        queries = [(ExplicitEdgesWindow([0, 1000, 2000]), Sum()), (TumblingWindow(100), Sum())]
-        elements = self._stream() + [Watermark(2_100)]
-        op = make_operator(eager, lateness=0)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        final = final_values(op, elements)
-        assert final[(0, 0, 1000)] == final[(0, 1000, 2000)] == 1000.0
-        assert final == reference_results(queries, elements, horizon=2_100)
-        # Eviction still happens: nothing before the last edge is kept.
-        assert op.total_slices() <= 2
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    def test_punctuation_windows_next_to_fine_tumbling(self, eager):
-        queries = [(PunctuationWindow(), Sum()), (TumblingWindow(100), Sum())]
-        elements = self._stream(marks=(1000,)) + [Punctuation(2_000), Watermark(2_100)]
-        op = make_operator(eager, lateness=0)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        final = final_values(op, elements)
-        assert final[(0, 0, 1000)] == final[(0, 1000, 2000)] == 1000.0
-        assert final == reference_results(queries, elements, horizon=2_100)
-        assert op.total_slices() <= 2
-
-
-def _marked(records, marks):
-    """``records`` in order, each watermark of ``marks`` ahead of the first
-    record at or after it (the rest at the end)."""
-    elements, marks = [], list(marks)
-    for record in records:
-        while marks and marks[0] <= record.ts:
-            elements.append(Watermark(marks.pop(0)))
-        elements.append(record)
-    return elements + [Watermark(mark) for mark in marks]
-
-
-class TestEvictionIsExact:
-    """What eviction may not change, each with the stream that showed it
-    did: run through :func:`run_operator` so a window emitted twice, or
-    one the reference does not have, fails even with the right value."""
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    def test_a_session_is_evicted_whole_or_not_at_all(self, eager):
-        """One session, 100 .. 160, cut into 1-wide slices by the sliding
-        window beside it.  Once it had timed out (176) the watermark at
-        180 evicted up to 164 -- every slice of it but the open head
-        [160, ...).  The next record closed that head, and what was left
-        came back as a session of its own: ``(160, 176) -> 1.0`` beside
-        ``(100, 176) -> 21.0``, no late drop, lazy and eager alike."""
-        queries = [(SessionWindow(16), Sum()), (SlidingWindow(13, 2), Sum())]
-        session = [Record(ts, 1.0) for ts in range(100, 161, 3)]
-        elements = _marked(session, range(105, 201, 5)) + [Record(400, 1.0), Watermark(500)]
-        op = make_operator(eager, lateness=0)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        results = run_operator(op, elements)
-        assert op.dropped_late_records == 0
-        sessions = [(r.start, r.end, r.value) for r in results if r.query_id == 0]
-        assert sessions == [(100, 176, 21.0), (400, 416, 1.0)]
-        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
-        assert len(emitted) == len(results)  # nothing twice, no updates
-        assert emitted == reference_results(queries, elements, horizon=500)
-        op.check_invariants()
-
-    #: name -> (queries, the two sessions' timestamps, slide of the watermarks).
-    HALVED_SESSIONS = {
-        # Sliced [0, 10) [10, 17) [17, 20) ...: the first session's tail
-        # ends at 12 + 5, where the second one's first record is.  Pinned
-        # one *before* that record, the horizon (20 at ts 30) spared
-        # [10, 17) and dropped [0, 10): ``(10, 17) -> 3.0`` beside
-        # ``(0, 17) -> 13.0``.
-        "the next session starts where the tail slice ends": (
-            lambda: [(SessionWindow(5), Sum()), (TumblingWindow(10), Sum())],
-            (range(0, 13), range(17, 46)),
-            10,
-        ),
-        # At ts 60 the horizon is 35 and the session 20 .. 31, whose tail
-        # [30, 34) ends before it, may go whole.  The carry of window
-        # [30, 55) then lowered the horizon to 30: applied after the
-        # sessions were judged, that dropped [20, 25) [25, 30) and kept
-        # the tail, ``(30, 34) -> 2.0`` beside ``(20, 34) -> 12.0``.
-        "a carry lowers the horizon into a session judged gone": (
-            lambda: [(SlidingWindow(25, 10), Median()), (SessionWindow(3), Sum())],
-            (range(20, 32), range(40, 71)),
-            10,
-        ),
-    }
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    @pytest.mark.parametrize("in_order", [True, False], ids=["in order", "watermarks"])
-    @pytest.mark.parametrize("case", HALVED_SESSIONS)
-    def test_no_pin_leaves_half_a_session_behind(self, case, in_order, eager):
-        make_queries, (first, second), slide = self.HALVED_SESSIONS[case]
-        queries = make_queries()
-        elements = [Record(ts, 1.0) for ts in (*first, *second)]
-        if not in_order:
-            elements = _marked(elements, range(slide, second[-1], slide))
-        elements.append(Watermark(200))
-        op = GeneralSlicingOperator(stream_in_order=in_order, eager=eager)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        results = []
-        for element in elements:
-            results.extend(op.process(element))
-            op.check_invariants()
-        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
-        assert len(emitted) == len(results)  # nothing twice, no updates
-        assert emitted == reference_results(make_queries(), elements, horizon=200)
-        # The first session did go; the second is in the open head.
-        (store,) = op.state_objects()
-        assert store.slices[0].first_ts == second[0]
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    @pytest.mark.parametrize("in_order", [True, False], ids=["in order", "out of order"])
-    def test_a_session_timed_out_in_the_open_head_is_emitted_once(self, in_order, eager):
-        """The watermark at 71 emits ``(34, 40)`` out of the open head,
-        which no eviction takes.  Its horizon, 51, is past the session's
-        end: forgotten as emitted on that account, the session came out
-        again behind the next record."""
-        queries = [(SessionWindow(4), Sum()), (TumblingWindow(20), Sum())]
-        stamps = (1, 2, 34, 36)
-        elements = [Record(ts, 1.0) for ts in stamps]
-        elements += [Watermark(71), Record(71, 1.0), Watermark(200)]
-        op = GeneralSlicingOperator(stream_in_order=in_order, eager=eager)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        results = run_operator(op, elements)
-        sessions = [(r.start, r.end, r.value) for r in results if r.query_id == 0]
-        assert sessions == [(1, 6, 2.0), (34, 40, 2.0), (71, 75, 1.0)]
-        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
-        assert emitted == reference_results(queries, elements, horizon=200)
-
-    @pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
-    @pytest.mark.parametrize("lateness", [0, 100])
-    def test_count_positions_survive_eviction(self, eager, lateness):
-        """"The last 3 every 10" resolves its trigger edges against the
-        records counted before them.  Counted over the retained slices
-        only, every edge after the first eviction came out short by the
-        evicted records: of the six windows four were emitted, one of
-        them, ``(10, 13) -> 66.0``, not the reference's.  With a lateness
-        of 100 nothing is evicted and all six always matched."""
-        queries = [(LastNEveryWindow(3, 10), Sum())]
-        stream = [Record(ts, float(ts)) for ts in range(0, 60, 2)]
-        elements = _marked(stream, [10, 20, 30, 40, 50, 60])
-        op = make_operator(eager, lateness=lateness)
-        for window, fn in queries:
-            op.add_query(window, fn)
-        results = run_operator(op, elements)
-        windows = [(r.start, r.end) for r in results]
-        assert windows == [(2, 5), (7, 10), (12, 15), (17, 20), (22, 25), (27, 30)]
-        emitted = {(r.query_id, r.start, r.end): r.value for r in results}
-        assert emitted == reference_results(queries, elements, horizon=60)
-        if lateness == 0:
-            assert op.total_slices() <= 3
-        op.check_invariants()
-
-
 class TestMultiMeasureOutOfOrder:
     def test_late_record_shifts_window_content(self):
         op = make_operator()
@@ -578,21 +339,6 @@ class TestMultiMeasureOutOfOrder:
         values = [r.value for r in results]
         assert 3.0 in values  # initial emission
         assert 10.0 in values  # update after the late record
-
-    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP 12(e)")
-    def test_a_late_record_before_an_emptied_count_boundary(self):
-        """The late 527 updates the window at edge 550 by splitting its
-        start off at count 1; the late 520 then shifts the one record
-        out of the slice that ends there, leaving it empty, and the
-        second 520 finds no record to shift out of it."""
-        op = make_operator(lateness=10_000)
-        op.add_query(LastNEveryWindow(count=5, every=25), Sum())
-        elements = [Record(ts, 1.0) for ts in (526, 527, 527, 529, 530)]
-        elements += [Watermark(570)] + [Record(ts, 1.0) for ts in (527, 520, 520)]
-        final = final_values(op, elements + [Watermark(1_000)])
-        assert final == reference_results(
-            [(LastNEveryWindow(count=5, every=25), Sum())], elements, horizon=1_000
-        )
 
 
 class TestRandomizedAgainstReference:

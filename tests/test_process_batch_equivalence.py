@@ -31,13 +31,14 @@ from repro.baselines import (
     TupleBufferOperator,
 )
 from repro.core.types import Record, Watermark
-from repro.reference import reference_results
 from repro.windows import (
     CountTumblingWindow,
     SessionWindow,
     SlidingWindow,
     TumblingWindow,
 )
+
+from regressions import Scaled
 
 BATCH_SIZES = [1, 7, 64, None]  # None = the whole stream as one batch
 
@@ -219,49 +220,12 @@ class TestGeneralSlicingEquivalence:
         assert got == expected
 
 
-class Scaled(Sum):
-    def lift(self, value):
-        return value * 2
-
-
-class AbsMax(Max):
-    lift = staticmethod(abs)
-
-
-class FuelSum(Sum):
-    """Sum over the second component of a pair: ``lift`` changes the type."""
-
-    def lift(self, value):
-        return value[1]
-
-
 class TestSubclassThatOverridesLift:
     """``Sum.fold_values`` / ``Max.fold_values`` reduce the raw values,
     which is ``lift`` only for ``Sum`` / ``Max`` themselves: a subclass
-    with its own ``lift`` must get the exact left fold on every bulk
-    path instead of silently losing it."""
-
-    CASES = {
-        "scaled-sum": (Scaled, lambda t: 1.0, {(0, 0, 100): 20.0, (0, 100, 200): 20.0}),
-        "abs-max": (AbsMax, lambda t: -float(t % 70), {(0, 0, 100): 60.0, (0, 100, 200): 60.0}),
-        "pair-sum": (FuelSum, lambda t: (t, 0.5), {(0, 0, 100): 5.0, (0, 100, 200): 5.0}),
-    }
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("case", CASES)
-    def test_process_batch_and_reference_agree(self, case, batch_size):
-        function, value_of, expected = self.CASES[case]
-        stream = [Record(t, value_of(t)) for t in range(0, 300, 10)]
-
-        def build():
-            op = GeneralSlicingOperator(stream_in_order=True)
-            op.add_query(TumblingWindow(100), function())
-            return op
-
-        assert reference_results([(TumblingWindow(100), function())], stream, horizon=299) == expected
-        as_results = [(q, s, e, v, False) for (q, s, e), v in expected.items()]
-        assert run_tuple_at_a_time(build(), stream) == as_results
-        assert run_batched(build(), stream, batch_size) == as_results
+    with its own ``lift`` gets the exact left fold back.  That every bulk
+    path folds with it is a row of the regression corpus
+    (``a_subclass_that_overrides_lift_folds_with_it_in_bulk``)."""
 
     def test_only_the_hooks_a_class_does_not_define_fall_back(self):
         base = AggregateFunction

@@ -27,7 +27,6 @@ class TestBasics:
 
     def test_open_slice_covers_everything_after_start(self):
         slice_ = Slice(10, None, 1, store_records=False)
-        assert slice_.is_open
         assert slice_.covers(10**9)
 
     def test_end_kind_default_time(self):

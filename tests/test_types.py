@@ -8,8 +8,6 @@ from repro.core.types import (
     Watermark,
     WindowResult,
     is_in_order,
-    max_event_time,
-    records_only,
 )
 
 
@@ -93,12 +91,3 @@ class TestStreamHelpers:
     def test_is_in_order_empty(self):
         assert is_in_order([])
 
-    def test_max_event_time(self):
-        assert max_event_time([Record(1, 0), Record(9, 0), Watermark(99)]) == 9
-
-    def test_max_event_time_empty(self):
-        assert max_event_time([Watermark(5)]) is None
-
-    def test_records_only(self):
-        elements = [Record(1, 0), Watermark(2), Punctuation(3), Record(4, 0)]
-        assert [r.ts for r in records_only(elements)] == [1, 4]

@@ -204,9 +204,9 @@ def test_only_exactly_invertible_holistic_functions_on_shared_windows_slide(slid
 
 
 def test_windows_that_never_overlap_keep_folding_through_the_shared_plan(slides):
-    """Tumbling windows: nothing to slide from, so each one takes the
-    path it took before the carry -- including the plan that shares the
-    suffixes of the nested windows closing together."""
+    """Tumbling windows never overlap, so no query carries: each window
+    takes the path it took before the carry -- including the plan that
+    shares the suffixes of the nested windows closing together."""
     queries = lambda: [  # noqa: E731
         (TumblingWindow(10), Sum()),  # cuts the 10-wide slices the others share
         (TumblingWindow(40), Median()),
@@ -218,10 +218,10 @@ def test_windows_that_never_overlap_keep_folding_through_the_shared_plan(slides)
     stream = _records(range(330))
     collected = final_values(operator, stream)
 
-    assert len(slides) == 8 + 4 + 2 and not any(call[3] for call in slides)
-    assert tracer.value("window.slides") == 0 and tracer.value("window.refolds") == 14
+    assert slides == []
+    assert tracer.value("window.slides") == 0 and tracer.value("window.refolds") == 0
     assert tracer.value("share.hits") > 0
-    assert _carry(operator, 1)[:2] == (280, 320)  # reseeded by every fold, never used
+    assert 1 not in _window_manager(operator)._carries
     _finish(operator, queries, stream, collected, stream_in_order=True)
 
 
@@ -683,35 +683,6 @@ def test_random_disorder_with_lateness_keeps_every_carry_valid(seed):
     collected.update(final_values(operator, [Watermark(horizon)]))
     assert collected == reference_results(queries(), kept, horizon=horizon)
     assert tracer.value("window.slides") > 100 and tracer.value("window.refolds") > 0
-
-
-# ----------------------------------------------------------------------
-# the carry owns its partial
-
-
-def test_a_carry_seeded_from_one_slice_slides_a_copy_of_its_partial(slides):
-    """The seed window [0, 40) has one non-empty slice, [30, 40), so its
-    fold is that slice's own partial.  The carry slides a private copy
-    in place, three windows in and then out of that slice: the slice
-    keeps its partial, the same object with the same runs."""
-    queries = lambda: [(SlidingWindow(40, 10), Median())]  # noqa: E731
-    operator = _operator(queries(), stream_in_order=True)
-    stream = _records([35] + list(range(40, 90)))
-    collected = final_values(operator, stream[:2])
-    (held,) = [slice_ for slice_ in _slices(operator) if slice_.start == 30]
-    partial = held.aggs[0]
-    runs = list(partial.runs)
-    carried = _carry(operator)[4]
-    assert carried == partial and carried is not partial
-    operator.check_invariants()
-
-    for record in stream[2:]:
-        for result in operator.process(record):
-            collected[(result.query_id, result.start, result.end)] = result.value
-        operator.check_invariants()
-    assert _folded(slides) == [(0, 0, 40)] and len(slides) == 5
-    assert held.aggs[0] is partial and partial.runs == runs and partial.total == 1
-    _finish(operator, queries, stream, collected, stream_in_order=True)
 
 
 # ----------------------------------------------------------------------

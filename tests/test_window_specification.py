@@ -5,7 +5,8 @@ the stream reveals lives in the operator component that records it (a
 session's moving end in the slices, a last-n window's counts in the
 window manager).  The one exception, a punctuation window's edge list,
 lives in a copy each operator registers for itself, so one window object
-may serve any number of operators.
+may serve any number of operators (a row of ``tests/regressions.py`` hands
+one to every key of a keyed operator).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro import GeneralSlicingOperator, Record, Watermark
 from repro.aggregations import Median, Sum
 from repro.core.stream_slicer import StreamSlicer
 from repro.core.types import Punctuation
-from repro.runtime import KeyedWindowOperator
 from repro.windows import (
     CountSlidingWindow,
     CountTumblingWindow,
@@ -34,48 +34,6 @@ from repro.windows import (
     TumblingWindow,
 )
 from test_differential_fuzz import LATENESS, _child_seed, _draw_stream, _draw_watermarked_arrival
-
-# ----------------------------------------------------------------------
-# ownership: every operator registers its own copy of a window
-
-
-def _keyed_punctuation_stream():
-    """Keys ``a`` and ``b`` every 10 ms, punctuations at 55, 155, 255."""
-    elements = []
-    punctuations = [55, 155, 255]
-    for t in range(0, 300, 10):
-        while punctuations and punctuations[0] <= t:
-            elements.append(Punctuation(punctuations.pop(0)))
-        elements += [Record(t, 1.0, key="a"), Record(t + 1, 2.0, key="b")]
-    return elements + [Watermark(1_000)]
-
-
-@pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "out-of-order"])
-def test_a_shared_punctuation_window_emits_the_windows_of_every_key(in_order):
-    """A factory that registers one ``PunctuationWindow`` object with every
-    per-key operator: each key's operator learns the punctuations into its
-    own copy, so each one cuts its chain at them.  (With the object shared,
-    the second key found every edge known already, neither cut nor split,
-    and lost all three of its windows.)"""
-    shared = PunctuationWindow()
-
-    def factory():
-        operator = GeneralSlicingOperator(stream_in_order=in_order)
-        operator.add_query(shared, Sum())
-        return operator
-
-    keyed = KeyedWindowOperator(factory)
-    results = {(r.key, r.start, r.end): r.value for r in keyed.run(_keyed_punctuation_stream())}
-    assert results == {
-        ("a", 0, 55): 6.0,
-        ("a", 55, 155): 10.0,
-        ("a", 155, 255): 10.0,
-        ("b", 0, 55): 12.0,
-        ("b", 55, 155): 20.0,
-        ("b", 155, 255): 20.0,
-    }
-    assert shared.get_next_edge(0) is None  # the object handed over learned nothing
-
 
 # ----------------------------------------------------------------------
 # sessions: the moving end is read off the slices
