@@ -148,8 +148,8 @@ class SliceManager:
         if floor is not None:
             start_bounds.append(floor)
         start = max(start_bounds) if start_bounds else ts
-        if start > ts:  # floor edge beyond ts cannot happen; guard anyway
-            start = ts
+        if start > ts:
+            raise AssertionError(f"the gap slice [{start}, ...) for ts={ts} starts after it")
         if after is not None:
             end_bounds.append(slices[after].start)
         ceil = self._ceil_time_edge(ts)

@@ -178,9 +178,11 @@ class WindowResult:
             and self.end == other.end
             and self.value == other.value
             and self.is_update == other.is_update
+            and self.key == other.key
         )
 
     def __hash__(self) -> int:
+        # Without the key, which may be unhashable (a list).
         return hash((self.query_id, self.start, self.end, repr(self.value), self.is_update))
 
     def as_tuple(self) -> tuple:

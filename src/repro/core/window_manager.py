@@ -557,13 +557,12 @@ class WindowManager:
                 piece = slice_.aggs[fn_index]
             else:
                 if slice_.records is None:
-                    piece = slice_.aggs[fn_index]  # best effort without records
-                else:
-                    lo_off = max(0, count_start - base)
-                    hi_off = min(slice_.record_count, count_end - base)
-                    piece = function.fold_values(
-                        None, [record.value for record in slice_.records[lo_off:hi_off]]
-                    )
+                    raise AssertionError(f"a count window covers part of record-less {slice_!r}")
+                lo_off = max(0, count_start - base)
+                hi_off = min(slice_.record_count, count_end - base)
+                piece = function.fold_values(
+                    None, [record.value for record in slice_.records[lo_off:hi_off]]
+                )
             if piece is not None:
                 pieces.append(piece)
         return function.combine_all(pieces)

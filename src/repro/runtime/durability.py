@@ -20,7 +20,7 @@ run.  This module is the durability layer that closes those three gaps:
   (:class:`CheckpointCorruptError`) and skipped generation-by-generation
   until a good one is found.
 * :class:`DeadLetterQueue` -- bounded-retry quarantine for poison
-  records.  The supervisor retries a failing record a few times
+  records.  The supervisor retries a failing batch a few times
   (transient faults heal), then isolates the culprit, quarantines it
   with its cause, cursor, and attempt count, and continues the run.
 
@@ -37,10 +37,10 @@ import json
 import os
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..core.tracing import Tracer
-from ..core.types import Record
+from ..core.types import Record, StreamElement
 from .checkpoint import CheckpointError
 
 __all__ = [
@@ -494,13 +494,17 @@ class DeadLetterQueue:
     so transient faults heal); past the budget it isolates the culprit
     record, hands it here, and continues the run without it.
 
+    The queue owns the quarantine, keyed by the supervisor's source
+    positions; every pass leaves quarantined records out
+    (:meth:`passing`), so a replay neither re-emits nor re-quarantines.
+
     ``capacity`` bounds the queue; when a quarantine would exceed it,
     :class:`DeadLetterOverflow` is raised and the failure escalates to
     the supervisor's normal restart budget (a stream where *everything*
     is poison should still kill the pipeline).  ``on_poison_record``
-    (optional) observes each new :class:`PoisonRecord` exactly once --
-    quarantine decisions are replayed from the supervisor's log after a
-    crash, never re-taken, so the hook never fires twice for one record.
+    (optional) observes each new :class:`PoisonRecord` exactly once:
+    the position is quarantined before the hook runs, so a hook that
+    raises escalates like an overflow and is not called again.
     """
 
     def __init__(
@@ -521,6 +525,12 @@ class DeadLetterQueue:
         self.tracer = tracer
         self.entries: List[PoisonRecord] = []
         self.retries = 0
+        #: Positions of the quarantined records.
+        self.quarantined: Set[int] = set()
+        #: Failures so far of each failing batch, by the batch's position.
+        self.batch_failures: Dict[int, int] = {}
+        #: Position of the batch being replayed record at a time, if any.
+        self.isolating: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -529,6 +539,36 @@ class DeadLetterQueue:
         self.retries += 1
         if self.tracer is not None:
             self.tracer.count("dlq.retries")
+
+    def passing(self, cursor: int, batch: List[StreamElement]) -> List[StreamElement]:
+        """The batch read at ``cursor`` without its quarantined records."""
+        quarantined = self.quarantined
+        return [
+            element
+            for offset, element in enumerate(batch)
+            if cursor + offset not in quarantined
+        ]
+
+    def note_failure(self, cursor: int) -> bool:
+        """Count one failure of the batch at ``cursor``.  True when the
+        queue handles it: a retry, or past ``max_retries`` an isolation
+        on the next pass.  False when the isolation itself failed (an
+        overflow, a raising hook, a fault outside any one record): that
+        failure goes to the restart budget."""
+        if self.isolating == cursor:
+            return False
+        count = self.batch_failures.get(cursor, 0) + 1
+        self.batch_failures[cursor] = count
+        if count <= self.max_retries:
+            self.record_retry()
+        else:
+            self.isolating = cursor
+        return True
+
+    def isolated(self, cursor: int) -> None:
+        """The batch at ``cursor`` passed, or its culprit is quarantined."""
+        self.batch_failures.pop(cursor, None)
+        self.isolating = None
 
     def quarantine(
         self, record: Record, *, cursor: int, attempts: int, cause: BaseException
@@ -542,6 +582,7 @@ class DeadLetterQueue:
             )
         entry = PoisonRecord(record, cursor, attempts, cause)
         self.entries.append(entry)
+        self.quarantined.add(cursor)
         if self.tracer is not None:
             self.tracer.count("dlq.quarantined")
         if self.on_poison_record is not None:

@@ -61,8 +61,9 @@ class InjectedOperatorError(InjectedFault):
     """Operator exception *after* a record mutated state (a 'bug')."""
 
 
-class SourceHiccup(InjectedFault):
-    """Transient source failure; the same read succeeds when retried."""
+class SourceHiccup(InjectedFault, OSError):
+    """Transient source failure; the same read succeeds when retried.
+    An :class:`OSError`, so it is retried like store I/O."""
 
 
 class TransientStoreError(OSError):

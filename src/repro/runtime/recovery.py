@@ -45,9 +45,10 @@ ordinary restore-and-replay, so transient faults heal); past the budget
 the supervisor restores once more and replays the batch
 record-at-a-time to isolate the culprit, quarantines it (cause, cursor,
 attempt count, ``on_poison_record`` hook), and continues without it.
-Quarantine decisions live in a cursor-indexed log applied on every
-pass, so a later crash-and-replay neither re-emits nor re-quarantines a
-poisoned record.
+The DLQ holds the quarantine by source position (the quarantined
+records, each failing batch's failure count, the batch being isolated)
+and every pass leaves the quarantined records out, so a later
+crash-and-replay neither re-emits nor re-quarantines a poisoned record.
 
 Late records
 ------------
@@ -68,7 +69,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Deque, List, Optional, Tuple, TypeVar
 
 from ..core.operator_base import WindowOperator
 from ..core.tracing import Tracer
@@ -80,7 +81,6 @@ from .durability import (
     InMemoryStore,
     StoredCheckpoint,
 )
-from .faults import SourceHiccup
 from .metrics import RecoveryStats
 from .sources import ReplayableSource
 
@@ -176,16 +176,6 @@ class RestartPolicy:
         return base * (1.0 + self.jitter * draw)
 
 
-def _results_match(expected: WindowResult, result: WindowResult) -> bool:
-    # WindowResult.__eq__ ignores the key tag; replay verification
-    # must not.
-    return expected == result and expected.key == result.key
-
-
-def _count_records(elements: Sequence[StreamElement]) -> int:
-    return sum(1 for element in elements if isinstance(element, Record))
-
-
 class _RestartUnit:
     """The recovery state of one restartable unit: a
     :class:`SupervisedPipeline` run, or one shard of a
@@ -199,9 +189,9 @@ class _RestartUnit:
     * **Floor.**  The first generation this run saved, or the one it
       resumed from: a restore never reaches below it, so a fresh run
       never restores what a previous run left in a shared store.
-    * **Save / load.**  Transient :class:`OSError` is retried under the
-      restart policy (``durability.save_retries`` /
-      ``durability.load_retries``); past the budget, :class:`PipelineFailed`.
+    * **Retry.**  A transient :class:`OSError` -- of a save, a load or,
+      in the supervisor, a source read -- is retried by one rule
+      (:meth:`retry`); past the budget, :class:`PipelineFailed`.
     * **Trim.**  The log keeps what was delivered after the oldest
       generation *of this run* the store still retains -- known from the
       unit's own saves, never read back from the store.
@@ -243,22 +233,31 @@ class _RestartUnit:
         #: Results the replay in progress must re-produce verbatim.
         self._pending: Deque[WindowResult] = deque()
 
-    def _store_io(self, operation: Callable[[], T], counter: str, gave_up: str) -> T:
+    def retry(self, operation: Callable[[], T], count: Callable[[], None], gave_up: str) -> T:
+        """``operation()``, retried while it raises a transient
+        :class:`OSError` (a store's I/O error, a
+        :class:`~repro.runtime.faults.SourceHiccup`): every failure joins
+        ``failures`` and calls ``count``, every retry backs off by its
+        attempt, and failure ``max_restarts + 1`` in a row gives up with
+        :class:`PipelineFailed` (``gave_up`` formatted with that count).
+        State is untouched: nothing is restored."""
         attempt = 0
         while True:
             try:
                 return operation()
             except OSError as exc:
                 self.failures.append(exc)
-                if self.tracer is not None:
-                    self.tracer.count(counter)
+                count()
                 if attempt >= self.policy.max_restarts:
                     raise PipelineFailed(
-                        f"{self.prefix}checkpoint {gave_up.format(attempt + 1)}",
-                        self.failures,
+                        self.prefix + gave_up.format(attempt + 1), self.failures
                     ) from exc
                 self.backoff(attempt)
                 attempt += 1
+
+    def _count(self, counter: str) -> None:
+        if self.tracer is not None:
+            self.tracer.count(counter)
 
     def save(
         self, blob: bytes, position: int, records_processed: int, meta: Optional[dict] = None
@@ -266,12 +265,12 @@ class _RestartUnit:
         """Save one generation and trim the log; returns the horizon:
         the position of the oldest generation of this run the store
         still retains (no restore lands below it)."""
-        generation = self._store_io(
+        generation = self.retry(
             lambda: self.store.save(
                 blob, cursor=position, records_processed=records_processed, meta=meta
             ),
-            "durability.save_retries",
-            f"save failed {{}} times at cursor {position}",
+            lambda: self._count("durability.save_retries"),
+            f"checkpoint save failed {{}} times at cursor {position}",
         )
         if self.floor is None:
             self.floor = generation
@@ -288,8 +287,10 @@ class _RestartUnit:
     def resume(self) -> Optional[StoredCheckpoint]:
         """The newest loadable generation in the store, whichever run
         saved it; it becomes the floor.  ``None`` for an empty store."""
-        loaded = self._store_io(
-            self.store.load_latest, "durability.load_retries", "load failed {} times"
+        loaded = self.retry(
+            self.store.load_latest,
+            lambda: self._count("durability.load_retries"),
+            "checkpoint load failed {} times",
         )
         if loaded is not None:
             self.floor = loaded.generation
@@ -304,10 +305,10 @@ class _RestartUnit:
             loaded = None
             position = -1
         else:
-            loaded = self._store_io(
+            loaded = self.retry(
                 lambda: self.store.load_latest(min_generation=self.floor),
-                "durability.load_retries",
-                "load failed {} times",
+                lambda: self._count("durability.load_retries"),
+                "checkpoint load failed {} times",
             )
             if loaded is None:
                 raise PipelineFailed(
@@ -331,7 +332,7 @@ class _RestartUnit:
         for result in results:
             if pending:
                 expected = pending.popleft()
-                if not _results_match(expected, result):
+                if expected != result:
                     raise RecoveryError(
                         f"{self.prefix}replay diverged from the pre-crash run: "
                         f"expected {expected!r}, re-emitted {result!r}"
@@ -442,10 +443,6 @@ class SupervisedPipeline:
         # reported: a drop a replay repeats is not reported again.
         self._late_seen = 0
         self._late_reported = 0
-        # Poison-record bookkeeping (only populated with a DLQ).
-        self._quarantined: Set[int] = set()
-        self._failures_at: Dict[int, int] = {}
-        self._isolate_at: Optional[int] = None
         # The run's recovery state: floor, saves, restarts and the log of
         # delivered results (made per run).
         self._unit: Optional[_RestartUnit] = None
@@ -488,47 +485,38 @@ class SupervisedPipeline:
     # ------------------------------------------------------------------
     # checkpointing against the durable store
 
-    def _take_checkpoint(self, cursor: int, records_processed: int) -> None:
+    def _take_checkpoint(self, source: ReplayableSource, cursor: int) -> None:
         """Snapshot and save; transient store I/O errors are retried
         under the restart policy (the previous generation stands until a
         save succeeds)."""
         blob = snapshot(self._snapshot_target(), tracer=self.tracer)
-        self._unit.save(blob, cursor, records_processed)
+        self._unit.save(blob, cursor, source.records_before(cursor))
         self.stats.checkpoints_taken += 1
 
-    def _restore_latest(self) -> StoredCheckpoint:
-        """Load the newest loadable generation of this run (transient
-        I/O retried, corrupt generations skipped by the store) and
-        reseat the operator from it."""
+    def _rewind(self, source: ReplayableSource, cursor: int, *, replayed: bool) -> int:
+        """Restore the newest loadable generation of this run (transient
+        I/O retried, corrupt generations skipped by the store), reseat
+        the operator from it and count one recovery; returns its cursor.
+
+        ``replayed`` counts the elements and records from there up to
+        ``cursor`` as replay; the rollback after a quarantine counts
+        none."""
+        began = self._clock()
         # Every run saves at its start or resumes: a restore point exists.
         loaded = self._unit.restore()
-        newest = self.store.generations()[-1]
-        if newest != loaded.generation:
-            # The store fell back past corrupt newer generations.
-            skipped = sum(
-                1 for g in self.store.generations() if g > loaded.generation
-            )
-            self.stats.store_fallbacks += skipped
+        # The store fell back past corrupt newer generations.
+        self.stats.store_fallbacks += sum(g > loaded.generation for g in self.store.generations())
         self._reseat(restore(loaded.blob, tracer=self.tracer))
-        return loaded
+        replay_from = loaded.cursor if replayed else cursor
+        self.stats.record_recovery(
+            self._clock() - began,
+            cursor - replay_from,
+            source.records_before(cursor) - source.records_before(replay_from),
+        )
+        return loaded.cursor
 
     # ------------------------------------------------------------------
     # poison-record quarantine
-
-    def _quarantine_filter(
-        self, cursor: int, batch: List[StreamElement]
-    ) -> List[StreamElement]:
-        """Drop records the DLQ has quarantined (applied on every pass,
-        so replay neither re-emits nor re-quarantines them)."""
-        if not self._quarantined:
-            return batch
-        return [
-            element
-            for offset, element in enumerate(batch)
-            if not (
-                isinstance(element, Record) and cursor + offset in self._quarantined
-            )
-        ]
 
     def _deliver(self, results: List[WindowResult], end: int) -> None:
         """Exactly-once delivery: replayed results must match what the
@@ -540,38 +528,33 @@ class SupervisedPipeline:
         self.sink.emit(result)
         self.stats.results_emitted += 1
 
-    def _isolate_batch(self, cursor: int, batch: List[StreamElement]) -> Optional[Record]:
+    def _isolate_batch(self, cursor: int, batch: List[StreamElement]) -> bool:
         """Replay one failing batch record-at-a-time to find the poison
         record.  Successful prefixes are delivered (and deduped) as they
-        go; the culprit is quarantined and returned, with operator state
-        left mid-batch for the caller to roll back.  Returns ``None``
-        when the whole batch passes (the failure was transient after
-        all)."""
+        go; the culprit is quarantined, with operator state left
+        mid-batch for the caller to roll back (True).  False when the
+        whole batch passes (the failure was transient after all)."""
+        dlq = self.dlq
         for offset, element in enumerate(batch):
             position = cursor + offset
+            if position in dlq.quarantined:
+                continue
             if isinstance(element, Record):
-                if position in self._quarantined:
-                    continue
                 try:
                     results = self._operator.process(element)
                 except Exception as exc:
-                    attempts = self._failures_at.get(cursor, 0)
-                    # May raise DeadLetterOverflow: the caller escalates
-                    # that to the ordinary restart budget.
-                    self.dlq.quarantine(
-                        element, cursor=position, attempts=attempts, cause=exc
-                    )
-                    self._quarantined.add(position)
-                    self.stats.quarantined_records += 1
-                    self._failures_at.pop(cursor, None)
-                    self._isolate_at = None
-                    return element
+                    admitted, attempts = len(dlq), dlq.batch_failures[cursor]
+                    try:  # an overflow or a raising hook escalates to the restart budget
+                        dlq.quarantine(element, cursor=position, attempts=attempts, cause=exc)
+                    finally:  # admitted before the hook ran, even if it raised
+                        self.stats.quarantined_records += len(dlq) - admitted
+                    dlq.isolated(cursor)
+                    return True
             else:
                 results = self._operator.process(element)
             self._deliver(results, cursor + len(batch))
-        self._failures_at.pop(cursor, None)
-        self._isolate_at = None
-        return None
+        dlq.isolated(cursor)
+        return False
 
     # ------------------------------------------------------------------
     # the supervision loop
@@ -598,136 +581,77 @@ class SupervisedPipeline:
             else ReplayableSource(elements)
         )
         stats = self.stats
-        policy = self.policy
+        dlq = self.dlq
         self._install_late_hook()
         unit = self._unit = _RestartUnit(
             self.store,
-            policy=policy,
+            policy=self.policy,
             failures=self._failures,
             tracer=self.tracer,
             sleep=self._sleep,
         )
 
-        cursor = 0
-        records_done = 0
+        def count_source_retry() -> None:
+            stats.source_retries += 1
+
         loaded = unit.resume() if resume else None
         if loaded is not None:
             self._reseat(restore(loaded.blob, tracer=self.tracer))
-            cursor = loaded.cursor
-            records_done = loaded.records_processed
-            stats.resumed_from_cursor = loaded.cursor
+            cursor = stats.resumed_from_cursor = loaded.cursor
         else:
-            self._take_checkpoint(0, 0)
+            cursor = 0
+            self._take_checkpoint(source, cursor)
         # Drops before the start (or the resumed checkpoint) are not this
         # run's to report.
         self._late_reported = self._late_seen
-        records_since_checkpoint = 0
-        hiccups_in_row = 0
+        # The cursor of the last checkpoint (or restore): the cadence
+        # counts the records read since.
+        checkpoint_at = cursor
         total = len(source)
 
         while cursor < total:
-            try:
-                batch = source.read(cursor, self.batch_size)
-            except SourceHiccup as exc:
-                # Transient: operator state is intact; retry the read.
-                hiccups_in_row += 1
-                stats.source_retries += 1
-                self._failures.append(exc)
-                if hiccups_in_row > policy.max_restarts:
-                    raise PipelineFailed(
-                        f"source failed {hiccups_in_row} consecutive reads "
-                        f"at cursor {cursor}",
-                        self._failures,
-                    ) from exc
-                self._sleep(policy.delay(hiccups_in_row - 1))
-                continue
-            hiccups_in_row = 0
-
+            # Transient: operator state is intact; the read is retried.
+            batch = unit.retry(
+                lambda: source.read(cursor, self.batch_size),
+                count_source_retry,
+                f"source failed {{}} consecutive reads at cursor {cursor}",
+            )
             end = cursor + len(batch)
             try:
-                if self._isolate_at == cursor:
-                    poison = self._isolate_batch(cursor, batch)
-                    if poison is not None:
+                if dlq is not None and dlq.isolating == cursor:
+                    if self._isolate_batch(cursor, batch):
                         # The culprit left mid-batch state behind; roll
                         # back to the checkpoint and replay without it.
-                        loaded = self._rewind(stats)
-                        cursor = loaded.cursor
-                        records_done = loaded.records_processed
-                        records_since_checkpoint = 0
+                        cursor = checkpoint_at = self._rewind(source, cursor, replayed=False)
                         continue
                 else:
-                    results = self._operator.process_batch(self._quarantine_filter(cursor, batch))
-                    self._deliver(results, end)
+                    if dlq is not None and dlq.quarantined:
+                        batch = dlq.passing(cursor, batch)
+                    self._deliver(self._operator.process_batch(batch), end)
             except RecoveryError:
                 # Not a failure a restore can heal: the same state and
                 # input would diverge again.  As on the sharded path.
                 raise
             except Exception as exc:
                 self._failures.append(exc)
-                managed = self.dlq is not None and self._note_dlq_failure(cursor, exc)
-                if not managed:
+                if dlq is not None and dlq.note_failure(cursor):
+                    # The DLQ retries or isolates it: no restart counted.
+                    attempt = dlq.batch_failures[cursor] - 1
+                else:
                     unit.restart(
                         exc,
-                        f"operator failed {{}} times (max_restarts={policy.max_restarts}); "
+                        f"operator failed {{}} times (max_restarts={self.policy.max_restarts}); "
                         f"giving up at cursor {cursor}",
                     )
-                began = self._clock()
-                loaded = self._restore_latest()
-                replayed_elements = cursor - loaded.cursor
-                replayed_records = records_done - loaded.records_processed
-                cursor = loaded.cursor
-                records_done = loaded.records_processed
-                records_since_checkpoint = 0
-                stats.record_recovery(
-                    self._clock() - began, replayed_elements, replayed_records
-                )
-                attempt = (
-                    self._failures_at.get(cursor, unit.restarts) - 1
-                    if managed
-                    else unit.restarts - 1
-                )
-                unit.backoff(max(0, attempt))
+                    attempt = unit.restarts - 1
+                cursor = checkpoint_at = self._rewind(source, cursor, replayed=True)
+                unit.backoff(attempt)
                 continue
 
             cursor = end
-            batch_records = _count_records(batch)
-            records_done += batch_records
-            records_since_checkpoint += batch_records
-            if records_since_checkpoint >= self.checkpoint_every:
-                self._take_checkpoint(cursor, records_done)
-                records_since_checkpoint = 0
+            read = source.records_before(cursor) - source.records_before(checkpoint_at)
+            if read >= self.checkpoint_every:
+                self._take_checkpoint(source, cursor)
+                checkpoint_at = cursor
 
         return stats
-
-    def _rewind(self, stats: RecoveryStats) -> StoredCheckpoint:
-        """Restore the newest loadable generation after a quarantine
-        (state is mid-batch; the replay excludes the poison record)."""
-        began = self._clock()
-        loaded = self._restore_latest()
-        stats.record_recovery(self._clock() - began, 0, 0)
-        return loaded
-
-    def _note_dlq_failure(self, cursor: int, exc: BaseException) -> bool:
-        """Track one batch failure against the DLQ's retry budget.
-
-        Returns True when the DLQ manages this failure (retry or
-        isolate next pass); False hands it to the restart budget --
-        including a :class:`DeadLetterOverflow` raised mid-isolation,
-        which must escalate rather than loop.
-        """
-        from .durability import DeadLetterOverflow
-
-        if isinstance(exc, DeadLetterOverflow):
-            return False
-        if self._isolate_at == cursor:
-            # The record-at-a-time pass itself failed (a non-record
-            # element, or a fault outside any single record): not a
-            # poison record, so stop managing it.
-            return False
-        count = self._failures_at.get(cursor, 0) + 1
-        self._failures_at[cursor] = count
-        if count <= self.dlq.max_retries:
-            self.dlq.record_retry()
-        else:
-            self._isolate_at = cursor
-        return True

@@ -9,9 +9,10 @@ transient read failures.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from itertools import accumulate
+from typing import Iterator, List, Optional, Sequence
 
-from ..core.types import StreamElement
+from ..core.types import Record, StreamElement
 
 __all__ = ["ReplayableSource"]
 
@@ -27,6 +28,9 @@ class ReplayableSource:
 
     def __init__(self, elements: Sequence[StreamElement]) -> None:
         self._elements = list(elements)
+        #: Records before each cursor, built on first use: constructing
+        #: a source stays one copy of the stream.
+        self._records_before: Optional[List[int]] = None
 
     def __iter__(self) -> Iterator[StreamElement]:
         return iter(self._elements)
@@ -45,3 +49,12 @@ class ReplayableSource:
         if count < 1:
             raise ValueError(f"read count must be >= 1, got {count}")
         return self._elements[cursor : cursor + count]
+
+    def records_before(self, cursor: int) -> int:
+        """How many of the elements before ``cursor`` are records."""
+        prefix = self._records_before
+        if prefix is None:
+            prefix = self._records_before = list(
+                accumulate(map(Record.__instancecheck__, self._elements), initial=0)
+            )
+        return prefix[cursor]

@@ -107,6 +107,21 @@ class TestQuarantine:
         assert dlq.retries == dlq.max_retries
         assert stats.quarantined_records == 1
 
+    def test_each_failure_of_a_batch_backs_off_by_its_count(self):
+        # The checkpoint before the poison batch (cursors 20-23) is at
+        # cursor 12: the backoff follows the failing batch, not the
+        # position the restore lands on.
+        slept = []
+        dlq = DeadLetterQueue(max_retries=2)
+        pipeline, _sink = supervised(
+            build_operator(),
+            dlq=dlq,
+            sleep=slept.append,
+            restart_policy=RestartPolicy(backoff_seconds=1.0, backoff_factor=2.0),
+        )
+        pipeline.run(poisoned_stream([23]))
+        assert slept == [1.0, 2.0, 4.0]
+
     def test_max_retries_zero_isolates_immediately(self):
         stream = poisoned_stream([23])
         dlq = DeadLetterQueue(max_retries=0)
@@ -291,6 +306,30 @@ class TestOverflowAndHooks:
             )
         # The record was admitted before the hook ran.
         assert len(dlq) == 1
+        assert dlq.quarantined == {0}
+
+    def test_a_raising_hook_fires_once_and_the_run_completes(self):
+        """The hook's exception escalates to the restart budget, but the
+        record was quarantined before the hook ran: the replay after the
+        restart leaves it out instead of quarantining it again."""
+        calls = []
+
+        def explode(entry):
+            calls.append(entry)
+            raise RuntimeError("pager is on fire")
+
+        stream = poisoned_stream([10])
+        dlq = DeadLetterQueue(max_retries=0, on_poison_record=explode)
+        pipeline, sink = supervised(
+            build_operator(), dlq=dlq, restart_policy=RestartPolicy(max_restarts=3)
+        )
+
+        stats = pipeline.run(stream)
+
+        assert sink.results == reference_results(stream)
+        assert [entry.cursor for entry in dlq.entries] == [10]
+        assert calls == dlq.entries
+        assert stats.quarantined_records == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Metamorphic batch-split tests: batching must be invisible.
 
-For every technique the three ways of feeding the same element sequence
+For every technique the four ways of feeding the same element sequence
 must produce bit-identical results, in content *and* order:
 
 * one call per element (:meth:`process`),
+* one batch per element (:meth:`process_batch` of one element),
 * one batch holding the whole sequence (:meth:`process_batch`),
 * the sequence cut at random points into consecutive batches.
 
@@ -12,6 +13,9 @@ path: ``process_batch(a + b)`` == ``process_batch(a)`` followed by
 ``process_batch(b)``.  Random split points land inside in-order runs,
 on slice edges, next to watermarks, and around out-of-order records,
 so every bail-out branch of the batch paths is crossed somewhere.
+The queries cover every window type (tumbling, sliding, session and
+count-based) and every function class (invertible, non-invertible and
+holistic), one by one and multiplexed over shared slices.
 
 The same relation is checked for each forced aggregation kernel of the
 eager slicing operator (the batch run-fold must commute with two-stacks
@@ -30,13 +34,13 @@ import pytest
 
 from conftest import shuffled_with_disorder
 from repro import GeneralSlicingOperator, Record, Watermark
-from repro.aggregations import Average, Sum
+from repro.aggregations import Average, Max, Median, Sum
 from repro.experiments.harness import (
     INORDER_ONLY_TECHNIQUES,
     TECHNIQUES,
     make_operator,
 )
-from repro.windows import SessionWindow, SlidingWindow, TumblingWindow
+from repro.windows import CountTumblingWindow, SessionWindow, SlidingWindow, TumblingWindow
 
 pytestmark = pytest.mark.fuzz
 
@@ -91,11 +95,17 @@ def _random_chunks(elements: List[object], rng: random.Random) -> List[List[obje
     return [elements[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_three_ways(factory, elements: List[object], seed: int) -> None:
+def _run_every_way(factory, elements: List[object], seed: int) -> None:
     per_element = factory()
     expected: List[object] = []
     for element in elements:
         expected.extend(per_element.process(element))
+
+    singles = factory()
+    got: List[object] = []
+    for element in elements:
+        got.extend(singles.process_batch([element]))
+    assert got == expected, "one-element batches diverged from per-element"
 
     whole = factory().process_batch(elements)
     assert whole == expected, "one whole batch diverged from per-element"
@@ -108,9 +118,15 @@ def _run_three_ways(factory, elements: List[object], seed: int) -> None:
     assert got == expected, "randomly split batches diverged from per-element"
 
 
-def _add_queries(operator, *, sessions: bool) -> None:
+#: Techniques that keep partial aggregates only: no holistic function.
+PARTIALS_ONLY_TECHNIQUES = frozenset({"Buckets", "Pairs", "Cutty"})
+
+
+def _add_queries(operator, *, sessions: bool, holistic: bool = False) -> None:
     operator.add_query(TumblingWindow(50), Sum())
     operator.add_query(SlidingWindow(80, 20), Average())
+    if holistic:
+        operator.add_query(TumblingWindow(50), Median())
     if sessions:
         operator.add_query(SessionWindow(7), Sum())
 
@@ -137,7 +153,7 @@ def test_batch_split_invariance_inorder(tech, seed_index):
         _add_queries(operator, sessions=tech not in INORDER_ONLY_TECHNIQUES)
         return operator
 
-    _run_three_ways(factory, _inorder_elements(seed), seed)
+    _run_every_way(factory, _inorder_elements(seed), seed)
 
 
 @pytest.mark.ooo
@@ -152,7 +168,7 @@ def test_batch_split_invariance_out_of_order(tech, seed_index):
         _add_queries(operator, sessions=True)
         return operator
 
-    _run_three_ways(factory, _ooo_elements(seed), seed)
+    _run_every_way(factory, _ooo_elements(seed), seed)
 
 
 FRACTIONAL_MATRIX = [(tech, True) for tech in TECHNIQUES] + [
@@ -175,11 +191,40 @@ def test_batch_split_invariance_fractional_values(tech, ordered):
         operator = make_operator(
             tech, stream_in_order=ordered, allowed_lateness=0 if ordered else LATENESS
         )
-        _add_queries(operator, sessions=False)
+        _add_queries(operator, sessions=False, holistic=tech not in PARTIALS_ONLY_TECHNIQUES)
         return operator
 
     elements = _inorder_elements(seed, True) if ordered else _ooo_elements(seed, True)
-    _run_three_ways(factory, elements, seed)
+    _run_every_way(factory, elements, seed)
+
+
+@pytest.mark.parametrize(
+    "tech, ordered",
+    FRACTIONAL_MATRIX,
+    ids=[f"{t}-{'inorder' if o else 'ooo'}" for t, o in FRACTIONAL_MATRIX],
+)
+def test_batch_split_invariance_every_window_and_function_class(tech, ordered):
+    """Each window type, count-based included, with an invertible, a
+    non-invertible and (where the technique keeps records) a holistic
+    function, all multiplexed over the slices they share."""
+    seed = _child_seed(f"every-window:{tech}:{ordered}", 0)
+    windows = [TumblingWindow(50), SlidingWindow(80, 20), CountTumblingWindow(6)]
+    if tech not in INORDER_ONLY_TECHNIQUES:
+        windows.append(SessionWindow(7))
+    functions = [Sum, Max]
+    if tech not in PARTIALS_ONLY_TECHNIQUES:
+        functions.append(Median)
+
+    def factory():
+        operator = make_operator(
+            tech, stream_in_order=ordered, allowed_lateness=0 if ordered else LATENESS
+        )
+        for window in windows:
+            for function in functions:
+                operator.add_query(window, function())
+        return operator
+
+    _run_every_way(factory, _inorder_elements(seed) if ordered else _ooo_elements(seed), seed)
 
 
 KERNELS = ["flatfat", "finger_tree", "two_stacks", "subtract_on_evict"]
@@ -208,7 +253,7 @@ def test_batch_split_invariance_per_kernel(kernel, seed_index):
         operator.add_query(SlidingWindow(80, 20), Average())
         return operator
 
-    _run_three_ways(factory, _inorder_elements(seed), seed)
+    _run_every_way(factory, _inorder_elements(seed), seed)
 
 
 @pytest.mark.ooo
@@ -233,7 +278,7 @@ def test_batch_split_invariance_per_kernel_out_of_order(kernel, seed_index):
         _add_queries(operator, sessions=True)
         return operator
 
-    _run_three_ways(factory, _ooo_elements(seed), seed)
+    _run_every_way(factory, _ooo_elements(seed), seed)
 
 
 @pytest.mark.parametrize("seed_index", SEEDS)
@@ -252,7 +297,7 @@ def test_batch_split_invariance_shared_vs_unshared(seed_index):
         return operator
 
     for share in (True, False):
-        _run_three_ways(lambda share=share: build(share), elements, seed)
+        _run_every_way(lambda share=share: build(share), elements, seed)
 
     # Direct cross-check: shared and unshared runs agree element-wise.
     a, b = build(True), build(False)

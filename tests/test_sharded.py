@@ -118,8 +118,8 @@ def _keyed_stream(rng: random.Random, *, length=300, cardinality=8, watermark_ev
 
 
 def _comparable(results) -> List[tuple]:
-    """Full identity of each result, including the key tag (which
-    ``WindowResult.__eq__`` ignores)."""
+    """Full identity of each result as a hashable tuple (the value by its
+    ``repr``), so results can be counted in a ``Counter``."""
     return [
         (r.query_id, r.start, r.end, repr(r.value), r.is_update, r.key)
         for r in results

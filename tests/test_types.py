@@ -73,6 +73,15 @@ class TestWindowResult:
         assert WindowResult(0, 0, 10, 1.0) != WindowResult(0, 0, 10, 1.0, is_update=True)
         assert WindowResult(0, 0, 10, 1.0) == WindowResult(0, 0, 10, 1.0)
 
+    def test_results_differing_only_in_key_are_unequal(self):
+        # As for Record: a keyed operator's result for key "a" is not its
+        # result for key "b", nor an unkeyed operator's.
+        assert WindowResult(0, 0, 10, 1.0, key="a") != WindowResult(0, 0, 10, 1.0, key="b")
+        assert WindowResult(0, 0, 10, 1.0, key="a") != WindowResult(0, 0, 10, 1.0)
+        assert WindowResult(0, 0, 10, 1.0, key="a") == WindowResult(0, 0, 10, 1.0, key="a")
+        # A list key is allowed: equal results still hash equal.
+        assert hash(WindowResult(0, 0, 10, 1.0, key=[1])) == hash(WindowResult(0, 0, 10, 1.0, key=[1]))
+
     def test_hashable_with_unhashable_value(self):
         # Values may be lists (CollectList); hashing must still work.
         assert isinstance(hash(WindowResult(0, 0, 10, [1, 2])), int)
