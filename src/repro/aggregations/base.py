@@ -63,8 +63,10 @@ class AggregateFunction(Generic[V, P, R]):
     Partial aggregates must be treated as immutable values: ``combine``
     and ``invert`` return new partials rather than mutating arguments, so
     partials can safely be shared between slices and aggregate trees.
-    The one exception is a partial that :meth:`private_copy` made: it
-    shares nothing, and :meth:`slide_in_place` may edit it.
+    There are two exceptions.  A partial that :meth:`private_copy` made
+    shares nothing, and :meth:`slide_in_place` may edit it.  The open
+    head's partial is written by in-order records only, and
+    :meth:`accumulate_in_place` may edit it.
     """
 
     #: Human-readable name used in benchmark tables.
@@ -96,11 +98,17 @@ class AggregateFunction(Generic[V, P, R]):
         # the hook too.
         # The in-place slide is the same kind of shortcut around the
         # parent's combine and invert.
-        own = cls.__dict__
+        # The in-place head write is a shortcut around the same pair and
+        # around accumulate: a class that brings any of the three but no
+        # in-place write of its own writes the head with its accumulate,
+        # which edits nothing and costs no extra call.
+        own = set(cls.__dict__)
         if "lift" in own or "combine" in own:
             for hook in ("accumulate", "fold_values", "combine_all"):
                 if hook not in own:
                     setattr(cls, hook, getattr(AggregateFunction, hook))
+        if own & {"lift", "combine", "accumulate"} and "accumulate_in_place" not in own:
+            cls.accumulate_in_place = cls.accumulate
         if "combine" in own or "invert" in own:
             for hook in ("private_copy", "slide_in_place"):
                 if hook not in own:
@@ -166,6 +174,25 @@ class AggregateFunction(Generic[V, P, R]):
         """
         lifted = self.lift(value)
         return lifted if partial is None else self.combine(partial, lifted)
+
+    def accumulate_in_place(self, partial: Optional[P], value: V) -> P:
+        """:meth:`accumulate`, free to edit ``partial`` and return it.
+
+        Only the in-order write of a record into the open head calls it:
+        no carry, plan or other slice holds the head's partial, and the
+        eager store, whose kernel leaf does, rewrites that leaf on every
+        read that reaches the head from a function that overrides this
+        (:meth:`edits_in_place`).  The result must equal
+        :meth:`accumulate`'s bit for bit, of the same type.  The default
+        is the class's :meth:`accumulate` itself, which edits nothing.
+        """
+        return self.accumulate(partial, value)
+
+    def edits_in_place(self) -> bool:
+        """Whether :meth:`accumulate_in_place` may edit its partial: the
+        class overrides it rather than keeping its :meth:`accumulate`."""
+        cls = type(self)
+        return cls.accumulate_in_place is not cls.accumulate
 
     def fold_values(self, partial: Optional[P], values: Sequence[V]) -> Optional[P]:
         """Fold a run of raw values into ``partial`` in stream order.

@@ -350,11 +350,13 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
     value and the bulk merge as equal to none.
 
     A partial is a value that slices, kernel leaves and shared plans
-    hold alike, with one exception: a sliding window's carry keeps a
+    hold alike, with two exceptions.  A sliding window's carry keeps a
     :meth:`private_copy` (a new run list) and :meth:`slide_in_place`
     edits it, one bisect per run that left or entered
     (:meth:`RleRuns.slide`) instead of a ``subtract`` and a ``merge``
-    that each build a new list.
+    that each build a new list.  And an in-order record edits the open
+    head's partial (:meth:`accumulate_in_place`) instead of copying its
+    run list.
 
     Values that compare equal (``1`` / ``1.0`` / ``True``, ``0.0`` /
     ``-0.0``) are one run, represented by the first of them the
@@ -422,6 +424,22 @@ class Percentile(AggregateFunction[float, RleRuns, float]):
         else:
             runs.insert(at, (value, 1))
         return RleRuns(runs, partial.total + 1)
+
+    def accumulate_in_place(self, partial: Optional[RleRuns], value: float) -> RleRuns:
+        # A present value sets its run's count; a new one builds one
+        # list of the exact size (``insert`` over-allocates, and the head
+        # keeps the list it grew).
+        if partial is None:
+            return RleRuns.of(value)
+        runs = partial.runs
+        at = bisect.bisect_left(runs, (value,))
+        if at < len(runs) and runs[at][0] == value:
+            present_value, present = runs[at]
+            runs[at] = (present_value, present + 1)
+        else:
+            partial.runs = runs[:at] + [(value, 1)] + runs[at:]
+        partial.total += 1
+        return partial
 
     def fold_values(self, partial: Optional[RleRuns], values: Sequence[float]) -> Optional[RleRuns]:
         if not values:

@@ -277,8 +277,10 @@ class EagerAggregateStore(AggregateStore):
     writes the lagging closed slices below ``hi`` once, one ``update``
     per function each, and the last slice's partial of its own function
     only when ``hi`` reaches it and the leaf does not hold that partial
-    already -- so a slice's leaf is written once per reader, not once
-    per record.  Inserts and removals, which move indices, write
+    already, or the function edits the head's partial in place
+    (:meth:`~repro.aggregations.base.AggregateFunction.edits_in_place`)
+    -- so a slice's leaf is written once per reader, not once per
+    record.  Inserts and removals, which move indices, write
     everything that lags first; evicting a prefix moves every index
     alike and only shifts :attr:`lag_from`.
     """
@@ -395,10 +397,10 @@ class EagerAggregateStore(AggregateStore):
         kernel = self.kernels[fn_index]
         last = len(self.slices) - 1
         if hi > last:
-            # Partials are immutable values: a leaf that holds the very
-            # object the head holds is up to date.
+            # A leaf that holds the very object the head holds is up to
+            # date, unless the function edits the head in place.
             partial = self.slices[last].aggs[fn_index]
-            if kernel.leaf(last) is not partial:
+            if kernel.leaf(last) is not partial or self.functions[fn_index].edits_in_place():
                 kernel.update(last, partial)
                 if self._tracer is not None:
                     self._tracer.count("kernel.head_syncs")

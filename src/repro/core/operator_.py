@@ -29,7 +29,7 @@ lateness yield update results.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..aggregations.base import AggregateFunction
 from ..windows.base import WindowType
@@ -52,7 +52,41 @@ __all__ = ["GeneralSlicingOperator"]
 _TS_KEY = lambda record: record.ts  # noqa: E731 - bisect key
 
 #: What :meth:`_Chain._derive_read_per_record` sets: never pickled.
-_DERIVED = ("_fixed_edge_windows", "_session_gaps", "accumulators", "refolds", "structured")
+_DERIVED = (
+    "_fixed_edge_windows",
+    "_session_gaps",
+    "head_accumulators",
+    "accumulators",
+    "refolds",
+    "structured",
+)
+
+
+def _one_per_grid(windows: List[WindowType]) -> List[WindowType]:
+    """``windows`` less each one whose edge grid lies inside the grid of
+    a kept one (:meth:`~repro.windows.base.WindowType.edge_grid`),
+    keeping the first of equal grids; windows without a grid all stay.
+
+    A grid ``(p, φ)`` lies inside ``(p', φ')`` when ``p' | p`` and
+    ``φ ≡ φ' (mod p')``: every edge of the dropped window is an edge of
+    the kept one.  The kept windows' edges are then the edges of all, so
+    the next edge, the floor edge, whether a region holds an edge and
+    whether a position is one read the same from either list.  A grid
+    lies only inside grids of no larger period, so the finest are met
+    first, and of equal grids the first window.
+    """
+    kept: List[Tuple[int, int]] = []
+    dropped = set()
+    for (period, phase), position in sorted(
+        (grid, position)
+        for position, window in enumerate(windows)
+        if (grid := window.edge_grid()) is not None
+    ):
+        if any(period % coarse == 0 and (phase - at) % coarse == 0 for coarse, at in kept):
+            dropped.add(position)
+        else:
+            kept.append((period, phase))
+    return [window for position, window in enumerate(windows) if position not in dropped]
 
 
 class _Chain:
@@ -173,35 +207,34 @@ class _Chain:
         set_slot_state(self, state)
         self._derive_read_per_record()
 
-    # ------------------------------------------------------------------
-    # edge callbacks (aggregate over all windows of this chain)
-
-    def _time_edge_windows(self) -> List[WindowType]:
+    def _derive_read_per_record(self) -> None:
+        """What the per-record paths read, derived from the queries and
+        never pickled.  For the edge walks, per measure (time, count):
+        the windows that know their edges in advance, one per distinct
+        edge grid (:func:`_one_per_grid`); and the session gaps,
+        smallest first.  For the operator's writes into a slice: per
+        shared function, its partial's index and its bound
+        ``accumulate_in_place`` for the in-order write into the open
+        head, and the same with its bound ``accumulate`` for a late
+        record; the non-commutative ones, whose partial a late record
+        refolds from the slice's records; and whether a late record
+        needs the slice manager's structure (sessions or a count
+        measure) before and after its write."""
         if self.measure_kind is MeasureKind.TIME:
-            return self._windows
-        # Count chains cut at the trigger (time) edges of FCA windows only.
-        return [w for w in self._windows if isinstance(w, LastNEveryWindow)]
-
-    def _count_edge_windows(self) -> List[WindowType]:
-        return [
+            time_windows = [w for w in self._windows if not isinstance(w, SessionWindow)]
+        else:
+            # Count chains cut at the trigger (time) edges of FCA windows only.
+            time_windows = [w for w in self._windows if isinstance(w, LastNEveryWindow)]
+        count_windows = [
             w
             for w in self._windows
             if w.measure_kind is MeasureKind.COUNT and not isinstance(w, LastNEveryWindow)
         ]
-
-    def _derive_read_per_record(self) -> None:
-        """What the per-record paths read, derived from the queries and
-        never pickled.  For :meth:`next_time_edge`: the windows that know
-        their edges in advance, and the session gaps, smallest first.
-        For the operator's writes into a slice: per shared function, its
-        partial's index and its bound ``accumulate``; the non-commutative
-        ones, whose partial a late record refolds from the slice's
-        records; and whether a late record needs the slice manager's
-        structure (sessions or a count measure) before and after its
-        write."""
-        windows = self._time_edge_windows()
-        self._fixed_edge_windows = [w for w in windows if not isinstance(w, SessionWindow)]
+        self._fixed_edge_windows = (_one_per_grid(time_windows), _one_per_grid(count_windows))
         self._session_gaps = sorted(window.gap for window in self.session_windows)
+        self.head_accumulators = tuple(
+            (index, function.accumulate_in_place) for index, function in enumerate(self.functions)
+        )
         self.accumulators = tuple(
             (index, function.accumulate) for index, function in enumerate(self.functions)
         )
@@ -212,11 +245,14 @@ class _Chain:
         )
         self.structured = bool(self._session_gaps) or self.measure_kind is MeasureKind.COUNT
 
+    # ------------------------------------------------------------------
+    # edge callbacks (aggregate over all windows of this chain)
+
     def next_time_edge(self, ts: int) -> Optional[int]:
         """The smallest window edge after ``ts``.  Sessions add their
         tentative ones: the newest retained record plus a gap."""
         best: Optional[int] = None
-        for window in self._fixed_edge_windows:
+        for window in self._fixed_edge_windows[0]:
             edge = window.get_next_edge(ts)
             if edge is not None and (best is None or edge < best):
                 best = edge
@@ -230,8 +266,10 @@ class _Chain:
         return best
 
     def floor_time_edge(self, ts: int) -> Optional[int]:
+        """The largest fixed window edge at or before ``ts`` (sessions
+        have none)."""
         best: Optional[int] = None
-        for window in self._time_edge_windows():
+        for window in self._fixed_edge_windows[0]:
             edge = window.get_floor_edge(ts)
             if edge is not None and (best is None or edge > best):
                 best = edge
@@ -239,7 +277,7 @@ class _Chain:
 
     def next_count_edge(self, count: int) -> Optional[int]:
         best: Optional[int] = None
-        for window in self._count_edge_windows():
+        for window in self._fixed_edge_windows[1]:
             edge = window.get_next_edge(count)
             if edge is not None and (best is None or edge < best):
                 best = edge
@@ -248,17 +286,17 @@ class _Chain:
     def edge_in_region(self, lo: int, hi: int) -> bool:
         """Whether any window has an edge in the closed interval [lo, hi].
 
-        Session tentative edges are excluded (``get_floor_edge`` is None
-        for sessions): only fixed edges forbid slice merges.
+        Session tentative edges are excluded: only fixed edges forbid
+        slice merges.
         """
-        for window in self._time_edge_windows():
+        for window in self._fixed_edge_windows[0]:
             floor = window.get_floor_edge(hi)
             if floor is not None and floor >= lo:
                 return True
         return False
 
     def is_count_edge(self, count: int) -> bool:
-        return any(window.is_edge(count) for window in self._count_edge_windows())
+        return any(window.is_edge(count) for window in self._fixed_edge_windows[1])
 
     # ------------------------------------------------------------------
 
@@ -513,8 +551,8 @@ class GeneralSlicingOperator(WindowOperator):
 
         The record enters the head in this frame: what
         :meth:`Slice.add_inorder` does, with the chain's bound
-        ``accumulate``s, so a record below the guard costs one call per
-        distinct function and no other.
+        ``accumulate_in_place``s, so a record below the guard costs one
+        call per distinct function and no other.
         """
         if self._timestamp_of is not None and not extracted:
             record = Record(self._timestamp_of(record), record.value, record.key)
@@ -539,7 +577,7 @@ class GeneralSlicingOperator(WindowOperator):
                 if slicer.cut_performed:
                     cut = True
             aggs = head.aggs
-            for index, accumulate in chain.accumulators:
+            for index, accumulate in chain.head_accumulators:
                 aggs[index] = accumulate(aggs[index], value)
             records = head.records
             if records is not None:
@@ -636,6 +674,8 @@ class GeneralSlicingOperator(WindowOperator):
                     index, position = chain.manager.add_out_of_order(record)
                 slice_ = slices[index]
             aggs = slice_.aggs
+            # Only the in-order head write edits a partial in place: a
+            # late record's slice may be closed, its partial a kernel leaf.
             for fn_index, accumulate in chain.accumulators:
                 aggs[fn_index] = accumulate(aggs[fn_index], value)
             records = slice_.records

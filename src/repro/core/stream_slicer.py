@@ -223,7 +223,8 @@ class StreamSlicer:
         if self._cached_time_edge is not None and ts >= self._cached_time_edge:
             self.cut_performed = True
             first_edge = self._cached_time_edge
-            # Find the last edge <= ts so empty regions get no slices.
+            # Find the last edge <= ts so empty regions get no slices; the
+            # probe past it is the next edge, and the only lookup cached.
             last_edge = first_edge
             while True:
                 nxt = self._next_time_edge(last_edge)
@@ -232,7 +233,7 @@ class StreamSlicer:
                 last_edge = nxt
             self._close_head(first_edge, count_position)
             head = self._open_new_head(last_edge, count_position)
-            self._refresh_time_cache(last_edge)
+            self._cache_time_edge(nxt)
 
         # --- count-measure cuts -----------------------------------------
         if self._cached_count_edge is not None and count_position >= self._cached_count_edge:
@@ -262,7 +263,12 @@ class StreamSlicer:
             self.disarm()
 
     def _refresh_time_cache(self, base: int) -> None:
-        self._cached_time_edge = self._next_time_edge(base)
+        self._cache_time_edge(self._next_time_edge(base))
+
+    def _cache_time_edge(self, edge: Optional[int]) -> None:
+        """Cache ``edge``, the one next-edge lookup of an open, a cut or
+        a refresh (``slicer.edge_lookups``)."""
+        self._cached_time_edge = edge
         if self.tracer is not None:
             self.tracer.count("slicer.edge_lookups")
 

@@ -24,6 +24,7 @@ a real one, does not deterministically recur on replay.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Any, Iterable, List, Sequence, Set
 
 from ..core.operator_base import WindowOperator
@@ -269,7 +270,7 @@ class FaultInjectingOperator(WindowOperator):
 
     def process_batch(self, elements: Sequence[StreamElement]):
         lo = self.records_processed
-        hi = lo + sum(1 for e in elements if isinstance(e, Record))
+        hi = lo + sum(map(isinstance, elements, repeat(Record)))
         if not self._pending_fault_in(lo, hi):
             # Fault-free batch: keep the inner operator's fast path.
             results = self.inner.process_batch(elements)

@@ -117,6 +117,19 @@ class WindowType:
         """
         return None
 
+    def edge_grid(self) -> Optional[Tuple[int, int]]:
+        """``(period, phase)`` when this window's edges are exactly the
+        positions ``phase + k * period`` for every integer ``k``, with
+        ``0 <= phase < period``; ``None`` (the default) otherwise.
+
+        The operator's edge walks visit one window per distinct grid: a
+        window whose grid lies inside another's (its period a multiple
+        of the other's, its phase the other's modulo it) adds no edge
+        the other lacks.  A subclass that moves its edges must override
+        this too.
+        """
+        return None
+
     def retention_start(self, settled: int) -> int:
         """How far back a window that can still change reaches.
 

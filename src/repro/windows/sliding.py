@@ -95,6 +95,13 @@ class SlidingWindow(ContextFreeWindow):
         floor_end = self.offset + self.length + (relative_end // self.slide) * self.slide
         return max(floor_start, floor_end)
 
+    def edge_grid(self) -> Optional[Tuple[int, int]]:
+        """The starts' grid of the slide when the ends fall on it too
+        (``length`` a multiple of ``slide``); ``None`` otherwise."""
+        if self.length % self.slide:
+            return None
+        return (self.slide, self.offset % self.slide)
+
     def retention_start(self, settled: int) -> int:
         """One window length back: every window that is not final at
         ``settled`` starts after it."""

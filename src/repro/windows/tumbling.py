@@ -64,6 +64,10 @@ class TumblingWindow(ContextFreeWindow):
         relative = ts - self.offset
         return self.offset + (relative // self.length) * self.length
 
+    def edge_grid(self) -> Optional[Tuple[int, int]]:
+        """Every edge is a window start: one grid of the window length."""
+        return (self.length, self.offset % self.length)
+
     def retention_start(self, settled: int) -> int:
         """One window length back: every window that is not final at
         ``settled`` starts after it."""

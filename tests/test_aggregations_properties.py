@@ -292,3 +292,43 @@ def test_accumulate_is_fused_where_the_fusion_is_exact():
     functions = _exported_functions()
     fused = {name for name, fn in functions.items() if type(fn).accumulate is not AggregateFunction.accumulate}
     assert fused == {"Sum", "SumWithoutInvert", "Count", "Average", "Min", "Max", "Percentile", "Median"}
+
+
+@pytest.mark.parametrize("name", sorted(_exported_functions()))
+def test_accumulate_in_place_equals_accumulate_and_returns_its_input(name):
+    """The open head's write: ``accumulate``'s value bit for bit and in
+    type, and, where the class edits in place, the very partial it was
+    handed."""
+    fn = _exported_functions()[name]
+    forwards = [_shaped(name, value) for value in _ACCUMULATE_VALUES]
+    for values in (forwards, forwards[::-1], forwards[4:] + forwards[:4]):
+        partial = edited = None
+        for value in values:
+            expected = fn.accumulate(partial, value)
+            got = fn.accumulate_in_place(edited, value)
+            assert _exact(got) == _exact(expected), (name, value)
+            assert type(got) is type(expected)
+            if fn.edits_in_place() and edited is not None:
+                assert got is edited, "the in-place write returns its input"
+            partial, edited = expected, got
+
+
+def test_only_the_multisets_edit_the_head_in_place():
+    functions = _exported_functions()
+    assert {name for name, fn in functions.items() if fn.edits_in_place()} == {
+        "Percentile",
+        "Median",
+    }
+
+    class ShiftedMedian(Median):
+        """Its own lift: the inherited in-place write would skip it."""
+
+        __slots__ = ()
+
+        def lift(self, value):
+            return super().lift(value + 1)
+
+    fn = ShiftedMedian()
+    assert not fn.edits_in_place()
+    partial = fn.lift(1)
+    assert _exact(fn.accumulate_in_place(partial, 2)) == _exact(fn.combine(partial, fn.lift(2)))

@@ -429,8 +429,9 @@ _LAYOUT = {
     ),
     "repro.core.operator_._Chain": (
         "_fixed_edge_windows _fn_index _fn_index_of_query _session_gaps _share_aggregates "
-        "_windows accumulators characteristics edges_move functions kernel_kinds manager "
-        "measure_kind queries refolds session_windows slicer store structured window_manager"
+        "_windows accumulators characteristics edges_move functions head_accumulators "
+        "kernel_kinds manager measure_kind queries refolds session_windows slicer store "
+        "structured window_manager"
     ),
     "repro.core.slice_.Slice": (
         "aggs count_end count_start end end_kind first_ts last_ts record_count records start"

@@ -30,7 +30,7 @@ import random
 
 import pytest
 
-from repro.aggregations import M4, Count, Max, Sum
+from repro.aggregations import M4, Count, Max, Median, Sum
 from repro.core.aggregate_store import AggregateStore, EagerAggregateStore
 from repro.core.kernels import make_kernel
 from repro.core.slice_ import Slice
@@ -405,3 +405,36 @@ def test_one_far_late_record_writes_up_to_the_window_end(kernel, monkeypatch):
     store.query_slices(0, 9, 0)
     assert len(updates) == 9 * len(functions)
     store.check_invariants()
+
+
+@pytest.mark.parametrize("kernel", list(FUNCTIONS))
+def test_a_head_edited_in_place_between_two_reads_is_written_again(kernel):
+    """``Median`` writes an in-order record into the open head's partial
+    in place, so the kernel leaf written at the first read still holds
+    the very object the head holds after the edit.  The second read that
+    reaches the head answers with the edited fold, on every kernel."""
+    median = Median()
+    store = EagerAggregateStore([median], kernel_kinds=[kernel])
+
+    def write(value):
+        """The operator's in-order write into the open head."""
+        head = store.head
+        head.aggs[0] = median.accumulate_in_place(head.aggs[0], value)
+        head.record_count += 1
+
+    # Four slices: on FlatFAT the head shares an inner node with the
+    # slice before it, which a read that reaches the head uses.
+    for start, values in ((0, (4.0, 2.0)), (10, (7.0,)), (20, (6.0,)), (30, (5.0, 5.0))):
+        if store.slices:
+            store.head.end = start
+        store.append_slice(Slice(start, None, 1, store_records=False))
+        for value in values:
+            write(value)
+    assert median.lower(store.query_slices(0, 4, 0)) == 5.0
+    edited = store.head.aggs[0]
+    for value in (9.0, 8.0, 9.0):
+        write(value)
+    assert store.head.aggs[0] is edited
+    assert store.query_slices(0, 4, 0) == AggregateStore.query_slices(store, 0, 4, 0)
+    assert median.lower(store.query_slices(0, 4, 0)) == 6.0
+    assert median.lower(store.query_slices(2, 4, 0)) == 8.0

@@ -142,4 +142,8 @@ def test_the_bound_accumulates_are_derived_and_never_pickled():
     assert [index for index, _ in chain.accumulators] == [0, 1]
     for (index, accumulate), function in zip(chain.accumulators, chain.functions):
         assert accumulate.__self__ is function
+    assert [index for index, _ in chain.head_accumulators] == [0, 1]
+    for (index, write), function in zip(chain.head_accumulators, chain.functions):
+        assert write.__self__ is function
+        assert write.__func__ is type(function).accumulate_in_place
     assert run_operator(restored, stream[300:]) == run_operator(operator, stream[300:])

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import final_values, run_operator
 from repro import GeneralSlicingOperator, Punctuation, Record, Watermark
-from repro.aggregations import Sum
+from repro.aggregations import Median, Sum
 from repro.core.measures import MeasureKind
 from repro.core.stream_slicer import StreamSlicer
 from repro.reference import reference_results
@@ -27,6 +27,7 @@ from repro.windows import (
     CountTumblingWindow,
     PunctuationWindow,
     SessionWindow,
+    SlidingWindow,
     TumblingWindow,
 )
 
@@ -100,6 +101,39 @@ def test_hand_counted_tracer_and_one_slicer_call_per_slice(length, slices, slice
     assert len(operator.state_objects()[0].slices) == live
     assert tracer.value("store.slices_evicted") == slices - live
 
+
+
+def test_nested_slides_ask_one_window_for_each_cut_edge(monkeypatch):
+    """Five nested ``SlidingWindow(k * 1000, 100)`` x ``Median``, in
+    order: their edges are all the multiples of 100, one edge grid, so
+    the chain's edge walks keep one window.  A record every 10 ms leaves
+    no 100 ms region empty, so each cut probes one edge past the record
+    and caches that probe: one ``get_next_edge`` call per cut, all on
+    the kept window, and one lookup per cut."""
+    asked = []
+    original = SlidingWindow.get_next_edge
+
+    def counting(self, ts):
+        asked.append(self)
+        return original(self, ts)
+
+    monkeypatch.setattr(SlidingWindow, "get_next_edge", counting)
+    queries = lambda: [(SlidingWindow(k * 1000, 100), Median()) for k in range(1, 6)]  # noqa: E731
+    operator = _operator(queries(), stream_in_order=True)
+    tracer = operator.enable_tracing()
+    stream = [Record(ts, float(ts // 10 % 7)) for ts in range(0, 12_000, 10)]
+    collected = final_values(operator, stream)
+
+    cuts = tracer.value("slicer.cuts")
+    assert cuts == 120
+    assert tracer.value("slicer.edge_lookups") == cuts
+    assert len(asked) == cuts
+    assert set(asked) == {operator.queries[0].window}
+    # The closing watermark asks nothing of the slicer.
+    collected.update(final_values(operator, [Watermark(20_000)]))
+    assert len(asked) == cuts
+    assert collected == reference_results(queries(), stream, horizon=20_000)
+    operator.check_invariants()
 
 def test_guard_bounds_follow_the_cached_edges():
     operator = _operator(
